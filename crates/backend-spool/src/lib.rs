@@ -30,7 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+/// The JSON reader/writer HIT and answer files go through — a re-export
+/// of [`crowdjoin_util::json`], kept so
+/// `crowdjoin_backend_spool::json::{parse, Value}` resolves.
+pub mod json {
+    pub use crowdjoin_util::json::{parse, write_str, Value};
+}
 mod spool;
 
 pub use spool::{

@@ -715,6 +715,19 @@ mod tests {
     }
 
     #[test]
+    fn malformed_answer_file_error_names_the_byte_offset() {
+        let tasks = vec![spec(5, true)];
+        // `+1` is not a JSON number; the error points at the `+`.
+        let bad = "{\"answers\": [{\"id\": +5, \"matching\": true}]}";
+        let err = parse_answers(bad, &tasks).expect_err("must refuse");
+        assert_eq!(err, "unexpected character '+' at byte 20");
+        // A raw newline inside a string is a control character, not text.
+        let bad = "{\"answers\": [], \"note\": \"two\nlines\"}";
+        let err = parse_answers(bad, &tasks).expect_err("must refuse");
+        assert_eq!(err, "raw control character in string at byte 28");
+    }
+
+    #[test]
     fn factory_retracts_stale_unanswered_hits() {
         let dir = temp_spool("retract");
         // A "crashed run" leaves one answered and one unanswered HIT.

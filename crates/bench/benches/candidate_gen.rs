@@ -1,16 +1,13 @@
 //! Candidate-generation throughput: the prefix-filtered, token-interned
-//! similarity join versus the legacy inverted-index path (per-record
-//! `String` token sets + hash-map cosine accumulation — the pre-refactor
-//! implementation, kept here as the committed baseline) and the brute-force
-//! pairwise scan.
+//! similarity join versus the brute-force pairwise scan.
 //!
 //! Alongside the criterion arms, running this bench writes
 //! `BENCH_matcher.json` (schema `crowdjoin-bench-matcher/2`) with the
-//! measured product workloads at 5k through 1M records — plus a MinHash/LSH
-//! arm with its measured recall and an `incremental_ingest` arm pinning the
-//! streaming matcher's amortized per-record insert cost against a full
-//! batch re-join — so the matcher's perf trajectory is tracked across PRs,
-//! the same contract as `BENCH_engine.json`.
+//! measured product workloads at 5k through 1M records — plus an
+//! `incremental_ingest` arm pinning the streaming matcher's amortized
+//! per-record insert cost against a full batch re-join — so the matcher's
+//! perf trajectory is tracked across PRs, the same contract as
+//! `BENCH_engine.json`.
 //!
 //! Thread honesty: every arm records the worker-thread count it actually
 //! ran with (default 1 so wall times compare across hosts; override with
@@ -25,16 +22,16 @@
 //! the filter is on.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use crowdjoin_bench::json::{js_f64, js_str, BenchJson};
+use crowdjoin_bench::json::BenchJson;
 use crowdjoin_bench::measure;
 use crowdjoin_matcher::{
-    generate_candidates, generate_candidates_bruteforce, jaccard, recall_of, tokenize_words,
-    MatcherConfig, MatcherStrategy, StreamMatcher, TfIdfIndex,
+    generate_candidates, generate_candidates_bruteforce, MatcherConfig, StreamMatcher,
 };
 use crowdjoin_records::{
     generate_paper, generate_product, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig,
     ProductGenConfig,
 };
+use crowdjoin_util::json::{js_f64, js_str};
 use std::hint::black_box;
 
 fn paper_dataset(n: usize) -> Dataset {
@@ -56,44 +53,6 @@ fn product_matcher(min_likelihood: f64, threads: usize) -> MatcherConfig {
     }
 }
 
-/// The pre-refactor candidate generator, replicated verbatim from the old
-/// `crowdjoin_matcher::generate_candidates`: re-tokenizes every record into
-/// `String` token sets, accumulates cosines through a per-record hash map,
-/// and scans full posting lists. The speedup recorded in
-/// `BENCH_matcher.json` is measured against this.
-fn legacy_generate_candidates(dataset: &Dataset, config: &MatcherConfig) -> Vec<(u32, u32, f64)> {
-    let arity = dataset.table.schema().arity();
-    let index = TfIdfIndex::build(dataset, &config.field_weights);
-    let token_sets: Vec<Vec<String>> = (0..dataset.len())
-        .map(|i| {
-            let mut tokens = Vec::new();
-            for f in 0..arity {
-                tokens.extend(tokenize_words(dataset.table.record(i).field(f)));
-            }
-            tokens.sort_unstable();
-            tokens.dedup();
-            tokens
-        })
-        .collect();
-    let total_weight = config.cosine_weight + config.jaccard_weight;
-    let mut out = Vec::new();
-    for a in 0..dataset.len() as u32 {
-        for (b, cosine) in index.accumulate_cosines(a) {
-            if b <= a || !dataset.is_joinable(a as usize, b as usize) {
-                continue;
-            }
-            let jac = jaccard(&token_sets[a as usize], &token_sets[b as usize]);
-            let likelihood =
-                (config.cosine_weight * cosine + config.jaccard_weight * jac) / total_weight;
-            if likelihood >= config.min_likelihood {
-                out.push((a, b, likelihood));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    out
-}
-
 fn bench_candidate_gen(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_gen");
     group.sample_size(10);
@@ -102,9 +61,6 @@ fn bench_candidate_gen(c: &mut Criterion) {
         let cfg = MatcherConfig::for_arity(5);
         group.bench_with_input(BenchmarkId::new("filtered", n), &ds, |b, ds| {
             b.iter(|| black_box(generate_candidates(ds, &cfg).len()));
-        });
-        group.bench_with_input(BenchmarkId::new("legacy_inverted_index", n), &ds, |b, ds| {
-            b.iter(|| black_box(legacy_generate_candidates(ds, &cfg).len()));
         });
         group.bench_with_input(BenchmarkId::new("bruteforce", n), &ds, |b, ds| {
             b.iter(|| black_box(generate_candidates_bruteforce(ds, &cfg).len()));
@@ -115,9 +71,6 @@ fn bench_candidate_gen(c: &mut Criterion) {
     let cfg = MatcherConfig::for_arity(5);
     group.bench_with_input(BenchmarkId::new("filtered", 997usize), &ds, |b, ds| {
         b.iter(|| black_box(generate_candidates(ds, &cfg).len()));
-    });
-    group.bench_with_input(BenchmarkId::new("legacy_inverted_index", 997usize), &ds, |b, ds| {
-        b.iter(|| black_box(legacy_generate_candidates(ds, &cfg).len()));
     });
     group.finish();
 }
@@ -144,16 +97,21 @@ const PRE_POSITIONAL_100K_MS: f64 = 32_218.085;
 /// `CROWDJOIN_BENCH_THREADS` (default 1, so wall times stay comparable to
 /// the committed single-worker baselines).
 fn emit_machine_readable() {
+    /// One measured (`Ok((wall_ms, candidates))`) or skipped (`Err(why)`) run.
     struct Arm {
         name: &'static str,
         records: usize,
         floor: f64,
         threads: usize,
-        wall_ms: Option<f64>,
-        candidates: Option<usize>,
-        recall: Option<f64>,
-        skipped: Option<String>,
+        outcome: Result<(f64, usize), String>,
     }
+    let ran = |name, records, floor, threads, wall_ms, candidates| Arm {
+        name,
+        records,
+        floor,
+        threads,
+        outcome: Ok((wall_ms, candidates)),
+    };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let bench_threads: usize = std::env::var("CROWDJOIN_BENCH_THREADS")
         .ok()
@@ -168,55 +126,15 @@ fn emit_machine_readable() {
     let pos_on_counter = crowdjoin_obs::counter("matcher.blocks.pos_on", crowdjoin_obs::NO_SHARD);
     let mut arms: Vec<Arm> = Vec::new();
 
-    // 5k: the acceptance workload — legacy baseline vs the filtered path at
-    // the default 0.05 floor (bit-identical outputs), plus the filtered
-    // path at the 0.3 threshold the labeling pipeline actually uses. The
-    // legacy path has no thread knob; it always runs serial.
+    // 5k: the acceptance workload at the default 0.05 floor, plus the 0.3
+    // threshold the labeling pipeline actually uses.
     let ds5k = product_dataset(2500);
     let cfg = product_matcher(0.05, bench_threads);
-    let (legacy_ms, legacy) = measure(5, || legacy_generate_candidates(&ds5k, &cfg));
-    arms.push(Arm {
-        name: "legacy_inverted_index",
-        records: ds5k.len(),
-        floor: 0.05,
-        threads: 1,
-        wall_ms: Some(legacy_ms),
-        candidates: Some(legacy.len()),
-        recall: None,
-        skipped: None,
-    });
     let (filtered_ms, filtered) = measure(5, || generate_candidates(&ds5k, &cfg));
-    assert_eq!(
-        legacy.len(),
-        filtered.len(),
-        "filtered path must emit the same candidate set as the legacy path"
-    );
-    for ((la, lb, _), f) in legacy.iter().zip(filtered.iter()) {
-        assert_eq!((*la, *lb), (f.a, f.b), "candidate sets diverged");
-    }
-    arms.push(Arm {
-        name: "filtered",
-        records: ds5k.len(),
-        floor: 0.05,
-        threads: bench_threads,
-        wall_ms: Some(filtered_ms),
-        candidates: Some(filtered.len()),
-        recall: None,
-        skipped: None,
-    });
-    let speedup = legacy_ms / filtered_ms;
+    arms.push(ran("filtered", ds5k.len(), 0.05, bench_threads, filtered_ms, filtered.len()));
     let cfg03 = product_matcher(0.3, bench_threads);
     let (ms, out) = measure(5, || generate_candidates(&ds5k, &cfg03));
-    arms.push(Arm {
-        name: "filtered",
-        records: ds5k.len(),
-        floor: 0.3,
-        threads: bench_threads,
-        wall_ms: Some(ms),
-        candidates: Some(out.len()),
-        recall: None,
-        skipped: None,
-    });
+    arms.push(ran("filtered", ds5k.len(), 0.3, bench_threads, ms, out.len()));
 
     // Scale arms: 50k and 100k records at the pipeline threshold. (The
     // unfiltered 0.05 floor enumerates every token-sharing pair — ~10⁹
@@ -236,16 +154,7 @@ fn emit_machine_readable() {
             ms_100k = ms;
             pos_blocks_100k = pos_on_counter.get() - pos_before;
         }
-        arms.push(Arm {
-            name: "filtered",
-            records: ds.len(),
-            floor: 0.3,
-            threads: bench_threads,
-            wall_ms: Some(ms),
-            candidates: Some(out.len()),
-            recall: None,
-            skipped: None,
-        });
+        arms.push(ran("filtered", ds.len(), 0.3, bench_threads, ms, out.len()));
     }
     let positional_speedup = PRE_POSITIONAL_100K_MS / ms_100k;
     let positional_mode = if pos_blocks_100k > 0 { "adaptive_on" } else { "adaptive_off" };
@@ -270,26 +179,14 @@ fn emit_machine_readable() {
                 records: 100_000,
                 floor: 0.3,
                 threads: t,
-                wall_ms: None,
-                candidates: None,
-                recall: None,
-                skipped: Some(reason),
+                outcome: Err(reason),
             });
             continue;
         }
         let ds = product_dataset(50_000);
         let cfg_t = product_matcher(0.3, t);
         let (ms, out) = measure(1, || generate_candidates(&ds, &cfg_t));
-        arms.push(Arm {
-            name: "filtered_scaling",
-            records: ds.len(),
-            floor: 0.3,
-            threads: t,
-            wall_ms: Some(ms),
-            candidates: Some(out.len()),
-            recall: None,
-            skipped: None,
-        });
+        arms.push(ran("filtered_scaling", ds.len(), 0.3, t, ms, out.len()));
     }
 
     // Very large arms: 500k and 1M records. Candidate volume at 0.3 grows
@@ -301,43 +198,7 @@ fn emit_machine_readable() {
         let ds = product_dataset(per_side);
         let cfg_big = product_matcher(floor, bench_threads);
         let (ms, out) = measure(1, || generate_candidates(&ds, &cfg_big));
-        arms.push(Arm {
-            name: "filtered",
-            records: ds.len(),
-            floor,
-            threads: bench_threads,
-            wall_ms: Some(ms),
-            candidates: Some(out.len()),
-            recall: None,
-            skipped: None,
-        });
-    }
-
-    // Low-floor LSH arm: same 100k @ 0.3 workload as the exact yardstick
-    // arm, so wall times compare directly; recall is measured against the
-    // exact run (deterministic — fixed seeds and hash family). The wide
-    // 64×2 banding profile matches the 0.3 floor: its collision knee sits
-    // near Jaccard (1/64)^(1/2) ≈ 0.125, below the floor's similarity
-    // range, where the near-duplicate 16×4 profile (knee ≈ 0.5) misses
-    // nearly everything the floor keeps.
-    {
-        let ds = product_dataset(50_000);
-        let exact = generate_candidates(&ds, &cfg03);
-        let cfg_lsh = MatcherConfig {
-            strategy: MatcherStrategy::Lsh { bands: 64, rows: 2 },
-            ..cfg03.clone()
-        };
-        let (ms, out) = measure(1, || generate_candidates(&ds, &cfg_lsh));
-        arms.push(Arm {
-            name: "lsh_64x2",
-            records: ds.len(),
-            floor: 0.3,
-            threads: bench_threads,
-            wall_ms: Some(ms),
-            candidates: Some(out.len()),
-            recall: Some(recall_of(&out, &exact)),
-            skipped: None,
-        });
+        arms.push(ran("filtered", ds.len(), floor, bench_threads, ms, out.len()));
     }
 
     // Streaming arm: the same 50k-record product workload inserted one
@@ -374,22 +235,12 @@ fn emit_machine_readable() {
         let n = self_ds.len() as f64;
         incremental_per_record_us = ms * 1000.0 / n;
         incremental_arrivals_per_rejoin = rejoin_ms / (ms / n);
-        arms.push(Arm {
-            name: "incremental_ingest",
-            records: self_ds.len(),
-            floor: 0.3,
-            threads: bench_threads,
-            wall_ms: Some(ms),
-            candidates: Some(out.len()),
-            recall: None,
-            skipped: None,
-        });
+        arms.push(ran("incremental_ingest", self_ds.len(), 0.3, bench_threads, ms, out.len()));
     }
 
     let mut json = BenchJson::new("crowdjoin-bench-matcher/2");
     json.field("cores", cores.to_string());
     json.field("workload", js_str("product (Abt-Buy-shaped cross join, name+price)"));
-    json.field("speedup_filtered_vs_legacy_5k", js_f64(speedup, 2));
     json.field("positional_filter_speedup", js_f64(positional_speedup, 2));
     json.field("positional_mode", js_str(positional_mode));
     json.field("positional_baseline_100k_ms", js_f64(PRE_POSITIONAL_100K_MS, 3));
@@ -403,17 +254,12 @@ fn emit_machine_readable() {
             ("threads", arm.threads.to_string()),
             ("cores", cores.to_string()),
         ];
-        if let Some(wall_ms) = arm.wall_ms {
-            fields.push(("wall_ms", js_f64(wall_ms, 3)));
-        }
-        if let Some(candidates) = arm.candidates {
-            fields.push(("candidates", candidates.to_string()));
-        }
-        if let Some(recall) = arm.recall {
-            fields.push(("recall", js_f64(recall, 4)));
-        }
-        if let Some(skipped) = &arm.skipped {
-            fields.push(("skipped", js_str(skipped)));
+        match &arm.outcome {
+            Ok((wall_ms, candidates)) => {
+                fields.push(("wall_ms", js_f64(*wall_ms, 3)));
+                fields.push(("candidates", candidates.to_string()));
+            }
+            Err(skipped) => fields.push(("skipped", js_str(skipped))),
         }
         json.arm(fields);
     }
@@ -422,7 +268,6 @@ fn emit_machine_readable() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matcher.json"),
     );
     println!("\nmachine-readable results written to {path}");
-    println!("filtered vs legacy on the 5k workload: {speedup:.2}x");
     println!(
         "100k @ 0.3 arm: {positional_speedup:.2}x vs the committed \
          {PRE_POSITIONAL_100K_MS:.0} ms pre-positional baseline (positional filter \

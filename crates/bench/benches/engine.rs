@@ -171,7 +171,8 @@ struct BenchArm {
 /// `cargo bench -p crowdjoin-bench --bench engine`; override the output
 /// path with `CROWDJOIN_BENCH_JSON`.
 fn emit_machine_readable() {
-    use crowdjoin_bench::json::{js_f64, js_opt_f64, js_str, BenchJson};
+    use crowdjoin_bench::json::BenchJson;
+    use crowdjoin_util::json::{js_f64, js_opt_f64, js_str};
     let (candidates, truth, order) = product_5k();
     let mut arms: Vec<BenchArm> = Vec::new();
 

@@ -5,12 +5,11 @@
 //! snapshot so the performance trajectory is trackable across PRs. This
 //! module is the shared writer: a top-level object with a `schema` tag, a
 //! few scalar fields, and an `arms` array of measured rows — rendered with
-//! stable formatting so committed snapshots diff cleanly. The primitive
-//! `js_*` renderers live in `crowdjoin-obs`'s `json` module (the same
-//! helpers the trace sinks and the CLI's JSON report use) and are
-//! re-exported here so existing bench code keeps compiling unchanged.
+//! stable formatting so committed snapshots diff cleanly. Values arrive
+//! pre-rendered through `crowdjoin_util::json`'s `js_*` helpers, the same
+//! ones the trace sinks and the CLI's JSON report use.
 
-pub use crowdjoin_obs::json::{js_f64, js_opt_f64, js_str};
+use crowdjoin_util::json::{js_str, JsonObject};
 
 /// A benchmark snapshot under construction: scalar fields plus an `arms`
 /// array. Values are pre-rendered JSON (use the `js_*` helpers).
@@ -44,20 +43,18 @@ impl BenchJson {
     /// Renders the whole snapshot.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", js_str(&self.schema)));
+        let mut out = format!("{{\n  \"schema\": {},\n", js_str(&self.schema));
         for (key, value) in &self.fields {
             out.push_str(&format!("  {}: {value},\n", js_str(key)));
         }
         out.push_str("  \"arms\": [\n");
         for (i, arm) in self.arms.iter().enumerate() {
-            let row: Vec<String> = arm.iter().map(|(k, v)| format!("{}: {v}", js_str(k))).collect();
-            out.push_str(&format!(
-                "    {{{}}}{}\n",
-                row.join(", "),
-                if i + 1 == self.arms.len() { "" } else { "," }
-            ));
+            let mut row = JsonObject::new();
+            for (key, value) in arm {
+                row.field(key, value);
+            }
+            let comma = if i + 1 == self.arms.len() { "" } else { "," };
+            out.push_str(&format!("    {}{comma}\n", row.render()));
         }
         out.push_str("  ]\n}\n");
         out
@@ -79,6 +76,7 @@ impl BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdjoin_util::json::{js_f64, js_opt_f64};
 
     #[test]
     fn renders_stable_shape() {
@@ -94,19 +92,5 @@ mod tests {
              \"tiny\", \"records\": 10},\n  \"arms\": [\n    {\"name\": \"fast\", \
              \"wall_ms\": 1.235},\n    {\"name\": \"slow\", \"waste\": null}\n  ]\n}\n"
         );
-    }
-
-    #[test]
-    fn escapes_strings() {
-        assert_eq!(js_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(js_str("line\nbreak"), "\"line\\nbreak\"");
-        assert_eq!(js_str("tab\tchar"), "\"tab\\u0009char\"");
-    }
-
-    #[test]
-    fn numeric_helpers() {
-        assert_eq!(js_f64(1.0 / 3.0, 4), "0.3333");
-        assert_eq!(js_opt_f64(Some(2.5), 1), "2.5");
-        assert_eq!(js_opt_f64(None, 1), "null");
     }
 }

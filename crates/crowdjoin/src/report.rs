@@ -22,9 +22,9 @@
 //! waits on an external crowd.
 
 use crowdjoin_engine::EngineReport;
-use crowdjoin_obs::json::{js_f64, js_str, JsonObject};
 use crowdjoin_obs::metrics::MetricValue;
 use crowdjoin_obs::NO_SHARD;
+use crowdjoin_util::json::{js_f64, js_str, JsonObject};
 use std::time::Duration;
 
 /// How the CLI narrates the run.

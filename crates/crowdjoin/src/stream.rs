@@ -73,9 +73,8 @@ pub struct StreamJob {
 /// Fingerprint of the streaming job's matcher configuration and schema.
 /// Field-by-field (floats by exact bits), **not** a `Debug`-string hash —
 /// that rendering is unstable across toolchains and would refuse to
-/// resume journals of identical jobs. `threads` is excluded (output is
-/// identical for every value); `strategy` is excluded because streaming
-/// is exact-only (enforced by `StreamMatcher::new`).
+/// resume journals of identical jobs. `threads` and `block_records` are
+/// excluded (output is identical for every value).
 fn stream_config_hash(schema: &Schema, config: &MatcherConfig) -> u64 {
     let mut words: Vec<u64> = vec![
         config.min_likelihood.to_bits(),
@@ -118,8 +117,7 @@ impl StreamJob {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid matcher configuration or an LSH strategy —
-    /// streaming is the exact (lossless) path.
+    /// Panics on an invalid matcher configuration.
     #[must_use]
     pub fn new(schema: Schema, config: MatcherConfig, seed: u64) -> Self {
         let config_hash = stream_config_hash(&schema, &config);
@@ -244,9 +242,10 @@ impl StreamJob {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the journal append fails — nothing is applied
-    /// in that case (log-before-apply; on resume the journal is the
-    /// truth).
+    /// [`WalError::Io`] if the journal append fails, or
+    /// [`WalError::RecordTooLarge`] (naming the external id) if a record's
+    /// text cannot fit one journal frame — nothing is applied in either
+    /// case (log-before-apply; on resume the journal is the truth).
     ///
     /// # Panics
     ///
@@ -260,10 +259,10 @@ impl StreamJob {
             crowdjoin_obs::NO_SHARD,
             records = records.len() as u64,
         );
+        let mut batch_ids = FxHashSet::default();
         for (external, _) in records {
             assert!(
-                !self.external_set.contains(external)
-                    && records.iter().filter(|(e, _)| e == external).count() == 1,
+                !self.external_set.contains(external) && batch_ids.insert(*external),
                 "external id {external} appears twice in the stream"
             );
         }
@@ -478,6 +477,59 @@ mod tests {
         assert_eq!(report.delta_pairs, job.num_materialized());
         assert!(report.components_opened >= 1);
         assert!(job.num_components() >= 1);
+    }
+
+    #[test]
+    fn long_text_batch_splits_by_bytes_and_survives_kill_resume() {
+        // 1,024 records of 20 KiB each are 20 MiB of text: more than one
+        // 16 MiB frame holds, inside the 1,024-record count cap — the
+        // batch used to panic the encoder mid-ingest.
+        let schema = Schema::new(vec!["text"]);
+        let cfg = MatcherConfig { min_likelihood: 0.2, ..MatcherConfig::for_arity(1) };
+        let path = temp_path("longtext.stream");
+        let _ = std::fs::remove_file(&path);
+        let batch: Vec<(u32, Record)> = (0..1024u32)
+            .map(|i| (i, Record::new(vec![format!("{}{i}", "x".repeat(20 * 1024))])))
+            .collect();
+
+        let mut job = StreamJob::with_journal(schema.clone(), cfg.clone(), 7, &path).unwrap();
+        assert_eq!(job.ingest(&batch).unwrap().inserted, 1024);
+        // A record no frame can carry is a typed error naming it, and
+        // leaves both the journal and the job untouched.
+        let unframeable = [(5000, Record::new(vec!["y".repeat(17 << 20)]))];
+        let err = job.ingest(&unframeable).unwrap_err();
+        assert!(matches!(err, WalError::RecordTooLarge { external: Some(5000), .. }), "{err}");
+        assert!(err.to_string().contains("5000"), "{err}");
+        assert_eq!(job.num_records(), 1024);
+        drop(job); // "kill"
+
+        let frames = crowdjoin_wal::read_stream_journal(&path).unwrap().records.len();
+        assert!(frames >= 2, "20 MiB cannot sit in one 16 MiB frame (got {frames})");
+        let (job, replayed) = StreamJob::resume(schema, cfg, 7, &path).unwrap();
+        assert_eq!(replayed, 1024);
+        let (dataset, _) = job.close().unwrap();
+        assert_eq!(dataset.len(), 1024);
+        for (i, (_, record)) in batch.iter().enumerate() {
+            assert_eq!(dataset.table.record(i).values(), record.values());
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn duplicate_inside_one_batch_applies_and_journals_nothing() {
+        let ds = dataset();
+        let path = temp_path("dupbatch.stream");
+        let _ = std::fs::remove_file(&path);
+        let mut job =
+            StreamJob::with_journal(ds.table.schema().clone(), config(), 7, &path).unwrap();
+        let batch: Vec<(u32, Record)> =
+            [1, 2, 1].iter().map(|&id| (id, ds.table.record(id as usize).clone())).collect();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.ingest(&batch)));
+        assert!(outcome.is_err(), "a batch repeating external id 1 must be refused");
+        assert_eq!(job.num_records(), 0);
+        drop(job);
+        assert!(crowdjoin_wal::read_stream_journal(&path).unwrap().records.is_empty());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

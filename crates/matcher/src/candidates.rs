@@ -21,9 +21,7 @@
 //!   hashing), and probing parallelizes across record ranges. Output is
 //!   exactly every pair that shares ≥ 1 token and clears
 //!   `min_likelihood`, deterministically sorted by `(a, b)` regardless of
-//!   thread count and block size. With [`MatcherStrategy::Lsh`] the same
-//!   entry point instead runs the approximate MinHash/LSH banding join
-//!   ([`crate::lsh`]);
+//!   thread count and block size;
 //! * [`generate_candidates_bruteforce`] — full pairwise scan, the
 //!   correctness oracle: the filtered path returns the bit-identical
 //!   candidate set above the floor (property-tested in
@@ -45,30 +43,6 @@ pub struct ScoredCandidate {
     pub b: u32,
     /// Blended likelihood of matching, in `[0, 1]`.
     pub likelihood: f64,
-}
-
-/// How candidate pairs are discovered.
-///
-/// [`MatcherStrategy::Exact`] is the default and the only *lossless*
-/// strategy: its output is bit-identical to the brute-force oracle
-/// (property-pinned). [`MatcherStrategy::Lsh`] trades recall for speed in
-/// the low-floor regime where prefix filtering degenerates — see
-/// [`crate::lsh`] for the banding math and the measured-recall contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatcherStrategy {
-    /// The prefix/positional/length-filtered similarity join; lossless.
-    #[default]
-    Exact,
-    /// MinHash/LSH banding: `bands × rows` hash functions, one bucket join
-    /// per band, exact re-scoring of colliding pairs. **Approximate** —
-    /// every emitted pair is exactly scored, but pairs can be *missed*;
-    /// recall is measured, not guaranteed.
-    Lsh {
-        /// Number of bands (each band hashed to a bucket key).
-        bands: usize,
-        /// MinHash rows per band.
-        rows: usize,
-    },
 }
 
 /// Matcher configuration.
@@ -99,9 +73,6 @@ pub struct MatcherConfig {
     /// Any value yields the identical candidate set — the knob trades cache
     /// locality only.
     pub block_records: usize,
-    /// Candidate discovery strategy (exact prefix-filtered join by
-    /// default; opt-in MinHash/LSH for the low-floor regime).
-    pub strategy: MatcherStrategy,
 }
 
 impl MatcherConfig {
@@ -118,7 +89,6 @@ impl MatcherConfig {
             extra_measures: Vec::new(),
             threads: 0,
             block_records: 0,
-            strategy: MatcherStrategy::Exact,
         }
     }
 
@@ -133,9 +103,6 @@ impl MatcherConfig {
         }
         assert!(self.total_weight() > 0.0, "at least one blend weight must be positive");
         assert!((0.0..=1.0).contains(&self.min_likelihood), "min_likelihood must be in [0,1]");
-        if let MatcherStrategy::Lsh { bands, rows } = self.strategy {
-            assert!(bands >= 1 && rows >= 1, "LSH needs at least one band and one row");
-        }
     }
 
     pub(crate) fn total_weight(&self) -> f64 {
@@ -185,21 +152,11 @@ pub fn generate_candidates(dataset: &Dataset, config: &MatcherConfig) -> Vec<Sco
     config.validate(dataset.table.schema().arity());
     let corpus = TokenizedCorpus::build_threaded(dataset, config.threads);
     let index = TfIdfIndex::from_corpus_threaded(&corpus, &config.field_weights, config.threads);
-    match config.strategy {
-        MatcherStrategy::Exact => generate_candidates_prepared(dataset, &corpus, &index, config),
-        MatcherStrategy::Lsh { .. } => {
-            crate::lsh::generate_candidates_lsh(dataset, &corpus, &index, config)
-        }
-    }
+    generate_candidates_prepared(dataset, &corpus, &index, config)
 }
 
 /// The probing stage of [`generate_candidates`], over an already-built
-/// corpus and tf-idf index. This is the staged **exact** path: callers
-/// reaching for it ask for lossless, bit-identical-to-brute-force
-/// semantics, so an approximate [`MatcherStrategy::Lsh`] config is
-/// rejected rather than silently honored (route through
-/// [`generate_candidates`] or [`crate::lsh::generate_candidates_lsh`]
-/// instead).
+/// corpus and tf-idf index.
 ///
 /// Stage wall time lands in the always-on metrics registry as the
 /// `matcher.candidates.us` counter (plus `matcher.prefix.us` for the
@@ -207,9 +164,8 @@ pub fn generate_candidates(dataset: &Dataset, config: &MatcherConfig) -> Vec<Sco
 ///
 /// # Panics
 ///
-/// Panics if the corpus or index do not match the dataset, if
-/// `config.field_weights` does not match the schema arity, or if
-/// `config.strategy` is not [`MatcherStrategy::Exact`].
+/// Panics if the corpus or index do not match the dataset, or if
+/// `config.field_weights` does not match the schema arity.
 #[must_use]
 pub fn generate_candidates_prepared(
     dataset: &Dataset,
@@ -218,12 +174,6 @@ pub fn generate_candidates_prepared(
     config: &MatcherConfig,
 ) -> Vec<ScoredCandidate> {
     config.validate(dataset.table.schema().arity());
-    assert_eq!(
-        config.strategy,
-        MatcherStrategy::Exact,
-        "generate_candidates_prepared is the exact (lossless) path; \
-         use generate_candidates_lsh for the approximate LSH strategy"
-    );
     assert_eq!(corpus.num_records(), dataset.len(), "corpus built for a different dataset");
     assert_eq!(index.num_records(), dataset.len(), "index built for a different dataset");
     let stage_clock = std::time::Instant::now();
@@ -1008,33 +958,8 @@ mod tests {
             extra_measures: Vec::new(),
             threads: 0,
             block_records: 0,
-            strategy: MatcherStrategy::Exact,
         };
         let _ = generate_candidates(&ds, &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one band")]
-    fn degenerate_lsh_rejected() {
-        let ds = dataset(&["a"], None);
-        let cfg = MatcherConfig {
-            strategy: MatcherStrategy::Lsh { bands: 0, rows: 4 },
-            ..MatcherConfig::for_arity(1)
-        };
-        let _ = generate_candidates(&ds, &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "exact (lossless) path")]
-    fn prepared_path_rejects_lsh_strategy() {
-        let ds = dataset(&["a b", "a c"], None);
-        let cfg = MatcherConfig {
-            strategy: MatcherStrategy::Lsh { bands: 4, rows: 2 },
-            ..MatcherConfig::for_arity(1)
-        };
-        let corpus = TokenizedCorpus::build(&ds);
-        let index = TfIdfIndex::from_corpus(&corpus, &cfg.field_weights);
-        let _ = generate_candidates_prepared(&ds, &corpus, &index, &cfg);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   AllPairs-style filter and its safety argument; the crate-internal
 //!   `block` module holds the cache-sized probe blocking and the adaptive
 //!   positional/length filter cascade), plus the brute-force oracle;
-//! * [`lsh`] — the opt-in MinHash/LSH banding strategy for the low-floor
-//!   regime (approximate recall, exact likelihoods);
 //! * [`stream`] — incremental candidate generation for streaming
 //!   ingestion: per-record insert, delta pairs, exact snapshots
 //!   bit-identical to the batch join.
@@ -45,7 +43,6 @@ pub(crate) mod block;
 pub mod candidates;
 pub mod corpus;
 pub mod fields;
-pub mod lsh;
 pub(crate) mod par;
 pub mod prefix;
 pub mod similarity;
@@ -55,11 +52,10 @@ pub mod tokenize;
 
 pub use candidates::{
     generate_candidates, generate_candidates_bruteforce, generate_candidates_prepared,
-    MatcherConfig, MatcherStrategy, ScoredCandidate,
+    MatcherConfig, ScoredCandidate,
 };
 pub use corpus::TokenizedCorpus;
 pub use fields::{ExtraMeasure, FieldMeasure};
-pub use lsh::{generate_candidates_lsh, recall_of};
 pub use similarity::{
     dice, jaccard, jaro, jaro_winkler, levenshtein, levenshtein_similarity, overlap,
 };

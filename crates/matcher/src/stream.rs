@@ -58,7 +58,7 @@
 //! into their external-id order), which makes the final candidate set
 //! independent of arrival order, bit for bit.
 
-use crate::candidates::{MatcherConfig, MatcherStrategy, ScoredCandidate};
+use crate::candidates::{MatcherConfig, ScoredCandidate};
 use crate::corpus::TokenizedCorpus;
 use crate::prefix::{length_filtered, BOUND_SLACK, FILTER_SLACK};
 use crate::similarity::jaccard;
@@ -126,8 +126,7 @@ impl StreamPostings {
 /// the bit-identity contract with the batch path.
 ///
 /// Streaming is the self-join (dedup) shape: every arrived record is
-/// joinable with every other (`split = None`). Only the lossless
-/// [`MatcherStrategy::Exact`] strategy is supported.
+/// joinable with every other (`split = None`).
 #[derive(Debug)]
 pub struct StreamMatcher {
     config: MatcherConfig,
@@ -150,17 +149,11 @@ impl StreamMatcher {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid for the schema's arity or uses a
-    /// non-[`MatcherStrategy::Exact`] strategy.
+    /// Panics if the config is invalid for the schema's arity.
     #[must_use]
     pub fn new(schema: Schema, config: MatcherConfig) -> Self {
         let arity = schema.arity();
         config.validate(arity);
-        assert_eq!(
-            config.strategy,
-            MatcherStrategy::Exact,
-            "streaming ingestion is the exact (lossless) path; LSH is batch-only"
-        );
         let extras: f64 = config.extra_measures.iter().map(|em| em.weight).sum();
         let prune = if config.jaccard_weight > 0.0 {
             (config.min_likelihood * config.total_weight() - config.cosine_weight - extras)
@@ -548,15 +541,5 @@ mod tests {
         sm.insert(&record("a"));
         sm.insert(&record("b"));
         let _ = sm.close_canonical(&[0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "LSH is batch-only")]
-    fn lsh_strategy_rejected() {
-        let cfg = MatcherConfig {
-            strategy: crate::candidates::MatcherStrategy::Lsh { bands: 4, rows: 2 },
-            ..MatcherConfig::for_arity(1)
-        };
-        let _ = StreamMatcher::new(schema(), cfg);
     }
 }

@@ -3,23 +3,20 @@
 //! Each record becomes a sparse, L2-normalized tf-idf vector over its
 //! interned word tokens (with optional per-field weights). Vectors are built
 //! from a [`TokenizedCorpus`] — the dataset is tokenized exactly once and the
-//! interned ids are shared with the Jaccard path — and the same inverted
-//! index that backs cosine scoring also drives candidate generation: only
-//! record pairs sharing at least one token can have non-zero cosine, so one
-//! term-at-a-time accumulation pass finds and scores them together (the
-//! standard similarity-join trick the paper's machine stage (CrowdER) uses to
-//! weed out obviously non-matching pairs).
+//! interned ids are shared with the Jaccard path. Only record pairs sharing
+//! at least one token can have non-zero cosine; finding those pairs is the
+//! prefix index's job ([`crate::prefix`]), which builds its (much shorter)
+//! posting lists from these vectors.
 
 use crate::corpus::TokenizedCorpus;
 use crowdjoin_records::Dataset;
-use crowdjoin_util::FxHashMap;
 
 /// Sparse tf-idf index over a dataset's records.
 ///
-/// Both the per-record vectors and the inverted index live in contiguous
-/// CSR arenas — one flat entry array plus an offset table each — so the
-/// similarity join streams cache-line-dense slices instead of chasing one
-/// heap allocation per record or token.
+/// The per-record vectors live in one contiguous CSR arena — a flat entry
+/// array plus an offset table — so the similarity join streams
+/// cache-line-dense slices instead of chasing one heap allocation per
+/// record.
 #[derive(Debug, Clone)]
 pub struct TfIdfIndex {
     /// All records' sorted `(token_id, weight)` entries (L2 norm 1 per
@@ -28,11 +25,6 @@ pub struct TfIdfIndex {
     /// `vec_entries` offsets: record `i` spans
     /// `vec_bounds[i]..vec_bounds[i+1]`; `num_records + 1` long.
     vec_bounds: Vec<u32>,
-    /// Inverted index entries `(record, weight)`, token-major, ascending by
-    /// record id within a token.
-    post_entries: Vec<(u32, f32)>,
-    /// `post_entries` offsets, `vocab + 1` long.
-    post_bounds: Vec<u32>,
 }
 
 impl TfIdfIndex {
@@ -70,8 +62,7 @@ impl TfIdfIndex {
     /// per-chunk arenas that are concatenated in chunk order, so the
     /// record-major layout is byte-identical to the sequential build.
     /// Document frequencies are integer sums over the concatenated count
-    /// arena and the posting CSR fill walks records in ascending id order —
-    /// neither depends on the worker count, so the whole index is
+    /// arena — independent of the worker count — so the whole index is
     /// bit-identical to [`TfIdfIndex::from_corpus`] for every `threads`
     /// value.
     ///
@@ -154,9 +145,8 @@ impl TfIdfIndex {
         }
 
         // Pass 2: tf-idf weights, L2 normalization, record-major vector
-        // arena, plus per-token posting counts for the CSR fill below.
-        // (Tokens that only ever appear in zero-weight fields keep df 0 and
-        // an unused idf slot; their postings stay empty.)
+        // arena. (Tokens that only ever appear in zero-weight fields keep
+        // df 0 and an unused idf slot.)
         let idf: Vec<f64> = doc_freq
             .iter()
             .map(|&df| if df == 0 { 0.0 } else { (1.0 + n as f64 / df as f64).ln() })
@@ -191,7 +181,6 @@ impl TfIdfIndex {
         let mut vec_entries: Vec<(u32, f32)> = Vec::new();
         let mut vec_bounds: Vec<u32> = Vec::with_capacity(n + 1);
         vec_bounds.push(0);
-        let mut post_count: Vec<u32> = vec![0; vocab];
         for (entries, lens) in weighted {
             vec_entries.extend_from_slice(&entries);
             for len in lens {
@@ -200,32 +189,9 @@ impl TfIdfIndex {
                 vec_bounds.push(end);
             }
         }
-        for &(id, _) in &vec_entries {
-            post_count[id as usize] += 1;
-        }
-
-        // CSR fill of the inverted index: offsets from the per-token
-        // counts, then one stable sweep over the record-major vectors —
-        // records are visited in ascending id order, so each token's
-        // postings ascend by record id.
-        let mut post_bounds: Vec<u32> = vec![0; vocab + 1];
-        for t in 0..vocab {
-            post_bounds[t + 1] = post_bounds[t] + post_count[t];
-        }
-        let mut cursor: Vec<u32> = post_bounds[..vocab].to_vec();
-        let mut post_entries: Vec<(u32, f32)> = vec![(0, 0.0); vec_entries.len()];
-        for i in 0..n {
-            let lo = vec_bounds[i] as usize;
-            let hi = vec_bounds[i + 1] as usize;
-            for &(id, w) in &vec_entries[lo..hi] {
-                let c = &mut cursor[id as usize];
-                post_entries[*c as usize] = (i as u32, w);
-                *c += 1;
-            }
-        }
         crowdjoin_obs::counter("matcher.index.us", crowdjoin_obs::NO_SHARD)
             .add(clock.elapsed().as_micros() as u64);
-        Self { vec_entries, vec_bounds, post_entries, post_bounds }
+        Self { vec_entries, vec_bounds }
     }
 
     /// Number of indexed records.
@@ -234,25 +200,11 @@ impl TfIdfIndex {
         self.vec_bounds.len() - 1
     }
 
-    /// Number of token-id slots (the corpus vocabulary size; tokens confined
-    /// to zero-weight fields have empty postings).
-    #[must_use]
-    pub fn vocabulary_size(&self) -> usize {
-        self.post_bounds.len() - 1
-    }
-
     /// Record `i`'s sparse unit vector: sorted `(token_id, weight)` entries.
     #[must_use]
     pub fn vector(&self, i: u32) -> &[(u32, f32)] {
         let i = i as usize;
         &self.vec_entries[self.vec_bounds[i] as usize..self.vec_bounds[i + 1] as usize]
-    }
-
-    /// Token `t`'s inverted-index postings: `(record, weight)`, ascending
-    /// by record id.
-    fn postings(&self, t: u32) -> &[(u32, f32)] {
-        let t = t as usize;
-        &self.post_entries[self.post_bounds[t] as usize..self.post_bounds[t + 1] as usize]
     }
 
     /// Cosine similarity between two indexed records, in `[0, 1]`.
@@ -274,25 +226,6 @@ impl TfIdfIndex {
             }
         }
         dot.clamp(0.0, 1.0)
-    }
-
-    /// For record `i`, accumulates cosine scores against every *other* record
-    /// sharing at least one token, returning `(record, cosine)` pairs
-    /// (unsorted). This is the term-at-a-time similarity-join kernel; the
-    /// filtered candidate generator supersedes it on large inputs, but it
-    /// remains the reference (and the benchmark baseline) for the
-    /// unfiltered inverted-index join.
-    #[must_use]
-    pub fn accumulate_cosines(&self, i: u32) -> Vec<(u32, f64)> {
-        let mut acc: FxHashMap<u32, f64> = FxHashMap::default();
-        for &(token, w) in self.vector(i) {
-            for &(j, wj) in self.postings(token) {
-                if j != i {
-                    *acc.entry(j).or_insert(0.0) += w as f64 * wj as f64;
-                }
-            }
-        }
-        acc.into_iter().map(|(j, s)| (j, s.clamp(0.0, 1.0))).collect()
     }
 }
 
@@ -335,34 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_matches_pairwise_cosine() {
-        let ds = dataset(&[
-            "sony bravia tv",
-            "sony tv bravia black",
-            "canon eos camera",
-            "sony camera",
-            "unrelated words here",
-        ]);
-        let idx = TfIdfIndex::build(&ds, &[1.0]);
-        for i in 0..5u32 {
-            let mut acc = idx.accumulate_cosines(i);
-            acc.sort_unstable_by_key(|&(j, _)| j);
-            for (j, s) in acc {
-                assert!((s - idx.cosine(i, j)).abs() < 1e-9, "({i},{j}): {s}");
-            }
-            // Records with zero shared tokens are absent.
-            for j in 0..5u32 {
-                if j != i && idx.cosine(i, j) == 0.0 {
-                    assert!(
-                        !idx.accumulate_cosines(i).iter().any(|&(k, _)| k == j),
-                        "({i},{j}) should not appear"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn field_weights_change_scores() {
         let mut table = Table::new(Schema::new(vec!["name", "price"]));
         table.push(Record::new(vec!["sony tv", "100"]));
@@ -400,12 +305,7 @@ mod tests {
         for threads in [2, 4] {
             let par = TfIdfIndex::from_corpus_threaded(&corpus, &[1.0], threads);
             assert_eq!(par.vec_bounds, serial.vec_bounds, "threads {threads}");
-            assert_eq!(par.post_bounds, serial.post_bounds, "threads {threads}");
             for (p, s) in par.vec_entries.iter().zip(serial.vec_entries.iter()) {
-                assert_eq!(p.0, s.0);
-                assert_eq!(p.1.to_bits(), s.1.to_bits(), "threads {threads}");
-            }
-            for (p, s) in par.post_entries.iter().zip(serial.post_entries.iter()) {
                 assert_eq!(p.0, s.0);
                 assert_eq!(p.1.to_bits(), s.1.to_bits(), "threads {threads}");
             }
@@ -424,6 +324,5 @@ mod tests {
         let ds = dataset(&["", "something"]);
         let idx = TfIdfIndex::build(&ds, &[1.0]);
         assert_eq!(idx.cosine(0, 1), 0.0);
-        assert!(idx.accumulate_cosines(0).is_empty());
     }
 }

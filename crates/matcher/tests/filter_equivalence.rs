@@ -12,7 +12,7 @@
 
 use crowdjoin_matcher::{
     generate_candidates, generate_candidates_bruteforce, ExtraMeasure, FieldMeasure, MatcherConfig,
-    MatcherStrategy, ScoredCandidate, TokenizedCorpus,
+    ScoredCandidate, TokenizedCorpus,
 };
 use crowdjoin_records::{
     generate_paper, generate_product, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig,
@@ -133,7 +133,6 @@ proptest! {
             extra_measures: Vec::new(),
             threads,
             block_records,
-            strategy: MatcherStrategy::Exact,
         };
         // At least one field must carry token weight for the tf-idf build
         // to be meaningful; force field 0 on when the code zeroed them all.

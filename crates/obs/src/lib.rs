@@ -23,8 +23,9 @@
 //!   ([`JsonlSink`]), a Chrome trace-event exporter loadable in Perfetto /
 //!   `chrome://tracing` ([`ChromeTraceSink`]), and an in-memory
 //!   [`CaptureSink`] for tests.
-//! * [`json`] — the workspace's hand-rolled JSON writer helpers (shared
-//!   with `crowdjoin-bench`'s snapshot writer).
+//! * [`json`] — the JSON writer helpers, re-exported from
+//!   `crowdjoin_util::json` (the workspace's one JSON codec) under the
+//!   path the sinks, the CLI report and the benches have always used.
 //!
 //! ## The zero-cost contract
 //!
@@ -57,7 +58,11 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod json;
+/// JSON writer helpers — a re-export of [`crowdjoin_util::json`]'s writer
+/// half, kept so `crowdjoin_obs::json::{js_str, JsonObject, …}` resolves.
+pub mod json {
+    pub use crowdjoin_util::json::{js_f64, js_opt_f64, js_str, write_str, JsonObject};
+}
 pub mod metrics;
 pub mod recorder;
 pub mod sink;

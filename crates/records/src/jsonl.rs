@@ -4,15 +4,18 @@
 //!
 //! Supported: one object per line; string, number, `true`/`false`/`null`
 //! values (all captured as their textual form — the pipeline's fields are
-//! strings); full string escape handling including `\uXXXX` and surrogate
-//! pairs; blank lines skipped. Not supported (rejected with an error
-//! rather than silently mangled): nested objects/arrays, duplicate keys,
-//! lines whose key set differs from the first line's.
+//! strings, so a number keeps its *source text* instead of passing through
+//! an `f64`); strings and numbers lexed by the workspace's one strict JSON
+//! lexer (`crowdjoin_util::json::Lexer`); blank lines skipped. Not
+//! supported (rejected with an error rather than silently mangled): nested
+//! objects/arrays, duplicate keys, lines whose key set differs from the
+//! first line's.
 //!
 //! The first line's key *order* defines the schema; later lines may list
 //! their keys in any order — values are matched by name.
 
 use crate::record::{Record, Schema, Table};
+use crowdjoin_util::json::{write_str, JsonError, Lexer};
 
 /// JSONL parse error with 1-based line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,227 +34,55 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?}", byte as char))
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u16, String> {
-        let mut v: u16 = 0;
-        for _ in 0..4 {
-            let b = self.peek().ok_or("truncated \\u escape")?;
-            let d = match b {
-                b'0'..=b'9' => b - b'0',
-                b'a'..=b'f' => b - b'a' + 10,
-                b'A'..=b'F' => b - b'A' + 10,
-                _ => return Err(format!("invalid hex digit {:?} in \\u escape", b as char)),
-            };
-            v = (v << 4) | u16::from(d);
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            if (0xD800..0xDC00).contains(&hi) {
-                                // High surrogate: a \uXXXX low surrogate
-                                // must follow.
-                                self.expect(b'\\').map_err(|_| "unpaired surrogate".to_string())?;
-                                self.expect(b'u').map_err(|_| "unpaired surrogate".to_string())?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("unpaired surrogate".to_string());
-                                }
-                                let c = 0x10000
-                                    + ((u32::from(hi) - 0xD800) << 10)
-                                    + (u32::from(lo) - 0xDC00);
-                                out.push(char::from_u32(c).ok_or("invalid surrogate pair")?);
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err("unpaired surrogate".to_string());
-                            } else {
-                                out.push(
-                                    char::from_u32(u32::from(hi)).ok_or("invalid \\u escape")?,
-                                );
-                            }
-                        }
-                        _ => return Err(format!("invalid escape \\{}", e as char)),
-                    }
-                }
-                _ if b < 0x20 => return Err("raw control character in string".to_string()),
-                _ => {
-                    // Multi-byte UTF-8: the input is a &str, so continuation
-                    // bytes are valid; copy the whole scalar.
-                    let start = self.pos - 1;
-                    while self.peek().is_some_and(|n| n & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8")?,
-                    );
-                }
-            }
-        }
-    }
-
-    /// A scalar value, captured as its textual form.
-    fn value(&mut self) -> Result<String, String> {
-        match self.peek().ok_or("missing value")? {
-            b'"' => self.string(),
-            b'{' => Err("nested objects are not supported (flat objects only)".to_string()),
-            b'[' => Err("arrays are not supported (flat objects only)".to_string()),
-            b't' => self.literal("true"),
-            b'f' => self.literal("false"),
-            b'n' => self.literal("null"),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!("unexpected character {:?}", other as char)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<String, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(lit.to_string())
-        } else {
-            Err(format!("invalid literal (expected {lit})"))
-        }
-    }
-
-    fn number(&mut self) -> Result<String, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_from = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits_from {
-            return Err("number has no digits".to_string());
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let frac_from = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == frac_from {
-                return Err("number has no fraction digits".to_string());
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_from = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == exp_from {
-                return Err("number has no exponent digits".to_string());
-            }
-        }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number").to_string())
-    }
-
-    /// One flat object: `{"key": value, ...}`. Keys returned in source
-    /// order.
-    fn object(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.skip_ws();
-        self.expect(b'{').map_err(|_| "line does not start with '{'".to_string())?;
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.string().map_err(|e| format!("bad key: {e}"))?;
-                if pairs.iter().any(|(k, _)| *k == key) {
-                    return Err(format!("duplicate key {key:?}"));
-                }
-                self.skip_ws();
-                self.expect(b':').map_err(|_| format!("missing ':' after key {key:?}"))?;
-                self.skip_ws();
-                let value = self.value().map_err(|e| format!("bad value for {key:?}: {e}"))?;
-                pairs.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err("expected ',' or '}' in object".to_string()),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err("trailing data after object".to_string());
-        }
-        Ok(pairs)
+/// One scalar value, captured as its textual form: strings decoded,
+/// numbers and literals as their source text (so `1299.990` or a 20-digit
+/// id never round-trips through an `f64`).
+fn scalar(lx: &mut Lexer<'_>) -> Result<String, JsonError> {
+    match lx.peek() {
+        Some(b'"') => lx.string(),
+        Some(b'{') => Err(lx.error("nested objects are not supported (flat objects only)")),
+        Some(b'[') => Err(lx.error("arrays are not supported (flat objects only)")),
+        Some(b't' | b'f' | b'n') => lx.literal().map(str::to_string),
+        Some(b'-' | b'0'..=b'9') => lx.number().map(str::to_string),
+        _ => Err(lx.unexpected()),
     }
 }
 
-/// Parses one JSONL line into `(key, value)` pairs in source order.
+/// Parses one JSONL line — a flat object `{"key": scalar, ...}` and
+/// nothing else — into `(key, value)` pairs in source order.
 ///
 /// # Errors
 ///
-/// Returns the parse failure message (no line number — the caller knows
-/// the line).
-pub fn parse_jsonl_line(line: &str) -> Result<Vec<(String, String)>, String> {
-    Parser::new(line).object()
+/// Returns the parse failure with its byte offset in the line (no line
+/// number — the caller knows the line).
+pub fn parse_jsonl_line(line: &str) -> Result<Vec<(String, String)>, JsonError> {
+    let mut lx = Lexer::new(line);
+    lx.skip_ws();
+    lx.expect(b'{')?;
+    let mut pairs: Vec<(String, String)> = Vec::new();
+    lx.skip_ws();
+    if !lx.eat(b'}') {
+        loop {
+            lx.skip_ws();
+            let at = lx.pos();
+            let key = lx.string()?;
+            if pairs.iter().any(|(k, _)| *k == key) {
+                return Err(JsonError { offset: at, message: format!("duplicate key {key:?}") });
+            }
+            lx.skip_ws();
+            lx.expect(b':')?;
+            lx.skip_ws();
+            let value = scalar(&mut lx)?;
+            pairs.push((key, value));
+            lx.skip_ws();
+            if lx.eat(b'}') {
+                break;
+            }
+            lx.expect(b',')?;
+        }
+    }
+    lx.end()?;
+    Ok(pairs)
 }
 
 /// Loads a [`Table`] from JSONL text. The first non-blank line's key order
@@ -270,7 +101,8 @@ pub fn table_from_jsonl(text: &str) -> Result<Table, JsonlError> {
         if raw.trim().is_empty() {
             continue;
         }
-        let pairs = parse_jsonl_line(raw).map_err(|message| JsonlError { line, message })?;
+        let pairs =
+            parse_jsonl_line(raw).map_err(|e| JsonlError { line, message: e.to_string() })?;
         if pairs.is_empty() {
             return Err(JsonlError { line, message: "object has no fields".to_string() });
         }
@@ -310,25 +142,6 @@ pub fn table_from_jsonl(text: &str) -> Result<Table, JsonlError> {
     table.ok_or_else(|| JsonlError { line: 1, message: "no records in input".to_string() })
 }
 
-/// Escapes one value as a JSON string.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Serializes a [`Table`] as JSONL text (every value written as a JSON
 /// string; LF line endings, trailing newline).
 #[must_use]
@@ -341,9 +154,9 @@ pub fn table_to_jsonl(table: &Table) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&escape_json(k));
+            write_str(&mut out, k);
             out.push(':');
-            out.push_str(&escape_json(v));
+            write_str(&mut out, v);
         }
         out.push_str("}\n");
     }
@@ -415,6 +228,7 @@ mod tests {
     fn duplicate_key_rejected() {
         let err = table_from_jsonl("{\"a\":\"1\",\"a\":\"2\"}\n").unwrap_err();
         assert!(err.message.contains("duplicate"), "{err}");
+        assert!(err.message.ends_with("at byte 9"), "names the second key's offset: {err}");
     }
 
     #[test]
@@ -427,6 +241,8 @@ mod tests {
             "{\"a\": \"x\" \"b\": 1}",
             "{\"a\": \\u12}",
             "{\"a\": \"\\ud800\"}",
+            "{\"a\": 01}",
+            "{\"a\": \"raw\ttab\"}",
             "{}",
         ] {
             assert!(table_from_jsonl(&format!("{bad}\n")).is_err(), "accepted {bad:?}");

@@ -19,6 +19,9 @@
 //!   the benchmark harness when reporting experiment rows.
 //! * [`histogram`] — small integer histograms (cluster-size distributions,
 //!   per-iteration pair counts).
+//! * [`json`] — the workspace's one JSON codec: string escaper, strict
+//!   RFC 8259 lexer, and the small `Value` reader. Every crate that reads
+//!   or writes JSON text builds on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@
 pub mod hash;
 pub mod histogram;
 pub mod interner;
+pub mod json;
 pub mod rng;
 pub mod stats;
 

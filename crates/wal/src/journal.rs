@@ -1,163 +1,34 @@
-//! The journal file: thread-safe appender and prefix-or-loud reader.
+//! The answer journal: the framed log instantiated for the answer record
+//! family, plus the split of its records into the engine's replay queues.
 
-use crate::record::{
-    decode_stream, CompleteRecord, GenerationRecord, JobHeader, Record, ShardEvent,
-};
+use crate::frame::{self, Contents, FrameLog};
+use crate::record::{CompleteRecord, GenerationRecord, Record, ShardEvent};
 use crate::WalError;
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Mutex;
 
-/// A journal open for appending. Clone-free and thread-safe: the engine's
-/// event-loop workers share one handle behind an `Arc` and appends are
-/// serialized by an internal mutex (per-shard record order is preserved
-/// because a shard's records are only ever appended by the worker currently
-/// holding its task).
-#[derive(Debug)]
-pub struct Journal {
-    inner: Mutex<BufWriter<File>>,
-}
+/// An answer journal open for appending — see [`FrameLog`] for the
+/// locking and durability contract ([`FrameLog::create`],
+/// [`FrameLog::append`], [`FrameLog::append_durable`]).
+pub type Journal = FrameLog<Record>;
 
-impl Journal {
-    /// Creates a fresh journal at `path`, takes an exclusive advisory
-    /// lock (held for the journal's lifetime), and writes its header frame
-    /// durably.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::AlreadyExists`] if `path` holds a non-empty file — an
-    /// existing journal may hold paid-for answers, so starting over
-    /// requires an explicit resume or delete (checked under the lock, so
-    /// two racing creates cannot both win). [`WalError::Locked`] if
-    /// another process holds the journal. [`WalError::Io`] on I/O failure.
-    pub fn create(path: &Path, header: &JobHeader) -> Result<Self, WalError> {
-        // Deliberately no truncation here: an existing file's contents are
-        // inspected (and refused) under the lock below.
-        let file = OpenOptions::new().create(true).write(true).truncate(false).open(path)?;
-        lock_exclusive(&file, path)?;
-        if file.metadata()?.len() > 0 {
-            return Err(WalError::AlreadyExists(path.to_path_buf()));
-        }
-        let journal = Journal { inner: Mutex::new(BufWriter::new(file)) };
-        journal.append_durable(&Record::Header(*header))?;
-        Ok(journal)
-    }
-
-    fn append_inner(&self, record: &Record, sync: bool) -> Result<(), WalError> {
-        let mut frame = Vec::with_capacity(112);
-        record.encode(&mut frame);
-        let mut w = self.inner.lock().expect("journal mutex poisoned");
-        w.write_all(&frame)?;
-        // Always hand the frame to the OS so it survives a process crash;
-        // `sync` additionally makes it survive a power failure.
-        w.flush()?;
-        if sync {
-            w.get_ref().sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// Appends one record and flushes it to the OS (survives a process
-    /// crash).
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] on write failure — callers must treat this as
-    /// fatal for the job (continuing without durability would betray a
-    /// later resume).
-    pub fn append(&self, record: &Record) -> Result<(), WalError> {
-        self.append_inner(record, false)
-    }
-
-    /// Appends one record and `fsync`s it (survives a power failure). Used
-    /// for round barriers, generation barriers, and completion markers.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] on write or sync failure.
-    pub fn append_durable(&self, record: &Record) -> Result<(), WalError> {
-        self.append_inner(record, true)
-    }
-
-    /// Forces everything appended so far to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] on sync failure.
-    pub fn sync(&self) -> Result<(), WalError> {
-        let mut w = self.inner.lock().expect("journal mutex poisoned");
-        w.flush()?;
-        w.get_ref().sync_data()?;
-        Ok(())
-    }
-}
-
-/// A decoded journal: header, records (header frame excluded), and how the
-/// byte stream ended.
-#[derive(Debug, Clone)]
-pub struct JournalContents {
-    /// The job-identity header.
-    pub header: JobHeader,
-    /// Every valid record after the header, in append order.
-    pub records: Vec<Record>,
-    /// Byte offset at which each record's frame starts (parallel to
-    /// `records`) — lets tooling and tests cut a journal at exact record
-    /// boundaries.
-    pub offsets: Vec<u64>,
-    /// Byte length of the valid frame prefix.
-    pub valid_len: u64,
-    /// Bytes after `valid_len` dropped as a torn tail (0 for a clean file).
-    pub torn_bytes: u64,
-}
-
-fn read_file(path: &Path) -> Result<Vec<u8>, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(bytes)
-}
-
-fn contents_of(bytes: &[u8]) -> Result<JournalContents, WalError> {
-    let (header, records, offsets, valid_len) = decode_stream(bytes)?;
-    Ok(JournalContents {
-        header,
-        records,
-        offsets,
-        valid_len,
-        torn_bytes: bytes.len() as u64 - valid_len,
-    })
-}
+/// A decoded answer journal.
+pub type JournalContents = Contents<Record>;
 
 /// Reads a journal without modifying it, recovering the valid prefix under
 /// the crate-level truncation rule.
 ///
 /// # Errors
 ///
-/// Everything [`decode_stream`] raises, plus [`WalError::Io`].
+/// Everything [`decode`](crate::decode) raises, plus [`WalError::Io`].
 pub fn read_journal(path: &Path) -> Result<JournalContents, WalError> {
-    contents_of(&read_file(path)?)
+    frame::read(path)
 }
 
-/// Takes the journal's exclusive advisory lock, distinguishing "someone
-/// else holds it" from real I/O failure. Advisory locks are per open file
-/// description and released when the file closes, i.e. when the
-/// [`Journal`] drops.
-pub(crate) fn lock_exclusive(file: &File, path: &Path) -> Result<(), WalError> {
-    match file.try_lock() {
-        Ok(()) => Ok(()),
-        Err(std::fs::TryLockError::WouldBlock) => Err(WalError::Locked(path.to_path_buf())),
-        Err(std::fs::TryLockError::Error(e)) => Err(WalError::Io(e)),
-    }
-}
-
-/// Opens a journal for resuming: takes its exclusive lock, reads and
-/// validates it, truncates any torn tail **on disk**, and returns the
-/// contents together with a [`Journal`] positioned to append immediately
-/// after the last valid record. The whole read–repair–append sequence
-/// happens under the lock, so two racing resumes cannot interleave writes
-/// and corrupt the paid-for history — the loser fails with
-/// [`WalError::Locked`].
+/// Opens a journal for resuming — [`FrameLog::open_resume`] for the answer
+/// family: lock, read, truncate any torn tail on disk, and return the
+/// contents with a [`Journal`] positioned to append after the last valid
+/// record.
 ///
 /// # Errors
 ///
@@ -165,16 +36,7 @@ pub(crate) fn lock_exclusive(file: &File, path: &Path) -> Result<(), WalError> {
 /// another process holds the journal and [`WalError::Io`] on the
 /// truncate/seek.
 pub fn open_resume(path: &Path) -> Result<(JournalContents, Journal), WalError> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    lock_exclusive(&file, path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let contents = contents_of(&bytes)?;
-    file.set_len(contents.valid_len)?;
-    file.sync_data()?;
-    file.seek(SeekFrom::Start(contents.valid_len))?;
-    let journal = Journal { inner: Mutex::new(BufWriter::new(file)) };
-    Ok((contents, journal))
+    Journal::open_resume(path)
 }
 
 /// A journal split into the queues the engine replays: per-shard event
@@ -209,7 +71,7 @@ pub fn partition_replay(records: &[Record]) -> ReplayPlan {
     let mut plan = ReplayPlan::default();
     for r in records {
         match *r {
-            Record::Header(_) => unreachable!("decode_stream strips the header frame"),
+            Record::Header(_) => unreachable!("the decoder strips the header frame"),
             Record::Answer(a) => {
                 plan.shards.entry(a.shard).or_default().push_back(ShardEvent::Answer(a));
             }
@@ -226,7 +88,7 @@ pub fn partition_replay(records: &[Record]) -> ReplayPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{AnswerRecord, BarrierRecord, StatsSnapshot, FORMAT_VERSION};
+    use crate::record::{AnswerRecord, BarrierRecord, JobHeader, StatsSnapshot, FORMAT_VERSION};
 
     fn header() -> JobHeader {
         JobHeader {

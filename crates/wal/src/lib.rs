@@ -15,6 +15,17 @@
 //! What the records *mean* — how a journal is replayed back into labelers
 //! and platforms — lives one layer up in `crowdjoin-engine`.
 //!
+//! ## Layout
+//!
+//! The `frame` module is the only code that knows the byte discipline:
+//! one frame encoder ([`encode_frame`]), one decode loop ([`decode`]), one
+//! appender ([`FrameLog`]), each generic over a [`RecordFamily`]. A family
+//! is a vocabulary — tag table, payload codec, header variant — and there
+//! are two: [`Record`] (answers; [`Journal`] = `FrameLog<Record>`) and
+//! [`StreamRecord`] (arrivals; [`StreamJournal`] wraps
+//! `FrameLog<StreamRecord>` and syncs every frame). A new check or a fuzz
+//! target is written once, in `frame`.
+//!
 //! ## On-disk format
 //!
 //! A journal is a flat sequence of **frames**, nothing else — no footer, no
@@ -61,8 +72,8 @@
 //!
 //! ## Durability levels
 //!
-//! [`Journal::append`] writes the frame and flushes it to the OS: the
-//! record survives a **process** crash. [`Journal::append_durable`]
+//! [`FrameLog::append`] writes the frame and flushes it to the OS: the
+//! record survives a **process** crash. [`FrameLog::append_durable`]
 //! additionally `fsync`s: the record survives a **power** failure. The
 //! engine appends answers with the former and round-barrier / generation /
 //! completion records with the latter, so the expensive sync is paid once
@@ -80,30 +91,32 @@
 //! ## The stream journal
 //!
 //! Streaming jobs additionally journal record *arrivals* to a sibling
-//! `FILE.stream` file (see [`StreamJournal`]) with the same frame format
-//! and truncation rule but a disjoint tag range, so the two journal kinds
-//! reject each other loudly. The answer journal stays byte-identical to a
-//! batch run's; the stream journal is what lets a killed stream rebuild
-//! its corpus before `Engine::resume` replays the answers.
+//! `FILE.stream` file (see [`StreamJournal`]) — the same `frame` code
+//! over a second family with a disjoint tag range, so the two journal
+//! kinds reject each other loudly. The answer journal stays byte-identical
+//! to a batch run's; the stream journal is what lets a killed stream
+//! rebuild its corpus before `Engine::resume` replays the answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod frame;
 mod journal;
 mod record;
 mod stream;
 
+pub use frame::{crc32, decode, encode_frame, Contents, FrameLog, RecordFamily};
 pub use journal::{
     open_resume, partition_replay, read_journal, Journal, JournalContents, ReplayPlan,
 };
 pub use record::{
-    crc32, decode_stream, fnv1a64, AnswerRecord, BarrierRecord, CompleteRecord, GenerationRecord,
-    JobHeader, Record, ShardEvent, StatsSnapshot, FORMAT_VERSION, MAX_RECORD_LEN,
+    fnv1a64, AnswerRecord, BarrierRecord, CompleteRecord, GenerationRecord, JobHeader, Record,
+    ShardEvent, StatsSnapshot, FORMAT_VERSION, MAX_RECORD_LEN,
 };
 pub use stream::{
-    decode_stream_journal, open_resume_stream, read_stream_journal, IngestFrame, SealRecord,
-    StreamContents, StreamEntry, StreamHeader, StreamJournal, StreamRecord, INGEST_FRAME_RECORDS,
-    MAX_STREAM_RECORD_LEN, STREAM_FORMAT_VERSION,
+    open_resume_stream, read_stream_journal, IngestFrame, SealRecord, StreamContents, StreamEntry,
+    StreamHeader, StreamJournal, StreamRecord, INGEST_FRAME_RECORDS, MAX_STREAM_RECORD_LEN,
+    STREAM_FORMAT_VERSION,
 };
 
 use std::fmt;
@@ -146,6 +159,16 @@ pub enum WalError {
     /// interleaving appends would destroy the paid-for history, so the
     /// second opener is refused.
     Locked(PathBuf),
+    /// A record's payload cannot fit one frame; nothing was written.
+    RecordTooLarge {
+        /// External id of the offending streamed record, when the record
+        /// is one entry of an ingest batch.
+        external: Option<u32>,
+        /// Payload bytes the smallest frame carrying the record needs.
+        bytes: u64,
+        /// The family's frame payload limit.
+        max: u32,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -176,6 +199,13 @@ impl fmt::Display for WalError {
                 "journal {} is locked by another process (a run is already journaling to it)",
                 path.display()
             ),
+            WalError::RecordTooLarge { external, bytes, max } => {
+                match external {
+                    Some(id) => write!(f, "streamed record with external id {id}")?,
+                    None => write!(f, "journal record")?,
+                }
+                write!(f, " needs a {bytes}-byte frame payload, over the {max}-byte limit")
+            }
         }
     }
 }

@@ -1,11 +1,12 @@
-//! Record types and their binary encoding.
+//! The answer journal's record family: record types, tag table, and
+//! payload codec.
 //!
-//! Every record encodes to one frame (`[len][crc][payload]`, see the crate
-//! docs); payloads are a one-byte tag followed by fixed-width little-endian
+//! Payloads are a one-byte tag followed by fixed-width little-endian
 //! fields. Encoding and decoding are exact inverses, and decoding validates
-//! that the payload is consumed to the last byte.
+//! that the payload is consumed to the last byte. Framing, checksums and
+//! the decode loop live in `crate::frame`.
 
-use crate::WalError;
+use crate::frame::{Reader, RecordFamily, Writer};
 
 /// Journal format version this build writes and reads.
 ///
@@ -31,21 +32,6 @@ mod tag {
 // ---------------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------------
-
-/// IEEE CRC-32 (the zlib/gzip polynomial), bitwise implementation — the
-/// journal's per-frame payload checksum.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// FNV-1a over a byte stream — the stable 64-bit fingerprint hash used for
 /// the job-identity fields of [`JobHeader`].
@@ -216,32 +202,32 @@ pub enum ShardEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Payload codec
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Writer<'a>(pub(crate) &'a mut Vec<u8>);
+impl RecordFamily for Record {
+    type Header = JobHeader;
+    const VERSION: u32 = FORMAT_VERSION;
+    const MAX_PAYLOAD: u32 = MAX_RECORD_LEN;
+    const HEADER_NAME: &'static str = "job header";
 
-impl Writer<'_> {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
+    fn from_header(header: JobHeader) -> Self {
+        Record::Header(header)
     }
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-}
 
-impl Record {
-    /// Appends this record's complete frame (`len` + `crc` + payload) to
-    /// `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(96);
-        let mut w = Writer(&mut payload);
+    fn as_header(&self) -> Option<&JobHeader> {
+        match self {
+            Record::Header(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    fn header_version(header: &JobHeader) -> u32 {
+        header.version
+    }
+
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        let mut w = Writer(out);
         match self {
             Record::Header(h) => {
                 w.u8(tag::HEADER);
@@ -292,9 +278,65 @@ impl Record {
                 w.u64(c.completion);
             }
         }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+    }
+
+    fn decode_payload(payload: &[u8]) -> Result<Self, String> {
+        let mut r = Reader { bytes: payload, pos: 0 };
+        let record = match r.u8()? {
+            tag::HEADER => Record::Header(JobHeader {
+                version: r.u32()?,
+                num_objects: r.u64()?,
+                order_len: r.u64()?,
+                order_hash: r.u64()?,
+                truth_hash: r.u64()?,
+                platform_hash: r.u64()?,
+                engine_seed: r.u64()?,
+                num_shards: r.u32()?,
+                instant_decision: r.bool()?,
+                reshard: r.bool()?,
+                ordering: r.u8()?,
+            }),
+            tag::ANSWER => Record::Answer(AnswerRecord {
+                shard: r.u32()?,
+                a: r.u32()?,
+                b: r.u32()?,
+                matching: r.bool()?,
+                yes_votes: r.u32()?,
+                no_votes: r.u32()?,
+                time: r.u64()?,
+                cost_cents: r.u64()?,
+            }),
+            tag::BARRIER => Record::Barrier(BarrierRecord {
+                shard: r.u32()?,
+                rounds: r.u32()?,
+                time: r.u64()?,
+                stats: StatsSnapshot {
+                    hits_published: r.u64()?,
+                    pairs_published: r.u64()?,
+                    pair_slots: r.u64()?,
+                    assignments_completed: r.u64()?,
+                    total_cost_cents: r.u64()?,
+                    last_resolution: r.u64()?,
+                    qualified_workers: r.u64()?,
+                    assignments_abandoned: r.u64()?,
+                },
+            }),
+            tag::GENERATION => Record::Generation(GenerationRecord {
+                generation: r.u32()?,
+                shards: r.u32()?,
+                time: r.u64()?,
+                rounds: r.u32()?,
+                open_pairs: r.u64()?,
+            }),
+            tag::COMPLETE => Record::Complete(CompleteRecord {
+                answers: r.u64()?,
+                cost_cents: r.u64()?,
+                completion: r.u64()?,
+            }),
+            t => return Err(format!("unknown record tag {t}")),
+        };
+        r.done()?;
+        Ok(record)
     }
 }
 
@@ -313,215 +355,11 @@ impl StatsSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-/// Cursor over one frame's payload; every read is bounds-checked and the
-/// caller asserts exhaustion at the end.
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err(format!(
-                "payload too short: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!("invalid bool byte {v}")),
-        }
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    pub(crate) fn done(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing payload bytes", self.bytes.len() - self.pos))
-        }
-    }
-}
-
-fn decode_payload(payload: &[u8]) -> Result<Record, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let record = match r.u8()? {
-        tag::HEADER => Record::Header(JobHeader {
-            version: r.u32()?,
-            num_objects: r.u64()?,
-            order_len: r.u64()?,
-            order_hash: r.u64()?,
-            truth_hash: r.u64()?,
-            platform_hash: r.u64()?,
-            engine_seed: r.u64()?,
-            num_shards: r.u32()?,
-            instant_decision: r.bool()?,
-            reshard: r.bool()?,
-            ordering: r.u8()?,
-        }),
-        tag::ANSWER => Record::Answer(AnswerRecord {
-            shard: r.u32()?,
-            a: r.u32()?,
-            b: r.u32()?,
-            matching: r.bool()?,
-            yes_votes: r.u32()?,
-            no_votes: r.u32()?,
-            time: r.u64()?,
-            cost_cents: r.u64()?,
-        }),
-        tag::BARRIER => Record::Barrier(BarrierRecord {
-            shard: r.u32()?,
-            rounds: r.u32()?,
-            time: r.u64()?,
-            stats: StatsSnapshot {
-                hits_published: r.u64()?,
-                pairs_published: r.u64()?,
-                pair_slots: r.u64()?,
-                assignments_completed: r.u64()?,
-                total_cost_cents: r.u64()?,
-                last_resolution: r.u64()?,
-                qualified_workers: r.u64()?,
-                assignments_abandoned: r.u64()?,
-            },
-        }),
-        tag::GENERATION => Record::Generation(GenerationRecord {
-            generation: r.u32()?,
-            shards: r.u32()?,
-            time: r.u64()?,
-            rounds: r.u32()?,
-            open_pairs: r.u64()?,
-        }),
-        tag::COMPLETE => Record::Complete(CompleteRecord {
-            answers: r.u64()?,
-            cost_cents: r.u64()?,
-            completion: r.u64()?,
-        }),
-        t => return Err(format!("unknown record tag {t}")),
-    };
-    r.done()?;
-    Ok(record)
-}
-
-/// Decodes a journal byte image into its header and records, applying the
-/// crate-level truncation rule.
-///
-/// Returns `(header, records, offsets, valid_len)`: `offsets[i]` is the
-/// byte offset at which `records[i]`'s frame starts, and `valid_len` is
-/// the byte length of the valid frame prefix — `valid_len < bytes.len()`
-/// means a torn tail was dropped. Records exclude the header frame.
-///
-/// # Errors
-///
-/// [`WalError::NotAJournal`] if the file does not start with a valid header
-/// frame, [`WalError::VersionMismatch`] for an unknown format version, and
-/// [`WalError::Corrupt`] for damage that is not a torn tail (see the crate
-/// docs for the exact classification).
-#[allow(clippy::type_complexity)]
-pub fn decode_stream(bytes: &[u8]) -> Result<(JobHeader, Vec<Record>, Vec<u64>, u64), WalError> {
-    let mut records = Vec::new();
-    let mut offsets = Vec::new();
-    let mut header: Option<JobHeader> = None;
-    let mut pos: usize = 0;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            break; // clean end
-        }
-        if remaining < 8 {
-            break; // torn: frame prelude itself incomplete
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_RECORD_LEN as usize {
-            if header.is_none() {
-                return Err(WalError::NotAJournal(format!(
-                    "first frame has implausible length {len}"
-                )));
-            }
-            // An absurd length cannot frame anything after it; everything
-            // from here is unreadable either way. Only accept it as a torn
-            // tail; an absurd length mid-file with plausible data after it
-            // is indistinguishable from one that eats the rest, so the
-            // prefix rule still holds.
-            break;
-        }
-        if pos + 8 + len > bytes.len() {
-            break; // torn: payload extends past end-of-file
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let is_final = pos + 8 + len == bytes.len();
-        if crc32(payload) != crc {
-            if header.is_none() {
-                return Err(WalError::NotAJournal("header frame fails its CRC".to_string()));
-            }
-            if is_final {
-                break; // torn: final payload partially persisted
-            }
-            return Err(WalError::Corrupt {
-                offset: pos as u64,
-                reason: "frame payload fails its CRC".to_string(),
-            });
-        }
-        let record = match decode_payload(payload) {
-            Ok(r) => r,
-            Err(reason) => {
-                if header.is_none() {
-                    return Err(WalError::NotAJournal(format!("header frame invalid: {reason}")));
-                }
-                return Err(WalError::Corrupt { offset: pos as u64, reason });
-            }
-        };
-        match (&header, record) {
-            (None, Record::Header(h)) => {
-                if h.version != FORMAT_VERSION {
-                    return Err(WalError::VersionMismatch { found: h.version });
-                }
-                header = Some(h);
-            }
-            (None, _) => {
-                return Err(WalError::NotAJournal("first frame is not a job header".to_string()))
-            }
-            (Some(_), Record::Header(_)) => {
-                return Err(WalError::Corrupt {
-                    offset: pos as u64,
-                    reason: "second header frame".to_string(),
-                });
-            }
-            (Some(_), r) => {
-                offsets.push(pos as u64);
-                records.push(r);
-            }
-        }
-        pos += 8 + len;
-    }
-    let Some(header) = header else {
-        return Err(WalError::NotAJournal("no complete header frame".to_string()));
-    };
-    Ok((header, records, offsets, pos as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{crc32, decode, encode_frame};
+    use crate::WalError;
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -577,40 +415,59 @@ mod tests {
         }
     }
 
+    fn frame_of(record: &Record) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(record, &mut frame).expect("fixed-width records fit a frame");
+        frame
+    }
+
     fn encode_all(header: JobHeader, records: &[Record]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        Record::Header(header).encode(&mut bytes);
-        for r in records {
-            r.encode(&mut bytes);
-        }
-        bytes
+        std::iter::once(&Record::Header(header)).chain(records).flat_map(frame_of).collect()
     }
 
     #[test]
     fn roundtrip_every_record_type() {
         let bytes = encode_all(sample_header(), &sample_records());
-        let (header, records, offsets, valid) = decode_stream(&bytes).expect("valid stream");
-        assert_eq!(header, sample_header());
-        assert_eq!(records, sample_records());
-        assert_eq!(valid, bytes.len() as u64);
-        assert_eq!(offsets.len(), records.len());
+        let contents = decode::<Record>(&bytes).expect("valid stream");
+        assert_eq!(contents.header, sample_header());
+        assert_eq!(contents.records, sample_records());
+        assert_eq!((contents.valid_len, contents.torn_bytes), (bytes.len() as u64, 0));
+        assert_eq!(contents.offsets.len(), contents.records.len());
         // Each offset points at a frame whose payload re-encodes to the
         // bytes in place.
-        for (&off, r) in offsets.iter().zip(&records) {
-            let mut frame = Vec::new();
-            r.encode(&mut frame);
+        for (&off, r) in contents.offsets.iter().zip(&contents.records) {
+            let frame = frame_of(r);
             assert_eq!(&bytes[off as usize..off as usize + frame.len()], &frame[..]);
         }
+    }
+
+    #[test]
+    fn golden_bytes() {
+        crate::frame::assert_golden(
+            sample_header(),
+            &sample_records(),
+            &[
+                "3c000000a237fa1f01020000006400000000000000fa00000000000000efbeadde000000000df0\
+                 edfe0000000007000000000000002a0000000000000008000000010002",
+                "26000000bfdffe9f0203000000010000000900000001020000000100000040e2010000000000\
+                 2a00000000000000",
+                "51000000365587370303000000010000000e640300000000000200000000000000\
+                 1500000000000000280000000000000006000000000000000c000000000000000e640300\
+                 0000000005000000000000000100000000000000",
+                "1d000000e4ea9ade0401000000020000000e64030000000000010000001100000000000000",
+                "190000009d8b746b0515000000000000000c000000000000000e64030000000000",
+            ],
+        );
     }
 
     #[test]
     fn truncation_recovers_prefix() {
         let bytes = encode_all(sample_header(), &sample_records());
         // Dropping the last byte tears the final record.
-        let (_, records, _, valid) =
-            decode_stream(&bytes[..bytes.len() - 1]).expect("torn tail ok");
-        assert_eq!(records, sample_records()[..3]);
-        assert!(valid < bytes.len() as u64);
+        let contents = decode::<Record>(&bytes[..bytes.len() - 1]).expect("torn tail ok");
+        assert_eq!(contents.records, sample_records()[..3]);
+        assert!(contents.valid_len < bytes.len() as u64);
+        assert_eq!(contents.valid_len + contents.torn_bytes, bytes.len() as u64 - 1);
     }
 
     #[test]
@@ -618,28 +475,45 @@ mod tests {
         let mut bytes = encode_all(sample_header(), &sample_records());
         // Flip a payload byte of the first answer record (well past the
         // header frame, well before the final record).
-        let header_len = {
-            let mut h = Vec::new();
-            Record::Header(sample_header()).encode(&mut h);
-            h.len()
-        };
+        let header_len = frame_of(&Record::Header(sample_header())).len();
         bytes[header_len + 10] ^= 0x40;
-        match decode_stream(&bytes) {
-            Err(WalError::Corrupt { .. }) => {}
+        match decode::<Record>(&bytes) {
+            Err(WalError::Corrupt { offset, .. }) => assert_eq!(offset, header_len as u64),
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
     #[test]
     fn missing_or_damaged_header_rejected() {
-        assert!(matches!(decode_stream(&[]), Err(WalError::NotAJournal(_))));
-        let mut no_header = Vec::new();
-        sample_records()[0].encode(&mut no_header);
-        assert!(matches!(decode_stream(&no_header), Err(WalError::NotAJournal(_))));
+        assert!(matches!(decode::<Record>(&[]), Err(WalError::NotAJournal(_))));
+        let no_header = frame_of(&sample_records()[0]);
+        assert!(matches!(decode::<Record>(&no_header), Err(WalError::NotAJournal(_))));
 
         let mut bytes = encode_all(sample_header(), &[]);
         bytes[9] ^= 0xff; // damage the header payload
-        assert!(matches!(decode_stream(&bytes), Err(WalError::NotAJournal(_))));
+        assert!(matches!(decode::<Record>(&bytes), Err(WalError::NotAJournal(_))));
+    }
+
+    #[test]
+    fn second_header_and_implausible_lengths_are_classified() {
+        let again = [Record::Header(sample_header())];
+        match decode::<Record>(&encode_all(sample_header(), &again)) {
+            Err(WalError::Corrupt { reason, .. }) => assert!(reason.contains("second"), "{reason}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A length over the family maximum (or zero) cannot start a
+        // journal, and after the header it can only be a torn tail.
+        for len in [0, MAX_RECORD_LEN + 1] {
+            let mut prelude = len.to_le_bytes().to_vec();
+            prelude.extend_from_slice(&[0; 12]);
+            assert!(matches!(decode::<Record>(&prelude), Err(WalError::NotAJournal(_))));
+            let mut bytes = encode_all(sample_header(), &sample_records()[..1]);
+            let valid = bytes.len() as u64;
+            bytes.extend_from_slice(&prelude);
+            let contents = decode::<Record>(&bytes).expect("implausible tail is torn");
+            assert_eq!(contents.records, sample_records()[..1]);
+            assert_eq!((contents.valid_len, contents.torn_bytes), (valid, 16));
+        }
     }
 
     #[test]
@@ -647,9 +521,10 @@ mod tests {
         let mut h = sample_header();
         h.version = FORMAT_VERSION + 1;
         let bytes = encode_all(h, &[]);
-        assert!(
-            matches!(decode_stream(&bytes), Err(WalError::VersionMismatch { found }) if found == FORMAT_VERSION + 1)
-        );
+        assert!(matches!(
+            decode::<Record>(&bytes),
+            Err(WalError::VersionMismatch { found }) if found == FORMAT_VERSION + 1
+        ));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! rebuild the arrived corpus, continue ingesting, then let
 //! `Engine::resume` replay the answers.
 //!
-//! The on-disk discipline is exactly the crate-level one (`[len][crc]
-//! [payload]` frames, torn-tail truncation, exclusive advisory lock);
-//! only the record vocabulary differs. Stream tags live in a disjoint
-//! range (16+) so feeding either journal to the other reader fails with
-//! [`WalError::NotAJournal`] instead of mis-decoding.
+//! The on-disk discipline is the crate-level one — this module is only a
+//! second record family for `crate::frame` (`[len][crc][payload]`
+//! frames, torn-tail truncation, exclusive advisory lock all live there).
+//! Stream tags live in a disjoint range (16+) so feeding either journal to
+//! the other reader fails with [`WalError::NotAJournal`] instead of
+//! mis-decoding.
 //!
 //! Frame stream: one [`StreamHeader`] (always first), then [`IngestFrame`]s
 //! carrying batches of arrived records (each with its caller-assigned
@@ -26,13 +27,9 @@
 //! `seq` (records arrived before the frame), so replay detects missing or
 //! reordered frames as corruption.
 
-use crate::journal::lock_exclusive;
-use crate::record::{crc32, Reader, Writer};
+use crate::frame::{self, Contents, FrameLog, Reader, RecordFamily, Writer};
 use crate::WalError;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write as _};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Stream-journal format version this build writes and reads.
 pub const STREAM_FORMAT_VERSION: u32 = 1;
@@ -42,9 +39,14 @@ pub const STREAM_FORMAT_VERSION: u32 = 1;
 /// that an absurd length is recognized as corruption.
 pub const MAX_STREAM_RECORD_LEN: u32 = 1 << 24;
 
-/// Records per ingest frame cap: [`StreamJournal::append_ingest`] splits
-/// larger batches so no frame approaches [`MAX_STREAM_RECORD_LEN`].
+/// Records per ingest frame cap: [`StreamJournal::append_ingest`] closes a
+/// frame at this many records or when the next record would push its
+/// payload past [`MAX_STREAM_RECORD_LEN`], whichever comes first.
 pub const INGEST_FRAME_RECORDS: usize = 1024;
+
+/// Payload bytes of an ingest frame before its first entry (tag, `seq`,
+/// entry count).
+const INGEST_PRELUDE_LEN: usize = 1 + 8 + 4;
 
 /// Frame tag values — disjoint from the answer journal's (1..=5) so the
 /// two formats reject each other loudly.
@@ -85,6 +87,13 @@ pub struct StreamEntry {
     pub fields: Vec<String>,
 }
 
+impl StreamEntry {
+    /// Bytes this entry occupies inside an ingest frame's payload.
+    fn encoded_len(&self) -> usize {
+        4 + 4 + self.fields.iter().map(|f| 4 + f.len()).sum::<usize>()
+    }
+}
+
 /// A durable batch of arrived records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestFrame {
@@ -120,12 +129,32 @@ pub enum StreamRecord {
     Seal(SealRecord),
 }
 
-impl StreamRecord {
-    /// Appends this record's complete frame (`len` + `crc` + payload) to
-    /// `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(128);
-        let mut w = Writer(&mut payload);
+impl RecordFamily for StreamRecord {
+    type Header = StreamHeader;
+    const VERSION: u32 = STREAM_FORMAT_VERSION;
+    const MAX_PAYLOAD: u32 = MAX_STREAM_RECORD_LEN;
+    const HEADER_NAME: &'static str = "stream header";
+
+    fn from_header(header: StreamHeader) -> Self {
+        StreamRecord::Header(header)
+    }
+
+    fn as_header(&self) -> Option<&StreamHeader> {
+        match self {
+            StreamRecord::Header(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    fn header_version(header: &StreamHeader) -> u32 {
+        header.version
+    }
+
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        let mut w = Writer(out);
+        // Length prefixes are written with `as u32`: a count or field too
+        // long for 32 bits makes the payload exceed `MAX_PAYLOAD` many times
+        // over, so `encode_frame` refuses it before the truncation matters.
         match self {
             StreamRecord::Header(h) => {
                 w.u8(tag::STREAM_HEADER);
@@ -137,12 +166,12 @@ impl StreamRecord {
             StreamRecord::Ingest(i) => {
                 w.u8(tag::INGEST);
                 w.u64(i.seq);
-                w.u32(u32::try_from(i.entries.len()).expect("ingest frame too large"));
+                w.u32(i.entries.len() as u32);
                 for e in &i.entries {
                     w.u32(e.external);
-                    w.u32(u32::try_from(e.fields.len()).expect("record arity overflow"));
+                    w.u32(e.fields.len() as u32);
                     for f in &e.fields {
-                        w.u32(u32::try_from(f.len()).expect("field too large"));
+                        w.u32(f.len() as u32);
                         w.0.extend_from_slice(f.as_bytes());
                     }
                 }
@@ -154,157 +183,51 @@ impl StreamRecord {
                 w.u64(s.order_hash);
             }
         }
-        assert!(
-            payload.len() <= MAX_STREAM_RECORD_LEN as usize,
-            "stream frame payload exceeds MAX_STREAM_RECORD_LEN"
-        );
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
     }
-}
 
-fn decode_payload(payload: &[u8]) -> Result<StreamRecord, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let record = match r.u8()? {
-        tag::STREAM_HEADER => StreamRecord::Header(StreamHeader {
-            version: r.u32()?,
-            arity: r.u32()?,
-            config_hash: r.u64()?,
-            seed: r.u64()?,
-        }),
-        tag::INGEST => {
-            let seq = r.u64()?;
-            let count = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(count.min(INGEST_FRAME_RECORDS));
-            for _ in 0..count {
-                let external = r.u32()?;
-                let arity = r.u32()? as usize;
-                let mut fields = Vec::with_capacity(arity.min(64));
-                for _ in 0..arity {
-                    let len = r.u32()? as usize;
-                    let bytes = r.take(len)?;
-                    fields.push(
-                        String::from_utf8(bytes.to_vec())
-                            .map_err(|_| "field value is not UTF-8".to_string())?,
-                    );
+    fn decode_payload(payload: &[u8]) -> Result<Self, String> {
+        let mut r = Reader { bytes: payload, pos: 0 };
+        let record = match r.u8()? {
+            tag::STREAM_HEADER => StreamRecord::Header(StreamHeader {
+                version: r.u32()?,
+                arity: r.u32()?,
+                config_hash: r.u64()?,
+                seed: r.u64()?,
+            }),
+            tag::INGEST => {
+                let seq = r.u64()?;
+                let count = r.u32()? as usize;
+                let mut entries = Vec::with_capacity(count.min(INGEST_FRAME_RECORDS));
+                for _ in 0..count {
+                    let external = r.u32()?;
+                    let arity = r.u32()? as usize;
+                    let mut fields = Vec::with_capacity(arity.min(64));
+                    for _ in 0..arity {
+                        let len = r.u32()? as usize;
+                        let bytes = r.take(len)?;
+                        fields.push(
+                            String::from_utf8(bytes.to_vec())
+                                .map_err(|_| "field value is not UTF-8".to_string())?,
+                        );
+                    }
+                    entries.push(StreamEntry { external, fields });
                 }
-                entries.push(StreamEntry { external, fields });
+                StreamRecord::Ingest(IngestFrame { seq, entries })
             }
-            StreamRecord::Ingest(IngestFrame { seq, entries })
-        }
-        tag::SEAL => StreamRecord::Seal(SealRecord {
-            num_records: r.u64()?,
-            order_len: r.u64()?,
-            order_hash: r.u64()?,
-        }),
-        t => return Err(format!("unknown stream record tag {t}")),
-    };
-    r.done()?;
-    Ok(record)
-}
-
-/// Decodes a stream-journal byte image, applying the crate-level
-/// truncation rule (same classification as
-/// [`decode_stream`](crate::decode_stream), documented there).
-///
-/// Returns `(header, records, valid_len)`; records exclude the header
-/// frame.
-///
-/// # Errors
-///
-/// [`WalError::NotAJournal`] if the file does not start with a valid
-/// stream header frame (in particular for an *answer* journal — the tag
-/// ranges are disjoint), [`WalError::VersionMismatch`] for an unknown
-/// version, [`WalError::Corrupt`] for mid-file damage.
-pub fn decode_stream_journal(
-    bytes: &[u8],
-) -> Result<(StreamHeader, Vec<StreamRecord>, u64), WalError> {
-    let mut records = Vec::new();
-    let mut header: Option<StreamHeader> = None;
-    let mut pos: usize = 0;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            break;
-        }
-        if remaining < 8 {
-            break; // torn: frame prelude incomplete
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_STREAM_RECORD_LEN as usize {
-            if header.is_none() {
-                return Err(WalError::NotAJournal(format!(
-                    "first frame has implausible length {len}"
-                )));
-            }
-            break;
-        }
-        if pos + 8 + len > bytes.len() {
-            break; // torn: payload extends past end-of-file
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let is_final = pos + 8 + len == bytes.len();
-        if crc32(payload) != crc {
-            if header.is_none() {
-                return Err(WalError::NotAJournal("header frame fails its CRC".to_string()));
-            }
-            if is_final {
-                break;
-            }
-            return Err(WalError::Corrupt {
-                offset: pos as u64,
-                reason: "frame payload fails its CRC".to_string(),
-            });
-        }
-        let record = match decode_payload(payload) {
-            Ok(r) => r,
-            Err(reason) => {
-                if header.is_none() {
-                    return Err(WalError::NotAJournal(format!("header frame invalid: {reason}")));
-                }
-                return Err(WalError::Corrupt { offset: pos as u64, reason });
-            }
+            tag::SEAL => StreamRecord::Seal(SealRecord {
+                num_records: r.u64()?,
+                order_len: r.u64()?,
+                order_hash: r.u64()?,
+            }),
+            t => return Err(format!("unknown stream record tag {t}")),
         };
-        match (&header, record) {
-            (None, StreamRecord::Header(h)) => {
-                if h.version != STREAM_FORMAT_VERSION {
-                    return Err(WalError::VersionMismatch { found: h.version });
-                }
-                header = Some(h);
-            }
-            (None, _) => {
-                return Err(WalError::NotAJournal("first frame is not a stream header".to_string()))
-            }
-            (Some(_), StreamRecord::Header(_)) => {
-                return Err(WalError::Corrupt {
-                    offset: pos as u64,
-                    reason: "second stream header frame".to_string(),
-                });
-            }
-            (Some(_), r) => records.push(r),
-        }
-        pos += 8 + len;
+        r.done()?;
+        Ok(record)
     }
-    let Some(header) = header else {
-        return Err(WalError::NotAJournal("no complete stream header frame".to_string()));
-    };
-    Ok((header, records, pos as u64))
 }
 
 /// A decoded stream journal.
-#[derive(Debug, Clone)]
-pub struct StreamContents {
-    /// The stream-identity header.
-    pub header: StreamHeader,
-    /// Every valid record after the header, in append order.
-    pub records: Vec<StreamRecord>,
-    /// Byte length of the valid frame prefix.
-    pub valid_len: u64,
-    /// Bytes dropped as a torn tail (0 for a clean file).
-    pub torn_bytes: u64,
-}
+pub type StreamContents = Contents<StreamRecord>;
 
 impl StreamContents {
     /// Flattens the ingest frames into one arrival-ordered entry list,
@@ -319,53 +242,40 @@ impl StreamContents {
     pub fn replay(&self) -> Result<(Vec<StreamEntry>, Option<SealRecord>), WalError> {
         let mut entries: Vec<StreamEntry> = Vec::new();
         let mut seal: Option<SealRecord> = None;
-        for r in &self.records {
+        for (r, &offset) in self.records.iter().zip(&self.offsets) {
+            let corrupt = |reason: String| Err(WalError::Corrupt { offset, reason });
             match r {
-                StreamRecord::Header(_) => unreachable!("decoder strips the header frame"),
-                StreamRecord::Ingest(i) => {
-                    if seal.is_some() {
-                        return Err(WalError::Corrupt {
-                            offset: self.valid_len,
-                            reason: "ingest frame after the seal".to_string(),
-                        });
-                    }
-                    if i.seq != entries.len() as u64 {
-                        return Err(WalError::Corrupt {
-                            offset: self.valid_len,
-                            reason: format!(
-                                "ingest frame seq {} but {} records replayed",
-                                i.seq,
-                                entries.len()
-                            ),
-                        });
-                    }
-                    entries.extend(i.entries.iter().cloned());
+                StreamRecord::Header(_) => unreachable!("the decoder strips the header frame"),
+                StreamRecord::Ingest(_) if seal.is_some() => {
+                    return corrupt("ingest frame after the seal".to_string());
                 }
-                StreamRecord::Seal(s) => {
-                    if s.num_records != entries.len() as u64 {
-                        return Err(WalError::Corrupt {
-                            offset: self.valid_len,
-                            reason: format!(
-                                "seal records {} but {} records replayed",
-                                s.num_records,
-                                entries.len()
-                            ),
-                        });
-                    }
-                    seal = Some(*s);
+                StreamRecord::Ingest(i) if i.seq != entries.len() as u64 => {
+                    return corrupt(format!(
+                        "ingest frame seq {} but {} records replayed",
+                        i.seq,
+                        entries.len()
+                    ));
                 }
+                StreamRecord::Ingest(i) => entries.extend(i.entries.iter().cloned()),
+                StreamRecord::Seal(s) if s.num_records != entries.len() as u64 => {
+                    return corrupt(format!(
+                        "seal records {} but {} records replayed",
+                        s.num_records,
+                        entries.len()
+                    ));
+                }
+                StreamRecord::Seal(s) => seal = Some(*s),
             }
         }
         Ok((entries, seal))
     }
 }
 
-/// A stream journal open for appending — same locking and durability
-/// discipline as [`Journal`](crate::Journal).
+/// A stream journal open for appending: a [`FrameLog`] of the stream
+/// family in which **every** frame is `fsync`ed (ingests are chunky and
+/// infrequent, so the sync cost is per batch, not per record).
 #[derive(Debug)]
-pub struct StreamJournal {
-    inner: Mutex<BufWriter<File>>,
-}
+pub struct StreamJournal(FrameLog<StreamRecord>);
 
 impl StreamJournal {
     /// Creates a fresh stream journal at `path` (exclusive lock, durable
@@ -377,44 +287,54 @@ impl StreamJournal {
     /// [`WalError::Locked`] if another process holds it, [`WalError::Io`]
     /// on I/O failure.
     pub fn create(path: &Path, header: &StreamHeader) -> Result<Self, WalError> {
-        let file = OpenOptions::new().create(true).write(true).truncate(false).open(path)?;
-        lock_exclusive(&file, path)?;
-        if file.metadata()?.len() > 0 {
-            return Err(WalError::AlreadyExists(path.to_path_buf()));
-        }
-        let journal = StreamJournal { inner: Mutex::new(BufWriter::new(file)) };
-        journal.append(&StreamRecord::Header(*header))?;
-        Ok(journal)
+        FrameLog::create(path, header).map(Self)
     }
 
-    /// Appends one record and `fsync`s it — every stream frame is durable
-    /// (ingests are chunky and infrequent, so the sync cost is per batch,
-    /// not per record).
+    /// Appends one record and `fsync`s it.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] on write or sync failure (fatal for the job).
+    /// [`WalError::Io`] on write or sync failure (fatal for the job);
+    /// [`WalError::RecordTooLarge`] for a record over
+    /// [`MAX_STREAM_RECORD_LEN`] (nothing is written).
     pub fn append(&self, record: &StreamRecord) -> Result<(), WalError> {
-        let mut frame = Vec::with_capacity(256);
-        record.encode(&mut frame);
-        let mut w = self.inner.lock().expect("stream journal mutex poisoned");
-        w.write_all(&frame)?;
-        w.flush()?;
-        w.get_ref().sync_data()?;
-        Ok(())
+        self.0.append_durable(record)
     }
 
-    /// Journals a batch of arrived records, splitting into frames of at
-    /// most [`INGEST_FRAME_RECORDS`] entries. `seq` is the number of
+    /// Journals a batch of arrived records as one or more ingest frames,
+    /// closing a frame at [`INGEST_FRAME_RECORDS`] entries or at the
+    /// [`MAX_STREAM_RECORD_LEN`] byte budget. `seq` is the number of
     /// records ingested before this batch.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] on write or sync failure.
+    /// [`WalError::RecordTooLarge`] — naming the external id — if a single
+    /// record cannot fit one frame; the batch is checked first, so nothing
+    /// is written. [`WalError::Io`] on write or sync failure.
     pub fn append_ingest(&self, mut seq: u64, entries: &[StreamEntry]) -> Result<(), WalError> {
-        for chunk in entries.chunks(INGEST_FRAME_RECORDS) {
-            self.append(&StreamRecord::Ingest(IngestFrame { seq, entries: chunk.to_vec() }))?;
-            seq += chunk.len() as u64;
+        let budget = MAX_STREAM_RECORD_LEN as usize - INGEST_PRELUDE_LEN;
+        let sizes: Vec<usize> = entries.iter().map(StreamEntry::encoded_len).collect();
+        if let Some(i) = sizes.iter().position(|&bytes| bytes > budget) {
+            return Err(WalError::RecordTooLarge {
+                external: Some(entries[i].external),
+                bytes: (sizes[i] + INGEST_PRELUDE_LEN) as u64,
+                max: MAX_STREAM_RECORD_LEN,
+            });
+        }
+        let mut start = 0;
+        while start < entries.len() {
+            let (mut end, mut bytes) = (start, 0);
+            while end < entries.len()
+                && end - start < INGEST_FRAME_RECORDS
+                && bytes + sizes[end] <= budget
+            {
+                bytes += sizes[end];
+                end += 1;
+            }
+            let frame = IngestFrame { seq, entries: entries[start..end].to_vec() };
+            self.append(&StreamRecord::Ingest(frame))?;
+            seq += (end - start) as u64;
+            start = end;
         }
         Ok(())
     }
@@ -433,35 +353,23 @@ impl StreamJournal {
 ///
 /// # Errors
 ///
-/// Everything [`decode_stream_journal`] raises, plus [`WalError::Io`].
+/// Everything [`decode`](crate::decode) raises, plus [`WalError::Io`].
 pub fn read_stream_journal(path: &Path) -> Result<StreamContents, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let (header, records, valid_len) = decode_stream_journal(&bytes)?;
-    Ok(StreamContents { header, records, valid_len, torn_bytes: bytes.len() as u64 - valid_len })
+    frame::read(path)
 }
 
-/// Opens a stream journal for resuming: exclusive lock, read, truncate
-/// any torn tail on disk, return the contents plus a journal positioned
-/// to append after the last valid frame.
+/// Opens a stream journal for resuming — [`FrameLog::open_resume`] for the
+/// stream family: exclusive lock, read, truncate any torn tail on disk,
+/// return the contents plus a journal positioned to append after the last
+/// valid frame.
 ///
 /// # Errors
 ///
 /// Everything [`read_stream_journal`] raises, plus [`WalError::Locked`]
 /// and [`WalError::Io`] on the truncate/seek.
 pub fn open_resume_stream(path: &Path) -> Result<(StreamContents, StreamJournal), WalError> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    lock_exclusive(&file, path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let (header, records, valid_len) = decode_stream_journal(&bytes)?;
-    let contents =
-        StreamContents { header, records, valid_len, torn_bytes: bytes.len() as u64 - valid_len };
-    file.set_len(contents.valid_len)?;
-    file.sync_data()?;
-    file.seek(SeekFrom::Start(contents.valid_len))?;
-    let journal = StreamJournal { inner: Mutex::new(BufWriter::new(file)) };
-    Ok((contents, journal))
+    let (contents, log) = FrameLog::open_resume(path)?;
+    Ok((contents, StreamJournal(log)))
 }
 
 #[cfg(test)]
@@ -505,6 +413,27 @@ mod tests {
     }
 
     #[test]
+    fn golden_bytes() {
+        let cafe = StreamEntry { external: 1, fields: vec!["café ☕".into(), String::new()] };
+        frame::assert_golden(
+            StreamHeader { config_hash: 0x1234_5678_9abc_def0, ..header() },
+            &[
+                StreamRecord::Ingest(IngestFrame {
+                    seq: 0,
+                    entries: vec![entry(3, "sony tv"), cafe],
+                }),
+                StreamRecord::Seal(SealRecord { num_records: 2, order_len: 1, order_hash: 0xbeef }),
+            ],
+            &[
+                "190000008d617241100100000002000000f0debc9a785634122a00000000000000",
+                "4100000097bf2ab611000000000000000002000000030000000200000007000000736f6e79207476\
+                 04000000392e3939010000000200000009000000636166c3a920e2989500000000",
+                "190000001251577c1202000000000000000100000000000000efbe000000000000",
+            ],
+        );
+    }
+
+    #[test]
     fn large_batches_split_into_frames_with_running_seq() {
         let path = temp_path("split.stream");
         let _ = std::fs::remove_file(&path);
@@ -545,17 +474,62 @@ mod tests {
     }
 
     #[test]
+    fn byte_budget_closes_frames_and_an_unframeable_record_is_a_typed_error() {
+        let path = temp_path("budget.stream");
+        let _ = std::fs::remove_file(&path);
+        let journal = StreamJournal::create(&path, &header()).expect("create");
+        // Three 6 MiB records: two fit one 16 MiB frame, the third opens
+        // the next.
+        let batch: Vec<StreamEntry> = (0..3).map(|i| entry(i, &"x".repeat(6 << 20))).collect();
+        journal.append_ingest(0, &batch).expect("ingest");
+        let len_before = std::fs::metadata(&path).expect("stat").len();
+        // One record over the frame limit fails the whole batch up front.
+        let huge = [entry(7, "ok"), entry(8, &"y".repeat(MAX_STREAM_RECORD_LEN as usize))];
+        match journal.append_ingest(3, &huge) {
+            Err(WalError::RecordTooLarge { external: Some(8), bytes, max }) => {
+                assert!(bytes > u64::from(max));
+            }
+            other => panic!("expected RecordTooLarge for external 8, got {other:?}"),
+        }
+        let direct = StreamRecord::Ingest(IngestFrame { seq: 3, entries: huge.to_vec() });
+        assert!(matches!(
+            journal.append(&direct),
+            Err(WalError::RecordTooLarge { external: None, .. })
+        ));
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), len_before, "nothing written");
+        drop(journal);
+
+        let contents = read_stream_journal(&path).expect("read");
+        let frame_sizes: Vec<usize> = contents
+            .records
+            .iter()
+            .map(|r| match r {
+                StreamRecord::Ingest(i) => i.entries.len(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(frame_sizes, [2, 1]);
+        assert_eq!(contents.replay().expect("replay").0, batch);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
     fn seq_gap_is_corruption() {
-        let contents = StreamContents {
-            header: header(),
-            records: vec![StreamRecord::Ingest(IngestFrame {
-                seq: 5,
-                entries: vec![entry(0, "a")],
-            })],
-            valid_len: 0,
-            torn_bytes: 0,
+        let ingest = |seq| StreamRecord::Ingest(IngestFrame { seq, entries: vec![entry(0, "a")] });
+        let seal = |num_records| {
+            StreamRecord::Seal(SealRecord { num_records, order_len: 0, order_hash: 0 })
         };
-        assert!(matches!(contents.replay(), Err(WalError::Corrupt { .. })));
+        // Every out-of-sequence shape is corruption at the offending frame.
+        for records in [vec![ingest(5)], vec![ingest(0), seal(2)], vec![seal(0), ingest(0)]] {
+            let offsets: Vec<u64> = (0..records.len() as u64).map(|i| 36 + 40 * i).collect();
+            let bad = *offsets.last().expect("non-empty");
+            let contents =
+                StreamContents { header: header(), records, offsets, valid_len: 0, torn_bytes: 0 };
+            match contents.replay() {
+                Err(WalError::Corrupt { offset, .. }) => assert_eq!(offset, bad),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -563,7 +537,7 @@ mod tests {
         use crate::record::{JobHeader, Record, FORMAT_VERSION};
         // An answer journal fed to the stream reader.
         let mut answer_bytes = Vec::new();
-        Record::Header(JobHeader {
+        let job_header = Record::Header(JobHeader {
             version: FORMAT_VERSION,
             num_objects: 3,
             order_len: 1,
@@ -575,16 +549,16 @@ mod tests {
             instant_decision: true,
             reshard: false,
             ordering: 0,
-        })
-        .encode(&mut answer_bytes);
-        assert!(matches!(decode_stream_journal(&answer_bytes), Err(WalError::NotAJournal(_))));
-        // A stream journal fed to the answer-journal reader.
-        let mut stream_bytes = Vec::new();
-        StreamRecord::Header(header()).encode(&mut stream_bytes);
+        });
+        frame::encode_frame(&job_header, &mut answer_bytes).expect("encode");
         assert!(matches!(
-            crate::record::decode_stream(&stream_bytes),
+            frame::decode::<StreamRecord>(&answer_bytes),
             Err(WalError::NotAJournal(_))
         ));
+        // A stream journal fed to the answer-journal reader.
+        let mut stream_bytes = Vec::new();
+        frame::encode_frame(&StreamRecord::Header(header()), &mut stream_bytes).expect("encode");
+        assert!(matches!(frame::decode::<Record>(&stream_bytes), Err(WalError::NotAJournal(_))));
     }
 
     #[test]
@@ -592,9 +566,9 @@ mod tests {
         let mut h = header();
         h.version = STREAM_FORMAT_VERSION + 1;
         let mut bytes = Vec::new();
-        StreamRecord::Header(h).encode(&mut bytes);
+        frame::encode_frame(&StreamRecord::Header(h), &mut bytes).expect("encode");
         assert!(matches!(
-            decode_stream_journal(&bytes),
+            frame::decode::<StreamRecord>(&bytes),
             Err(WalError::VersionMismatch { found }) if found == STREAM_FORMAT_VERSION + 1
         ));
     }
