@@ -1,21 +1,26 @@
-//! The streaming job facade: records arrive over time, candidates are
-//! discovered incrementally, and closing the stream hands a canonical
-//! dataset + candidate order to the **unmodified batch engine**.
+//! The streaming job facade: records arrive over time, candidate pairs are
+//! *discovered* incrementally, and closing the stream runs the batch join
+//! over the canonical dataset and hands both to the **unmodified batch
+//! engine**.
 //!
 //! ## Shape
 //!
-//! A [`StreamJob`] wraps the matcher's incremental join
-//! ([`crowdjoin_matcher::StreamMatcher`]) and adds the service-level
-//! concerns:
+//! A [`StreamJob`] wraps the matcher's incremental discovery
+//! ([`crowdjoin_matcher::StreamMatcher`], which keeps records and postings
+//! but nothing per pair) and adds the service-level concerns:
 //!
 //! * **External identity.** Every streamed record carries a caller-assigned
 //!   external id. Arrival order is an accident of the transport; external
 //!   ids are the stable identity. [`StreamJob::close`] sorts by external id
-//!   and re-indexes through `StreamMatcher::close_canonical`, so the final
-//!   `(Dataset, candidates)` is **bit-identical across arrival orders** —
-//!   and bit-identical to a batch run over the same records in external-id
-//!   order. Everything downstream (engine, shards, money, reports) then *is*
-//!   the batch path, equal by construction at any shard count.
+//!   and calls `StreamMatcher::close_canonical`, which *is*
+//!   `generate_candidates` on the re-ordered records — so the final
+//!   `(Dataset, candidates)` is **the batch run's** over the same records
+//!   in external-id order, whatever order they arrived in, by construction
+//!   rather than by re-scoring. Everything downstream (engine, shards,
+//!   money, reports) then *is* the batch path at any shard count. In a
+//!   trace, `stream.close` therefore parents the batch matcher's spans
+//!   (`matcher.tokenize`, `matcher.index`, `matcher.prefix`,
+//!   `matcher.probe`) and feeds the `matcher.*.us` stage counters.
 //! * **Mid-job component admission.** Each insert's delta pairs are
 //!   union-folded into a provisional component structure
 //!   ([`StreamJob::num_components`]), the statistic re-sharding rebalances
@@ -207,8 +212,8 @@ impl StreamJob {
         self.externals.len()
     }
 
-    /// Candidate pairs materialized so far (a superset of the final set;
-    /// see [`crowdjoin_matcher::StreamMatcher`]).
+    /// Delta pairs emitted so far — a running count of a superset of the
+    /// final set, not a store (see [`crowdjoin_matcher::StreamMatcher`]).
     #[must_use]
     pub fn num_materialized(&self) -> usize {
         self.matcher.num_materialized()
@@ -221,8 +226,8 @@ impl StreamJob {
         self.sealed
     }
 
-    /// Live provisional components (over records connected by a
-    /// materialized candidate pair) — the structure re-sharding rebalances
+    /// Live provisional components (over records connected by an emitted
+    /// delta pair) — the structure re-sharding rebalances
     /// at the next barrier.
     #[must_use]
     pub fn num_components(&mut self) -> usize {
@@ -326,9 +331,8 @@ impl StreamJob {
         (delta.pairs.len(), joined, opened)
     }
 
-    /// Closes the stream: re-indexes the arrivals into **external-id
-    /// order**, produces the exact candidate set over that canonical
-    /// dataset (bit-identical to `generate_candidates` on it), seals the
+    /// Closes the stream: re-orders the arrivals into **external-id
+    /// order**, runs `generate_candidates` on that canonical dataset, seals the
     /// journal with the order fingerprint, and returns the canonical
     /// `(Dataset, candidates)` for the unmodified batch engine path.
     ///

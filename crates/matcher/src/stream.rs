@@ -3,9 +3,11 @@
 //!
 //! A [`StreamMatcher`] accepts records one at a time. Inserting a record
 //! re-tokenizes **only that record** ([`TokenizedCorpus::insert_record`]),
-//! probes a growable prefix-posting index over the records that already
-//! arrived, and emits exactly the delta candidate pairs (new record × old
-//! corpus) that can still matter — it never re-joins the world.
+//! probes a growable posting index over the records that already arrived,
+//! and emits the delta candidate pairs (new record × old corpus) that can
+//! still matter. It only *discovers* pairs; every likelihood is assigned by
+//! the one exact candidate path, [`generate_candidates_prepared`], when a
+//! snapshot is taken.
 //!
 //! # Why the batch filters cannot be replayed verbatim
 //!
@@ -13,52 +15,75 @@
 //! idf (`ln(1 + n/df)`) drifts as the corpus grows: a prefix cut that was
 //! sound at `n` records can be unsound at `n + 1`. The positional filter
 //! additionally orders tokens by global document frequency, which also
-//! drifts. The streaming index therefore prunes only with **arrival-
-//! invariant** quantities:
+//! drifts. Discovery therefore prunes only with **arrival-invariant**
+//! quantities:
 //!
 //! * **Jaccard prune threshold.** A pair whose final blended likelihood
 //!   reaches `min_likelihood` satisfies `wc·cos + wj·jac + Σᵢwᵢ·eᵢ ≥
 //!   min_l·W`. Bounding `cos ≤ 1` and `eᵢ ≤ 1` gives `jac ≥ t_j =
 //!   (min_l·W − wc − Σᵢwᵢ)/wj` (when `wj > 0`; always `≤ 1`). `t_j`
-//!   depends only on the config, never on the corpus.
-//! * **Prefix pigeonhole in token-id order.** Each arrived record indexes
-//!   the first `|b| − ⌈t_j·|b|⌉ + 1` tokens of its **id-sorted** token set
-//!   (the whole set when `t_j ≤ 0`). The pigeonhole argument of
-//!   [`crate::prefix`] holds for *any* fixed prefix of that size: if
-//!   `jac(a, b) ≥ t_j` then `|a ∩ b| ≥ ⌈t_j·|b|⌉`, and a prefix missing
-//!   every shared token leaves room for only `⌈t_j·|b|⌉ − 1` of them.
-//!   Token ids of already-arrived records never change, so the indexed
-//!   prefix is final the moment it is written. The new record probes with
-//!   its **full** token set, so every qualifying (new × old) pair is
-//!   touched.
+//!   depends only on the config, never on the corpus. With the default
+//!   60/40 blend it is positive only above floor 0.6: every floor the CLI
+//!   and the benchmark run at is the **unfiltered regime** `t_j ≤ 0`.
+//! * **Prefix pigeonhole.** In the filtered regime (`t_j > 0`) an arrived
+//!   record `b` indexes `|b| − ⌈t_j·|b|⌉ + 1` of its tokens. The pigeonhole
+//!   argument of [`crate::prefix`] holds for *any* fixed subset of that
+//!   size: if `jac(a, b) ≥ t_j` then `|a ∩ b| ≥ ⌈t_j·|b|⌉`, and the
+//!   `⌈t_j·|b|⌉ − 1` tokens left out cannot hold all of them. The new
+//!   record probes with its **full** token set, so every qualifying
+//!   (new × old) pair is touched. The subset taken is the **rare end** of
+//!   the id-sorted set — the highest token ids. Ids are handed out in
+//!   first-seen order, so low ids are the words the corpus met first, which
+//!   are its frequent ones; indexing them would make postings longest
+//!   exactly where every probe scans them. Token ids of arrived records
+//!   never change, so the choice is final the moment it is written.
 //! * **Length filter.** `jac ≤ min(|a|,|b|)/max(|a|,|b|)` uses only the
 //!   two set sizes — arrival-invariant, applied at the slacked `t_j`.
 //!
 //! Both thresholds carry the same float slacks as the batch filters
 //! (`FILTER_SLACK`, `BOUND_SLACK`), so rounding can only keep extra pairs.
 //!
-//! # Materialization and exact scoring
+//! # Deltas and exact scoring
 //!
-//! A touched pair is **materialized** (kept forever) iff
+//! A touched pair is **emitted** in the insert's [`StreamDelta`] iff
 //! `wc·1 + wj·jac + Σᵢwᵢ ≥ min_l·W − slack` with its exact Jaccard — an
 //! arrival-invariant superset of every pair that can ever clear the floor,
-//! since cosine and the extra measures are bounded by 1. Final likelihoods
-//! are *not* assigned at insert time (idf keeps drifting); instead
-//! [`StreamMatcher::candidates`] takes a snapshot: it rebuilds the tf-idf
-//! index over the current corpus (one pass — no pair re-discovery) and
-//! re-scores only the materialized pairs through the exact batch kernels
-//! ([`TfIdfIndex::cosine`], [`crate::similarity::jaccard`], the config
-//! blend). The result is **bit-identical** to running
-//! [`crate::generate_candidates`] over the arrived records — the property
-//! pinned by `tests/stream_matcher_oracle.rs` against the brute-force
-//! oracle.
+//! since cosine and the extra measures are bounded by 1. In the unfiltered
+//! regime every record indexes its whole token set, so the posting scan
+//! meets each shared token of a (new, old) pair exactly once: a per-record
+//! counter beside the probe stamp *is* `|a ∩ b|`, and the Jaccard is
+//! `shared / (|a| + |b| − shared)` from those integers — the expression
+//! [`crate::similarity::jaccard`] evaluates, hence the same bits, without
+//! a merge intersection. Under a prefix the counts are partial (shared
+//! tokens outside the indexed subset are never met), so the filtered
+//! regime intersects the two sets. Which regime applies follows from the
+//! config-derived `t_j` alone.
 //!
-//! [`StreamMatcher::close_canonical`] is the same snapshot under a caller-
+//! Nothing per pair is kept: the matcher's memory is the records plus their
+//! postings. Ingest still *emits* O(n²) delta pairs at low floors — there
+//! every token-sharing pair can reach the floor on cosine alone, and the
+//! delta contract ("every final candidate appeared in some delta") promises
+//! the caller each of them at the moment its later endpoint arrives. No
+//! arrival-invariant filter can shrink that set; only a weaker contract
+//! (deltas that may be revised as idf settles) can.
+//!
+//! Final likelihoods are *not* assigned at insert time (idf keeps
+//! drifting). [`StreamMatcher::candidates`] is the batch join itself:
+//! tf-idf index over the incrementally built corpus — identical to the
+//! batch-built one, see [`TokenizedCorpus::insert_record`] — then
+//! [`generate_candidates_prepared`] with its prefix filter, positional
+//! cuts, blocks and `config.threads`. The result is [`generate_candidates`]
+//! over the arrived records by construction; that the deltas cover it is
+//! the property pinned by `tests/stream_matcher_oracle.rs`.
+//!
+//! [`StreamMatcher::close_canonical`] is the same join under a caller-
 //! chosen record permutation (the streaming service sorts arrivals back
 //! into their external-id order), which makes the final candidate set
 //! independent of arrival order, bit for bit.
 
-use crate::candidates::{MatcherConfig, ScoredCandidate};
+use crate::candidates::{
+    generate_candidates, generate_candidates_prepared, MatcherConfig, ScoredCandidate,
+};
 use crate::corpus::TokenizedCorpus;
 use crate::prefix::{length_filtered, BOUND_SLACK, FILTER_SLACK};
 use crate::similarity::jaccard;
@@ -83,20 +108,20 @@ pub struct DeltaPair {
 }
 
 /// The result of one [`StreamMatcher::insert`]: the new record's id and
-/// every materialized (new × old) candidate pair.
+/// every emitted (new × old) candidate pair.
 #[derive(Debug, Clone)]
 pub struct StreamDelta {
     /// Id assigned to the inserted record (arrival order).
     pub record: u32,
-    /// Newly materialized candidate pairs, ascending by old-record id.
+    /// Newly discovered candidate pairs, ascending by old-record id.
     pub pairs: Vec<DeltaPair>,
 }
 
-/// The growable prefix-posting index behind [`StreamMatcher`] — the
-/// incremental counterpart of the batch `PrefixIndex` (whose CSR arenas
-/// are frozen at build time). Token `t`'s postings hold `(record,
-/// token-set size)` for every already-arrived record that indexed `t` in
-/// its token-id-order prefix.
+/// The growable posting index behind [`StreamMatcher`] — the incremental
+/// counterpart of the batch `PrefixIndex` (whose CSR arenas are frozen at
+/// build time). Token `t`'s postings hold `(record, token-set size)` for
+/// every already-arrived record that indexed `t` (module docs: its whole
+/// set when unfiltered, the rare end of it otherwise).
 #[derive(Debug, Default)]
 struct StreamPostings {
     lists: Vec<Vec<(u32, u32)>>,
@@ -122,8 +147,8 @@ impl StreamPostings {
 }
 
 /// Incremental candidate generation over records that arrive one at a
-/// time. See the module docs for the discovery/materialization split and
-/// the bit-identity contract with the batch path.
+/// time. See the module docs for the discovery/scoring split and the
+/// identity with the batch path.
 ///
 /// Streaming is the self-join (dedup) shape: every arrived record is
 /// joinable with every other (`split = None`).
@@ -134,12 +159,15 @@ pub struct StreamMatcher {
     corpus: TokenizedCorpus,
     postings: StreamPostings,
     /// The arrival-invariant Jaccard prune threshold `t_j` (module docs);
-    /// `≤ 0` disables pruning (every token indexed, no length filter).
+    /// `≤ 0` is the unfiltered regime (every token indexed, no length
+    /// filter, overlaps counted in the posting scan).
     prune: f64,
-    /// Materialized pairs `(a, b, exact jaccard)`, `a < b`.
-    materialized: Vec<(u32, u32, f64)>,
-    /// Per-record probe stamp (dedup of touched records within an insert).
-    stamp: Vec<u32>,
+    /// Delta pairs emitted so far.
+    emitted: usize,
+    /// Per-record `(probe stamp, postings met in that probe)`: the stamp
+    /// dedups touched records within an insert, the count is `|a ∩ b|`
+    /// when unfiltered.
+    seen: Vec<(u32, u32)>,
     epoch: u32,
     touched: Vec<u32>,
 }
@@ -173,8 +201,8 @@ impl StreamMatcher {
             corpus: TokenizedCorpus::empty(arity),
             postings: StreamPostings::default(),
             prune,
-            materialized: Vec::new(),
-            stamp: Vec::new(),
+            emitted: 0,
+            seen: Vec::new(),
             epoch: 0,
             touched: Vec::new(),
         }
@@ -186,11 +214,12 @@ impl StreamMatcher {
         self.corpus.num_records()
     }
 
-    /// Number of materialized candidate pairs (the arrival-invariant
-    /// superset a snapshot re-scores; see the module docs).
+    /// Number of delta pairs emitted so far — the arrival-invariant
+    /// superset of the final candidates (module docs). A running count;
+    /// the pairs themselves are not kept.
     #[must_use]
     pub fn num_materialized(&self) -> usize {
-        self.materialized.len()
+        self.emitted
     }
 
     /// The arrived records as a dataset, in arrival order.
@@ -212,12 +241,14 @@ impl StreamMatcher {
     }
 
     /// Inserts one record: tokenizes it, probes the existing postings for
-    /// every (new × old) pair that can still clear the floor, materializes
-    /// those pairs, and finally indexes the new record's own token-id-order
-    /// prefix so later arrivals can discover it.
+    /// every (new × old) pair that can still clear the floor, emits those
+    /// pairs, and finally indexes the new record's own tokens so later
+    /// arrivals can discover it.
     ///
-    /// Cost is proportional to the record's tokens plus the postings they
-    /// touch — never the corpus size.
+    /// Cost is the record's tokens plus the postings they touch. In the
+    /// filtered regime that is a small slice of the corpus; in the
+    /// unfiltered regime it is every older record sharing any token — on
+    /// real text most of the corpus — each of which is also emitted.
     ///
     /// # Panics
     ///
@@ -228,10 +259,10 @@ impl StreamMatcher {
         self.dataset.table.push(record.clone());
         self.dataset.entity_of.push(id32);
         self.postings.grow(self.corpus.vocabulary_size());
-        self.stamp.push(0);
+        self.seen.push((0, 0));
 
         // Probe: full token set of the new record against the old records'
-        // indexed prefixes, with the length filter at the slacked t_j.
+        // indexed tokens, with the length filter at the slacked t_j.
         self.epoch += 1;
         self.touched.clear();
         let set = self.corpus.token_set(id);
@@ -243,80 +274,74 @@ impl StreamMatcher {
                 if filtered && length_filtered(t_len, la, lb as usize) {
                     continue;
                 }
-                let bi = b as usize;
-                if self.stamp[bi] != self.epoch {
-                    self.stamp[bi] = self.epoch;
+                let slot = &mut self.seen[b as usize];
+                if slot.0 != self.epoch {
+                    *slot = (self.epoch, 0);
                     self.touched.push(b);
                 }
+                slot.1 += 1;
             }
         }
-        self.touched.sort_unstable();
+        // Postings ascend by record id, so `touched` is one ascending run
+        // per probed token: the run-merging stable sort, not `sort_unstable`.
+        self.touched.sort();
 
-        // Materialize: exact Jaccard, keep iff the pair can ever qualify
-        // with cosine and every extra measure bounded by 1.
+        // Emit: exact Jaccard, keep iff the pair can ever qualify with
+        // cosine and every extra measure bounded by 1.
         let wc = self.config.cosine_weight;
         let wj = self.config.jaccard_weight;
         let extras_sum: f64 = self.config.extra_measures.iter().map(|em| em.weight).sum();
         let numer_floor = self.config.min_likelihood * self.config.total_weight() - BOUND_SLACK;
         let mut pairs = Vec::new();
         for &b in &self.touched {
-            let jac = jaccard(self.corpus.token_set(b as usize), set);
+            let other = self.corpus.token_set(b as usize);
+            let jac = if filtered {
+                jaccard(other, set)
+            } else {
+                // Whole sets are indexed, so the scan met every shared token
+                // once: same integers, same expression as `jaccard`.
+                let shared = self.seen[b as usize].1 as usize;
+                shared as f64 / (la + other.len() - shared) as f64
+            };
             if wc + wj * jac + extras_sum >= numer_floor {
-                self.materialized.push((b, id32, jac));
                 pairs.push(DeltaPair { a: b, b: id32, jaccard: jac });
             }
         }
+        self.emitted += pairs.len();
 
-        // Index the new record's prefix: the first `len − ⌈t_j·len⌉ + 1`
-        // tokens of its id-sorted set (the whole set when t_j ≤ 0). The
-        // set slice is already id-sorted — a fixed, arrival-invariant
-        // order, which is all the pigeonhole needs.
-        let prefix_len = if filtered {
+        // Index the new record: `len − ⌈t_j·len⌉ + 1` tokens from the rare
+        // (high-id) end of its id-sorted set, the whole set when t_j ≤ 0.
+        let indexed = if filtered {
             let required = ((self.prune - BOUND_SLACK) * la as f64).ceil() as usize;
-            if required < 1 {
-                la
-            } else {
-                la - required + 1
-            }
+            la - required.saturating_sub(1)
         } else {
             la
         };
-        for &token in &set[..prefix_len] {
+        for &token in &set[la - indexed..] {
             self.postings.insert(token, id32, la as u32);
         }
         StreamDelta { record: id32, pairs }
     }
 
     /// Snapshot: the exact candidate set over everything that arrived, in
-    /// arrival-id space — bit-identical to
-    /// [`crate::generate_candidates`] on [`Self::dataset`]. Rebuilds the
-    /// tf-idf index (one pass over the corpus) and re-scores only the
-    /// materialized pairs; no pair discovery happens here.
+    /// arrival-id space. This *is* the batch join —
+    /// [`generate_candidates_prepared`] over the incrementally built corpus
+    /// — so it equals [`generate_candidates`] on [`Self::dataset`] by
+    /// construction.
     #[must_use]
     pub fn candidates(&self) -> Vec<ScoredCandidate> {
-        let index = TfIdfIndex::from_corpus(&self.corpus, &self.config.field_weights);
-        let mut out: Vec<ScoredCandidate> = self
-            .materialized
-            .iter()
-            .filter_map(|&(a, b, jac)| {
-                let cos = index.cosine(a, b);
-                let likelihood = self.config.blend(&self.dataset, a, b, cos, jac);
-                (likelihood >= self.config.min_likelihood).then_some(ScoredCandidate {
-                    a,
-                    b,
-                    likelihood,
-                })
-            })
-            .collect();
-        out.sort_unstable_by_key(|c| (c.a, c.b));
-        out
+        let index = TfIdfIndex::from_corpus_threaded(
+            &self.corpus,
+            &self.config.field_weights,
+            self.config.threads,
+        );
+        generate_candidates_prepared(&self.dataset, &self.corpus, &index, &self.config)
     }
 
     /// Snapshot under a caller-chosen record order: `order[r]` is the
     /// arrival id that becomes canonical id `r`. Returns the re-ordered
-    /// dataset plus its exact candidate set — bit-identical to
-    /// [`crate::generate_candidates`] on that dataset, and therefore
-    /// independent of the order records actually arrived in.
+    /// dataset plus [`generate_candidates`] on it — independent of the
+    /// order records actually arrived in.
     ///
     /// This is the close path of a streaming job: arrivals are sorted back
     /// into their external-id order so the downstream engine run is
@@ -329,16 +354,13 @@ impl StreamMatcher {
     pub fn close_canonical(&self, order: &[u32]) -> (Dataset, Vec<ScoredCandidate>) {
         let n = self.num_records();
         assert_eq!(order.len(), n, "order must cover every arrived record");
-        let mut rank = vec![u32::MAX; n];
-        for (r, &a) in order.iter().enumerate() {
-            assert!(
-                rank[a as usize] == u32::MAX,
-                "arrival id {a} appears twice in the close order"
-            );
-            rank[a as usize] = r as u32;
-        }
+        let mut placed = vec![false; n];
         let mut table = Table::new(self.dataset.table.schema().clone());
         for &a in order {
+            assert!(
+                !std::mem::replace(&mut placed[a as usize], true),
+                "arrival id {a} appears twice in the close order"
+            );
             table.push(self.dataset.table.record(a as usize).clone());
         }
         let dataset = Dataset {
@@ -347,33 +369,8 @@ impl StreamMatcher {
             split: None,
             name: self.dataset.name.clone(),
         };
-        let corpus = TokenizedCorpus::build(&dataset);
-        let index = TfIdfIndex::from_corpus(&corpus, &self.config.field_weights);
-        let mut out: Vec<ScoredCandidate> = self
-            .materialized
-            .iter()
-            .filter_map(|&(a, b, jac)| {
-                let (ca, cb) = {
-                    let (ra, rb) = (rank[a as usize], rank[b as usize]);
-                    if ra < rb {
-                        (ra, rb)
-                    } else {
-                        (rb, ra)
-                    }
-                };
-                // The stored Jaccard is exact and id-free (set sizes and
-                // overlap are the same integers under any permutation).
-                let cos = index.cosine(ca, cb);
-                let likelihood = self.config.blend(&dataset, ca, cb, cos, jac);
-                (likelihood >= self.config.min_likelihood).then_some(ScoredCandidate {
-                    a: ca,
-                    b: cb,
-                    likelihood,
-                })
-            })
-            .collect();
-        out.sort_unstable_by_key(|c| (c.a, c.b));
-        (dataset, out)
+        let candidates = generate_candidates(&dataset, &self.config);
+        (dataset, candidates)
     }
 }
 

@@ -115,13 +115,21 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
     Ok(rows)
 }
 
-/// Escapes one field for CSV output (quotes only when needed).
-fn escape_field(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Appends one field to CSV output, quoting (and doubling quotes) only
+/// when it contains a delimiter, a quote or a line break.
+fn push_field(out: &mut String, field: &str) {
+    if !field.contains([',', '"', '\n', '\r']) {
+        out.push_str(field);
+        return;
     }
+    out.push('"');
+    for (i, piece) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(piece);
+    }
+    out.push('"');
 }
 
 /// Serializes rows as CSV text (LF line endings, trailing newline).
@@ -129,8 +137,12 @@ fn escape_field(field: &str) -> String {
 pub fn write_csv(rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     for row in rows {
-        let encoded: Vec<String> = row.iter().map(|f| escape_field(f)).collect();
-        out.push_str(&encoded.join(","));
+        for (i, field) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_field(&mut out, field);
+        }
         out.push('\n');
     }
     out
@@ -242,6 +254,19 @@ mod tests {
         let reparsed = table_from_csv(&out).unwrap();
         assert_eq!(reparsed.len(), 2);
         assert_eq!(reparsed.record(1).field(0), "TV, 40in");
+    }
+
+    #[test]
+    fn writer_bytes_quote_only_where_needed() {
+        let rows = vec![
+            vec!["plain".to_string(), String::new(), "a b".to_string()],
+            vec!["x,y".to_string(), "say \"hi\"".to_string(), "\"".to_string()],
+            vec!["l1\nl2".to_string(), "cr\r".to_string(), "é".to_string()],
+        ];
+        assert_eq!(
+            write_csv(&rows),
+            "plain,,a b\n\"x,y\",\"say \"\"hi\"\"\",\"\"\"\"\n\"l1\nl2\",\"cr\r\",é\n"
+        );
     }
 
     #[test]

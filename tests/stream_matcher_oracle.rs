@@ -12,7 +12,8 @@
 //! outside the generation contract.
 
 use crowdjoin::matcher::{
-    generate_candidates_bruteforce, MatcherConfig, ScoredCandidate, StreamMatcher, TokenizedCorpus,
+    generate_candidates, generate_candidates_bruteforce, jaccard, MatcherConfig, ScoredCandidate,
+    StreamMatcher, TokenizedCorpus,
 };
 use crowdjoin::records::{
     generate_paper, generate_product, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig,
@@ -153,6 +154,84 @@ fn check_stream(
     Ok(())
 }
 
+/// `got` equals `want` pair for pair, likelihood bit for bit, in order.
+fn same_bits(
+    got: &[ScoredCandidate],
+    want: &[ScoredCandidate],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}: candidate count", what);
+    for (g, w) in got.iter().zip(want) {
+        prop_assert_eq!((g.a, g.b), (w.a, w.b), "{}", what);
+        prop_assert_eq!(
+            g.likelihood.to_bits(),
+            w.likelihood.to_bits(),
+            "{}: ({}, {})",
+            what,
+            g.a,
+            g.b
+        );
+    }
+    Ok(())
+}
+
+/// The discovery/scoring split, on either side of `t_j = 0`: deltas carry
+/// the exact Jaccard (counted in the posting scan when unfiltered, merged
+/// when filtered), each batch candidate is discovered exactly once, the
+/// matcher only counts what it emitted, and both snapshots are the batch
+/// join.
+fn check_deltas_and_snapshots(
+    dataset: &Dataset,
+    config: &MatcherConfig,
+    arrivals: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut matcher = StreamMatcher::new(dataset.table.schema().clone(), config.clone());
+    let mut discovered: FxHashSet<(u32, u32)> = FxHashSet::default();
+    for &i in arrivals {
+        let delta = matcher.insert(dataset.table.record(i));
+        let corpus = matcher.corpus();
+        for dp in &delta.pairs {
+            let exact = jaccard(corpus.token_set(dp.a as usize), corpus.token_set(dp.b as usize));
+            prop_assert_eq!(
+                dp.jaccard.to_bits(),
+                exact.to_bits(),
+                "delta ({}, {}) jaccard {} vs {} at floor {}",
+                dp.a,
+                dp.b,
+                dp.jaccard,
+                exact,
+                config.min_likelihood
+            );
+            prop_assert!(discovered.insert((dp.a, dp.b)), "pair emitted in two deltas");
+        }
+    }
+    prop_assert_eq!(matcher.num_materialized(), discovered.len());
+
+    let batch = generate_candidates(matcher.dataset(), config);
+    for c in &batch {
+        prop_assert!(
+            discovered.contains(&(c.a, c.b)),
+            "batch candidate ({}, {}) never appeared in a delta (floor {})",
+            c.a,
+            c.b,
+            config.min_likelihood
+        );
+    }
+    same_bits(&matcher.candidates(), &batch, "candidates()")?;
+
+    // Close back into dataset order: the batch self-join over the original.
+    let mut order = vec![0u32; arrivals.len()];
+    for (arrival, &original) in arrivals.iter().enumerate() {
+        order[original] = arrival as u32;
+    }
+    let (closed, canonical) = matcher.close_canonical(&order);
+    for i in 0..dataset.len() {
+        prop_assert_eq!(closed.table.record(i).values(), dataset.table.record(i).values());
+    }
+    let self_join = Dataset { split: None, ..dataset.clone() };
+    same_bits(&canonical, &generate_candidates(&self_join, config), "close_canonical()")
+}
+
 proptest! {
     /// Random corpora × pruning floors × seeded arrival orders: the
     /// streamed snapshot equals the batch oracle bit-for-bit, and the
@@ -188,6 +267,30 @@ proptest! {
         let config = MatcherConfig { min_likelihood: floor, ..MatcherConfig::for_arity(arity) };
         let arrivals = shuffled(dataset.len(), order_seed);
         check_stream(&dataset, &config, &arrivals)?;
+    }
+
+    /// Floors on both sides of `t_j = 0` (default 60/40 blend: `t_j` is
+    /// −1.5, −1.375, −0.75 | 0.125, 0.5, 0.875) × shuffled arrivals. The
+    /// Jaccard-only blend makes `t_j` the floor itself, so the prefix
+    /// pigeonhole is tight: indexing one token too few loses candidates.
+    #[test]
+    fn deltas_exact_and_snapshots_batch_on_both_sides_of_the_prune_threshold(
+        kind in 0u64..3,
+        n in 15usize..60,
+        seed in any::<u64>(),
+        floor_idx in 0usize..6,
+        jaccard_only in any::<bool>(),
+        order_seed in any::<u64>(),
+    ) {
+        let floor = [0.0, 0.05, 0.3, 0.65, 0.8, 0.95][floor_idx];
+        let dataset = dataset_for(kind, n, seed);
+        let arity = dataset.table.schema().arity();
+        let mut config = MatcherConfig { min_likelihood: floor, ..MatcherConfig::for_arity(arity) };
+        if jaccard_only {
+            (config.cosine_weight, config.jaccard_weight) = (0.0, 1.0);
+        }
+        let arrivals = shuffled(dataset.len(), order_seed);
+        check_deltas_and_snapshots(&dataset, &config, &arrivals)?;
     }
 }
 
