@@ -12,8 +12,8 @@ use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
     build_task, run_parallel_rounds, run_sharded_on_platform, run_sharded_on_platform_threaded,
-    sort_pairs, CandidateSet, EngineConfig, GroundTruth, GroundTruthOracle, OrderingMode,
-    ScoredPair, SortStrategy,
+    sort_pairs, CandidateSet, EngineConfig, GroundTruth, GroundTruthOracle, ScoredPair,
+    SortStrategy,
 };
 use crowdjoin_bench::measure;
 use std::hint::black_box;
@@ -156,8 +156,6 @@ fn bench_shard_scaling(c: &mut Criterion) {
 struct BenchArm {
     name: &'static str,
     shards: usize,
-    /// Question-ordering policy (`--order`) the arm ran under.
-    order: &'static str,
     wall_ms: f64,
     crowdsourced: usize,
     deduced: usize,
@@ -183,7 +181,6 @@ fn emit_machine_readable() {
     arms.push(BenchArm {
         name: "core_labeler",
         shards: 1,
-        order: "likelihood",
         wall_ms,
         crowdsourced: result.num_crowdsourced(),
         deduced: result.num_deduced(),
@@ -199,7 +196,6 @@ fn emit_machine_readable() {
         arms.push(BenchArm {
             name: "engine_oracle",
             shards,
-            order: "likelihood",
             wall_ms,
             crowdsourced: report.num_crowdsourced(),
             deduced: report.num_deduced(),
@@ -218,7 +214,6 @@ fn emit_machine_readable() {
         arms.push(BenchArm {
             name,
             shards: 8,
-            order: "likelihood",
             wall_ms,
             crowdsourced: report.num_crowdsourced(),
             deduced: report.num_deduced(),
@@ -226,52 +221,8 @@ fn emit_machine_readable() {
         });
     }
 
-    // Ordering-policy arms: crowdsourced-question savings of `--order
-    // exact|online` vs likelihood-descending on the same workload. The
-    // oracle arms isolate the labeler (1 shard, perfect answers); the
-    // platform arms measure the deployed event loop under a perfect and a
-    // noisy (Table-2 AMT-like) crowd, at 1 shard so the savings reflect
-    // the ordering policy rather than cross-shard HIT-packing jitter.
-    for mode in OrderingMode::ALL {
-        let cfg = EngineConfig { num_shards: 1, order: mode, ..EngineConfig::default() };
-        let (wall_ms, report) = measure(3, || {
-            let oracle = SharedGroundTruth::new(&truth);
-            crowdjoin::run_sharded_with_oracle(candidates.num_objects(), &order, &oracle, &cfg)
-        });
-        arms.push(BenchArm {
-            name: "engine_order_oracle",
-            shards: 1,
-            order: mode.as_str(),
-            wall_ms,
-            crowdsourced: report.num_crowdsourced(),
-            deduced: report.num_deduced(),
-            waste: None,
-        });
-    }
-    let amt = PlatformConfig { num_workers: 120, ..PlatformConfig::amt_like(29) };
-    for (name, platform) in
-        [("engine_order_perfect", PlatformConfig::perfect_workers(7)), ("engine_order_amt", amt)]
-    {
-        for mode in OrderingMode::ALL {
-            let cfg =
-                EngineConfig { num_shards: 1, seed: 3, order: mode, ..EngineConfig::default() };
-            let (wall_ms, report) = measure(3, || {
-                run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg)
-            });
-            arms.push(BenchArm {
-                name,
-                shards: 1,
-                order: mode.as_str(),
-                wall_ms,
-                crowdsourced: report.num_crowdsourced(),
-                deduced: report.num_deduced(),
-                waste: Some(report.partial_hit_waste()),
-            });
-        }
-    }
-
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut json = BenchJson::new("crowdjoin-bench-engine/2");
+    let mut json = BenchJson::new("crowdjoin-bench-engine/3");
     json.field("cores", cores.to_string());
     json.field(
         "workload",
@@ -285,7 +236,6 @@ fn emit_machine_readable() {
         json.arm(vec![
             ("name", js_str(arm.name)),
             ("shards", arm.shards.to_string()),
-            ("order", js_str(arm.order)),
             ("wall_ms", js_f64(arm.wall_ms, 3)),
             ("crowdsourced", arm.crowdsourced.to_string()),
             ("deduced", arm.deduced.to_string()),

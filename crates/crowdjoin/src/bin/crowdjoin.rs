@@ -91,9 +91,6 @@ struct JoinOpts {
     spool: Option<String>,
     /// Dynamically re-shard between publish rounds (platform mode only).
     reshard: bool,
-    /// Question-ordering policy: which publishable pair goes to the crowd
-    /// first (changes how many questions are paid for, never the labels).
-    order: crowdjoin::OrderingMode,
     /// Seed for the simulated platform.
     seed: u64,
     /// Write-ahead journal every crowd answer to this file (platform mode
@@ -144,7 +141,6 @@ impl Default for JoinOpts {
             backend: BackendKind::Sim,
             spool: None,
             reshard: false,
-            order: crowdjoin::OrderingMode::Likelihood,
             seed: 42,
             journal: None,
             resume: None,
@@ -231,16 +227,6 @@ options:
   --reshard yes         platform mode (sim backend only): dynamically merge
                         shards between publish rounds as components
                         collapse (less partial-HIT waste)
-  --order POLICY        question-ordering policy for the engine paths
-                        (--shards/--platform/--stream):
-                        likelihood (descending machine likelihood, the
-                        classic default) | exact (expected-optimal order
-                        per small component, enumerated) | online (re-rank
-                        the unresolved frontier after every answer by
-                        expected deductions triggered — fewest crowd
-                        questions in practice). The policy changes which
-                        pairs are crowdsourced, never the final labels;
-                        journaled runs must resume with the same --order
   --seed N              seed for the simulated platform (default 42)
   --journal FILE        platform mode: append every crowd answer to a
                         crash-safe write-ahead journal; a killed run
@@ -360,28 +346,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         if let Some(v) = flags("reshard") {
             opts.reshard = parse_bool("reshard", v)?;
         }
-        if let Some(o) = flags("order") {
-            opts.order = match crowdjoin::OrderingMode::parse(&o) {
-                Some(mode) => mode,
-                None => {
-                    // Same courtesy as --crowd/--crowd-size: a recognizable
-                    // near-miss gets pointed at the spelling we accept.
-                    let hint = match o.as_str() {
-                        "likelihood-descending" | "descending" | "default" => Some("likelihood"),
-                        "expected" | "optimal" | "exact-expected" => Some("exact"),
-                        "online-expected" | "dynamic" | "adaptive" => Some("online"),
-                        _ => None,
-                    };
-                    return Err(match hint {
-                        Some(h) => format!(
-                            "--order must be likelihood|exact|online, got {o:?}; did you mean \
-                             --order {h}?"
-                        ),
-                        None => format!("--order must be likelihood|exact|online, got {o:?}"),
-                    });
-                }
-            };
-        }
         if let Some(s) = flags("seed") {
             opts.seed = s.parse().map_err(|_| format!("--seed: not a number: {s:?}"))?;
         }
@@ -478,19 +442,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             if let Some((flag, _)) = platform_only.iter().find(|(_, set)| *set) {
                 return Err(format!("{flag} requires --platform perfect|amt"));
             }
-        }
-        // The ordering policy lives in the engine; the classic sequential
-        // path (1 shard, no platform) never consults it, so refuse rather
-        // than silently ignore a non-default choice there.
-        if opts.order != crowdjoin::OrderingMode::Likelihood
-            && opts.platform.is_none()
-            && opts.shards == 1
-        {
-            return Err(format!(
-                "--order {} needs an engine path: pass --shards N (0 or > 1) or \
-                 --platform perfect|amt",
-                opts.order
-            ));
         }
         opts.output = flags("output");
         Ok(opts)
@@ -654,7 +605,6 @@ fn simulate_on_platform(
     let engine = crowdjoin::EngineConfig {
         num_shards: opts.shards,
         reshard: opts.reshard,
-        order: opts.order,
         seed: opts.seed,
         journal: opts.journal.clone().map(std::path::PathBuf::from),
         ..crowdjoin::EngineConfig::default()
@@ -810,7 +760,6 @@ fn finish_join(
         // pool, questions answered through a thread-safe oracle front-end.
         let engine_cfg = crowdjoin::EngineConfig {
             num_shards: opts.shards,
-            order: opts.order,
             ..crowdjoin::EngineConfig::default()
         };
         let oracle = crowdjoin::SyncOracle::new(AutoOracle {
@@ -1354,51 +1303,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_order_policy() {
-        use crowdjoin::OrderingMode;
-        // Default is the classic likelihood-descending scan.
-        match parse_args(&args("dedup --input a.csv")).unwrap() {
-            Command::Dedup { opts, .. } => assert_eq!(opts.order, OrderingMode::Likelihood),
-            other => panic!("wrong command {other:?}"),
+    fn unknown_flags_are_rejected_by_name() {
+        for (flag, value) in [("order", "online"), ("frobnicate", "1")] {
+            let line = format!("dedup --input a.csv --shards 4 --{flag} {value}");
+            let err = parse_args(&args(&line)).unwrap_err();
+            assert!(err.contains(&format!("unknown flag --{flag}")), "{err:?}");
         }
-        for (value, mode) in [
-            ("likelihood", OrderingMode::Likelihood),
-            ("exact", OrderingMode::Exact),
-            ("online", OrderingMode::Online),
-        ] {
-            match parse_args(&args(&format!("dedup --input a.csv --shards 4 --order {value}")))
-                .unwrap()
-            {
-                Command::Dedup { opts, .. } => assert_eq!(opts.order, mode),
-                other => panic!("wrong command {other:?}"),
-            }
-        }
-        // The classic sequential path never consults the policy: a
-        // non-default --order without an engine path is refused, not
-        // silently ignored.
-        let err = parse_args(&args("dedup --input a.csv --order online")).unwrap_err();
-        assert!(err.contains("--shards"), "refusal must point at the fix: {err:?}");
-        match parse_args(&args("dedup --input a.csv --order likelihood")).unwrap() {
-            Command::Dedup { opts, .. } => assert_eq!(opts.order, OrderingMode::Likelihood),
-            other => panic!("wrong command {other:?}"),
-        }
-        // Works combined with platform mode and streaming join.
-        match parse_args(&args("join --stream s.jsonl --order online --platform perfect")).unwrap()
-        {
-            Command::Stream { opts, .. } => assert_eq!(opts.order, OrderingMode::Online),
-            other => panic!("wrong command {other:?}"),
-        }
-        // Unknown values are refused; near-misses get pointed at the
-        // accepted spelling.
-        let err = parse_args(&args("dedup --input a.csv --order random")).unwrap_err();
-        assert!(err.contains("likelihood|exact|online"), "no valid list in {err:?}");
-        assert!(!err.contains("did you mean"), "no hint for a cold miss: {err:?}");
-        let err = parse_args(&args("dedup --input a.csv --order expected")).unwrap_err();
-        assert!(err.contains("--order exact"), "hint missing from {err:?}");
-        let err = parse_args(&args("dedup --input a.csv --order adaptive")).unwrap_err();
-        assert!(err.contains("--order online"), "hint missing from {err:?}");
-        let err = parse_args(&args("dedup --input a.csv --order default")).unwrap_err();
-        assert!(err.contains("--order likelihood"), "hint missing from {err:?}");
     }
 
     #[test]

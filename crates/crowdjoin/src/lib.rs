@@ -86,9 +86,8 @@ pub use crowdjoin_core::{
     SortStrategy, WorldEnumeration,
 };
 pub use crowdjoin_engine::{
-    BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, OrderingMode, RoundMetric,
-    ShardContext, ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory,
-    SyncOracle, TimeSource,
+    BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, RoundMetric, ShardContext,
+    ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory, SyncOracle, TimeSource,
 };
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
 pub use runner::{

@@ -104,25 +104,6 @@ impl IncrementalClosure {
         self.graph.deduce(pair.a(), pair.b())
     }
 
-    /// Partner slots of `slot` with at least one pending pair, in index
-    /// iteration order (deterministic for a fixed insert history).
-    pub fn pending_partners(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
-        self.partners[slot as usize].iter().copied()
-    }
-
-    /// Caller ids of pending pairs keyed by the unordered slot pair
-    /// `(a, b)`; empty when no pending pair spans those clusters.
-    #[must_use]
-    pub fn pending_ids_between(&self, a: u32, b: u32) -> &[usize] {
-        self.pending.get(&key(a, b)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of pending pairs keyed by the unordered slot pair `(a, b)`.
-    #[must_use]
-    pub fn pending_count_between(&self, a: u32, b: u32) -> usize {
-        self.pending_ids_between(a, b).len()
-    }
-
     /// Inserts a crowd label and appends every tracked pair that *became*
     /// deducible to `deduced` (semi-naive delta propagation).
     ///
@@ -135,47 +116,15 @@ impl IncrementalClosure {
         label: Label,
         deduced: &mut Vec<Deduction>,
     ) -> Result<InsertOutcome, ConflictError> {
-        self.insert_impl(pair, label, deduced, None)
-    }
-
-    /// Like [`Self::insert`], additionally appending to `touched` every
-    /// cluster slot whose pending-pair structure (pending counts between
-    /// slot pairs, pending-partner sets, or non-matching adjacency) may have
-    /// changed. The set is complete for first-order effects: any pair whose
-    /// endpoints are all *outside* `touched` has the same pending
-    /// neighborhood before and after the insert. Slots may repeat, and a
-    /// dropped (merged-away) slot is never reported — only surviving slots
-    /// appear.
-    pub fn insert_tracking(
-        &mut self,
-        pair: Pair,
-        label: Label,
-        deduced: &mut Vec<Deduction>,
-        touched: &mut Vec<u32>,
-    ) -> Result<InsertOutcome, ConflictError> {
-        self.insert_impl(pair, label, deduced, Some(touched))
-    }
-
-    fn insert_impl(
-        &mut self,
-        pair: Pair,
-        label: Label,
-        deduced: &mut Vec<Deduction>,
-        touched: Option<&mut Vec<u32>>,
-    ) -> Result<InsertOutcome, ConflictError> {
         let event = self.graph.insert_tracked(pair.a(), pair.b(), label)?;
         match event {
             TrackedInsert::Redundant => Ok(InsertOutcome::Redundant),
             TrackedInsert::NonMatchingEdge { slot_a, slot_b } => {
-                if let Some(touched) = touched {
-                    touched.push(slot_a);
-                    touched.push(slot_b);
-                }
                 self.resolve_key(slot_a, slot_b, Label::NonMatching, deduced);
                 Ok(InsertOutcome::Inserted)
             }
             TrackedInsert::Merge { kept_slot, dropped_slot, new_neighbors } => {
-                self.apply_merge(kept_slot, dropped_slot, &new_neighbors, deduced, touched);
+                self.apply_merge(kept_slot, dropped_slot, &new_neighbors, deduced);
                 Ok(InsertOutcome::Inserted)
             }
         }
@@ -199,17 +148,7 @@ impl IncrementalClosure {
         dropped: u32,
         new_neighbors: &[u32],
         deduced: &mut Vec<Deduction>,
-        touched: Option<&mut Vec<u32>>,
     ) {
-        if let Some(touched) = touched {
-            // The kept slot's merged pending/adjacency structure, every slot
-            // that had pending pairs to the dropped side (their keys re-home
-            // or resolve), and every neighbor the merge grafts onto the kept
-            // cluster (new non-matching adjacency).
-            touched.push(kept);
-            touched.extend(self.partners[dropped as usize].iter().copied());
-            touched.extend_from_slice(new_neighbors);
-        }
         // Re-home every pending key involving the dropped slot.
         let dropped_partners = std::mem::take(&mut self.partners[dropped as usize]);
         for t in dropped_partners {

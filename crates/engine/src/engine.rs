@@ -4,7 +4,6 @@ use crate::driver::drive_to_completion;
 use crate::event_loop::JournalRun;
 use crate::labeler::ShardLabeler;
 use crate::oracle::SharedOracle;
-use crate::ordering::OrderingMode;
 use crate::partition::{partition_candidates, Shard};
 use crate::persist::{job_header, verify_header};
 use crate::report::{EngineReport, ShardReport};
@@ -45,12 +44,6 @@ pub struct EngineConfig {
     /// blocking thread-per-shard driver (both documented on their entry
     /// points).
     pub journal: Option<PathBuf>,
-    /// Question-ordering policy every shard labeler publishes under (see
-    /// [`crate::ordering`]). The default, [`OrderingMode::Likelihood`], is
-    /// bit-identical to pre-policy builds; the policy is part of the
-    /// journal fingerprint, so a resume must use the order the job was
-    /// started with.
-    pub order: OrderingMode,
 }
 
 impl Default for EngineConfig {
@@ -62,7 +55,6 @@ impl Default for EngineConfig {
             reshard: false,
             seed: 0,
             journal: None,
-            order: OrderingMode::Likelihood,
         }
     }
 }
@@ -334,8 +326,7 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
     let partition = partition_candidates(num_objects, order, config.effective_shards());
     let num_components = partition.num_components;
     let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let mut labeler =
-            ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), config.order);
+        let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
         let mut publish_rounds = 0usize;
         while !labeler.is_complete() {
             let batch = labeler.next_batch();
@@ -469,8 +460,7 @@ fn run_shard_on_platform(
     let cfg =
         crate::event_loop::shard_platform_config(platform_cfg, config, 0, shard.index, num_shards);
     let mut platform = Platform::new(cfg);
-    let mut labeler =
-        ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), config.order);
+    let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
     let publish_rounds = drive_to_completion(
         &mut labeler,
         &mut platform,

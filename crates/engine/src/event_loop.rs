@@ -196,8 +196,7 @@ pub(crate) fn run_event_loop<F: BackendFactory>(
             report_index: index,
         };
         let backend = factory.create(&cfg, &shard_ctx);
-        let mut task =
-            ShardTask::new(shard, backend, engine_cfg.instant_decision, index, engine_cfg.order);
+        let mut task = ShardTask::new(shard, backend, engine_cfg.instant_decision, index);
         if sink.is_some() {
             let replay = state.replay_shards.remove(&(index as u32)).unwrap_or_default();
             if deterministic {
@@ -476,7 +475,7 @@ fn reshard<F: BackendFactory>(st: &mut LoopState<F::Backend>, ctx: &LoopCtx<'_, 
     // HIT's worth of pairs per shard (otherwise every merged shard still
     // flushes a tiny partial HIT each round), and never exceed the initial
     // pairs-per-shard balance. Shard count is sized to the *predicted
-    // next-round publishable count* under the active ordering policy, not
+    // next-round publishable count*, not
     // the raw open-pair count — most open pairs are held as deducible, so
     // raw count over-provisions shards that then flush partial HITs.
     let publishable = predict_publishable(ctx, &open_pairs, &known);
@@ -539,11 +538,7 @@ fn reshard<F: BackendFactory>(st: &mut LoopState<F::Backend>, ctx: &LoopCtx<'_, 
         };
         let mut platform = ctx.factory.create(&cfg, &shard_ctx);
         platform.warp_to(barrier);
-        let mut labeler = ShardLabeler::with_ordering(
-            shard.num_objects(),
-            shard.pairs.clone(),
-            ctx.engine_cfg.order,
-        );
+        let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
         for sp in &shard.pairs {
             if let Some(&label) = known.get(&shard.to_global(sp.pair)) {
                 labeler.seed_known(sp.pair, label);
@@ -570,8 +565,8 @@ fn reshard<F: BackendFactory>(st: &mut LoopState<F::Backend>, ctx: &LoopCtx<'_, 
     }
 }
 
-/// Predicts how many of the merged generation's open pairs the active
-/// ordering policy would publish in its first round: a throwaway labeler
+/// Predicts how many of the merged generation's open pairs would be
+/// published in its first round: a throwaway labeler
 /// over the global open-pair order, seeded with every already-paid-for
 /// answer, asked for one batch. Deterministic (pure function of the barrier
 /// state and the engine config), so journal replay re-derives the same
@@ -581,8 +576,7 @@ fn predict_publishable<F: BackendFactory>(
     open_pairs: &[ScoredPair],
     known: &FxHashMap<Pair, Label>,
 ) -> usize {
-    let mut probe =
-        ShardLabeler::with_ordering(ctx.num_objects, open_pairs.to_vec(), ctx.engine_cfg.order);
+    let mut probe = ShardLabeler::new(ctx.num_objects, open_pairs.to_vec());
     for sp in open_pairs {
         if let Some(&label) = known.get(&sp.pair) {
             probe.seed_known(sp.pair, label);

@@ -21,79 +21,17 @@
 //! `crowdjoin-wal` answer records) are built on.
 
 use crate::closure::IncrementalClosure;
-use crate::ordering::OrderingMode;
 use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
 use crowdjoin_graph::ClusterGraph;
 use crowdjoin_util::FxHashMap;
-use std::collections::BinaryHeap;
 
 /// Per-pair lifecycle (mirrors the core labeler's states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairState {
     Unlabeled,
     Published,
-    Labeled,
-}
-
-/// A lazy priority-queue entry for the online frontier ranking. Entries are
-/// never removed in place: an entry is *live* only while its score equals
-/// the pair's current score, so a rescore simply pushes a fresh entry and
-/// the stale one is skipped on pop.
-#[derive(Debug, Clone, Copy)]
-struct FrontierEntry {
-    score: f64,
-    idx: usize,
-}
-
-impl PartialEq for FrontierEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for FrontierEntry {}
-impl PartialOrd for FrontierEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FrontierEntry {
-    /// Max-heap: highest score first; ties broken toward the *earlier*
-    /// position in the labeling order (so an all-zero frontier — round 0 —
-    /// degenerates to exactly the likelihood-descending scan). `total_cmp`
-    /// makes the order total, so pop order is independent of push order.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score.total_cmp(&other.score).then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-/// State of the `OnlineExpected` frontier ranking (present only when the
-/// labeler was built with [`OrderingMode::Online`]).
-#[derive(Debug, Clone)]
-struct FrontierRanker {
-    /// Current expected-deduction score per pair index (meaningful only
-    /// while the pair is unlabeled).
-    scores: Vec<f64>,
-    /// Lazy max-heap over the unresolved frontier.
-    heap: BinaryHeap<FrontierEntry>,
-    /// Per-pair stamp of the last scan that considered it, guarding against
-    /// duplicate identical entries (a score can oscillate back to a previous
-    /// value, leaving two live entries for one pair).
-    scan_stamp: Vec<u32>,
-    /// Current scan number.
-    stamp: u32,
-}
-
-impl FrontierRanker {
-    fn new(n: usize) -> Self {
-        let mut heap = BinaryHeap::with_capacity(n);
-        // Every score starts at 0 (the closure graph is empty: each pending
-        // key holds exactly its own pair and there is no non-matching
-        // adjacency), so round 0 pops in pure index order.
-        for idx in 0..n {
-            heap.push(FrontierEntry { score: 0.0, idx });
-        }
-        Self { scores: vec![0.0; n], heap, scan_stamp: vec![0; n], stamp: 0 }
-    }
+    /// Labeled, with the label recorded in the result.
+    Labeled(Label),
 }
 
 /// Event-driven labeler over one shard's (local-id) labeling order.
@@ -107,14 +45,12 @@ pub struct ShardLabeler {
     result: LabelingResult,
     outstanding: usize,
     scan_conflicts: usize,
-    ordering: OrderingMode,
-    ranker: Option<FrontierRanker>,
 }
 
 impl ShardLabeler {
-    /// Creates a labeler for `order` over a universe of `num_objects`,
-    /// publishing in likelihood-descending order (the paper's heuristic and
-    /// the historical default — bit-identical to pre-policy builds).
+    /// Creates a labeler for `order` over a universe of `num_objects`. Pairs
+    /// are published in the order given (the caller's `sort_pairs` order —
+    /// likelihood-descending in production, the paper's heuristic).
     ///
     /// # Panics
     ///
@@ -122,24 +58,6 @@ impl ShardLabeler {
     /// twice in `order`.
     #[must_use]
     pub fn new(num_objects: usize, order: Vec<ScoredPair>) -> Self {
-        Self::with_ordering(num_objects, order, OrderingMode::Likelihood)
-    }
-
-    /// Creates a labeler publishing under the given ordering policy.
-    ///
-    /// `order` is handed over in likelihood-descending order regardless of
-    /// mode; the policy's static preparation (e.g. the exact per-component
-    /// permutation) is applied here, and [`OrderingMode::Online`] installs
-    /// the frontier ranker consulted by [`Self::next_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::new`].
-    #[must_use]
-    pub fn with_ordering(num_objects: usize, order: Vec<ScoredPair>, mode: OrderingMode) -> Self {
-        let policy = mode.policy();
-        let order = policy.prepare(num_objects, order);
-        let ranker = policy.online().then(|| FrontierRanker::new(order.len()));
         let mut index_of = FxHashMap::default();
         for (i, sp) in order.iter().enumerate() {
             assert!(
@@ -166,15 +84,7 @@ impl ShardLabeler {
             result: LabelingResult::new(),
             outstanding: 0,
             scan_conflicts: 0,
-            ordering: mode,
-            ranker,
         }
-    }
-
-    /// The ordering policy this labeler publishes under.
-    #[must_use]
-    pub fn ordering(&self) -> OrderingMode {
-        self.ordering
     }
 
     /// `true` once every pair has a label.
@@ -200,37 +110,23 @@ impl ShardLabeler {
     /// crowdsourced under current knowledge, excluding those already
     /// published. Marks returned pairs published.
     ///
-    /// Under [`OrderingMode::Online`] the unresolved frontier is visited in
-    /// expected-deduction order (see `next_batch_ranked`) instead of
-    /// index order; the publish-or-hold rule per pair is identical.
+    /// A single pass in index order: real labels build the scan graph,
+    /// everything else is supposed matching and publishes unless deducible.
     pub fn next_batch(&mut self) -> Vec<ScoredPair> {
-        if self.ranker.is_some() {
-            self.next_batch_ranked()
-        } else {
-            self.next_batch_scan()
-        }
-    }
-
-    /// The historical single-pass scan (likelihood / exact modes): pairs in
-    /// index order; real labels build the scan graph, everything else is
-    /// supposed matching and publishes unless deducible.
-    fn next_batch_scan(&mut self) -> Vec<ScoredPair> {
         let mut scan = ClusterGraph::new(self.num_objects);
         let mut batch = Vec::new();
         for i in 0..self.order.len() {
             let sp = self.order[i];
             let (a, b) = (sp.pair.a(), sp.pair.b());
             match self.state[i] {
-                PairState::Labeled => {
-                    let label =
-                        self.result.label_of(sp.pair).expect("labeled pair must be in result");
+                PairState::Labeled(label) => {
                     if scan.insert(a, b, label).is_err() {
                         self.scan_conflicts += 1;
                     }
                 }
-                PairState::Published | PairState::Unlabeled => {
+                state @ (PairState::Published | PairState::Unlabeled) => {
                     if scan.deduce(a, b).is_none() {
-                        if self.state[i] == PairState::Unlabeled {
+                        if state == PairState::Unlabeled {
                             self.state[i] = PairState::Published;
                             self.outstanding += 1;
                             batch.push(sp);
@@ -242,129 +138,6 @@ impl ShardLabeler {
             }
         }
         batch
-    }
-
-    /// `OnlineExpected`'s scan: labeled pairs (index order) build the scan
-    /// graph, outstanding published pairs (index order) are supposed
-    /// matching, then the unresolved frontier is drained from the lazy
-    /// priority queue — highest expected-deduction score first, index order
-    /// on ties — with the same publish-or-hold rule as the index scan.
-    /// Held pairs re-enter the queue for the next scan; pairs whose entries
-    /// went stale (rescored or resolved since push) are skipped in O(1).
-    fn next_batch_ranked(&mut self) -> Vec<ScoredPair> {
-        let mut scan = ClusterGraph::new(self.num_objects);
-        for i in 0..self.order.len() {
-            let sp = self.order[i];
-            let (a, b) = (sp.pair.a(), sp.pair.b());
-            match self.state[i] {
-                PairState::Labeled => {
-                    let label =
-                        self.result.label_of(sp.pair).expect("labeled pair must be in result");
-                    if scan.insert(a, b, label).is_err() {
-                        self.scan_conflicts += 1;
-                    }
-                }
-                PairState::Published => {
-                    if scan.deduce(a, b).is_none() {
-                        scan.insert(a, b, Label::Matching)
-                            .expect("insert after failed deduction cannot conflict");
-                    }
-                }
-                PairState::Unlabeled => {}
-            }
-        }
-        let ranker = self.ranker.as_mut().expect("ranked scan requires the online ranker");
-        ranker.stamp += 1;
-        let mut batch = Vec::new();
-        let mut held = Vec::new();
-        while let Some(entry) = ranker.heap.pop() {
-            let i = entry.idx;
-            if self.state[i] != PairState::Unlabeled
-                || entry.score != ranker.scores[i]
-                || ranker.scan_stamp[i] == ranker.stamp
-            {
-                continue; // resolved, stale, or duplicate entry
-            }
-            ranker.scan_stamp[i] = ranker.stamp;
-            let sp = self.order[i];
-            let (a, b) = (sp.pair.a(), sp.pair.b());
-            if scan.deduce(a, b).is_none() {
-                self.state[i] = PairState::Published;
-                self.outstanding += 1;
-                batch.push(sp);
-                scan.insert(a, b, Label::Matching)
-                    .expect("insert after failed deduction cannot conflict");
-            } else {
-                held.push(entry);
-            }
-        }
-        // Still-open pairs that were held this scan stay in the queue.
-        for entry in held {
-            ranker.heap.push(entry);
-        }
-        batch
-    }
-
-    /// Expected deductions triggered by resolving pair `i` now, computed
-    /// component-locally from the closure's pending index: with endpoint
-    /// cluster slots `X`, `Y`,
-    ///
-    /// ```text
-    /// direct   = pend(X, Y) − 1                    (co-keyed open pairs)
-    /// transfer = Σ_{Z ∈ nm-adj(X)} pend(Y, Z)
-    ///          + Σ_{Z ∈ nm-adj(Y)} pend(X, Z)      (one-hop negative rules)
-    /// score    = direct + ℓᵢ · transfer
-    /// ```
-    ///
-    /// A matching answer merges `X`/`Y` (resolving all `direct` pairs
-    /// positively and all `transfer` pairs negatively); a non-matching
-    /// answer resolves the `direct` pairs negatively. Both sums are exact
-    /// integer counts, so scores are reproducible across platforms.
-    fn frontier_score(&self, i: usize) -> f64 {
-        let sp = self.order[i];
-        let graph = self.closure.graph();
-        let x = graph.slot_of_readonly(sp.pair.a());
-        let y = graph.slot_of_readonly(sp.pair.b());
-        let direct = self.closure.pending_count_between(x, y) - 1;
-        let mut transfer = 0usize;
-        for z in graph.slot_neighbors(x) {
-            transfer += self.closure.pending_count_between(y, z);
-        }
-        for z in graph.slot_neighbors(y) {
-            transfer += self.closure.pending_count_between(x, z);
-        }
-        direct as f64 + sp.likelihood * transfer as f64
-    }
-
-    /// Rescores every open pair incident to a touched cluster slot and
-    /// pushes fresh heap entries for the changed ones. O(affected pairs ·
-    /// log frontier) — never rescans the pending set.
-    fn refresh_scores(&mut self, touched: &[u32]) {
-        if self.ranker.is_none() || touched.is_empty() {
-            return;
-        }
-        let mut slots = touched.to_vec();
-        slots.sort_unstable();
-        slots.dedup();
-        let mut ids: Vec<usize> = Vec::new();
-        for &s in &slots {
-            for t in self.closure.pending_partners(s) {
-                ids.extend_from_slice(self.closure.pending_ids_between(s, t));
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        for i in ids {
-            if self.state[i] != PairState::Unlabeled {
-                continue; // published pairs never return to the frontier
-            }
-            let score = self.frontier_score(i);
-            let ranker = self.ranker.as_mut().expect("checked above");
-            if score != ranker.scores[i] {
-                ranker.scores[i] = score;
-                ranker.heap.push(FrontierEntry { score, idx: i });
-            }
-        }
     }
 
     /// Feeds one crowd answer, then labels exactly the pairs the answer made
@@ -383,29 +156,23 @@ impl ShardLabeler {
             PairState::Published,
             "answer submitted for pair {pair} that is not awaiting one"
         );
-        self.state[i] = PairState::Labeled;
         self.outstanding -= 1;
 
         let mut delta = Vec::new();
-        let mut touched = Vec::new();
-        let inserted = if self.ranker.is_some() {
-            self.closure.insert_tracking(pair, answer, &mut delta, &mut touched)
-        } else {
-            self.closure.insert(pair, answer, &mut delta)
-        };
-        let label = match inserted {
+        let label = match self.closure.insert(pair, answer, &mut delta) {
             Ok(_) => answer,
             Err(conflict) => {
                 self.result.record_conflict();
                 conflict.deduced
             }
         };
+        self.state[i] = PairState::Labeled(label);
         self.result.record(pair, label, Provenance::Crowdsourced);
 
         for (j, deduced_label) in delta {
             match self.state[j] {
                 PairState::Unlabeled => {
-                    self.state[j] = PairState::Labeled;
+                    self.state[j] = PairState::Labeled(deduced_label);
                     self.result.record(self.order[j].pair, deduced_label, Provenance::Deduced);
                 }
                 // The answered pair itself appears in its own delta (it was
@@ -413,12 +180,9 @@ impl ShardLabeler {
                 // published pair that became deducible stays awaiting its
                 // answer — it was already paid for, and the paper counts it
                 // as crowdsourced.
-                PairState::Published | PairState::Labeled => {}
+                PairState::Published | PairState::Labeled(_) => {}
             }
         }
-        // After the delta settles: rescore open pairs whose pending
-        // neighborhood the insert changed.
-        self.refresh_scores(&touched);
     }
 
     /// Seeds an already-known crowd answer without publishing — the replay
@@ -444,33 +208,25 @@ impl ShardLabeler {
             .get(&pair)
             .unwrap_or_else(|| panic!("pair {pair} is not part of this labeling task"));
         match self.state[i] {
-            PairState::Labeled => return,
+            PairState::Labeled(_) => return,
             PairState::Published => {
                 panic!("pair {pair} is awaiting a live answer and cannot be seeded")
             }
             PairState::Unlabeled => {}
         }
-        self.state[i] = PairState::Labeled;
-
         let mut delta = Vec::new();
-        let mut touched = Vec::new();
-        let inserted = if self.ranker.is_some() {
-            self.closure.insert_tracking(pair, answer, &mut delta, &mut touched)
-        } else {
-            self.closure.insert(pair, answer, &mut delta)
-        };
-        let label = match inserted {
+        let label = match self.closure.insert(pair, answer, &mut delta) {
             Ok(_) => answer,
             Err(conflict) => conflict.deduced,
         };
+        self.state[i] = PairState::Labeled(label);
         self.result.record(pair, label, Provenance::Crowdsourced);
         for (j, deduced_label) in delta {
             if self.state[j] == PairState::Unlabeled {
-                self.state[j] = PairState::Labeled;
+                self.state[j] = PairState::Labeled(deduced_label);
                 self.result.record(self.order[j].pair, deduced_label, Provenance::Deduced);
             }
         }
-        self.refresh_scores(&touched);
     }
 
     /// The labeling order this labeler runs over (local ids).
@@ -686,109 +442,6 @@ mod tests {
         let result = resumed.into_result();
         for sp in cs.pairs() {
             assert_eq!(result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
-        }
-    }
-
-    /// For every open pair, the incrementally maintained score must equal a
-    /// fresh recomputation from the closure — i.e. the touched-slot marking
-    /// in `refresh_scores` missed nothing.
-    fn assert_scores_fresh(labeler: &ShardLabeler) {
-        let ranker = labeler.ranker.as_ref().expect("online labeler");
-        for i in 0..labeler.order.len() {
-            if labeler.state[i] == PairState::Unlabeled {
-                let fresh = labeler.frontier_score(i);
-                assert_eq!(
-                    ranker.scores[i], fresh,
-                    "stale score for pair {} at index {i}",
-                    labeler.order[i].pair
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn online_scores_stay_fresh_and_labels_match() {
-        let mut rng = crowdjoin_util::SplitMix64::new(4242);
-        for _ in 0..60 {
-            let n = 4 + (rng.next_u64() % 12) as usize;
-            let k = 1 + (rng.next_u64() % 4) as u32;
-            let truth = GroundTruth::new((0..n as u32).map(|i| i % k).collect());
-            let mut pairs = Vec::new();
-            let mut seen = crowdjoin_util::FxHashSet::default();
-            for _ in 0..n * 3 {
-                let a = (rng.next_u64() % n as u64) as u32;
-                let b = (rng.next_u64() % n as u64) as u32;
-                if a != b {
-                    let p = Pair::new(a, b);
-                    if seen.insert(p) {
-                        pairs.push(ScoredPair::new(p, rng.next_f64()));
-                    }
-                }
-            }
-            let cs = CandidateSet::new(n, pairs);
-            let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-
-            let mut online =
-                ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Online);
-            let mut oracle = GroundTruthOracle::new(&truth);
-            while !online.is_complete() {
-                let batch = online.next_batch();
-                assert!(!batch.is_empty(), "online scan stuck");
-                for sp in batch {
-                    online.submit_answer(sp.pair, oracle.answer(sp.pair));
-                    assert_scores_fresh(&online);
-                }
-            }
-            let online_result = online.into_result();
-
-            // Order never changes labels — only who pays for them.
-            let mut o2 = GroundTruthOracle::new(&truth);
-            let (reference, _) = run_rounds(cs.num_objects(), order, &mut o2);
-            assert_eq!(online_result.num_labeled(), reference.num_labeled());
-            for sp in cs.pairs() {
-                assert_eq!(online_result.label_of(sp.pair), reference.label_of(sp.pair));
-            }
-        }
-    }
-
-    #[test]
-    fn online_round0_equals_likelihood_round0() {
-        let (cs, _) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut a = ShardLabeler::new(cs.num_objects(), order.clone());
-        let mut b = ShardLabeler::with_ordering(cs.num_objects(), order, OrderingMode::Online);
-        let ba: Vec<Pair> = a.next_batch().iter().map(|sp| sp.pair).collect();
-        let bb: Vec<Pair> = b.next_batch().iter().map(|sp| sp.pair).collect();
-        assert_eq!(ba, bb, "all-zero frontier must degenerate to the index scan");
-    }
-
-    #[test]
-    fn exact_mode_seeding_rederives_like_likelihood() {
-        // The replay primitive must work under every policy: run exact mode
-        // live, replay its crowdsourced answers into a fresh exact labeler.
-        let (cs, truth) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut live =
-            ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
-        let mut oracle = GroundTruthOracle::new(&truth);
-        while !live.is_complete() {
-            for sp in live.next_batch() {
-                live.submit_answer(sp.pair, oracle.answer(sp.pair));
-            }
-        }
-        let live = live.into_result();
-        let mut replayed =
-            ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
-        for sp in replayed.order().to_vec() {
-            if live.provenance_of(sp.pair) == Some(Provenance::Crowdsourced) {
-                replayed.seed_known(sp.pair, live.label_of(sp.pair).unwrap());
-            }
-        }
-        assert!(replayed.is_complete());
-        let replayed = replayed.into_result();
-        for sp in cs.pairs() {
-            assert_eq!(replayed.label_of(sp.pair), live.label_of(sp.pair));
-            assert_eq!(replayed.provenance_of(sp.pair), live.provenance_of(sp.pair));
         }
     }
 

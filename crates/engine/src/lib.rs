@@ -60,7 +60,6 @@ mod engine;
 pub mod event_loop;
 pub mod labeler;
 pub mod oracle;
-pub mod ordering;
 pub mod partition;
 mod persist;
 pub mod report;
@@ -87,10 +86,6 @@ pub use engine::{
 };
 pub use labeler::ShardLabeler;
 pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
-pub use ordering::{
-    exact_expected_order, ExactExpected, LikelihoodDescending, OnlineExpected, OrderingMode,
-    OrderingPolicy,
-};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};
 pub use scheduler::{effective_threads, run_sharded};

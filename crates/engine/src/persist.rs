@@ -102,7 +102,7 @@ pub(crate) fn job_header(
         num_shards: num_shards as u32,
         instant_decision: config.instant_decision,
         reshard: config.reshard,
-        ordering: config.order.wire_byte(),
+        ordering: 0,
     }
 }
 
@@ -119,8 +119,12 @@ pub(crate) fn verify_header(journal: &JobHeader, job: &JobHeader) -> Result<(), 
         ("num_shards", u64::from(journal.num_shards), u64::from(job.num_shards)),
         ("instant_decision", u64::from(journal.instant_decision), u64::from(job.instant_decision)),
         ("reshard", u64::from(journal.reshard), u64::from(job.reshard)),
+        // Reserved, always 0 for this build. Non-zero means a retired
+        // question-ordering policy chose the journal's crowdsourced pairs;
+        // replaying it through the one remaining order would diverge.
         (
-            "ordering (question-ordering policy, --order)",
+            "ordering (the journal was written under a question-ordering policy this build \
+             no longer has and must be finished by the build that started it)",
             u64::from(journal.ordering),
             u64::from(job.ordering),
         ),
@@ -180,12 +184,9 @@ mod tests {
         let h5 = job_header(3, &order, &truth, &platform, &other_cfg, 2);
         assert!(verify_header(&h, &h5).is_err(), "engine seed change detected");
 
-        let other_order = EngineConfig {
-            order: crate::ordering::OrderingMode::Online,
-            ..EngineConfig::default()
-        };
-        let h6 = job_header(3, &order, &truth, &platform, &other_order, 2);
-        let err = verify_header(&h, &h6).expect_err("ordering change detected");
+        assert_eq!(h.ordering, 0, "the reserved byte is always written 0");
+        let retired = JobHeader { ordering: 2, ..h };
+        let err = verify_header(&retired, &h).expect_err("retired policy byte detected");
         assert!(
             err.to_string().contains("ordering"),
             "mismatch must name the ordering field: {err}"

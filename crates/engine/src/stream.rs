@@ -207,10 +207,8 @@ impl StreamEngine {
             partition_candidates(self.num_objects, &order, self.config.effective_shards());
         let num_shards = partition.shards.len();
         let known = &self.known;
-        let ordering = self.config.order;
         let shard_outcomes = run_sharded(partition.shards, self.config.num_threads, |shard| {
-            let mut labeler =
-                ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
+            let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
             let mut seeded = 0usize;
             for sp in &shard.pairs {
                 if let Some(&label) = known.get(&shard.to_global(sp.pair)) {

@@ -69,7 +69,6 @@
 //! as opaque; the simulator does.
 
 use crate::labeler::ShardLabeler;
-use crate::ordering::OrderingMode;
 use crate::partition::Shard;
 use crate::persist::snapshot_of;
 use crate::report::{RoundMetric, ShardReport};
@@ -191,18 +190,10 @@ fn state_name(s: ShardState) -> &'static str {
 }
 
 impl<B: CrowdBackend> ShardTask<B> {
-    /// Creates a task for a fresh shard on its own backend, publishing
-    /// under the given question-ordering policy.
+    /// Creates a task for a fresh shard on its own backend.
     #[must_use]
-    pub fn new(
-        shard: Shard,
-        platform: B,
-        instant_decision: bool,
-        report_index: usize,
-        ordering: OrderingMode,
-    ) -> Self {
-        let labeler =
-            ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
+    pub fn new(shard: Shard, platform: B, instant_decision: bool, report_index: usize) -> Self {
+        let labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
         Self::resume(shard, labeler, platform, instant_decision, report_index, 0)
     }
 
@@ -782,8 +773,7 @@ mod tests {
             );
 
             let shard = whole_universe_shard(&cs);
-            let mut task =
-                ShardTask::new(shard, Platform::new(cfg), instant, 0, OrderingMode::Likelihood);
+            let mut task = ShardTask::new(shard, Platform::new(cfg), instant, 0);
             let truth_of = |pair: Pair| truth.is_matching(pair);
             while task.state() != ShardState::Done {
                 assert!(task.next_wake().is_some(), "active task must have a wake time");
@@ -823,13 +813,8 @@ mod tests {
         let truth = GroundTruth::from_clusters(5, &[vec![3, 4]]);
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let shard = crate::partition::partition_candidates(5, &order, 1).shards.remove(0);
-        let mut task = ShardTask::new(
-            shard,
-            Platform::new(PlatformConfig::perfect_workers(5)),
-            true,
-            3,
-            OrderingMode::Likelihood,
-        );
+        let mut task =
+            ShardTask::new(shard, Platform::new(PlatformConfig::perfect_workers(5)), true, 3);
         let truth_of = |pair: Pair| truth.is_matching(pair);
         while !matches!(task.state(), ShardState::Parked | ShardState::Done) {
             task.advance(&truth_of, true);

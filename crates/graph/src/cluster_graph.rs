@@ -258,26 +258,11 @@ impl ClusterGraph {
         self.slot_of_root[r as usize]
     }
 
-    /// Like [`Self::slot_of`] without path compression (no `&mut` needed;
-    /// read-mostly callers such as frontier scoring use this).
-    #[must_use]
-    pub fn slot_of_readonly(&self, x: u32) -> u32 {
-        let r = self.uf.find_immutable(x);
-        self.slot_of_root[r as usize]
-    }
-
     /// `true` when the clusters identified by `slot_a` and `slot_b` are
     /// connected by a non-matching cluster edge.
     #[must_use]
     pub fn slots_adjacent(&self, slot_a: u32, slot_b: u32) -> bool {
         self.adj[slot_a as usize].contains(&slot_b)
-    }
-
-    /// Slots connected to `slot` by a non-matching cluster edge, in
-    /// adjacency-set iteration order (deterministic for a fixed insert
-    /// history).
-    pub fn slot_neighbors(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
-        self.adj[slot as usize].iter().copied()
     }
 
     /// Merges the clusters of `a` and `b`. Caller guarantees they are in

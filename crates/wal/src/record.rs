@@ -11,9 +11,13 @@ use crate::frame::{Reader, RecordFamily, Writer};
 /// Journal format version this build writes and reads.
 ///
 /// History: v1 had no `ordering` header field (and re-sharding barriers
-/// sized generations by raw open-pair count); v2 journals the question-
-/// ordering policy and predicts publishable counts at barriers, so v1
-/// journals are refused rather than replayed under different semantics.
+/// sized generations by raw open-pair count); v2 added the field for a
+/// selectable question-ordering policy and predicts publishable counts at
+/// barriers, so v1 journals are refused rather than replayed under
+/// different semantics. The policies other than likelihood-descending were
+/// since retired on measurement; the byte stays in the v2 layout as a
+/// reserved field (see [`JobHeader::ordering`]), so journal bytes did not
+/// change.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload; anything larger is corruption (real
@@ -78,10 +82,11 @@ pub struct JobHeader {
     pub instant_decision: bool,
     /// Whether dynamic re-sharding was on.
     pub reshard: bool,
-    /// Question-ordering policy wire byte (`OrderingMode::wire_byte` in the
-    /// engine: 0 = likelihood, 1 = exact, 2 = online). The policy decides
-    /// which pairs are crowdsourced, so replaying under a different one
-    /// would diverge immediately; resume refuses a mismatch.
+    /// Reserved; always written 0 (likelihood-descending, the one labeling
+    /// order). Builds that still had selectable question-ordering policies
+    /// wrote 1 = exact or 2 = online here; such a journal's crowdsourced
+    /// set cannot be replayed by this build, so resume refuses any non-zero
+    /// value.
     pub ordering: u8,
 }
 

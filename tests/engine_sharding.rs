@@ -11,8 +11,8 @@ use crowdjoin::records::{
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
     build_task, run_parallel_rounds, run_sharded_on_platform, run_sharded_with_oracle, sort_pairs,
-    CandidateSet, EngineConfig, GroundTruth, GroundTruthOracle, Label, NoisyOracle, ScoredPair,
-    SortStrategy, SyncOracle,
+    CandidateSet, EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle,
+    ScoredPair, SortStrategy, SyncOracle,
 };
 
 fn paper_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
@@ -43,6 +43,14 @@ fn product_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     let candidates = task.candidates().clone();
     let order = sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
     (candidates, truth, order)
+}
+
+/// A platform run's total money is exactly the sum of its per-shard reports.
+fn assert_money_partitions(report: &EngineReport) {
+    let sharded: u64 =
+        report.shards.iter().map(|s| s.stats.as_ref().map_or(0, |st| st.total_cost_cents)).sum();
+    assert!(sharded > 0, "a platform run pays for its questions");
+    assert_eq!(report.total_cost_cents, sharded, "money must partition across shards");
 }
 
 /// The sharded engine must produce the same labels as the single-threaded
@@ -118,6 +126,7 @@ fn sharded_platform_run_is_deterministic() {
     };
     let a = run();
     let b = run();
+    assert_money_partitions(&a);
     assert_eq!(a.completion, b.completion);
     assert_eq!(a.total_cost_cents, b.total_cost_cents);
     assert_eq!(a.result.num_crowdsourced(), b.result.num_crowdsourced());
@@ -128,6 +137,32 @@ fn sharded_platform_run_is_deterministic() {
     // And the platform arms actually labeled everything correctly.
     for sp in candidates.pairs() {
         assert_eq!(a.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
+    }
+}
+
+/// Noisy crowds: answers depend on worker RNG streams, so two runs of the
+/// same seed must be bit-identical — labels, money, completion, per-shard
+/// platform stats — at 1 and 4 shards, and the money must partition.
+#[test]
+fn noisy_runs_stay_per_seed_deterministic() {
+    let (candidates, truth, order) = paper_workload();
+    let platform = PlatformConfig { num_workers: 80, ..PlatformConfig::amt_like(29) };
+    for shards in [1usize, 4] {
+        let cfg = EngineConfig { num_shards: shards, seed: 11, ..EngineConfig::default() };
+        let run =
+            || run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg);
+        let (a, b) = (run(), run());
+        assert_eq!(a.result.num_labeled(), order.len(), "{shards} shards: fully labeled");
+        assert_money_partitions(&a);
+        for sp in &order {
+            assert_eq!(a.result.label_of(sp.pair), b.result.label_of(sp.pair), "{}", sp.pair);
+        }
+        assert_eq!(a.total_cost_cents, b.total_cost_cents, "{shards} shards: money");
+        assert_eq!(a.completion, b.completion, "{shards} shards: completion");
+        assert_eq!(a.result.num_crowdsourced(), b.result.num_crowdsourced());
+        for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(x.stats, y.stats, "{shards} shards: shard {} stats", x.shard);
+        }
     }
 }
 
@@ -189,6 +224,8 @@ fn sharded_platform_divides_crowd_and_keeps_cost() {
         sharded.result.num_crowdsourced(),
         "sharding must not change crowd cost"
     );
+    assert_money_partitions(&single);
+    assert_money_partitions(&sharded);
     // Money accounting: the same pairs are answered at the same
     // assignments-per-HIT, but each shard flushes its own partial HITs, so
     // sharding fragments HIT packing (observed ~30% more HITs on this small

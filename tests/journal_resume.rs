@@ -10,7 +10,7 @@ use crowdjoin::sim::PlatformConfig;
 use crowdjoin::wal::{self, Record, WalError};
 use crowdjoin::{
     resume_sharded_on_platform, run_sharded_on_platform, Engine, EngineConfig, EngineReport,
-    GroundTruth, OrderingMode, Pair, ScoredPair,
+    GroundTruth, Pair, ScoredPair,
 };
 use std::path::{Path, PathBuf};
 
@@ -322,20 +322,46 @@ fn resume_rejects_a_different_job() {
         }
     }
 
-    // The question-ordering policy decides which pairs get crowdsourced,
-    // so a resume under a different `--order` is a different job; the
-    // refusal must say so by name, because the fix (re-pass the original
-    // --order) is otherwise invisible to the operator.
-    for mode in [OrderingMode::Exact, OrderingMode::Online] {
-        match resume(&order, &truth, &platform, &EngineConfig { order: mode, ..base.clone() }) {
-            Err(e @ WalError::HeaderMismatch { .. }) => assert!(
-                e.to_string().contains("ordering"),
-                "the {mode} mismatch must name the ordering field: {e}"
-            ),
-            Ok(_) => panic!("resume with --order {mode} over a likelihood journal must be refused"),
-            Err(other) => panic!("resume with --order {mode}: wrong error {other}"),
+    // The header's `ordering` byte is reserved (always written 0). A
+    // journal started by an older build under a since-retired policy
+    // (1 = exact, 2 = online) is this job in every other field, but its
+    // crowdsourced set cannot be replayed here: the refusal must name the
+    // field and leave the paid-for file untouched.
+    let header = wal::read_journal(&path).expect("journal readable").header;
+    assert_eq!(header.ordering, 0, "this build writes the reserved byte as 0");
+    let retired_path = temp_path("retired-policy.wal");
+    for byte in [1u8, 2] {
+        let _ = std::fs::remove_file(&retired_path);
+        drop(
+            wal::Journal::create(&retired_path, &wal::JobHeader { ordering: byte, ..header })
+                .expect("header-only journal"),
+        );
+        let before = std::fs::read(&retired_path).expect("journal bytes");
+        match resume_sharded_on_platform(
+            num_objects,
+            &order,
+            &truth,
+            &platform,
+            &base,
+            &retired_path,
+        ) {
+            Err(e @ WalError::HeaderMismatch { .. }) => {
+                let text = e.to_string();
+                assert!(
+                    text.contains("ordering") && text.contains("no longer has"),
+                    "ordering byte {byte}: the refusal must name the retired policy field: {text}"
+                );
+            }
+            Ok(_) => panic!("a journal with ordering byte {byte} must be refused"),
+            Err(other) => panic!("ordering byte {byte}: wrong error {other}"),
         }
+        assert_eq!(
+            std::fs::read(&retired_path).expect("journal bytes"),
+            before,
+            "a refused journal must be left as it was"
+        );
     }
+    std::fs::remove_file(&retired_path).expect("cleanup");
     std::fs::remove_file(&path).expect("cleanup");
 }
 
