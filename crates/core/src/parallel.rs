@@ -77,9 +77,6 @@ pub struct ParallelLabeler {
     /// as labeling progresses so deduction sweeps touch only live pairs.
     pending: Vec<usize>,
     outstanding: usize,
-    /// Conflicting real labels skipped while building scan graphs
-    /// (diagnostics; stays 0 for consistent answer sources).
-    scan_conflicts: usize,
 }
 
 impl ParallelLabeler {
@@ -110,7 +107,6 @@ impl ParallelLabeler {
             result: LabelingResult::new(),
             pending: (0..n).collect(),
             outstanding: 0,
-            scan_conflicts: 0,
         }
     }
 
@@ -132,13 +128,6 @@ impl ParallelLabeler {
         self.result.num_crowdsourced() + self.outstanding
     }
 
-    /// Diagnostic: real labels that conflicted with the assumed-matching scan
-    /// graph (always 0 for consistent answers).
-    #[must_use]
-    pub fn num_scan_conflicts(&self) -> usize {
-        self.scan_conflicts
-    }
-
     /// Algorithm 3 (`ParallelCrowdsourcedPairs`) with the instant-decision
     /// refinement: returns the pairs that must be crowdsourced given current
     /// knowledge, excluding pairs already published. Marks returned pairs as
@@ -158,9 +147,7 @@ impl ParallelLabeler {
                     // publishing, never a wrong skip.
                     let label =
                         self.result.label_of(sp.pair).expect("labeled pair must be in result");
-                    if scan.insert(a, b, label).is_err() {
-                        self.scan_conflicts += 1;
-                    }
+                    let _ = scan.insert(a, b, label);
                 }
                 PairState::Published | PairState::Unlabeled => {
                     if scan.deduce(a, b).is_none() {

@@ -4,11 +4,36 @@
 //! 2/3 with the instant-decision refinement) but with the post-answer
 //! deduction sweep replaced by the [`IncrementalClosure`] delta: submitting
 //! an answer costs O(affected pairs), not O(pending pairs). Batch selection
-//! (Algorithm 3) is unchanged — it is inherently a scan because the
-//! *supposed-matching* graph must be rebuilt under each round's knowledge.
+//! (Algorithm 3) is unchanged — it is a scan because the *supposed-matching*
+//! graph must be rebuilt under each round's knowledge — but the labeler
+//! keeps one scan graph for its lifetime ([`ClusterGraph::reset`] per scan,
+//! one [`ClusterGraph::insert`] per position) and does not scan when the
+//! scan cannot differ from the last one.
 //!
 //! The equivalence (same labels, same crowdsourced set for consistent
 //! answers) is pinned by the `engine_equivalence` integration tests.
+//!
+//! # The scan graph depends on the non-matching positions only
+//!
+//! The scan treats a position in one of two ways. A position labeled
+//! `NonMatching` adds a cluster edge unless the pair is deducible. Every
+//! other position — labeled `Matching`, published, or unlabeled — unions
+//! its endpoints unless the pair is deducible; whether it is *also*
+//! published depends on its state, but the graph does not. So the graph
+//! after each position, and with it every later position's outcome, is a
+//! function of **which positions are labeled `NonMatching`**: publishing, a
+//! `Matching` answer and a closure-deduced `Matching` label change nothing.
+//!
+//! **Skip rule.** Each scan records, per position, whether it inserted
+//! (unioned). [`ShardLabeler::next_batch`] rescans only if, since the last
+//! scan, some position that unioned in it has turned `NonMatching`;
+//! otherwise it returns the empty batch. Proof: take the newly
+//! `NonMatching` positions in order. The first one's prefix is unchanged;
+//! it did not union, so it was deducible there and still is — as
+//! `NonMatching` it is redundant or a conflict and leaves the graph alone,
+//! exactly as before, so the next one's prefix is unchanged too. The whole
+//! scan therefore repeats the last one, whose every unlabeled
+//! non-deducible position is already published: the batch is empty.
 //!
 //! Besides the live path ([`ShardLabeler::next_batch`] /
 //! [`ShardLabeler::submit_answer`]), the labeler exposes the **replay
@@ -22,7 +47,7 @@
 
 use crate::closure::IncrementalClosure;
 use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
-use crowdjoin_graph::ClusterGraph;
+use crowdjoin_graph::{ClusterGraph, InsertOutcome};
 use crowdjoin_util::FxHashMap;
 
 /// Per-pair lifecycle (mirrors the core labeler's states).
@@ -37,14 +62,19 @@ enum PairState {
 /// Event-driven labeler over one shard's (local-id) labeling order.
 #[derive(Debug, Clone)]
 pub struct ShardLabeler {
-    num_objects: usize,
     order: Vec<ScoredPair>,
     index_of: FxHashMap<Pair, usize>,
     state: Vec<PairState>,
     closure: IncrementalClosure,
     result: LabelingResult,
     outstanding: usize,
-    scan_conflicts: usize,
+    /// The Algorithm-3 scan graph, reset and refilled by each scan.
+    scan: ClusterGraph,
+    /// Per position: it inserted into `scan` (unioned) in the last scan.
+    unioned: Vec<bool>,
+    /// A position with `unioned` set turned `NonMatching` since the last
+    /// scan (or no scan has run yet): the next scan can differ.
+    dirty: bool,
 }
 
 impl ShardLabeler {
@@ -76,14 +106,15 @@ impl ShardLabeler {
             debug_assert!(already.is_none());
         }
         Self {
-            num_objects,
             order,
             index_of,
             state: vec![PairState::Unlabeled; n],
             closure,
             result: LabelingResult::new(),
             outstanding: 0,
-            scan_conflicts: 0,
+            scan: ClusterGraph::new(num_objects),
+            unioned: vec![false; n],
+            dirty: true,
         }
     }
 
@@ -99,11 +130,11 @@ impl ShardLabeler {
         self.outstanding
     }
 
-    /// Diagnostic: real labels that conflicted with the assumed-matching
-    /// scan graph (stays 0 for consistent answer sources).
-    #[must_use]
-    pub fn num_scan_conflicts(&self) -> usize {
-        self.scan_conflicts
+    /// `true` when the next [`Self::next_batch`] call will scan; `false`
+    /// when it will return the empty batch under the skip rule (module
+    /// docs).
+    pub(crate) fn rescan_pending(&self) -> bool {
+        self.dirty
     }
 
     /// Algorithm 3 with instant decision: the pairs that must be
@@ -111,18 +142,50 @@ impl ShardLabeler {
     /// published. Marks returned pairs published.
     ///
     /// A single pass in index order: real labels build the scan graph,
-    /// everything else is supposed matching and publishes unless deducible.
+    /// everything else is supposed matching and publishes unless deducible
+    /// (a real label that contradicts a *supposed* cluster is skipped, which
+    /// can only cause extra publishing). Skipped altogether when no answer
+    /// since the last scan can have changed its outcome (module docs).
     pub fn next_batch(&mut self) -> Vec<ScoredPair> {
-        let mut scan = ClusterGraph::new(self.num_objects);
+        let mut batch = Vec::new();
+        if !self.dirty {
+            return batch;
+        }
+        self.dirty = false;
+        self.scan.reset();
+        for (i, sp) in self.order.iter().enumerate() {
+            let state = self.state[i];
+            let label = match state {
+                PairState::Labeled(label) => label,
+                PairState::Published | PairState::Unlabeled => Label::Matching,
+            };
+            // `Inserted` is "not deducible"; redundant or conflicting is
+            // "deducible" and leaves the graph alone.
+            let inserted =
+                self.scan.insert(sp.pair.a(), sp.pair.b(), label) == Ok(InsertOutcome::Inserted);
+            self.unioned[i] = inserted;
+            if inserted && state == PairState::Unlabeled {
+                self.state[i] = PairState::Published;
+                self.outstanding += 1;
+                batch.push(*sp);
+            }
+        }
+        batch
+    }
+
+    /// Reference [`Self::next_batch`] for the differential tests: a fresh
+    /// graph per scan, `deduce` then `insert`, no skip — Algorithm 3 as
+    /// written, sharing nothing with the reused graph or the skip rule.
+    #[cfg(test)]
+    fn next_batch_reference(&mut self) -> Vec<ScoredPair> {
+        let mut scan = ClusterGraph::new(self.scan.num_objects());
         let mut batch = Vec::new();
         for i in 0..self.order.len() {
             let sp = self.order[i];
             let (a, b) = (sp.pair.a(), sp.pair.b());
             match self.state[i] {
                 PairState::Labeled(label) => {
-                    if scan.insert(a, b, label).is_err() {
-                        self.scan_conflicts += 1;
-                    }
+                    let _ = scan.insert(a, b, label);
                 }
                 state @ (PairState::Published | PairState::Unlabeled) => {
                     if scan.deduce(a, b).is_none() {
@@ -138,6 +201,13 @@ impl ShardLabeler {
             }
         }
         batch
+    }
+
+    /// Labels position `i`, requesting a rescan when that changes the scan
+    /// graph: the position unioned in the last scan and now will not.
+    fn set_label(&mut self, i: usize, label: Label) {
+        self.state[i] = PairState::Labeled(label);
+        self.dirty |= label == Label::NonMatching && self.unioned[i];
     }
 
     /// Feeds one crowd answer, then labels exactly the pairs the answer made
@@ -166,13 +236,13 @@ impl ShardLabeler {
                 conflict.deduced
             }
         };
-        self.state[i] = PairState::Labeled(label);
+        self.set_label(i, label);
         self.result.record(pair, label, Provenance::Crowdsourced);
 
         for (j, deduced_label) in delta {
             match self.state[j] {
                 PairState::Unlabeled => {
-                    self.state[j] = PairState::Labeled(deduced_label);
+                    self.set_label(j, deduced_label);
                     self.result.record(self.order[j].pair, deduced_label, Provenance::Deduced);
                 }
                 // The answered pair itself appears in its own delta (it was
@@ -219,11 +289,11 @@ impl ShardLabeler {
             Ok(_) => answer,
             Err(conflict) => conflict.deduced,
         };
-        self.state[i] = PairState::Labeled(label);
+        self.set_label(i, label);
         self.result.record(pair, label, Provenance::Crowdsourced);
         for (j, deduced_label) in delta {
             if self.state[j] == PairState::Unlabeled {
-                self.state[j] = PairState::Labeled(deduced_label);
+                self.set_label(j, deduced_label);
                 self.result.record(self.order[j].pair, deduced_label, Provenance::Deduced);
             }
         }
@@ -374,6 +444,132 @@ mod tests {
             for sp in cs.pairs() {
                 assert_eq!(result.label_of(sp.pair), core_result.label_of(sp.pair));
             }
+        }
+    }
+
+    /// The triangle of `task.rs`' `parks_at_round_boundary…`: all-distinct
+    /// objects 0–2 plus a disjoint matching pair; round 1 publishes (0,1),
+    /// (1,2), (3,4) and holds (0,2) as presumed-deducible.
+    fn triangle() -> (ShardLabeler, ShardLabeler) {
+        let order = vec![
+            ScoredPair::new(Pair::new(0, 1), 0.9),
+            ScoredPair::new(Pair::new(1, 2), 0.8),
+            ScoredPair::new(Pair::new(0, 2), 0.7),
+            ScoredPair::new(Pair::new(3, 4), 0.6),
+        ];
+        let mut fast = ShardLabeler::new(5, order.clone());
+        let mut slow = ShardLabeler::new(5, order);
+        let published = vec![Pair::new(0, 1), Pair::new(1, 2), Pair::new(3, 4)];
+        assert_eq!(pairs_of(&fast.next_batch()), published);
+        assert_eq!(pairs_of(&slow.next_batch_reference()), published);
+        (fast, slow)
+    }
+
+    fn pairs_of(batch: &[ScoredPair]) -> Vec<Pair> {
+        batch.iter().map(|sp| sp.pair).collect()
+    }
+
+    #[test]
+    fn matching_answers_never_force_a_rescan() {
+        let (mut fast, mut slow) = triangle();
+        assert!(!fast.rescan_pending(), "a scan just ran");
+        for pair in [Pair::new(3, 4), Pair::new(0, 1), Pair::new(1, 2)] {
+            fast.submit_answer(pair, Label::Matching);
+            slow.submit_answer(pair, Label::Matching);
+            // (0,2) is closure-deduced Matching along the way: no rescan
+            // either. The scan graph stays as round 1 left it.
+            assert!(!fast.rescan_pending(), "after {pair}");
+            assert!(fast.next_batch().is_empty());
+            assert!(slow.next_batch_reference().is_empty());
+            assert_eq!((fast.scan.matching_inserted(), fast.scan.num_clusters()), (3, 2));
+        }
+        assert!(fast.is_complete() && slow.is_complete());
+    }
+
+    #[test]
+    fn nonmatching_answer_on_a_union_forces_the_rescan_that_finds_the_triangle_pair() {
+        let (mut fast, mut slow) = triangle();
+        // (0,1) unioned in round 1; refuting it changes the scan graph, but
+        // (0,2) is still presumed deducible through the supposed (1,2).
+        fast.submit_answer(Pair::new(0, 1), Label::NonMatching);
+        slow.submit_answer(Pair::new(0, 1), Label::NonMatching);
+        assert!(fast.rescan_pending());
+        assert!(fast.next_batch().is_empty());
+        assert!(slow.next_batch_reference().is_empty());
+        // Refuting (1,2) too leaves (0,2) with two non-matching hops: the
+        // forced rescan publishes it.
+        fast.submit_answer(Pair::new(1, 2), Label::NonMatching);
+        slow.submit_answer(Pair::new(1, 2), Label::NonMatching);
+        assert!(fast.rescan_pending());
+        assert_eq!(pairs_of(&fast.next_batch()), vec![Pair::new(0, 2)]);
+        assert_eq!(pairs_of(&slow.next_batch_reference()), vec![Pair::new(0, 2)]);
+        assert_eq!(fast.num_outstanding(), 2);
+    }
+
+    proptest::proptest! {
+        /// The scan (one reused graph, one insert per position, skip rule)
+        /// is the parent's scan, call for call: random universes, a crowd
+        /// whose answers contradict each other (truth flipped with
+        /// probability 0–30 %), a random subset seeded before the first
+        /// scan, then between scans a random non-empty subset of the
+        /// outstanding pairs answered in random order.
+        #[test]
+        fn scan_equivalence_with_reference(
+            n in 4usize..=40,
+            num_pairs in 1usize..=120,
+            flip_pct in 0u64..=30,
+            seed_pct in 0u64..=40,
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut rng = crowdjoin_util::SplitMix64::new(seed);
+            let entities = 1 + rng.next_u64() % (n as u64 / 2);
+            let entity: Vec<u64> = (0..n).map(|_| rng.next_u64() % entities).collect();
+            let mut answer_of = FxHashMap::default();
+            let mut order = Vec::new();
+            for _ in 0..num_pairs {
+                let a = (rng.next_u64() % n as u64) as u32;
+                let b = (rng.next_u64() % n as u64) as u32;
+                if a == b || answer_of.contains_key(&Pair::new(a, b)) {
+                    continue;
+                }
+                let truth = entity[a as usize] == entity[b as usize];
+                let flipped = rng.next_u64() % 100 < flip_pct;
+                let answer = if truth != flipped { Label::Matching } else { Label::NonMatching };
+                answer_of.insert(Pair::new(a, b), answer);
+                order.push(ScoredPair::new(Pair::new(a, b), rng.next_f64()));
+            }
+            order.sort_by(|x, y| y.likelihood.total_cmp(&x.likelihood));
+
+            let mut fast = ShardLabeler::new(n, order.clone());
+            let mut slow = ShardLabeler::new(n, order.clone());
+            for sp in &order {
+                if rng.next_u64() % 100 < seed_pct {
+                    fast.seed_known(sp.pair, answer_of[&sp.pair]);
+                    slow.seed_known(sp.pair, answer_of[&sp.pair]);
+                }
+            }
+            let mut outstanding: Vec<Pair> = Vec::new();
+            loop {
+                let batch = pairs_of(&fast.next_batch());
+                proptest::prop_assert_eq!(&batch, &pairs_of(&slow.next_batch_reference()));
+                proptest::prop_assert_eq!(fast.num_outstanding(), slow.num_outstanding());
+                outstanding.extend(batch);
+                proptest::prop_assert_eq!(fast.num_outstanding(), outstanding.len());
+                if outstanding.is_empty() {
+                    break;
+                }
+                let answered = 1 + (rng.next_u64() as usize) % outstanding.len();
+                for _ in 0..answered {
+                    let pick = (rng.next_u64() as usize) % outstanding.len();
+                    let pair = outstanding.swap_remove(pick);
+                    fast.submit_answer(pair, answer_of[&pair]);
+                    slow.submit_answer(pair, answer_of[&pair]);
+                }
+            }
+            proptest::prop_assert!(fast.is_complete() && slow.is_complete());
+            let (fast, slow) = (fast.into_result(), slow.into_result());
+            proptest::prop_assert_eq!(fast.num_conflicts(), slow.num_conflicts());
+            proptest::prop_assert_eq!(fast.labeled_pairs(), slow.labeled_pairs());
         }
     }
 

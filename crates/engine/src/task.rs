@@ -175,6 +175,11 @@ pub struct ShardTask<B: CrowdBackend> {
     peak_unresolved: usize,
     /// Global metric handles (`--progress` reads these live).
     m_answers: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
+    /// Algorithm-3 scans run, `next_batch` calls skipped under the
+    /// labeler's skip rule, and positions visited by the scans run.
+    m_scans: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
+    m_scans_skipped: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
+    m_scan_visits: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
     m_queue: std::sync::Arc<crowdjoin_obs::metrics::Gauge>,
 }
 
@@ -231,6 +236,9 @@ impl<B: CrowdBackend> ShardTask<B> {
             rounds: Vec::new(),
             peak_unresolved: 0,
             m_answers: crowdjoin_obs::counter("engine.answers", shard_tag),
+            m_scans: crowdjoin_obs::counter("engine.scans", shard_tag),
+            m_scans_skipped: crowdjoin_obs::counter("engine.scans_skipped", shard_tag),
+            m_scan_visits: crowdjoin_obs::counter("engine.scan_visits", shard_tag),
             m_queue: crowdjoin_obs::gauge("engine.unresolved_pairs", shard_tag),
         }
     }
@@ -385,6 +393,17 @@ impl<B: CrowdBackend> ShardTask<B> {
         self.m_queue.set(depth as i64);
     }
 
+    /// The labeler's next batch, counted: per call, not per position.
+    fn next_batch(&mut self) -> Vec<ScoredPair> {
+        if self.labeler.rescan_pending() {
+            self.m_scans.add(1);
+            self.m_scan_visits.add(self.labeler.order().len() as u64);
+        } else {
+            self.m_scans_skipped.add(1);
+        }
+        self.labeler.next_batch()
+    }
+
     fn stage(&mut self, batch: &[ScoredPair], truth_of: &(dyn Fn(Pair) -> bool + Sync)) {
         let tasks: Vec<TaskSpec> = batch
             .iter()
@@ -416,7 +435,7 @@ impl<B: CrowdBackend> ShardTask<B> {
             match self.state {
                 ShardState::Done | ShardState::Parked => return,
                 ShardState::Publishing => {
-                    let batch = self.labeler.next_batch();
+                    let batch = self.next_batch();
                     self.stage(&batch, truth_of);
                     assert!(
                         self.first_round || self.stager.num_staged() > 0,
@@ -494,7 +513,7 @@ impl<B: CrowdBackend> ShardTask<B> {
                     let may_publish =
                         self.instant_decision || self.platform.num_unresolved_pairs() == 0;
                     if may_publish {
-                        let batch = self.labeler.next_batch();
+                        let batch = self.next_batch();
                         self.stage(&batch, truth_of);
                         // Flush partial HITs only when the platform would
                         // otherwise go idle waiting for them.

@@ -8,18 +8,46 @@
 //!   *non-matching* (a path with exactly one non-matching edge exists);
 //! * otherwise → not deducible.
 //!
+//! # Layout
+//!
+//! Clusters are named by stable *slot* ids through a root→slot indirection:
+//! a slot starts as its object's id and dies when a merge drops it; it is
+//! never reused. The cluster edges live in **one** flat, insert-only set of
+//! unordered `(slot, slot)` keys (`EdgeSet`), so `deduce` and
+//! `slots_adjacent` are two `find`s plus one probe into one table, and
+//! [`ClusterGraph::reset`] returns to `n` isolated objects without freeing
+//! anything — the engine's Algorithm-3 scan refills one graph hundreds of
+//! times per job.
+//!
+//! The set cannot enumerate a slot's edges, which a merge must, so every
+//! edge is also an entry in each endpoint's *neighbour list* (singly linked
+//! through one shared arena, newest first), read only when that slot is
+//! dropped. A merge re-keys the dropped slot's edges under the kept slot
+//! and leaves the old keys and the neighbours' entries for the dropped slot
+//! where they are: a dead slot is never queried again, so its keys are
+//! unreachable, and a list entry naming a dead slot (marked in `degree`) is
+//! skipped when its list is finally walked. Hence a list holds every *live*
+//! neighbour exactly once — two live slots gain entries for each other only
+//! when their key enters the set — plus possibly neighbours that have died
+//! since. `degree` counts the live ones: the size the per-slot adjacency
+//! set would have.
+//!
 //! # Complexity
 //!
-//! `deduce` costs two `find`s plus one hash probe — O(α(n)) amortized.
-//! `insert` of a matching edge merges two clusters; the smaller *adjacency
-//! set* is migrated into the larger one (independently of which component
-//! wins the union-by-size), so the total edge-migration work over any
-//! insertion sequence is O(E log E). This is done through a root→slot
-//! indirection: adjacency sets store stable *slot* ids, and a merge only
-//! rewrites the entries of the smaller set.
+//! `deduce` is O(α(n)) amortized. `insert` of a matching edge merges two
+//! clusters; the side with the smaller degree is migrated into the other
+//! (independently of which component wins the union-by-size), re-keying only
+//! the moved side's edges. Live entries move under that smaller-into-larger
+//! rule, O(E log E) over any insertion sequence; a list is walked once,
+//! when its slot is dropped, so a stale entry is skipped once, and there
+//! are at most as many of them as list pushes — two per inserted or
+//! migrated edge. The total stays O(E log E), and so does the memory: dead
+//! keys and entries are reclaimed by `reset`, not before (one key and two
+//! entries per migrated edge; merges move the smaller side, so in the
+//! labelers' graphs this is a fraction of the live edges).
 
+use crate::edge_set::EdgeSet;
 use crate::{EdgeLabel, UnionFind};
-use crowdjoin_util::FxHashSet;
 
 /// Error returned by [`ClusterGraph::insert`] when the attempted label
 /// contradicts what the graph already deduces for that pair.
@@ -65,8 +93,8 @@ pub enum InsertOutcome {
 /// per-cluster state (e.g. the engine's incremental closure) can update
 /// themselves without rescans.
 ///
-/// Slots are the stable cluster identifiers used by the adjacency sets; the
-/// slot of an object's current cluster is [`ClusterGraph::slot_of`].
+/// Slots are the stable cluster identifiers the cluster edges are keyed by;
+/// the slot of an object's current cluster is [`ClusterGraph::slot_of`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrackedInsert {
     /// The pair was already deducible with the same label; nothing changed.
@@ -96,16 +124,36 @@ pub enum TrackedInsert {
 #[derive(Debug, Clone)]
 pub struct ClusterGraph {
     uf: UnionFind,
-    /// Root object id → adjacency slot. Only meaningful for current roots.
+    /// Root object id → slot. Only meaningful for current roots.
     slot_of_root: Vec<u32>,
-    /// Slot → set of neighbor slots connected by ≥1 non-matching pair.
-    adj: Vec<FxHashSet<u32>>,
+    /// Every cluster-level non-matching edge between live slots, keyed by
+    /// its two slots (plus unreachable keys of dead slots).
+    edges: EdgeSet,
+    /// Slot → its newest neighbour-list entry in `entries`, or `NONE`.
+    head: Vec<u32>,
+    /// Neighbour-list arena: `(neighbour slot, next entry or NONE)`.
+    entries: Vec<(u32, u32)>,
+    /// Slot → number of live neighbours, or `DEAD` once the slot is dropped.
+    degree: Vec<u32>,
     /// Number of distinct cluster-level non-matching edges.
     cluster_edges: usize,
     /// Count of matching labels inserted (non-redundant).
     matching_inserted: usize,
     /// Count of non-matching labels inserted (non-redundant).
     nonmatching_inserted: usize,
+}
+
+/// End of a neighbour list.
+const NONE: u32 = u32::MAX;
+/// `degree` of a dropped slot. No live slot gets there: a slot has fewer
+/// neighbours than there are slots.
+const DEAD: u32 = u32::MAX;
+
+/// What one insert did to the graph, in slots.
+enum Change {
+    Redundant,
+    Edge { slot_a: u32, slot_b: u32 },
+    Merge { kept_slot: u32, dropped_slot: u32 },
 }
 
 impl ClusterGraph {
@@ -115,11 +163,31 @@ impl ClusterGraph {
         Self {
             uf: UnionFind::new(n),
             slot_of_root: (0..n as u32).collect(),
-            adj: vec![FxHashSet::default(); n],
+            edges: EdgeSet::default(),
+            head: vec![NONE; n],
+            entries: Vec::new(),
+            degree: vec![0; n],
             cluster_edges: 0,
             matching_inserted: 0,
             nonmatching_inserted: 0,
         }
+    }
+
+    /// Forgets every inserted label: back to `num_objects()` isolated
+    /// objects and zeroed counters, exactly as [`Self::new`] would build,
+    /// but keeping every allocation.
+    pub fn reset(&mut self) {
+        self.uf.reset();
+        for (root, slot) in self.slot_of_root.iter_mut().enumerate() {
+            *slot = root as u32;
+        }
+        self.edges.clear();
+        self.head.fill(NONE);
+        self.entries.clear();
+        self.degree.fill(0);
+        self.cluster_edges = 0;
+        self.matching_inserted = 0;
+        self.nonmatching_inserted = 0;
     }
 
     /// Number of objects in the universe.
@@ -156,7 +224,8 @@ impl ClusterGraph {
     pub fn push_object(&mut self) -> u32 {
         let id = self.uf.push();
         self.slot_of_root.push(id);
-        self.adj.push(FxHashSet::default());
+        self.head.push(NONE);
+        self.degree.push(0);
         id
     }
 
@@ -171,34 +240,23 @@ impl ClusterGraph {
     pub fn deduce(&mut self, a: u32, b: u32) -> Option<EdgeLabel> {
         let ra = self.uf.find(a);
         let rb = self.uf.find(b);
-        if ra == rb {
-            return Some(EdgeLabel::Matching);
-        }
-        let sa = self.slot_of_root[ra as usize];
-        let sb = self.slot_of_root[rb as usize];
-        if self.adj[sa as usize].contains(&sb) {
-            Some(EdgeLabel::NonMatching)
-        } else {
-            None
-        }
+        self.deduce_roots(ra, rb)
     }
 
     /// Read-only deduction (no path compression). Prefer [`Self::deduce`] on
     /// hot paths; this exists for callers holding only `&self`.
     #[must_use]
     pub fn deduce_readonly(&self, a: u32, b: u32) -> Option<EdgeLabel> {
-        let ra = self.uf.find_immutable(a);
-        let rb = self.uf.find_immutable(b);
+        self.deduce_roots(self.uf.find_immutable(a), self.uf.find_immutable(b))
+    }
+
+    fn deduce_roots(&self, ra: u32, rb: u32) -> Option<EdgeLabel> {
         if ra == rb {
             return Some(EdgeLabel::Matching);
         }
         let sa = self.slot_of_root[ra as usize];
         let sb = self.slot_of_root[rb as usize];
-        if self.adj[sa as usize].contains(&sb) {
-            Some(EdgeLabel::NonMatching)
-        } else {
-            None
-        }
+        self.edges.contains(sa, sb).then_some(EdgeLabel::NonMatching)
     }
 
     /// Inserts the labeled pair `(a, b)`.
@@ -220,9 +278,9 @@ impl ClusterGraph {
         b: u32,
         label: EdgeLabel,
     ) -> Result<InsertOutcome, ConflictError> {
-        self.insert_tracked(a, b, label).map(|t| match t {
-            TrackedInsert::Redundant => InsertOutcome::Redundant,
-            _ => InsertOutcome::Inserted,
+        self.apply(a, b, label, |_| {}).map(|change| match change {
+            Change::Redundant => InsertOutcome::Redundant,
+            Change::Edge { .. } | Change::Merge { .. } => InsertOutcome::Inserted,
         })
     }
 
@@ -238,14 +296,58 @@ impl ClusterGraph {
         b: u32,
         label: EdgeLabel,
     ) -> Result<TrackedInsert, ConflictError> {
+        let mut new_neighbors = Vec::new();
+        self.apply(a, b, label, |t| new_neighbors.push(t)).map(|change| match change {
+            Change::Redundant => TrackedInsert::Redundant,
+            Change::Edge { slot_a, slot_b } => TrackedInsert::NonMatchingEdge { slot_a, slot_b },
+            Change::Merge { kept_slot, dropped_slot } => {
+                TrackedInsert::Merge { kept_slot, dropped_slot, new_neighbors }
+            }
+        })
+    }
+
+    /// The one insert path: resolves each endpoint's root once, then
+    /// deduces, and — when the pair is not deducible — records the label.
+    /// `new_neighbor` sees each slot a merge newly made adjacent to the kept
+    /// cluster ([`TrackedInsert::Merge::new_neighbors`]).
+    fn apply(
+        &mut self,
+        a: u32,
+        b: u32,
+        label: EdgeLabel,
+        new_neighbor: impl FnMut(u32),
+    ) -> Result<Change, ConflictError> {
         assert_ne!(a, b, "a pair must relate two distinct objects");
-        match self.deduce(a, b) {
-            Some(deduced) if deduced == label => Ok(TrackedInsert::Redundant),
-            Some(deduced) => Err(ConflictError { a, b, deduced, attempted: label }),
-            None => Ok(match label {
-                EdgeLabel::Matching => self.insert_matching(a, b),
-                EdgeLabel::NonMatching => self.insert_nonmatching(a, b),
-            }),
+        let ra = self.uf.find(a);
+        let rb = self.uf.find(b);
+        let conflict = |deduced| Err(ConflictError { a, b, deduced, attempted: label });
+        if ra == rb {
+            return match label {
+                EdgeLabel::Matching => Ok(Change::Redundant),
+                EdgeLabel::NonMatching => conflict(EdgeLabel::Matching),
+            };
+        }
+        let sa = self.slot_of_root[ra as usize];
+        let sb = self.slot_of_root[rb as usize];
+        match label {
+            EdgeLabel::NonMatching => {
+                if !self.edges.insert(sa, sb) {
+                    return Ok(Change::Redundant);
+                }
+                self.push_neighbor(sa, sb);
+                self.push_neighbor(sb, sa);
+                self.degree[sa as usize] += 1;
+                self.degree[sb as usize] += 1;
+                self.cluster_edges += 1;
+                self.nonmatching_inserted += 1;
+                Ok(Change::Edge { slot_a: sa, slot_b: sb })
+            }
+            EdgeLabel::Matching => {
+                if self.edges.contains(sa, sb) {
+                    return conflict(EdgeLabel::NonMatching);
+                }
+                Ok(self.merge(ra, rb, new_neighbor))
+            }
         }
     }
 
@@ -262,57 +364,93 @@ impl ClusterGraph {
     /// connected by a non-matching cluster edge.
     #[must_use]
     pub fn slots_adjacent(&self, slot_a: u32, slot_b: u32) -> bool {
-        self.adj[slot_a as usize].contains(&slot_b)
+        let live = |slot: u32| self.degree[slot as usize] != DEAD;
+        slot_a != slot_b && live(slot_a) && live(slot_b) && self.edges.contains(slot_a, slot_b)
     }
 
-    /// Merges the clusters of `a` and `b`. Caller guarantees they are in
-    /// different clusters with no cluster edge between them (checked by
-    /// `insert` via `deduce`).
-    fn insert_matching(&mut self, a: u32, b: u32) -> TrackedInsert {
-        let (winner, absorbed) =
-            self.uf.union(a, b).expect("insert_matching called for objects already in one cluster");
+    /// Merges the clusters rooted at `ra` and `rb`. Caller guarantees the
+    /// roots are distinct with no cluster edge between them.
+    fn merge(&mut self, ra: u32, rb: u32, mut new_neighbor: impl FnMut(u32)) -> Change {
+        let (winner, absorbed) = self.uf.union_roots(ra, rb);
         let sw = self.slot_of_root[winner as usize];
         let sa = self.slot_of_root[absorbed as usize];
-        // Migrate the smaller adjacency set, independent of which component
-        // won the union: slots are stable, so only the moved set's entries
-        // (and its neighbors' back-references) need rewriting.
-        let (keep, drop) = if self.adj[sw as usize].len() >= self.adj[sa as usize].len() {
-            (sw, sa)
-        } else {
-            (sa, sw)
-        };
-        let moved = std::mem::take(&mut self.adj[drop as usize]);
-        let mut new_neighbors = Vec::new();
-        for t in moved {
+        // Migrate the side with fewer live neighbours, independent of which
+        // component won the union: slots are stable, so only the moved
+        // side's edges need re-keying.
+        let (keep, drop) =
+            if self.degree[sw as usize] >= self.degree[sa as usize] { (sw, sa) } else { (sa, sw) };
+        let mut e = std::mem::replace(&mut self.head[drop as usize], NONE);
+        while e != NONE {
+            let (t, next) = self.entries[e as usize];
+            e = next;
+            if self.degree[t as usize] == DEAD {
+                // Stale: t was dropped after this entry was pushed.
+                continue;
+            }
             debug_assert_ne!(t, keep, "edge between merging clusters must have been a conflict");
-            self.adj[t as usize].remove(&drop);
-            if self.adj[keep as usize].insert(t) {
-                self.adj[t as usize].insert(keep);
-                new_neighbors.push(t);
+            if self.edges.insert(keep, t) {
+                // t trades its edge to `drop` for one to `keep`: its degree
+                // is unchanged.
+                self.push_neighbor(keep, t);
+                self.push_neighbor(t, keep);
+                self.degree[keep as usize] += 1;
+                new_neighbor(t);
             } else {
                 // (keep, t) already existed: two parallel cluster edges
                 // collapse into one.
+                self.degree[t as usize] -= 1;
                 self.cluster_edges -= 1;
             }
         }
+        self.degree[drop as usize] = DEAD;
         self.slot_of_root[winner as usize] = keep;
         self.matching_inserted += 1;
-        TrackedInsert::Merge { kept_slot: keep, dropped_slot: drop, new_neighbors }
+        Change::Merge { kept_slot: keep, dropped_slot: drop }
     }
 
-    /// Adds a cluster-level non-matching edge. Caller guarantees the clusters
-    /// are distinct and not yet adjacent.
-    fn insert_nonmatching(&mut self, a: u32, b: u32) -> TrackedInsert {
-        let ra = self.uf.find(a);
-        let rb = self.uf.find(b);
-        let sa = self.slot_of_root[ra as usize];
-        let sb = self.slot_of_root[rb as usize];
-        let newly_a = self.adj[sa as usize].insert(sb);
-        let newly_b = self.adj[sb as usize].insert(sa);
-        debug_assert!(newly_a && newly_b, "insert_nonmatching called for adjacent clusters");
-        self.cluster_edges += 1;
-        self.nonmatching_inserted += 1;
-        TrackedInsert::NonMatchingEdge { slot_a: sa, slot_b: sb }
+    /// Prepends `neighbor` to `slot`'s neighbour list.
+    fn push_neighbor(&mut self, slot: u32, neighbor: u32) {
+        let entry = self.entries.len();
+        assert!(entry < NONE as usize, "neighbour-list arena exceeds u32 indices");
+        self.entries.push((neighbor, self.head[slot as usize]));
+        self.head[slot as usize] = entry as u32;
+    }
+
+    /// Checks the layout invariants of the module docs by brute force: a
+    /// live slot's list names each live neighbour exactly once, `degree`
+    /// counts them, and `cluster_edges` counts each edge once.
+    #[cfg(test)]
+    pub(crate) fn assert_layout_invariants(&mut self) {
+        let n = self.num_objects() as u32;
+        let live: Vec<u32> = {
+            let mut slots: Vec<u32> = (0..n).map(|x| self.slot_of(x)).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        };
+        assert_eq!(live.len(), self.num_clusters());
+        let mut degree_sum = 0;
+        for &s in &live {
+            let expected: Vec<u32> =
+                live.iter().copied().filter(|&t| t != s && self.edges.contains(s, t)).collect();
+            let mut listed = Vec::new();
+            let mut e = self.head[s as usize];
+            while e != NONE {
+                let (t, next) = self.entries[e as usize];
+                if self.degree[t as usize] != DEAD {
+                    listed.push(t);
+                }
+                e = next;
+            }
+            listed.sort_unstable();
+            assert_eq!(listed, expected, "neighbour list of live slot {s}");
+            assert_eq!(self.degree[s as usize] as usize, expected.len(), "degree of slot {s}");
+            degree_sum += expected.len();
+        }
+        assert_eq!(degree_sum, 2 * self.cluster_edges);
+        for s in (0..n).filter(|s| !live.contains(s)) {
+            assert_eq!(self.degree[s as usize], DEAD, "slot {s} names no cluster");
+        }
     }
 
     /// Canonical clustering of all objects (each group sorted; groups sorted

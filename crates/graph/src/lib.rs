@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod cluster_graph;
+mod edge_set;
 mod path_oracle;
 mod union_find;
 

@@ -150,6 +150,33 @@ mod tests {
             })
     }
 
+    /// Strategy producing an *inconsistent* label sequence: the labels of
+    /// [`consistent_sequence`], each flipped with probability 1/4 — what a
+    /// noisy crowd feeds the graph. Nothing is filtered: redundant and
+    /// conflicting inserts are part of the sequence.
+    fn noisy_sequence() -> impl Strategy<Value = (usize, Vec<(u32, u32, EdgeLabel)>)> {
+        consistent_sequence()
+            .prop_flat_map(|(n, seq)| {
+                let flips = proptest::collection::vec(0u32..4, seq.len());
+                (Just(n), Just(seq), flips)
+            })
+            .prop_map(|(n, seq, flips)| {
+                let seq = seq
+                    .into_iter()
+                    .zip(flips)
+                    .map(|((a, b, label), flip)| {
+                        let label = match (flip, label) {
+                            (0, EdgeLabel::Matching) => EdgeLabel::NonMatching,
+                            (0, EdgeLabel::NonMatching) => EdgeLabel::Matching,
+                            (_, label) => label,
+                        };
+                        (a, b, label)
+                    })
+                    .collect();
+                (n, seq)
+            })
+    }
+
     proptest! {
         /// ClusterGraph must agree with the path-semantics oracle on every
         /// pair after every prefix of a consistent insertion sequence.
@@ -173,6 +200,88 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// `reset` is `new`: a second case run on a used, reset instance is
+        /// indistinguishable from the same case run on a fresh graph —
+        /// every insert outcome, every deduction, the counts and counters.
+        /// The universe is the larger of the two cases', so the first run
+        /// leaves state in slots the second also uses.
+        #[test]
+        fn reset_reuse_equals_fresh(
+            (n1, first) in noisy_sequence(),
+            (n2, second) in noisy_sequence(),
+        ) {
+            let n = n1.max(n2);
+            let mut reused = ClusterGraph::new(n);
+            for &(a, b, label) in &first {
+                let _ = reused.insert(a, b, label);
+            }
+            reused.reset();
+            let mut fresh = ClusterGraph::new(n);
+            for &(a, b, label) in &second {
+                prop_assert_eq!(reused.insert_tracked(a, b, label), fresh.insert_tracked(a, b, label));
+            }
+            for x in 0..n as u32 {
+                for y in (x + 1)..n as u32 {
+                    prop_assert_eq!(reused.deduce(x, y), fresh.deduce(x, y), "({}, {})", x, y);
+                }
+            }
+            prop_assert_eq!(reused.num_objects(), fresh.num_objects());
+            prop_assert_eq!(reused.num_clusters(), fresh.num_clusters());
+            prop_assert_eq!(reused.num_cluster_edges(), fresh.num_cluster_edges());
+            prop_assert_eq!(reused.matching_inserted(), fresh.matching_inserted());
+            prop_assert_eq!(reused.nonmatching_inserted(), fresh.nonmatching_inserted());
+            prop_assert_eq!(reused.clusters(), fresh.clusters());
+        }
+
+        /// Inconsistent label sequences (a noisy crowd): a rejected insert
+        /// changes no deduction, and the graph keeps agreeing with the path
+        /// oracle fed exactly the accepted labels. After every insert the
+        /// edge count equals a brute-force count of adjacent cluster pairs
+        /// and slot adjacency is symmetric, and the neighbour lists and
+        /// degrees (which pick the migrated side) match a brute-force count.
+        #[test]
+        fn conflicts_leave_the_graph_unchanged((n, seq) in noisy_sequence()) {
+            let all_pairs = |g: &mut ClusterGraph| -> Vec<Option<EdgeLabel>> {
+                (0..n as u32)
+                    .flat_map(|x| ((x + 1)..n as u32).map(move |y| (x, y)))
+                    .map(|(x, y)| g.deduce(x, y))
+                    .collect()
+            };
+            let mut fast = ClusterGraph::new(n);
+            let mut slow = PathOracleGraph::new(n);
+            for &(a, b, label) in &seq {
+                let before = all_pairs(&mut fast);
+                match fast.insert(a, b, label) {
+                    Ok(crate::InsertOutcome::Inserted) => slow.insert(a, b, label),
+                    Ok(crate::InsertOutcome::Redundant) => {
+                        prop_assert_eq!(all_pairs(&mut fast), before, "redundant insert changed a deduction");
+                    }
+                    Err(conflict) => {
+                        prop_assert_eq!(conflict.attempted, label);
+                        prop_assert_eq!(Some(conflict.deduced), slow.deduce(a, b));
+                        prop_assert_eq!(all_pairs(&mut fast), before, "conflict changed a deduction");
+                    }
+                }
+                let mut adjacent = crowdjoin_util::FxHashSet::default();
+                for x in 0..n as u32 {
+                    for y in (x + 1)..n as u32 {
+                        prop_assert_eq!(fast.deduce(x, y), slow.deduce(x, y), "({}, {})", x, y);
+                        let (sx, sy) = (fast.slot_of(x), fast.slot_of(y));
+                        prop_assert_eq!(fast.slots_adjacent(sx, sy), fast.slots_adjacent(sy, sx));
+                        prop_assert_eq!(
+                            fast.slots_adjacent(sx, sy),
+                            fast.deduce(x, y) == Some(EdgeLabel::NonMatching)
+                        );
+                        if fast.slots_adjacent(sx, sy) {
+                            adjacent.insert((sx.min(sy), sx.max(sy)));
+                        }
+                    }
+                }
+                prop_assert_eq!(fast.num_cluster_edges(), adjacent.len());
+                fast.assert_layout_invariants();
             }
         }
 

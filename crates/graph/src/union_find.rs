@@ -32,6 +32,16 @@ impl UnionFind {
         Self { parent: (0..n as u32).collect(), size: vec![1; n], components: n }
     }
 
+    /// Returns to `len()` singleton components, keeping both allocations —
+    /// for callers that rebuild a forest over the same universe many times.
+    pub fn reset(&mut self) {
+        for (i, p) in self.parent.iter_mut().enumerate() {
+            *p = i as u32;
+        }
+        self.size.fill(1);
+        self.components = self.parent.len();
+    }
+
     /// Number of elements in the universe.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -107,12 +117,20 @@ impl UnionFind {
         if ra == rb {
             return None;
         }
+        Some(self.union_roots(ra, rb))
+    }
+
+    /// [`Self::union`] for a caller that already holds the two **distinct
+    /// roots** (the ClusterGraph resolves them once per insert). Returns
+    /// `(winner_root, absorbed_root)`; ties favor `ra`.
+    pub(crate) fn union_roots(&mut self, ra: u32, rb: u32) -> (u32, u32) {
+        debug_assert!(ra != rb && self.parent[ra as usize] == ra && self.parent[rb as usize] == rb);
         let (winner, absorbed) =
             if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[absorbed as usize] = winner;
         self.size[winner as usize] += self.size[absorbed as usize];
         self.components -= 1;
-        Some((winner, absorbed))
+        (winner, absorbed)
     }
 
     /// Size of the component containing `x`.
@@ -213,6 +231,20 @@ mod tests {
         assert_eq!(uf.num_components(), 3);
         uf.union(0, 2);
         assert!(uf.connected(0, 2));
+    }
+
+    #[test]
+    fn reset_returns_to_singletons() {
+        let mut uf = UnionFind::new(5);
+        uf.union(0, 1);
+        uf.union(1, 4);
+        uf.reset();
+        assert_eq!(uf.len(), 5);
+        assert_eq!(uf.num_components(), 5);
+        for i in 0..5 {
+            assert_eq!(uf.find(i), i);
+            assert_eq!(uf.component_size(i), 1);
+        }
     }
 
     #[test]

@@ -124,10 +124,12 @@ fn trace_jsonl_and_chrome_follow_the_schema() {
         parse(&std::fs::read_to_string(&metrics).expect("metrics file")).expect("metrics parse");
     assert_eq!(m.get("schema").and_then(Value::as_str), Some("crowdjoin-metrics/1"));
     let rows = m.get("metrics").and_then(Value::as_arr).expect("metrics array");
-    assert!(
-        rows.iter().any(|r| r.get("name").and_then(Value::as_str) == Some("engine.answers")),
-        "metrics missing engine.answers"
-    );
+    for name in ["engine.answers", "engine.scans", "engine.scans_skipped", "engine.scan_visits"] {
+        assert!(
+            rows.iter().any(|r| r.get("name").and_then(Value::as_str) == Some(name)),
+            "metrics missing {name}"
+        );
+    }
 
     // The stdout report: one tagged document with the engine rollups.
     let report = parse(&String::from_utf8_lossy(&output.stdout)).expect("report parses");
