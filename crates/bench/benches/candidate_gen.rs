@@ -3,14 +3,9 @@
 //!
 //! Alongside the criterion arms, running this bench writes
 //! `BENCH_matcher.json` (schema `crowdjoin-bench-matcher/2`) with the
-//! measured product workloads at 5k through 1M records — plus an
-//! `incremental_ingest` arm pinning the streaming matcher's amortized
-//! per-record insert cost against a full batch re-join — so the matcher's
+//! measured product workloads at 5k through 1M records, so the matcher's
 //! perf trajectory is tracked across PRs, the same contract as
-//! `BENCH_engine.json`. `cargo bench -p crowdjoin-bench --bench
-//! candidate_gen -- incremental_ingest` re-measures that arm alone (seconds,
-//! not the half hour the 500k/1M arms take) and prints its figures instead
-//! of rewriting the file.
+//! `BENCH_engine.json`.
 //!
 //! Thread honesty: every arm records the worker-thread count it actually
 //! ran with (default 1 so wall times compare across hosts; override with
@@ -27,9 +22,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use crowdjoin_bench::json::BenchJson;
 use crowdjoin_bench::measure;
-use crowdjoin_matcher::{
-    generate_candidates, generate_candidates_bruteforce, MatcherConfig, StreamMatcher,
-};
+use crowdjoin_matcher::{generate_candidates, generate_candidates_bruteforce, MatcherConfig};
 use crowdjoin_records::{
     generate_paper, generate_product, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig,
     ProductGenConfig,
@@ -103,72 +96,6 @@ fn bench_threads() -> usize {
         .and_then(|s| s.parse().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(1)
-}
-
-/// One run of the streaming arm.
-struct Incremental {
-    records: usize,
-    /// Insert every record + one exact snapshot.
-    wall_ms: f64,
-    /// One batch self-join over the same records.
-    rejoin_ms: f64,
-    candidates: usize,
-}
-
-impl Incremental {
-    /// Amortized cost of one streamed arrival.
-    fn per_record_us(&self) -> f64 {
-        self.wall_ms * 1000.0 / self.records as f64
-    }
-
-    /// Arrivals one full batch re-join buys — the price a naive
-    /// re-join-per-arrival service would pay.
-    fn arrivals_per_rejoin(&self) -> f64 {
-        self.rejoin_ms / (self.wall_ms / self.records as f64)
-    }
-
-    fn print_summary(&self) {
-        println!(
-            "incremental ingest at 50k: {:.3} ms for {} candidates, {:.2} us/record amortized — \
-             one full re-join ({:.0} ms) buys {:.1} streamed arrivals",
-            self.wall_ms,
-            self.candidates,
-            self.per_record_us(),
-            self.rejoin_ms,
-            self.arrivals_per_rejoin()
-        );
-    }
-}
-
-/// Streaming arm: the 50k-record product workload inserted one record at a
-/// time through the incremental matcher, plus one exact snapshot at the
-/// end. The stream matcher is the self-join shape, so the re-join yardstick
-/// is the batch matcher over the identical records as a self join, and the
-/// snapshot must be bit-identical to it.
-fn incremental_ingest(threads: usize) -> Incremental {
-    let ds = product_dataset(25_000);
-    let self_ds = Dataset {
-        table: ds.table.clone(),
-        entity_of: ds.entity_of.clone(),
-        split: None,
-        name: "product-selfjoin".into(),
-    };
-    let cfg = product_matcher(0.3, threads);
-    let (rejoin_ms, batch) = measure(1, || generate_candidates(&self_ds, &cfg));
-    let schema = self_ds.table.schema().clone();
-    let (wall_ms, out) = measure(1, || {
-        let mut matcher = StreamMatcher::new(schema.clone(), cfg.clone());
-        for i in 0..self_ds.len() {
-            black_box(matcher.insert(self_ds.table.record(i)));
-        }
-        matcher.candidates()
-    });
-    assert_eq!(out.len(), batch.len(), "incremental snapshot diverged from the batch join");
-    for (s, b) in out.iter().zip(&batch) {
-        assert_eq!((s.a, s.b), (b.a, b.b), "incremental snapshot diverged");
-        assert_eq!(s.likelihood.to_bits(), b.likelihood.to_bits(), "likelihood bits diverged");
-    }
-    Incremental { records: self_ds.len(), wall_ms, rejoin_ms, candidates: out.len() }
 }
 
 /// Writes `BENCH_matcher.json`. Override the output path with
@@ -275,24 +202,12 @@ fn emit_machine_readable() {
         arms.push(ran("filtered", ds.len(), floor, bench_threads, ms, out.len()));
     }
 
-    let incremental = incremental_ingest(bench_threads);
-    arms.push(ran(
-        "incremental_ingest",
-        incremental.records,
-        0.3,
-        bench_threads,
-        incremental.wall_ms,
-        incremental.candidates,
-    ));
-
     let mut json = BenchJson::new("crowdjoin-bench-matcher/2");
     json.field("cores", cores.to_string());
     json.field("workload", js_str("product (Abt-Buy-shaped cross join, name+price)"));
     json.field("positional_filter_speedup", js_f64(positional_speedup, 2));
     json.field("positional_mode", js_str(positional_mode));
     json.field("positional_baseline_100k_ms", js_f64(PRE_POSITIONAL_100K_MS, 3));
-    json.field("incremental_per_record_us", js_f64(incremental.per_record_us(), 2));
-    json.field("incremental_arrivals_per_rejoin", js_f64(incremental.arrivals_per_rejoin(), 1));
     for arm in &arms {
         let mut fields = vec![
             ("name", js_str(arm.name)),
@@ -320,19 +235,11 @@ fn emit_machine_readable() {
          {PRE_POSITIONAL_100K_MS:.0} ms pre-positional baseline (positional filter \
          {positional_mode}, {pos_blocks_100k} blocks enabled it)"
     );
-    incremental.print_summary();
 }
 
 criterion_group!(benches, bench_candidate_gen);
 
 fn main() {
     benches();
-    // The criterion-shim filter convention: naming the streaming arm runs
-    // it alone and prints its figures; the committed JSON is then
-    // hand-edited, because the other arms were not re-measured.
-    if std::env::args().skip(1).any(|a| a == "incremental_ingest") {
-        incremental_ingest(bench_threads()).print_summary();
-        return;
-    }
     emit_machine_readable();
 }

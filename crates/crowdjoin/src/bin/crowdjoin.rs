@@ -15,11 +15,11 @@
 //!   (cross join).
 //! * `join --stream` is the streaming self-join: records arrive as JSONL
 //!   (one file chunked by `--stream-chunk`, or a spool-style directory of
-//!   `*.jsonl` chunk files processed in name order), candidates are
-//!   discovered incrementally per arrival, and the closed stream feeds the
-//!   ordinary labeling path — bit-identical to a batch run over the same
-//!   records. With `--journal FILE` every ingest is write-ahead logged to
-//!   `FILE.stream` so a killed stream resumes with `--resume FILE`.
+//!   `*.jsonl` chunk files processed in name order), and the closed stream
+//!   feeds the ordinary labeling path — bit-identical to a batch run over
+//!   the same records. With `--journal FILE` every ingest is write-ahead
+//!   logged to `FILE.stream` so a killed stream resumes with
+//!   `--resume FILE`.
 //!
 //! Crowd modes: `interactive` asks *you* to label each undeduced pair on
 //! stdin (a crowd of one); `auto` (default) labels a pair matching iff its
@@ -195,9 +195,8 @@ options:
                         object per line, ingested in --stream-chunk
                         batches) or a spool-style directory of *.jsonl
                         chunk files (processed in name order, one ingest
-                        batch per file). Candidates are discovered
-                        incrementally per arrival; the closed stream is
-                        bit-identical to a batch run over the same records.
+                        batch per file). The closed stream is bit-identical
+                        to a batch run over the same records.
                         With --journal FILE each ingest is write-ahead
                         logged to FILE.stream before it is applied, so a
                         killed stream resumes with --resume FILE (re-pass
@@ -563,6 +562,21 @@ fn load_table(path: &str) -> Result<Table, String> {
     table_from_csv(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Runs `job` on the backends `factory` creates, or resumes it from the
+/// journal at `resume`.
+fn run_or_resume<F: crowdjoin::BackendFactory>(
+    job: &crowdjoin::Engine<'_>,
+    factory: &F,
+    resume: Option<&str>,
+) -> Result<crowdjoin::EngineReport, String> {
+    match resume {
+        Some(path) => job
+            .resume_with_backend(std::path::Path::new(path), factory)
+            .map_err(|e| format!("--resume {path}: {e}")),
+        None => job.run_with_backend(factory).map_err(|e| format!("--journal: {e}")),
+    }
+}
+
 /// `--platform` mode: run the whole crowdsourced job on the event-loop
 /// engine — one crowd backend per shard, thousands of shards on a bounded
 /// worker pool — and report money/latency the way the paper's Table 1
@@ -610,6 +624,8 @@ fn simulate_on_platform(
         ..crowdjoin::EngineConfig::default()
     };
     let progress = if opts.progress { Some(ProgressLine::start()) } else { None };
+    let job = crowdjoin::Engine::new(num_objects, order, &truth, &platform, engine);
+    let resume = opts.resume.as_deref();
     let report = match opts.backend {
         BackendKind::Spool => {
             let dir = opts.spool.as_deref().expect("--backend spool always carries --spool");
@@ -622,33 +638,9 @@ fn simulate_on_platform(
                  (any process — or human — may answer; see the README's \"Bring your own \
                  crowd\" walkthrough)"
             ));
-            let job = crowdjoin::Engine::new(num_objects, order, &truth, &platform, engine.clone());
-            if let Some(path) = &opts.resume {
-                job.resume_with_backend(std::path::Path::new(path), &factory)
-                    .map_err(|e| format!("--resume {path}: {e}"))?
-            } else {
-                job.run_with_backend(&factory).map_err(|e| format!("--journal: {e}"))?
-            }
+            run_or_resume(&job, &factory, resume)?
         }
-        BackendKind::Sim => {
-            if let Some(path) = &opts.resume {
-                crowdjoin::resume_sharded_on_platform(
-                    num_objects,
-                    order,
-                    &truth,
-                    &platform,
-                    &engine,
-                    std::path::Path::new(path),
-                )
-                .map_err(|e| format!("--resume {path}: {e}"))?
-            } else if engine.journal.is_some() {
-                crowdjoin::Engine::new(num_objects, order, &truth, &platform, engine.clone())
-                    .run()
-                    .map_err(|e| format!("--journal: {e}"))?
-            } else {
-                crowdjoin::run_sharded_on_platform(num_objects, order, &truth, &platform, &engine)
-            }
-        }
+        BackendKind::Sim => run_or_resume(&job, &crowdjoin::SimFactory::new(), resume)?,
     };
     if let Some(line) = progress {
         line.finish();
@@ -932,9 +924,9 @@ fn stream_journal_path(path: &str) -> std::path::PathBuf {
     std::path::PathBuf::from(format!("{path}.stream"))
 }
 
-/// `join --stream PATH`: the streaming self-join. Ingests arrivals through
-/// the incremental matcher (journaling each batch first when `--journal`
-/// is set), closes the stream into the canonical batch-identical
+/// `join --stream PATH`: the streaming self-join. Ingests arrivals into
+/// the record log (journaling each batch first when `--journal` is set),
+/// closes the stream into the canonical batch-identical
 /// `(dataset, candidates)`, and hands off to the ordinary labeling tail.
 fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
     setup_observability(opts)?;
@@ -983,7 +975,6 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
         ));
     }
 
-    let mut report = crowdjoin::StreamIngestReport::default();
     let mut seen = 0usize;
     for chunk in &chunks {
         let batch: Vec<(u32, Record)> = chunk
@@ -996,18 +987,11 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
         if batch.is_empty() {
             continue;
         }
-        let r = job.ingest(&batch).map_err(|e| format!("--journal: {e}"))?;
-        report.inserted += r.inserted;
-        report.delta_pairs += r.delta_pairs;
-        report.components_joined += r.components_joined;
-        report.components_opened += r.components_opened;
+        job.ingest(&batch).map_err(|e| format!("--journal: {e}"))?;
     }
     reporter.note(&format!(
-        "stream: {total} record(s) in {} batch(es) ({replayed} replayed from the journal), \
-         {} delta pair(s), {} provisional component(s)",
+        "stream: {total} record(s) in {} batch(es) ({replayed} replayed from the journal)",
         chunks.len(),
-        report.delta_pairs,
-        job.num_components(),
     ));
 
     let (dataset, candidates_raw) = job.close().map_err(|e| format!("--journal: {e}"))?;

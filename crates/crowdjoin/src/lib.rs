@@ -20,6 +20,7 @@
 //! | answer journal | [`wal`] | crash-safe write-ahead journal for resumable jobs |
 //! | execution engine | [`engine`] | component sharding, incremental closure, worker-pool scheduler |
 //! | integration | [`pipeline`], [`runner`] | dataset→task glue, platform-driven runs |
+//! | streaming | [`stream`] | journaled record log; `close` is the batch join |
 //!
 //! ## End-to-end example
 //!
@@ -91,8 +92,8 @@ pub use crowdjoin_engine::{
 };
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
 pub use runner::{
-    replay_pairs_sequentially, resume_sharded_on_platform, run_non_transitive_on_platform,
-    run_parallel_on_platform, run_sharded_on_platform, run_sharded_on_platform_threaded,
-    run_sharded_with_oracle, AvailabilitySample, CrowdRunReport,
+    replay_pairs_sequentially, run_non_transitive_on_platform, run_parallel_on_platform,
+    run_sharded_on_platform, run_sharded_on_platform_threaded, run_sharded_with_oracle,
+    AvailabilitySample, CrowdRunReport,
 };
 pub use stream::{StreamIngestReport, StreamJob};

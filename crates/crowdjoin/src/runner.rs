@@ -216,28 +216,6 @@ pub fn run_sharded_on_platform(
     crowdjoin_engine::run_on_platform(num_objects, order, truth, platform, engine)
 }
 
-/// Resumes a killed journaled platform run from its write-ahead journal:
-/// paid-for answers are replayed (never re-asked), only the rest are
-/// crowdsourced, and the final report is bit-identical to an uninterrupted
-/// run's. Thin facade over [`crowdjoin_engine::Engine::resume`] taking the
-/// same inputs as [`run_sharded_on_platform`].
-///
-/// # Errors
-///
-/// Everything [`crowdjoin_engine::Engine::resume`] raises: a corrupt or
-/// foreign journal, mismatched inputs/seeds/flags, or I/O failure.
-pub fn resume_sharded_on_platform(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &crowdjoin_sim::PlatformConfig,
-    engine: &crowdjoin_engine::EngineConfig,
-    journal: &std::path::Path,
-) -> Result<crowdjoin_engine::EngineReport, crowdjoin_engine::wal::WalError> {
-    crowdjoin_engine::Engine::new(num_objects, order, truth, platform, engine.clone())
-        .resume(journal)
-}
-
 /// The blocking thread-per-shard reference arm of
 /// [`run_sharded_on_platform`]: identical per-shard simulations driven to
 /// completion one worker thread at a time. Kept for equivalence testing and

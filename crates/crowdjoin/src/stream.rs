@@ -1,42 +1,40 @@
-//! The streaming job facade: records arrive over time, candidate pairs are
-//! *discovered* incrementally, and closing the stream runs the batch join
-//! over the canonical dataset and hands both to the **unmodified batch
-//! engine**.
+//! The streaming job facade: a journaled record log. Records arrive over
+//! time and are only *kept*; closing the stream runs the batch join over
+//! the canonical dataset and hands both to the **unmodified batch engine**.
+//!
+//! Nothing is computed before close because nothing can be: a pair's
+//! likelihood is a tf-idf blend over the *complete* corpus, and the
+//! labeling order ω is a sort of the complete candidate set by it — both
+//! are functions of records that have not arrived yet.
 //!
 //! ## Shape
 //!
-//! A [`StreamJob`] wraps the matcher's incremental discovery
-//! ([`crowdjoin_matcher::StreamMatcher`], which keeps records and postings
-//! but nothing per pair) and adds the service-level concerns:
+//! A [`StreamJob`] is the arrived records plus the service-level concerns:
 //!
 //! * **External identity.** Every streamed record carries a caller-assigned
 //!   external id. Arrival order is an accident of the transport; external
-//!   ids are the stable identity. [`StreamJob::close`] sorts by external id
-//!   and calls `StreamMatcher::close_canonical`, which *is*
-//!   `generate_candidates` on the re-ordered records — so the final
+//!   ids are the stable identity. [`StreamJob::close`] sorts the arrivals by
+//!   external id and calls [`generate_candidates`] on them — so the final
 //!   `(Dataset, candidates)` is **the batch run's** over the same records
-//!   in external-id order, whatever order they arrived in, by construction
-//!   rather than by re-scoring. Everything downstream (engine, shards,
-//!   money, reports) then *is* the batch path at any shard count. In a
-//!   trace, `stream.close` therefore parents the batch matcher's spans
-//!   (`matcher.tokenize`, `matcher.index`, `matcher.prefix`,
-//!   `matcher.probe`) and feeds the `matcher.*.us` stage counters.
-//! * **Mid-job component admission.** Each insert's delta pairs are
-//!   union-folded into a provisional component structure
-//!   ([`StreamJob::num_components`]), the statistic re-sharding rebalances
-//!   on; eager mid-stream labeling lives in
-//!   [`crowdjoin_engine::StreamEngine`].
+//!   in external-id order, whatever order they arrived in, by construction.
+//!   Everything downstream (engine, shards, money, reports) then *is* the
+//!   batch path at any shard count. In a trace, `stream.close` therefore
+//!   parents the batch matcher's spans (`matcher.tokenize`,
+//!   `matcher.index`, `matcher.prefix`, `matcher.probe`) and feeds the
+//!   `matcher.*.us` stage counters.
 //! * **Durability.** With a journal attached, every ingest batch is
 //!   write-ahead logged to `FILE.stream` (see
 //!   [`crowdjoin_wal::StreamJournal`]) *before* it is applied, so a killed
-//!   stream resumes from the journal and re-derives the identical state.
-//!   The engine's answer journal (`FILE`) is untouched by streaming — the
-//!   close path feeds the canonical order to the ordinary journaled engine,
-//!   whose file stays byte-identical to a batch run's.
+//!   stream resumes from the journal with the identical records. Closing
+//!   seals the journal with a fingerprint of the candidate order; closing
+//!   a resumed, already-sealed journal recomputes the candidates and
+//!   refuses a different fingerprint. The engine's answer journal (`FILE`)
+//!   is untouched by streaming — the close path feeds the canonical order
+//!   to the ordinary journaled engine, whose file stays byte-identical to
+//!   a batch run's.
 
-use crowdjoin_graph::UnionFind;
-use crowdjoin_matcher::{FieldMeasure, MatcherConfig, ScoredCandidate, StreamMatcher};
-use crowdjoin_records::{Dataset, Record, Schema};
+use crowdjoin_matcher::{generate_candidates, FieldMeasure, MatcherConfig, ScoredCandidate};
+use crowdjoin_records::{Dataset, Record, Schema, Table};
 use crowdjoin_util::FxHashSet;
 use crowdjoin_wal::{
     fnv1a64, open_resume_stream, SealRecord, StreamEntry, StreamHeader, StreamJournal, WalError,
@@ -49,30 +47,25 @@ use std::path::Path;
 pub struct StreamIngestReport {
     /// Records inserted.
     pub inserted: usize,
-    /// Delta candidate pairs discovered (new record × existing corpus).
+    /// Always 0; retained for `benchmark/` until its
+    /// `matcher.stream.delta_pairs` column is retired.
     pub delta_pairs: usize,
-    /// Inserts that bridged two previously-distinct provisional components.
-    pub components_joined: usize,
-    /// Inserts that opened a brand-new provisional component.
-    pub components_opened: usize,
 }
 
 /// A long-running streaming join: records in, canonical batch job out.
 #[derive(Debug)]
 pub struct StreamJob {
-    matcher: StreamMatcher,
-    /// `externals[arrival] = external id` of the record inserted as
-    /// arrival-id `arrival`.
-    externals: Vec<u32>,
+    schema: Schema,
+    config: MatcherConfig,
+    /// `(external id, record)` of every arrival, in arrival order.
+    arrivals: Vec<(u32, Record)>,
     external_set: FxHashSet<u32>,
-    /// Provisional connected components over arrival ids, grown from the
-    /// matcher's delta pairs.
-    components: UnionFind,
-    active: Vec<bool>,
     journal: Option<StreamJournal>,
+    /// The seal replayed from a resumed journal: the stream takes no more
+    /// records, and a re-close must reproduce this fingerprint.
+    seal: Option<SealRecord>,
     config_hash: u64,
     seed: u64,
-    sealed: bool,
 }
 
 /// Fingerprint of the streaming job's matcher configuration and schema.
@@ -125,17 +118,17 @@ impl StreamJob {
     /// Panics on an invalid matcher configuration.
     #[must_use]
     pub fn new(schema: Schema, config: MatcherConfig, seed: u64) -> Self {
+        config.validate(schema.arity());
         let config_hash = stream_config_hash(&schema, &config);
         Self {
-            matcher: StreamMatcher::new(schema, config),
-            externals: Vec::new(),
+            schema,
+            config,
+            arrivals: Vec::new(),
             external_set: FxHashSet::default(),
-            components: UnionFind::new(0),
-            active: Vec::new(),
             journal: None,
+            seal: None,
             config_hash,
             seed,
-            sealed: false,
         }
     }
 
@@ -156,7 +149,7 @@ impl StreamJob {
         let mut job = Self::new(schema, config, seed);
         let header = StreamHeader {
             version: STREAM_FORMAT_VERSION,
-            arity: job.matcher.dataset().table.schema().arity() as u32,
+            arity: job.schema.arity() as u32,
             config_hash: job.config_hash,
             seed,
         };
@@ -166,8 +159,8 @@ impl StreamJob {
 
     /// Resumes a killed streaming job from its journal: verifies the
     /// header fingerprints, truncates any torn tail, replays every
-    /// journaled ingest through the live insert path (re-deriving the
-    /// identical matcher state), and keeps appending to the same journal.
+    /// journaled ingest into the record log, and keeps appending to the
+    /// same journal.
     ///
     /// Returns the rebuilt job and the number of records replayed, so the
     /// caller can skip that prefix of its input.
@@ -178,6 +171,11 @@ impl StreamJob {
     /// configuration, or seed differ from the journaled job; the decode
     /// errors of [`crowdjoin_wal::read_stream_journal`]; plus
     /// [`WalError::Locked`] / [`WalError::Io`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the journal repeats an external id or holds a record of
+    /// the wrong arity (no [`StreamJob::ingest`] journals either).
     pub fn resume(
         schema: Schema,
         config: MatcherConfig,
@@ -188,7 +186,7 @@ impl StreamJob {
         let mut job = Self::new(schema, config, seed);
         let header = &contents.header;
         let checks: [(&'static str, u64, u64); 3] = [
-            ("arity", u64::from(header.arity), job.matcher.dataset().table.schema().arity() as u64),
+            ("arity", u64::from(header.arity), job.schema.arity() as u64),
             ("config_hash (matcher config/schema)", header.config_hash, job.config_hash),
             ("seed", header.seed, job.seed),
         ];
@@ -198,52 +196,57 @@ impl StreamJob {
             }
         }
         let (entries, seal) = contents.replay()?;
-        for entry in &entries {
-            job.insert_one(entry.external, &Record::new(entry.fields.clone()));
-        }
-        job.sealed = seal.is_some();
+        let records: Vec<(u32, Record)> =
+            entries.into_iter().map(|e| (e.external, Record::new(e.fields))).collect();
+        job.check_batch(&records);
+        job.apply_batch(records);
+        job.seal = seal;
         job.journal = Some(journal);
-        Ok((job, entries.len()))
+        let replayed = job.arrivals.len();
+        Ok((job, replayed))
     }
 
     /// Records streamed so far.
     #[must_use]
     pub fn num_records(&self) -> usize {
-        self.externals.len()
-    }
-
-    /// Delta pairs emitted so far — a running count of a superset of the
-    /// final set, not a store (see [`crowdjoin_matcher::StreamMatcher`]).
-    #[must_use]
-    pub fn num_materialized(&self) -> usize {
-        self.matcher.num_materialized()
+        self.arrivals.len()
     }
 
     /// `true` once the stream was closed (a resumed-from-journal job may
     /// already be sealed; it can only be closed again, not extended).
     #[must_use]
     pub fn is_sealed(&self) -> bool {
-        self.sealed
+        self.seal.is_some()
     }
 
-    /// Live provisional components (over records connected by an emitted
-    /// delta pair) — the structure re-sharding rebalances
-    /// at the next barrier.
-    #[must_use]
-    pub fn num_components(&mut self) -> usize {
-        let mut roots = FxHashSet::default();
-        for i in 0..self.active.len() {
-            if self.active[i] {
-                roots.insert(self.components.find(i as u32));
-            }
+    /// Panics unless every record fits the schema and every external id is
+    /// new to the stream and to the batch. Applies nothing.
+    fn check_batch(&self, records: &[(u32, Record)]) {
+        let arity = self.schema.arity();
+        let mut batch_ids = FxHashSet::default();
+        for (external, record) in records {
+            assert_eq!(
+                record.values().len(),
+                arity,
+                "record arity {} does not match schema arity {arity}",
+                record.values().len()
+            );
+            assert!(
+                !self.external_set.contains(external) && batch_ids.insert(*external),
+                "external id {external} appears twice in the stream"
+            );
         }
-        roots.len()
+    }
+
+    /// Appends a checked batch to the record log.
+    fn apply_batch(&mut self, records: Vec<(u32, Record)>) {
+        self.external_set.extend(records.iter().map(|(external, _)| *external));
+        self.arrivals.extend(records);
     }
 
     /// Ingests a batch of `(external id, record)` arrivals: journals them
-    /// durably (when a journal is attached), then inserts each into the
-    /// incremental join and folds its delta pairs into the provisional
-    /// components.
+    /// durably (when a journal is attached), then appends them to the
+    /// record log. Nothing else happens before [`StreamJob::close`].
     ///
     /// # Errors
     ///
@@ -255,22 +258,16 @@ impl StreamJob {
     /// # Panics
     ///
     /// Panics on a duplicate external id, a record arity mismatch, or
-    /// ingesting into a sealed stream.
+    /// ingesting into a sealed stream — before anything is journaled.
     pub fn ingest(&mut self, records: &[(u32, Record)]) -> Result<StreamIngestReport, WalError> {
-        assert!(!self.sealed, "cannot ingest into a sealed stream");
-        let mut span = crowdjoin_obs::obs_span!(
+        assert!(self.seal.is_none(), "cannot ingest into a sealed stream");
+        let _span = crowdjoin_obs::obs_span!(
             "stream",
             "stream.ingest",
             crowdjoin_obs::NO_SHARD,
             records = records.len() as u64,
         );
-        let mut batch_ids = FxHashSet::default();
-        for (external, _) in records {
-            assert!(
-                !self.external_set.contains(external) && batch_ids.insert(*external),
-                "external id {external} appears twice in the stream"
-            );
-        }
+        self.check_batch(records);
         if let Some(journal) = &self.journal {
             let entries: Vec<StreamEntry> = records
                 .iter()
@@ -279,60 +276,18 @@ impl StreamJob {
                     fields: record.values().to_vec(),
                 })
                 .collect();
-            journal.append_ingest(self.externals.len() as u64, &entries)?;
+            journal.append_ingest(self.arrivals.len() as u64, &entries)?;
         }
-        let mut report = StreamIngestReport::default();
-        for (external, record) in records {
-            let (delta_pairs, joined, opened) = self.insert_one(*external, record);
-            report.inserted += 1;
-            report.delta_pairs += delta_pairs;
-            report.components_joined += joined;
-            report.components_opened += opened;
-        }
+        self.apply_batch(records.to_vec());
         if crowdjoin_obs::enabled() {
             crowdjoin_obs::counter("stream.records", crowdjoin_obs::NO_SHARD)
-                .add(report.inserted as u64);
-            crowdjoin_obs::counter("stream.delta_pairs", crowdjoin_obs::NO_SHARD)
-                .add(report.delta_pairs as u64);
+                .add(records.len() as u64);
         }
-        span.set_field("delta_pairs", report.delta_pairs as u64);
-        Ok(report)
+        Ok(StreamIngestReport { inserted: records.len(), delta_pairs: 0 })
     }
 
-    /// Applies one arrival (no journaling — the ingest/replay callers own
-    /// that). Returns `(delta pairs, components joined, components
-    /// opened)`.
-    fn insert_one(&mut self, external: u32, record: &Record) -> (usize, usize, usize) {
-        assert!(
-            self.external_set.insert(external),
-            "external id {external} appears twice in the stream"
-        );
-        let delta = self.matcher.insert(record);
-        self.externals.push(external);
-        let new_id = self.components.push();
-        debug_assert_eq!(new_id, delta.record);
-        self.active.push(false);
-        let (mut joined, mut opened) = (0usize, 0usize);
-        for dp in &delta.pairs {
-            let partner_active = self.active[dp.a as usize];
-            let self_active = self.active[delta.record as usize];
-            if !partner_active && !self_active {
-                opened += 1;
-            } else if partner_active
-                && self_active
-                && self.components.find(dp.a) != self.components.find(delta.record)
-            {
-                joined += 1;
-            }
-            self.components.union(dp.a, delta.record);
-            self.active[dp.a as usize] = true;
-            self.active[delta.record as usize] = true;
-        }
-        (delta.pairs.len(), joined, opened)
-    }
-
-    /// Closes the stream: re-orders the arrivals into **external-id
-    /// order**, runs `generate_candidates` on that canonical dataset, seals the
+    /// Closes the stream: moves the arrivals into a dataset in
+    /// **external-id order**, runs [`generate_candidates`] on it, seals the
     /// journal with the order fingerprint, and returns the canonical
     /// `(Dataset, candidates)` for the unmodified batch engine path.
     ///
@@ -341,20 +296,45 @@ impl StreamJob {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the seal append fails.
+    /// [`WalError::Io`] if the seal append fails;
+    /// [`WalError::HeaderMismatch`] naming `seal order_len` or
+    /// `seal order_hash` if the journal was already sealed and the
+    /// recomputed candidates do not reproduce its fingerprint (the file is
+    /// left untouched).
     pub fn close(mut self) -> Result<(Dataset, Vec<ScoredCandidate>), WalError> {
         let _span = crowdjoin_obs::obs_span!("stream", "stream.close", crowdjoin_obs::NO_SHARD);
-        let mut order: Vec<u32> = (0..self.externals.len() as u32).collect();
-        order.sort_by_key(|&arrival| self.externals[arrival as usize]);
-        let (dataset, candidates) = self.matcher.close_canonical(&order);
+        self.arrivals.sort_unstable_by_key(|(external, _)| *external);
+        let num_records = self.arrivals.len();
+        let mut table = Table::new(self.schema);
+        for (_, record) in self.arrivals {
+            table.push(record);
+        }
+        let dataset = Dataset {
+            table,
+            entity_of: (0..num_records as u32).collect(),
+            split: None,
+            name: "stream".into(),
+        };
+        let candidates = generate_candidates(&dataset, &self.config);
         if let Some(journal) = &self.journal {
-            if !self.sealed {
-                journal.append_seal(&SealRecord {
-                    num_records: self.externals.len() as u64,
-                    order_len: candidates.len() as u64,
-                    order_hash: candidates_order_hash(&candidates),
-                })?;
-                self.sealed = true;
+            let ours = SealRecord {
+                num_records: num_records as u64,
+                order_len: candidates.len() as u64,
+                order_hash: candidates_order_hash(&candidates),
+            };
+            match self.seal {
+                None => journal.append_seal(&ours)?,
+                Some(journaled) => {
+                    let checks = [
+                        ("seal order_len", journaled.order_len, ours.order_len),
+                        ("seal order_hash", journaled.order_hash, ours.order_hash),
+                    ];
+                    for (field, journal, job) in checks {
+                        if journal != job {
+                            return Err(WalError::HeaderMismatch { field, journal, job });
+                        }
+                    }
+                }
             }
         }
         Ok((dataset, candidates))
@@ -468,19 +448,72 @@ mod tests {
     }
 
     #[test]
-    fn components_track_delta_pairs() {
+    fn sealed_journal_recloses_and_appends_nothing() {
         let ds = dataset();
-        let mut job = StreamJob::new(ds.table.schema().clone(), config(), 0);
-        let mut report = StreamIngestReport::default();
-        for i in 0..ds.len() {
-            let r = job.ingest(&[(i as u32, ds.table.record(i).clone())]).unwrap();
-            report.delta_pairs += r.delta_pairs;
-            report.components_joined += r.components_joined;
-            report.components_opened += r.components_opened;
+        let path = temp_path("reclose.stream");
+        let _ = std::fs::remove_file(&path);
+        let schema = ds.table.schema().clone();
+        let mut job = StreamJob::with_journal(schema.clone(), config(), 7, &path).unwrap();
+        let all: Vec<(u32, Record)> =
+            (0..ds.len()).map(|i| (i as u32, ds.table.record(i).clone())).collect();
+        job.ingest(&all).unwrap();
+        let (_, first) = job.close().unwrap();
+        let sealed_bytes = std::fs::read(&path).unwrap();
+
+        let (job, replayed) = StreamJob::resume(schema, config(), 7, &path).unwrap();
+        assert_eq!(replayed, ds.len());
+        assert!(job.is_sealed());
+        let (_, again) = job.close().expect("the seal matches the recomputed candidates");
+        assert_eq!(again, first);
+        assert_eq!(std::fs::read(&path).unwrap(), sealed_bytes);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reclose_refuses_a_seal_the_candidates_do_not_reproduce() {
+        let ds = dataset();
+        let schema = ds.table.schema().clone();
+        let entries: Vec<StreamEntry> = (0..ds.len())
+            .map(|i| StreamEntry {
+                external: i as u32,
+                fields: ds.table.record(i).values().to_vec(),
+            })
+            .collect();
+        let batch = generate_candidates(&ds, &config());
+        let good = SealRecord {
+            num_records: ds.len() as u64,
+            order_len: batch.len() as u64,
+            order_hash: candidates_order_hash(&batch),
+        };
+        let header = StreamHeader {
+            version: STREAM_FORMAT_VERSION,
+            arity: schema.arity() as u32,
+            config_hash: stream_config_hash(&schema, &config()),
+            seed: 7,
+        };
+        let wrong_hash = SealRecord { order_hash: good.order_hash ^ 1, ..good };
+        let wrong_len = SealRecord { order_len: good.order_len + 1, ..good };
+        for (name, seal, field) in [
+            ("badhash.stream", wrong_hash, "seal order_hash"),
+            ("badlen.stream", wrong_len, "seal order_len"),
+        ] {
+            let path = temp_path(name);
+            let _ = std::fs::remove_file(&path);
+            let journal = StreamJournal::create(&path, &header).unwrap();
+            journal.append_ingest(0, &entries).unwrap();
+            journal.append_seal(&seal).unwrap();
+            drop(journal);
+            let bytes = std::fs::read(&path).unwrap();
+
+            let (job, _) = StreamJob::resume(schema.clone(), config(), 7, &path).unwrap();
+            let err = job.close().unwrap_err();
+            assert!(
+                matches!(err, WalError::HeaderMismatch { field: f, .. } if f == field),
+                "{name}: {err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name}: a refused close wrote");
+            std::fs::remove_file(&path).unwrap();
         }
-        assert_eq!(report.delta_pairs, job.num_materialized());
-        assert!(report.components_opened >= 1);
-        assert!(job.num_components() >= 1);
     }
 
     #[test]
@@ -519,21 +552,35 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn duplicate_inside_one_batch_applies_and_journals_nothing() {
-        let ds = dataset();
-        let path = temp_path("dupbatch.stream");
+    /// Ingests `batch` into a fresh journaled job, expecting a refusal that
+    /// leaves both the job and its journal empty.
+    fn assert_batch_refused(name: &str, batch: &[(u32, Record)]) {
+        let path = temp_path(name);
         let _ = std::fs::remove_file(&path);
         let mut job =
-            StreamJob::with_journal(ds.table.schema().clone(), config(), 7, &path).unwrap();
-        let batch: Vec<(u32, Record)> =
-            [1, 2, 1].iter().map(|&id| (id, ds.table.record(id as usize).clone())).collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.ingest(&batch)));
-        assert!(outcome.is_err(), "a batch repeating external id 1 must be refused");
+            StreamJob::with_journal(dataset().table.schema().clone(), config(), 7, &path).unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.ingest(batch)));
+        assert!(outcome.is_err(), "{name}: the batch must be refused");
         assert_eq!(job.num_records(), 0);
         drop(job);
         assert!(crowdjoin_wal::read_stream_journal(&path).unwrap().records.is_empty());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn duplicate_inside_one_batch_applies_and_journals_nothing() {
+        let ds = dataset();
+        let batch: Vec<(u32, Record)> =
+            [1, 2, 1].iter().map(|&id| (id, ds.table.record(id as usize).clone())).collect();
+        assert_batch_refused("dupbatch.stream", &batch);
+    }
+
+    #[test]
+    fn wrong_arity_batch_applies_and_journals_nothing() {
+        // A journaled record the schema cannot hold would poison every resume.
+        let ds = dataset();
+        let batch = [(0, ds.table.record(0).clone()), (1, Record::new(vec!["one field"]))];
+        assert_batch_refused("aritybatch.stream", &batch);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::partition::{partition_candidates, Shard};
 use crate::persist::{job_header, verify_header};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::run_sharded;
-use crowdjoin_core::{GroundTruth, LabelingResult, Pair, Provenance, ScoredPair};
+use crowdjoin_core::{GroundTruth, Pair, ScoredPair};
 use crowdjoin_sim::{
     BackendFactory, Platform, PlatformConfig, SharedClock, SimFactory, VirtualTime,
 };
@@ -485,43 +485,6 @@ fn run_shard_on_platform(
     }
 }
 
-/// Runs the non-transitive baseline (publish everything, accept every
-/// answer) through the same sharded machinery — the prior-work arm for
-/// engine-level comparisons.
-#[must_use]
-pub fn run_non_transitive_with_oracle<O: SharedOracle + ?Sized>(
-    num_objects: usize,
-    order: &[ScoredPair],
-    oracle: &O,
-    config: &EngineConfig,
-) -> EngineReport {
-    let partition = partition_candidates(num_objects, order, config.effective_shards());
-    let num_components = partition.num_components;
-    let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let globals: Vec<Pair> = shard.pairs.iter().map(|sp| shard.to_global(sp.pair)).collect();
-        let answers = oracle.answer_batch(&globals);
-        let mut result = LabelingResult::new();
-        for (pair, label) in globals.into_iter().zip(answers) {
-            result.record(pair, label, Provenance::Crowdsourced);
-        }
-        ShardReport {
-            shard: shard.index,
-            num_objects: shard.num_objects(),
-            num_pairs: shard.pairs.len(),
-            num_components: shard.num_components,
-            result,
-            stats: None,
-            completion: VirtualTime::ZERO,
-            publish_rounds: 1,
-            replayed_answers: 0,
-            replayed_cost_cents: 0,
-            rounds: Vec::new(),
-            peak_unresolved: 0,
-        }
-    });
-    EngineReport::from_shards(reports, num_components)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,21 +541,6 @@ mod tests {
         for sp in cs.pairs() {
             assert_eq!(report.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
         }
-    }
-
-    #[test]
-    fn non_transitive_baseline_crowdsources_everything() {
-        let (cs, truth) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let oracle = SharedGroundTruth::new(&truth);
-        let report = run_non_transitive_with_oracle(
-            cs.num_objects(),
-            &order,
-            &oracle,
-            &EngineConfig::with_shards(2),
-        );
-        assert_eq!(report.num_crowdsourced(), cs.len());
-        assert_eq!(report.num_deduced(), 0);
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod partition;
 mod persist;
 pub mod report;
 pub mod scheduler;
-pub mod stream;
 pub mod task;
 
 /// The on-disk answer-journal format (re-export of `crowdjoin-wal`).
@@ -81,13 +80,11 @@ pub use crowdjoin_sim::{
 pub use closure::IncrementalClosure;
 pub use driver::{drive_to_completion, PlatformDriveable};
 pub use engine::{
-    run_non_transitive_with_oracle, run_on_platform, run_on_platform_threaded, run_with_oracle,
-    Engine, EngineConfig,
+    run_on_platform, run_on_platform_threaded, run_with_oracle, Engine, EngineConfig,
 };
 pub use labeler::ShardLabeler;
 pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};
 pub use scheduler::{effective_threads, run_sharded};
-pub use stream::{IngestReport, StreamEngine, StreamStepReport};
 pub use task::{pair_task_id, task_id_pair, ShardState, ShardTask};

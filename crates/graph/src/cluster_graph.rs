@@ -220,15 +220,6 @@ impl ClusterGraph {
         self.nonmatching_inserted
     }
 
-    /// Extends the universe with a new isolated object, returning its id.
-    pub fn push_object(&mut self) -> u32 {
-        let id = self.uf.push();
-        self.slot_of_root.push(id);
-        self.head.push(NONE);
-        self.degree.push(0);
-        id
-    }
-
     /// Attempts to deduce the label of `(a, b)` from the inserted edges.
     ///
     /// Returns `None` when the pair is not deducible (every path between the
@@ -579,15 +570,6 @@ mod tests {
         assert_eq!(g.num_cluster_edges(), 1);
         assert_eq!(g.deduce(0, 2), Some(EdgeLabel::NonMatching));
         assert_eq!(g.deduce(1, 2), Some(EdgeLabel::NonMatching));
-    }
-
-    #[test]
-    fn push_object_extends_universe() {
-        let mut g = ClusterGraph::new(2);
-        let o = g.push_object();
-        assert_eq!(o, 2);
-        g.insert(0, o, EdgeLabel::Matching).unwrap();
-        assert_eq!(g.deduce(0, 2), Some(EdgeLabel::Matching));
     }
 
     #[test]

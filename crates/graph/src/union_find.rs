@@ -60,15 +60,6 @@ impl UnionFind {
         self.components
     }
 
-    /// Extends the universe with one new singleton and returns its id.
-    pub fn push(&mut self) -> u32 {
-        let id = self.parent.len() as u32;
-        self.parent.push(id);
-        self.size.push(1);
-        self.components += 1;
-        id
-    }
-
     /// Finds the root of `x`, applying path halving.
     ///
     /// # Panics
@@ -220,17 +211,6 @@ mod tests {
         assert_eq!(uf.find(4), winner);
         assert_eq!(uf.find(absorbed), winner);
         assert_eq!(uf.component_size(4), 5);
-    }
-
-    #[test]
-    fn push_extends_universe() {
-        let mut uf = UnionFind::new(2);
-        let id = uf.push();
-        assert_eq!(id, 2);
-        assert_eq!(uf.len(), 3);
-        assert_eq!(uf.num_components(), 3);
-        uf.union(0, 2);
-        assert!(uf.connected(0, 2));
     }
 
     #[test]

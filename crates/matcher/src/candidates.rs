@@ -92,7 +92,16 @@ impl MatcherConfig {
         }
     }
 
-    pub(crate) fn validate(&self, arity: usize) {
+    /// Checks the configuration against a schema of `arity` fields — what
+    /// [`generate_candidates`] does first, exposed so a long-running job can
+    /// fail before it accepts any record.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a negative blend weight, an all-zero blend, an extra
+    /// measure naming a field outside the schema, or a `min_likelihood`
+    /// outside `[0, 1]`.
+    pub fn validate(&self, arity: usize) {
         assert!(
             self.cosine_weight >= 0.0 && self.jaccard_weight >= 0.0,
             "blend weights must be non-negative"

@@ -15,7 +15,7 @@
 //! built on a corpus is deterministic for a fixed dataset.
 
 use crate::tokenize::tokenize_words;
-use crowdjoin_records::{Dataset, Record};
+use crowdjoin_records::Dataset;
 use crowdjoin_util::Interner;
 
 /// A dataset tokenized once: interned per-field token lists plus sorted
@@ -151,57 +151,6 @@ impl TokenizedCorpus {
         Self { interner, arity, flat, bounds, set_flat, set_bounds }
     }
 
-    /// An empty corpus over a schema of `arity` fields, ready for
-    /// incremental [`Self::insert_record`] calls — the streaming path's
-    /// starting point.
-    #[must_use]
-    pub fn empty(arity: usize) -> Self {
-        Self {
-            interner: Interner::new(),
-            arity,
-            flat: Vec::new(),
-            bounds: vec![0],
-            set_flat: Vec::new(),
-            set_bounds: vec![0],
-        }
-    }
-
-    /// Tokenizes and appends one record, returning its new record id.
-    ///
-    /// This is the streaming analogue of [`Self::build`]: only the inserted
-    /// record is tokenized, and inserting a dataset's records one by one in
-    /// dataset order produces a corpus identical to the batch build (token
-    /// ids are assigned in the same first-encounter order), so everything
-    /// downstream stays deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record's arity differs from the corpus arity, or on
-    /// token-arena overflow (> `u32::MAX` tokens).
-    pub fn insert_record(&mut self, record: &Record) -> usize {
-        assert_eq!(
-            record.values().len(),
-            self.arity,
-            "record arity {} does not match corpus arity {}",
-            record.values().len(),
-            self.arity
-        );
-        let id = self.num_records();
-        let record_start = self.flat.len();
-        for f in 0..self.arity {
-            for token in tokenize_words(record.field(f)) {
-                self.flat.push(self.interner.intern(&token));
-            }
-            self.bounds.push(u32::try_from(self.flat.len()).expect("corpus overflow"));
-        }
-        let mut scratch: Vec<u32> = self.flat[record_start..].to_vec();
-        scratch.sort_unstable();
-        scratch.dedup();
-        self.set_flat.extend_from_slice(&scratch);
-        self.set_bounds.push(u32::try_from(self.set_flat.len()).expect("corpus overflow"));
-        id
-    }
-
     /// Number of records.
     #[must_use]
     pub fn num_records(&self) -> usize {
@@ -317,30 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_inserts_reproduce_the_batch_build() {
-        let rows = [("sony tv 40", "499.99"), ("", "10"), ("tv sony black", "499.99")];
-        let ds = dataset(&rows);
-        let batch = TokenizedCorpus::build(&ds);
-        let mut inc = TokenizedCorpus::empty(2);
-        for (i, _) in rows.iter().enumerate() {
-            assert_eq!(inc.insert_record(ds.table.record(i)), i);
-        }
-        assert_eq!(inc.num_records(), batch.num_records());
-        assert_eq!(inc.vocabulary_size(), batch.vocabulary_size());
-        for i in 0..rows.len() {
-            for f in 0..2 {
-                assert_eq!(
-                    inc.field_tokens(i, f),
-                    batch.field_tokens(i, f),
-                    "record {i} field {f}"
-                );
-            }
-            assert_eq!(inc.token_set(i), batch.token_set(i), "record {i}");
-        }
-        assert_eq!(inc.set_doc_freq(), batch.set_doc_freq());
-    }
-
-    #[test]
     fn threaded_build_is_bit_identical_to_serial() {
         // > 2048 records so the threaded path genuinely crosses chunk
         // boundaries (and token first-encounters span multiple chunks).
@@ -361,12 +286,5 @@ mod tests {
                 assert_eq!(par.interner().resolve(id), serial.interner().resolve(id));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn insert_record_rejects_arity_mismatch() {
-        let mut corpus = TokenizedCorpus::empty(2);
-        corpus.insert_record(&Record::new(vec!["only one field"]));
     }
 }

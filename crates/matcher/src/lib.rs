@@ -15,10 +15,10 @@
 //!   join producing [`ScoredCandidate`]s (see [`prefix`] for the
 //!   AllPairs-style filter and its safety argument; the crate-internal
 //!   `block` module holds the cache-sized probe blocking and the adaptive
-//!   positional/length filter cascade), plus the brute-force oracle;
-//! * [`stream`] — incremental candidate generation for streaming
-//!   ingestion: per-record insert, delta pairs, exact snapshots
-//!   bit-identical to the batch join.
+//!   positional/length filter cascade), plus the brute-force oracle.
+//!
+//! There is one matcher: a streaming job (`crowdjoin::StreamJob`) keeps its
+//! records until the stream closes and then calls [`generate_candidates`].
 //!
 //! ```
 //! use crowdjoin_matcher::{generate_candidates, MatcherConfig};
@@ -46,7 +46,6 @@ pub mod fields;
 pub(crate) mod par;
 pub mod prefix;
 pub mod similarity;
-pub mod stream;
 pub mod tfidf;
 pub mod tokenize;
 
@@ -59,6 +58,5 @@ pub use fields::{ExtraMeasure, FieldMeasure};
 pub use similarity::{
     dice, jaccard, jaro, jaro_winkler, levenshtein, levenshtein_similarity, overlap,
 };
-pub use stream::{DeltaPair, StreamDelta, StreamMatcher};
 pub use tfidf::TfIdfIndex;
 pub use tokenize::{qgrams, token_set, tokenize_words};

@@ -1,20 +1,18 @@
 //! Candidate-generation scale smokes: the 50k- and 200k-record product
 //! workloads must complete in a **debug** build (the 200k arm under an
 //! explicit wall-clock bound, so a quadratic regression in the filter
-//! pipeline fails CI instead of hanging it), the strongly-filtered run
+//! pipeline fails CI instead of hanging it), and the strongly-filtered run
 //! must agree with a weakly-filtered run of the same pipeline (different
 //! prefix lengths, different posting lists — same candidates above the
-//! stronger floor), and the streaming matcher must take 8k records through
-//! ingest + close at the CLI-default floor under a bound its retired
-//! O(n²) pair store cannot meet.
+//! stronger floor).
 //!
 //! Run explicitly (CI has a dedicated step): `cargo test -p
 //! crowdjoin-matcher --test scale_guard -- --ignored`. Exhaustive
 //! brute-force equivalence at small sizes lives in
 //! `tests/filter_equivalence.rs`; this guard is about *scale*.
 
-use crowdjoin_matcher::{generate_candidates, MatcherConfig, StreamMatcher};
-use crowdjoin_records::{generate_paper, generate_product, PaperGenConfig, ProductGenConfig};
+use crowdjoin_matcher::{generate_candidates, MatcherConfig};
+use crowdjoin_records::{generate_product, ProductGenConfig};
 
 #[test]
 #[ignore = "scale smoke — run via `cargo test -p crowdjoin-matcher --test scale_guard -- --ignored` (CI perf-smoke step)"]
@@ -97,47 +95,4 @@ fn product_50k_blocked_path_matches_auto() {
         assert_eq!((a.a, a.b), (b.a, b.b));
         assert_eq!(a.likelihood.to_bits(), b.likelihood.to_bits());
     }
-}
-
-#[test]
-#[ignore = "scale smoke — run via `cargo test -p crowdjoin-matcher --test scale_guard -- --ignored` (CI scale-guard step)"]
-fn stream_8k_low_floor_completes_within_bound_in_debug() {
-    // The streaming matcher at the floor the CLI defaults to (0.05), where
-    // its arrival-invariant Jaccard threshold is negative and every
-    // token-sharing pair is a delta (27 M of them here): 8k Paper records
-    // inserted one by one, then closed back into dataset order. Close *is*
-    // one batch join, so the yardstick is the batch join of the same
-    // records timed in this process — machine speed and build profile
-    // cancel. Measured in debug: ingest + close = 1.4 batch joins (11 s);
-    // with the per-pair store and the re-score loop this replaced, 5.0
-    // (41 s). The bound sits between, so that path cannot come back
-    // silently.
-    const MAX_BATCH_JOINS: u32 = 3;
-    let dataset =
-        generate_paper(&PaperGenConfig { num_records: 8_000, ..PaperGenConfig::default() });
-    // One worker on both sides: ingest is sequential, so a threaded
-    // yardstick would make the ratio depend on the host's core count.
-    let config =
-        MatcherConfig { threads: 1, ..MatcherConfig::for_arity(dataset.table.schema().arity()) };
-    let clock = std::time::Instant::now();
-    let batch = generate_candidates(&dataset, &config);
-    let batch_time = clock.elapsed();
-
-    let clock = std::time::Instant::now();
-    let mut matcher = StreamMatcher::new(dataset.table.schema().clone(), config);
-    let mut deltas = 0usize;
-    for record in dataset.table.records() {
-        deltas += matcher.insert(record).pairs.len();
-    }
-    let order: Vec<u32> = (0..dataset.len() as u32).collect();
-    let (_, closed) = matcher.close_canonical(&order);
-    let stream_time = clock.elapsed();
-    assert_eq!(matcher.num_materialized(), deltas);
-    assert_eq!(closed.len(), batch.len(), "closed stream diverged from the batch join");
-    assert!(closed.len() < deltas, "close must score the corpus, not echo the deltas");
-    assert!(
-        stream_time < batch_time * MAX_BATCH_JOINS,
-        "streaming 8k records took {stream_time:?}, over {MAX_BATCH_JOINS} batch joins \
-         ({batch_time:?} each) — per-pair work is back in ingest or close"
-    );
 }

@@ -4,7 +4,7 @@
 //! publish next (the paper's instant-decision optimization).
 //!
 //! A "platform" thread simulates workers answering HITs and streams answers
-//! back over a crossbeam channel; the main thread owns the
+//! back over an `mpsc` channel; the main thread owns the
 //! [`ParallelLabeler`] state machine, feeds answers in as they arrive, and
 //! pushes newly publishable pairs out.
 //!
@@ -12,10 +12,10 @@
 //! cargo run --release -p crowdjoin --example async_labeling
 //! ```
 
-use crossbeam::channel;
 use crowdjoin::{
     CandidateSet, GroundTruth, Label, Pair, ParallelLabeler, ScoredPair, SortStrategy,
 };
+use std::sync::mpsc;
 use std::thread;
 
 /// Messages to the platform thread: pairs to publish (with their truth, so
@@ -41,8 +41,8 @@ fn main() {
     let candidates = CandidateSet::new(n as usize, pairs);
     let order = crowdjoin::sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
 
-    let (publish_tx, publish_rx) = channel::unbounded::<PublishRequest>();
-    let (answer_tx, answer_rx) = channel::unbounded::<(Pair, Label)>();
+    let (publish_tx, publish_rx) = mpsc::channel::<PublishRequest>();
+    let (answer_tx, answer_rx) = mpsc::channel::<(Pair, Label)>();
 
     // Platform thread: answers each published pair after a tiny delay.
     let platform = thread::spawn(move || {

@@ -9,8 +9,7 @@
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::wal::{self, Record, WalError};
 use crowdjoin::{
-    resume_sharded_on_platform, run_sharded_on_platform, Engine, EngineConfig, EngineReport,
-    GroundTruth, Pair, ScoredPair,
+    run_sharded_on_platform, Engine, EngineConfig, EngineReport, GroundTruth, Pair, ScoredPair,
 };
 use std::path::{Path, PathBuf};
 
@@ -150,15 +149,9 @@ fn kill_at_every_record_resumes_bit_identically() {
         let paid_before_crash =
             wal::partition_replay(&contents.records[..i.min(contents.records.len())]).num_answers();
 
-        let resumed = resume_sharded_on_platform(
-            num_objects,
-            &order,
-            &truth,
-            &platform,
-            &engine_config(false),
-            &cut_path,
-        )
-        .unwrap_or_else(|e| panic!("resume at cut {i} failed: {e}"));
+        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+            .resume(&cut_path)
+            .unwrap_or_else(|e| panic!("resume at cut {i} failed: {e}"));
 
         assert_reports_identical(&full, &resumed, &order, &format!("cut {i}"));
         assert_eq!(
@@ -194,15 +187,9 @@ fn resume_from_torn_tails() {
     for frac in [0.21, 0.433, 0.62, 0.871, 0.995] {
         let cut = ((bytes.len() as f64) * frac) as usize;
         std::fs::write(&cut_path, &bytes[..cut]).expect("write cut");
-        let resumed = resume_sharded_on_platform(
-            num_objects,
-            &order,
-            &truth,
-            &platform,
-            &engine_config(false),
-            &cut_path,
-        )
-        .unwrap_or_else(|e| panic!("resume at byte {cut} failed: {e}"));
+        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+            .resume(&cut_path)
+            .unwrap_or_else(|e| panic!("resume at byte {cut} failed: {e}"));
         assert_reports_identical(&full, &resumed, &order, &format!("byte cut {cut}"));
         assert_journals_equivalent(&path, &cut_path, &format!("byte cut {cut}"));
     }
@@ -238,15 +225,9 @@ fn reshard_runs_resume_bit_identically() {
     cuts.push(contents.offsets[contents.offsets.len() / 2]);
     for cut in cuts {
         std::fs::write(&cut_path, &bytes[..cut as usize]).expect("write cut");
-        let resumed = resume_sharded_on_platform(
-            num_objects,
-            &order,
-            &truth,
-            &platform,
-            &engine_config(true),
-            &cut_path,
-        )
-        .unwrap_or_else(|e| panic!("reshard resume at byte {cut} failed: {e}"));
+        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(true))
+            .resume(&cut_path)
+            .unwrap_or_else(|e| panic!("reshard resume at byte {cut} failed: {e}"));
         assert_reports_identical(&full, &resumed, &order, &format!("reshard cut {cut}"));
         assert_journals_equivalent(&path, &cut_path, &format!("reshard cut {cut}"));
     }
@@ -263,15 +244,9 @@ fn resuming_a_finished_job_asks_nothing() {
     let (_, full, path) = run_journaled("finished.wal", false);
     let before = std::fs::read(&path).expect("journal bytes");
 
-    let resumed = resume_sharded_on_platform(
-        num_objects,
-        &order,
-        &truth,
-        &platform,
-        &engine_config(false),
-        &path,
-    )
-    .expect("resume of finished job");
+    let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+        .resume(&path)
+        .expect("resume of finished job");
     assert_reports_identical(&full, &resumed, &order, "finished resume");
     assert_eq!(resumed.num_new_answers(), 0, "a finished job asks nothing new");
     assert_eq!(resumed.num_replayed_answers(), full.num_crowd_answers());
@@ -292,7 +267,7 @@ fn resume_rejects_a_different_job() {
                   truth: &GroundTruth,
                   platform: &PlatformConfig,
                   config: &EngineConfig| {
-        resume_sharded_on_platform(num_objects, order, truth, platform, config, &path)
+        Engine::new(num_objects, order, truth, platform, config.clone()).resume(&path)
     };
     let base = engine_config(false);
 
@@ -337,14 +312,9 @@ fn resume_rejects_a_different_job() {
                 .expect("header-only journal"),
         );
         let before = std::fs::read(&retired_path).expect("journal bytes");
-        match resume_sharded_on_platform(
-            num_objects,
-            &order,
-            &truth,
-            &platform,
-            &base,
-            &retired_path,
-        ) {
+        match Engine::new(num_objects, &order, &truth, &platform, base.clone())
+            .resume(&retired_path)
+        {
             Err(e @ WalError::HeaderMismatch { .. }) => {
                 let text = e.to_string();
                 assert!(
@@ -483,15 +453,9 @@ fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
             let idx = ((contents.offsets.len() - 1) as f64 * frac) as usize;
             std::fs::write(&cut_path, &bytes[..contents.offsets[idx] as usize]).expect("cut");
             let paid_before = wal::partition_replay(&contents.records[..idx]).num_answers();
-            let resumed = resume_sharded_on_platform(
-                ds.len(),
-                &sorder,
-                &truth,
-                &platform,
-                &engine_config(false),
-                &cut_path,
-            )
-            .unwrap_or_else(|e| panic!("resume after {paid_before} answers failed: {e}"));
+            let resumed = Engine::new(ds.len(), &sorder, &truth, &platform, engine_config(false))
+                .resume(&cut_path)
+                .unwrap_or_else(|e| panic!("resume after {paid_before} answers failed: {e}"));
             let ctx = format!("stream kill {kill_after}, answer cut {idx}");
             assert_reports_identical(&full, &resumed, &order, &ctx);
             assert_eq!(resumed.num_replayed_answers(), paid_before, "{ctx}: replay count");

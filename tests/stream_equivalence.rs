@@ -4,13 +4,14 @@
 //! those records, at 1 shard and at 4 shards. Arrival order is an accident
 //! of the transport; nothing downstream may depend on it.
 
-use crowdjoin::engine::{run_with_oracle, StreamEngine};
 use crowdjoin::matcher::{generate_candidates, MatcherConfig, ScoredCandidate};
-use crowdjoin::records::{generate_paper, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig};
+use crowdjoin::records::{
+    generate_paper, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig, Record,
+};
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
     run_sharded_on_platform, sort_pairs, to_candidate_set, EngineConfig, EngineReport, GroundTruth,
-    ScoredPair, SharedGroundTruth, SharedOracle, SortStrategy, StreamJob,
+    ScoredPair, SortStrategy, StreamJob,
 };
 
 const NUM_RECORDS: usize = 120;
@@ -147,42 +148,35 @@ fn interleavings_label_identically_to_batch() {
     }
 }
 
-/// Mid-job admission: feeding each interleaving's candidates to a
-/// [`StreamEngine`] in mid-stream steps ends at the same final labels as
-/// one batch engine run, and never pays for a pair twice across steps.
+/// Scale guard: ingest only keeps records, so streaming 8k Paper records at
+/// the CLI-default floor (0.05) in chunks of 512 must cost a small fraction
+/// of the one batch join `close` runs. Both sides are timed in this
+/// process, so machine speed and build profile cancel. A per-arrival
+/// candidate scan (27 M delta pairs on this input, several `close`s of
+/// work) cannot come back under the bound.
 #[test]
-fn stream_engine_admission_matches_batch_labels() {
-    let ds = dataset();
-    let truth = GroundTruth::new(ds.entity_of.clone());
-    let oracle = SharedGroundTruth::new(&truth);
-    let batch_order = labeling_order(&ds, &generate_candidates(&ds, &config()));
-    let engine = EngineConfig { num_shards: 4, num_threads: 2, ..EngineConfig::default() };
-    let batch = run_with_oracle(ds.len(), &batch_order, &oracle, &engine);
+#[ignore = "scale smoke — run via `cargo test -p crowdjoin --test stream_equivalence -- --ignored` (CI scale-guard step)"]
+fn stream_8k_ingest_is_a_fraction_of_close() {
+    let ds = generate_paper(&PaperGenConfig { num_records: 8_000, ..PaperGenConfig::default() });
+    let matcher = MatcherConfig::for_arity(ds.table.schema().arity());
+    let arrivals: Vec<(u32, Record)> =
+        ds.table.records().iter().enumerate().map(|(i, r)| (i as u32, r.clone())).collect();
 
-    for k in 0..INTERLEAVINGS {
-        let order = labeling_order(&ds, &stream_candidates(&ds, &shuffled(ds.len(), 1000 + k)));
-        let mut se = StreamEngine::new(engine.clone());
-        let step_oracle = SharedGroundTruth::new(&truth);
-        let mut paid = 0u64;
-        for chunk in order.chunks(order.len().div_ceil(3).max(1)) {
-            se.ingest(ds.len(), chunk);
-            let step = se.step_with_oracle(&step_oracle);
-            paid += step.new_answers as u64;
-        }
-        assert_eq!(
-            paid,
-            step_oracle.questions_asked(),
-            "interleaving {k}: every oracle question is a new answer exactly once"
-        );
-        let final_step = se.step_with_oracle(&step_oracle);
-        assert_eq!(final_step.new_answers, 0, "interleaving {k}: a settled job buys nothing");
-        for sp in &batch_order {
-            assert_eq!(
-                final_step.result.label_of(sp.pair),
-                batch.result.label_of(sp.pair),
-                "interleaving {k}: label of {}",
-                sp.pair
-            );
-        }
+    let mut job = StreamJob::new(ds.table.schema().clone(), matcher, 0);
+    let clock = std::time::Instant::now();
+    for chunk in arrivals.chunks(512) {
+        job.ingest(chunk).expect("unjournaled ingest");
     }
+    let ingest = clock.elapsed();
+    let clock = std::time::Instant::now();
+    let (closed, candidates) = job.close().expect("unjournaled close");
+    let close = clock.elapsed();
+
+    assert_eq!(closed.len(), ds.len());
+    assert!(!candidates.is_empty(), "8k Paper records at floor 0.05 must keep candidates");
+    assert!(
+        ingest * 4 < close,
+        "ingesting 8k records took {ingest:?} against a {close:?} close — per-arrival work is \
+         back in ingest"
+    );
 }
