@@ -1,6 +1,6 @@
 //! Sharded-engine scaling: wall-clock of the full labeling job at 1, 2, 4,
 //! and 8 shards on a generated 5k-record Product dataset (the Abt-Buy
-//! stand-in), plus the engine-vs-core-labeler framework comparison.
+//! stand-in), plus the labeler alone, without partition or scheduler.
 //!
 //! Candidate generation runs once outside the timing loops; the benchmark
 //! measures the execution engine itself (partitioning, scheduling, labeling,
@@ -98,8 +98,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
     });
     group.finish();
 
-    // Reference arm: the single-threaded core labeler (rescan-based
-    // deduction sweeps) on the same workload.
+    // Reference arm: the one labeler (`ParallelLabeler`, the same code
+    // every shard runs) over the whole order, without partition or
+    // scheduler, on the same workload.
     let mut group = c.benchmark_group("engine/product_5k_core_labeler");
     group.sample_size(10);
     group.bench_function("run_parallel_rounds", |b| {
@@ -112,9 +113,8 @@ fn bench_shard_scaling(c: &mut Criterion) {
     });
     group.finish();
 
-    // Headline summary: median-of-5 wall-clock for the single-threaded core
-    // labeler vs the engine at 1 and 8 shards, with explicit speedups (the
-    // numbers recorded in CHANGES.md).
+    // Headline summary: median-of-5 wall-clock for the labeler alone vs the
+    // engine at 1 and 8 shards, with explicit speedups.
     let median = |f: &mut dyn FnMut() -> usize| {
         let mut times: Vec<f64> = (0..5)
             .map(|_| {
@@ -145,10 +145,10 @@ fn bench_shard_scaling(c: &mut Criterion) {
     let t8 = engine_time(8);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("\nengine summary ({cores} core(s) available):");
-    println!("  core labeler (single-threaded rescan): {:>9.2} ms", t_core * 1e3);
+    println!("  labeler alone (no partition/scheduler): {:>8.2} ms", t_core * 1e3);
     println!("  engine, 1 shard:                        {:>9.2} ms", t1 * 1e3);
     println!("  engine, 8 shards:                       {:>9.2} ms", t8 * 1e3);
-    println!("  speedup engine@8 vs core labeler:       {:>9.2}x", t_core / t8);
+    println!("  speedup engine@8 vs labeler alone:      {:>9.2}x", t_core / t8);
     println!("  speedup engine@8 vs engine@1:           {:>9.2}x", t1 / t8);
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Run `cargo run -p crowdjoin-bench --release --bin <experiment>`; each
 //! binary prints the paper-style rows and the corresponding paper values for
-//! side-by-side comparison (EXPERIMENTS.md records a snapshot).
+//! side-by-side comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -70,24 +70,9 @@ mod tests {
     use crate::types::{Pair, ScoredPair};
     use proptest::prelude::*;
 
-    fn running_example() -> (CandidateSet, GroundTruth) {
-        let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
-        let pairs = vec![
-            ScoredPair::new(Pair::new(0, 1), 0.95),
-            ScoredPair::new(Pair::new(1, 2), 0.90),
-            ScoredPair::new(Pair::new(0, 5), 0.85),
-            ScoredPair::new(Pair::new(0, 2), 0.80),
-            ScoredPair::new(Pair::new(3, 4), 0.75),
-            ScoredPair::new(Pair::new(3, 5), 0.70),
-            ScoredPair::new(Pair::new(1, 3), 0.65),
-            ScoredPair::new(Pair::new(4, 5), 0.60),
-        ];
-        (CandidateSet::new(6, pairs), truth)
-    }
-
     #[test]
     fn figure3_closed_form_is_six() {
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let cost = optimal_cost(&cs, &truth);
         // Spanning forests: {o1,o2,o3} needs 2, {o4,o5} needs 1.
         assert_eq!(cost.matching, 3);

@@ -1,11 +1,10 @@
 //! Incremental transitive closure over a set of *tracked* pairs.
 //!
-//! The core labelers sweep every still-pending pair after each crowd answer
-//! (`ParallelLabeler::sweep_deductions` is O(pending) per answer). At engine
-//! scale that rescan dominates, so this module maintains the closure
-//! **eagerly and incrementally**, in the style of semi-naive datalog
-//! evaluation: only facts derived *by the newest label* propagate, nothing
-//! is recomputed from scratch.
+//! Algorithm 2 as written sweeps every still-pending pair after each crowd
+//! answer, O(pending) per answer. The [`crate::ParallelLabeler`] instead
+//! maintains the closure **eagerly and incrementally**, in the style of
+//! semi-naive datalog evaluation: only facts derived *by the newest label*
+//! propagate, nothing is recomputed from scratch.
 //!
 //! The index keys every tracked-but-undecided pair by the unordered pair of
 //! **cluster slots** of its endpoints (slots are the stable cluster ids of
@@ -25,24 +24,22 @@
 //! ClusterGraph's smaller-set merge rule — O(P log P) amortized for P
 //! tracked pairs, versus O(P · answers) for the rescan strategy.
 
-use crowdjoin_core::{Label, Pair};
+use crate::types::{Label, Pair};
 use crowdjoin_graph::{ClusterGraph, ConflictError, InsertOutcome, TrackedInsert};
 use crowdjoin_util::{FxHashMap, FxHashSet};
 
 /// A newly deduced tracked pair: the caller-assigned id and the label.
-pub type Deduction = (usize, Label);
+pub(crate) type Deduction = (usize, Label);
 
 /// Incrementally maintained positive/negative transitive closure.
 #[derive(Debug, Clone)]
-pub struct IncrementalClosure {
+pub(crate) struct IncrementalClosure {
     graph: ClusterGraph,
     /// Unordered slot-pair key → caller ids of pending pairs between those
     /// clusters.
     pending: FxHashMap<(u32, u32), Vec<usize>>,
     /// Per slot: partner slots with at least one pending pair.
     partners: Vec<FxHashSet<u32>>,
-    /// Pairs tracked and not yet resolved.
-    num_pending: usize,
 }
 
 fn key(a: u32, b: u32) -> (u32, u32) {
@@ -55,26 +52,12 @@ fn key(a: u32, b: u32) -> (u32, u32) {
 
 impl IncrementalClosure {
     /// Creates a closure over objects `0..n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             graph: ClusterGraph::new(n),
             pending: FxHashMap::default(),
             partners: vec![FxHashSet::default(); n],
-            num_pending: 0,
         }
-    }
-
-    /// Number of tracked pairs not yet deducible.
-    #[must_use]
-    pub fn num_pending(&self) -> usize {
-        self.num_pending
-    }
-
-    /// Read access to the underlying label graph.
-    #[must_use]
-    pub fn graph(&self) -> &ClusterGraph {
-        &self.graph
     }
 
     /// Registers a pair of interest under the caller's `id`.
@@ -83,7 +66,7 @@ impl IncrementalClosure {
     /// (it is then *not* indexed); otherwise the pair is indexed and will be
     /// reported through [`Self::insert`]'s deduction output exactly once,
     /// when it first becomes deducible.
-    pub fn track(&mut self, id: usize, pair: Pair) -> Option<Label> {
+    pub(crate) fn track(&mut self, id: usize, pair: Pair) -> Option<Label> {
         let sa = self.graph.slot_of(pair.a());
         let sb = self.graph.slot_of(pair.b());
         if sa == sb {
@@ -95,13 +78,7 @@ impl IncrementalClosure {
         self.pending.entry(key(sa, sb)).or_default().push(id);
         self.partners[sa as usize].insert(sb);
         self.partners[sb as usize].insert(sa);
-        self.num_pending += 1;
         None
-    }
-
-    /// Attempts to deduce a pair's label from the labels inserted so far.
-    pub fn deduce(&mut self, pair: Pair) -> Option<Label> {
-        self.graph.deduce(pair.a(), pair.b())
     }
 
     /// Inserts a crowd label and appends every tracked pair that *became*
@@ -110,7 +87,7 @@ impl IncrementalClosure {
     /// On conflict (the label contradicts the existing closure) nothing
     /// changes and the error carries the deduced label — callers choose the
     /// resolution policy exactly as with [`ClusterGraph::insert`].
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         pair: Pair,
         label: Label,
@@ -136,7 +113,6 @@ impl IncrementalClosure {
         if let Some(ids) = self.pending.remove(&key(a, b)) {
             self.partners[a as usize].remove(&b);
             self.partners[b as usize].remove(&a);
-            self.num_pending -= ids.len();
             deduced.extend(ids.into_iter().map(|id| (id, label)));
         }
     }
@@ -159,12 +135,10 @@ impl IncrementalClosure {
             self.partners[t as usize].remove(&dropped);
             if t == kept {
                 // Pairs between the two merging clusters: now matching.
-                self.num_pending -= ids.len();
                 deduced.extend(ids.into_iter().map(|id| (id, Label::Matching)));
             } else if self.graph.slots_adjacent(kept, t) {
                 // The merged cluster already carries a non-matching edge to
                 // t: one hop of negative transitivity.
-                self.num_pending -= ids.len();
                 deduced.extend(ids.into_iter().map(|id| (id, Label::NonMatching)));
             } else {
                 // Still undecided; carried over under the surviving slot.
@@ -237,7 +211,7 @@ mod tests {
         assert!(delta.is_empty());
         assert_eq!(c.track(0, p(0, 1)), Some(Label::Matching));
         assert_eq!(c.track(1, p(0, 2)), None);
-        assert_eq!(c.num_pending(), 1);
+        assert_eq!(c.pending.values().map(Vec::len).sum::<usize>(), 1);
     }
 
     #[test]
@@ -253,7 +227,7 @@ mod tests {
         delta.clear();
         c.insert(p(2, 3), Label::Matching, &mut delta).unwrap();
         assert_eq!(delta, vec![(1, Label::Matching)]);
-        assert_eq!(c.num_pending(), 0);
+        assert!(c.pending.is_empty());
     }
 
     #[test]

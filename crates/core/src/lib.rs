@@ -16,6 +16,11 @@
 //!   labeler and the parallel labeler (Algorithms 2/3) that publishes every
 //!   pair provably needing crowdsourcing, supporting the *instant decision*
 //!   and *non-matching first* optimizations through its event-driven API.
+//!   [`ParallelLabeler`] is the one Algorithm-3 implementation: the
+//!   round-based driver, the platform runners and every engine shard run
+//!   it. It deduces through an incremental transitive closure (only what
+//!   the newest answer implies is derived) and skips Algorithm-3 scans
+//!   that cannot differ from the last one.
 //! * **Baseline** ([`baseline`]) — the non-transitive labeler prior systems
 //!   use (crowdsource everything).
 //! * **Analysis** ([`analysis`], [`expected`]) — closed-form optimal cost and
@@ -57,9 +62,10 @@
 
 pub mod analysis;
 pub mod baseline;
-pub mod budget;
+mod closure;
 pub mod expected;
 pub mod framework;
+mod labeler;
 pub mod metrics;
 pub mod one_to_one;
 pub mod oracle;
@@ -73,18 +79,36 @@ pub mod types;
 
 pub use analysis::{optimal_cost, OptimalCost};
 pub use baseline::label_non_transitive;
-pub use budget::{label_with_budget, BudgetedResult};
 pub use expected::{
     estimate_expected_cost, is_consistent, World, WorldEnumeration, MAX_ENUMERABLE_PAIRS,
 };
 pub use framework::LabelingTask;
+pub use labeler::ParallelLabeler;
 pub use metrics::QualityMetrics;
 pub use one_to_one::{enforce_one_to_one, OneToOneDeducer, OneToOneOutcome};
 pub use oracle::{FixedOracle, GroundTruthOracle, NoisyOracle, Oracle};
-pub use parallel::{run_parallel_rounds, ParallelLabeler, ParallelRunStats};
+pub use parallel::{run_parallel_rounds, ParallelRunStats};
 pub use resolution::{resolve_entities, EntityResolution};
 pub use result::LabelingResult;
 pub use sequential::label_sequential;
 pub use sort::{sort_pairs, SortStrategy};
 pub use truth::GroundTruth;
 pub use types::{CandidateSet, Label, LabeledPair, Pair, Provenance, ScoredPair};
+
+/// The paper's Figure 3 running example (0-based ids): clusters {o1,o2,o3}
+/// and {o4,o5}; candidate pairs p1..p8 in decreasing likelihood.
+#[cfg(test)]
+pub(crate) fn running_example() -> (CandidateSet, GroundTruth) {
+    let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
+    let pairs = vec![
+        ScoredPair::new(Pair::new(0, 1), 0.95), // p1 M
+        ScoredPair::new(Pair::new(1, 2), 0.90), // p2 M
+        ScoredPair::new(Pair::new(0, 5), 0.85), // p3 N
+        ScoredPair::new(Pair::new(0, 2), 0.80), // p4 M
+        ScoredPair::new(Pair::new(3, 4), 0.75), // p5 M
+        ScoredPair::new(Pair::new(3, 5), 0.70), // p6 N
+        ScoredPair::new(Pair::new(1, 3), 0.65), // p7 N
+        ScoredPair::new(Pair::new(4, 5), 0.60), // p8 N
+    ];
+    (CandidateSet::new(6, pairs), truth)
+}

@@ -41,7 +41,7 @@ impl<O: Oracle + ?Sized> Oracle for &mut O {
 // the engine moves them into worker threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<crate::parallel::ParallelLabeler>();
+    assert_send::<crate::ParallelLabeler>();
     assert_send::<GroundTruthOracle<'static>>();
     assert_send::<NoisyOracle<'static>>();
     assert_send::<FixedOracle>();

@@ -25,231 +25,29 @@
 //!   total number of crowdsourced pairs" holds for realistic,
 //!   matching-heavy likelihood orders but is **not** a worst-case guarantee
 //!   (see `overshoot_regression` below for a 7-pair instance where parallel
-//!   crowdsources one pair more). On the calibrated Paper/Product workloads
-//!   the observed overshoot is ≈0 (measured in EXPERIMENTS.md).
-//!   Symmetrically, the deduction sweep may exploit answers from pairs
-//!   *later* in ω, letting parallel occasionally beat sequential.
+//!   crowdsources one pair more). Symmetrically, deduction may exploit
+//!   answers from pairs *later* in ω, letting parallel occasionally beat
+//!   sequential.
 //!
-//! The labeler is an inversion-of-control state machine so that both the
-//! round-based drivers (Figures 13/14) and the event-driven crowd-platform
-//! simulation (Figure 15, Tables 1/2) can drive it:
+//! The labeler, [`ParallelLabeler`], is an inversion-of-control state
+//! machine so that the round-based driver here (Figures 13/14), the
+//! event-driven crowd-platform simulation (Figure 15, Tables 1/2) and the
+//! sharded engine can all drive it:
 //!
 //! ```text
 //! loop {
 //!     let batch = labeler.next_batch();      // Algorithm 3 (+ instant decision)
 //!     publish(batch);
 //!     for answer in answers {                 // any arrival order
-//!         labeler.submit_answer(pair, label); // inserts + sweeps deductions
+//!         labeler.submit_answer(pair, label); // inserts + deduces (Algorithm 2)
 //!     }
 //! }
 //! ```
 
+use crate::labeler::ParallelLabeler;
 use crate::oracle::Oracle;
 use crate::result::LabelingResult;
-use crate::types::{Label, Pair, Provenance, ScoredPair};
-use crowdjoin_graph::ClusterGraph;
-use crowdjoin_util::FxHashMap;
-
-/// Per-pair lifecycle inside the parallel labeler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairState {
-    /// Not yet published or labeled.
-    Unlabeled,
-    /// Published to the platform; an answer is outstanding.
-    Published,
-    /// Labeled (crowdsourced or deduced).
-    Labeled,
-}
-
-/// The parallel labeler state machine.
-#[derive(Debug, Clone)]
-pub struct ParallelLabeler {
-    num_objects: usize,
-    /// Pairs in labeling order.
-    order: Vec<ScoredPair>,
-    /// Position lookup for `submit_answer`.
-    index_of: FxHashMap<Pair, usize>,
-    state: Vec<PairState>,
-    /// Graph of crowdsourced labels only (deduction-closed information).
-    graph: ClusterGraph,
-    result: LabelingResult,
-    /// Indices (into `order`) of pairs still unlabeled, kept sorted; shrinks
-    /// as labeling progresses so deduction sweeps touch only live pairs.
-    pending: Vec<usize>,
-    outstanding: usize,
-}
-
-impl ParallelLabeler {
-    /// Creates a labeler for `order` over a universe of `num_objects`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair references an object `>= num_objects` or appears
-    /// twice in `order`.
-    #[must_use]
-    pub fn new(num_objects: usize, order: Vec<ScoredPair>) -> Self {
-        let mut index_of = FxHashMap::default();
-        for (i, sp) in order.iter().enumerate() {
-            assert!(
-                (sp.pair.b() as usize) < num_objects,
-                "pair {} references object outside universe of {num_objects}",
-                sp.pair
-            );
-            assert!(index_of.insert(sp.pair, i).is_none(), "duplicate pair {} in order", sp.pair);
-        }
-        let n = order.len();
-        Self {
-            num_objects,
-            order,
-            index_of,
-            state: vec![PairState::Unlabeled; n],
-            graph: ClusterGraph::new(num_objects),
-            result: LabelingResult::new(),
-            pending: (0..n).collect(),
-            outstanding: 0,
-        }
-    }
-
-    /// `true` once every pair has a label.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.result.num_labeled() == self.order.len()
-    }
-
-    /// Number of published pairs whose answers are still outstanding.
-    #[must_use]
-    pub fn num_outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Pairs published so far (crowd cost incurred so far).
-    #[must_use]
-    pub fn num_published(&self) -> usize {
-        self.result.num_crowdsourced() + self.outstanding
-    }
-
-    /// Algorithm 3 (`ParallelCrowdsourcedPairs`) with the instant-decision
-    /// refinement: returns the pairs that must be crowdsourced given current
-    /// knowledge, excluding pairs already published. Marks returned pairs as
-    /// published.
-    pub fn next_batch(&mut self) -> Vec<ScoredPair> {
-        let mut scan = ClusterGraph::new(self.num_objects);
-        let mut batch = Vec::new();
-        for i in 0..self.order.len() {
-            let sp = self.order[i];
-            let (a, b) = (sp.pair.a(), sp.pair.b());
-            match self.state[i] {
-                PairState::Labeled => {
-                    // Insert the real label; a redundant insert is fine, a
-                    // conflicting one (possible only with noisy answers
-                    // because of earlier assumed-matching merges) is skipped
-                    // — that is conservative: it can only cause extra
-                    // publishing, never a wrong skip.
-                    let label =
-                        self.result.label_of(sp.pair).expect("labeled pair must be in result");
-                    let _ = scan.insert(a, b, label);
-                }
-                PairState::Published | PairState::Unlabeled => {
-                    if scan.deduce(a, b).is_none() {
-                        // Must be crowdsourced whatever the outstanding
-                        // answers turn out to be.
-                        if self.state[i] == PairState::Unlabeled {
-                            self.state[i] = PairState::Published;
-                            self.outstanding += 1;
-                            batch.push(sp);
-                        }
-                        // Assume matching for the rest of the scan
-                        // (Algorithm 3 line 11). Cannot conflict: deduce
-                        // returned None.
-                        scan.insert(a, b, Label::Matching)
-                            .expect("insert after failed deduction cannot conflict");
-                    }
-                    // Deducible under the assumption: leave it pending; its
-                    // fate is decided by real answers.
-                }
-            }
-        }
-        batch
-    }
-
-    /// Feeds one crowd answer for a previously published pair, then deduces
-    /// every pending pair that became decidable (Algorithm 2 lines 6–8).
-    ///
-    /// If the answer contradicts what the accumulated labels already deduce
-    /// (possible only with inconsistent/noisy answers), the deduced label
-    /// wins and a conflict is counted — the graph stays consistent either
-    /// way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pair` was not published or was already answered.
-    pub fn submit_answer(&mut self, pair: Pair, answer: Label) {
-        let &i = self
-            .index_of
-            .get(&pair)
-            .unwrap_or_else(|| panic!("pair {pair} is not part of this labeling task"));
-        assert_eq!(
-            self.state[i],
-            PairState::Published,
-            "answer submitted for pair {pair} that is not awaiting one"
-        );
-        self.state[i] = PairState::Labeled;
-        self.outstanding -= 1;
-
-        let (a, b) = (pair.a(), pair.b());
-        let label = match self.graph.insert(a, b, answer) {
-            Ok(_) => answer,
-            Err(conflict) => {
-                self.result.record_conflict();
-                conflict.deduced
-            }
-        };
-        self.result.record(pair, label, Provenance::Crowdsourced);
-        self.sweep_deductions();
-    }
-
-    /// Labels every pending pair that is now deducible from the crowdsourced
-    /// labels. Published-but-unanswered pairs are *not* deduced here: they
-    /// were already paid for, and their crowd answer is authoritative (the
-    /// paper counts them as crowdsourced pairs).
-    fn sweep_deductions(&mut self) {
-        let mut j = 0;
-        for k in 0..self.pending.len() {
-            let i = self.pending[k];
-            if self.state[i] == PairState::Labeled {
-                continue; // drop from pending
-            }
-            if self.state[i] == PairState::Unlabeled {
-                let sp = self.order[i];
-                if let Some(label) = self.graph.deduce(sp.pair.a(), sp.pair.b()) {
-                    self.state[i] = PairState::Labeled;
-                    self.result.record(sp.pair, label, Provenance::Deduced);
-                    continue; // drop from pending
-                }
-            }
-            self.pending[j] = i;
-            j += 1;
-        }
-        self.pending.truncate(j);
-    }
-
-    /// Consumes the labeler and returns the labeling result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if labeling is not complete.
-    #[must_use]
-    pub fn into_result(self) -> LabelingResult {
-        assert!(self.is_complete(), "labeling is not complete");
-        self.result
-    }
-
-    /// Read access to the (partial) result while labeling is in progress.
-    #[must_use]
-    pub fn result(&self) -> &LabelingResult {
-        &self.result
-    }
-}
+use crate::types::ScoredPair;
 
 /// Statistics of one round-based parallel run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,28 +103,13 @@ mod tests {
     use crate::sequential::label_sequential;
     use crate::sort::{sort_pairs, SortStrategy};
     use crate::truth::GroundTruth;
-    use crate::types::CandidateSet;
+    use crate::types::{CandidateSet, Pair, Provenance};
     use proptest::prelude::*;
-
-    fn running_example() -> (CandidateSet, GroundTruth) {
-        let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
-        let pairs = vec![
-            ScoredPair::new(Pair::new(0, 1), 0.95), // p1 M
-            ScoredPair::new(Pair::new(1, 2), 0.90), // p2 M
-            ScoredPair::new(Pair::new(0, 5), 0.85), // p3 N
-            ScoredPair::new(Pair::new(0, 2), 0.80), // p4 M
-            ScoredPair::new(Pair::new(3, 4), 0.75), // p5 M
-            ScoredPair::new(Pair::new(3, 5), 0.70), // p6 N
-            ScoredPair::new(Pair::new(1, 3), 0.65), // p7 N
-            ScoredPair::new(Pair::new(4, 5), 0.60), // p8 N
-        ];
-        (CandidateSet::new(6, pairs), truth)
-    }
 
     #[test]
     fn example5_first_batch_is_five_pairs() {
         // Paper Example 5: iteration 1 publishes {p1, p2, p3, p5, p6}.
-        let (cs, _) = running_example();
+        let (cs, _) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut labeler = ParallelLabeler::new(cs.num_objects(), order);
         let batch: Vec<Pair> = labeler.next_batch().iter().map(|sp| sp.pair).collect();
@@ -344,7 +127,7 @@ mod tests {
 
     #[test]
     fn example5_full_run_two_iterations() {
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut oracle = GroundTruthOracle::new(&truth);
         let (result, stats) = run_parallel_rounds(cs.num_objects(), order, &mut oracle);
@@ -359,20 +142,13 @@ mod tests {
 
     #[test]
     fn labels_match_truth() {
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut oracle = GroundTruthOracle::new(&truth);
         let (result, _) = run_parallel_rounds(cs.num_objects(), order, &mut oracle);
         for sp in cs.pairs() {
             assert_eq!(result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
         }
-    }
-
-    #[test]
-    fn empty_order_completes_immediately() {
-        let labeler = ParallelLabeler::new(4, vec![]);
-        assert!(labeler.is_complete());
-        assert_eq!(labeler.into_result().num_labeled(), 0);
     }
 
     #[test]
@@ -389,18 +165,6 @@ mod tests {
         let (result, stats) = run_parallel_rounds(4, order, &mut oracle);
         assert_eq!(stats.batch_sizes, vec![3]);
         assert_eq!(result.num_crowdsourced(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not awaiting")]
-    fn double_answer_rejected() {
-        let (cs, _) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut labeler = ParallelLabeler::new(cs.num_objects(), order);
-        let batch = labeler.next_batch();
-        let p = batch[0].pair;
-        labeler.submit_answer(p, Label::Matching);
-        labeler.submit_answer(p, Label::Matching);
     }
 
     /// Random consistent instances: clusters over n objects, a random subset

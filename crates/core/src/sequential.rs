@@ -49,31 +49,14 @@ mod tests {
     use crate::oracle::GroundTruthOracle;
     use crate::sort::{sort_pairs, SortStrategy};
     use crate::truth::GroundTruth;
-    use crate::types::{CandidateSet, Pair};
-
-    /// The Figure 3 running example (0-based ids): clusters {o1,o2,o3},
-    /// {o4,o5}; candidate pairs p1..p8 in decreasing likelihood.
-    fn running_example() -> (CandidateSet, GroundTruth) {
-        let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
-        let pairs = vec![
-            ScoredPair::new(Pair::new(0, 1), 0.95), // p1 M
-            ScoredPair::new(Pair::new(1, 2), 0.90), // p2 M
-            ScoredPair::new(Pair::new(0, 5), 0.85), // p3 N
-            ScoredPair::new(Pair::new(0, 2), 0.80), // p4 M
-            ScoredPair::new(Pair::new(3, 4), 0.75), // p5 M
-            ScoredPair::new(Pair::new(3, 5), 0.70), // p6 N
-            ScoredPair::new(Pair::new(1, 3), 0.65), // p7 N
-            ScoredPair::new(Pair::new(4, 5), 0.60), // p8 N
-        ];
-        (CandidateSet::new(6, pairs), truth)
-    }
+    use crate::types::Pair;
 
     #[test]
     fn figure3_optimal_order_crowdsources_six() {
         // The paper's Example 2: the optimum is six crowdsourced pairs
         // (p4 deduced from p1,p2; p6 deduced from p5,p8 — or an equivalent
         // deduction set under a different optimal order).
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::Optimal(&truth));
         let mut oracle = GroundTruthOracle::new(&truth);
         let result = label_sequential(cs.num_objects(), &order, &mut oracle);
@@ -85,7 +68,7 @@ mod tests {
     fn figure3_expected_order_also_six() {
         // With likelihoods sorted as given (p1..p8), the expected order also
         // achieves 6 here: p4 deduced from {p1,p2}, p8 deduced from {p5,p6}.
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut oracle = GroundTruthOracle::new(&truth);
         let result = label_sequential(cs.num_objects(), &order, &mut oracle);
@@ -94,7 +77,7 @@ mod tests {
 
     #[test]
     fn labels_agree_with_truth_for_perfect_oracle() {
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         for strategy in [
             SortStrategy::Optimal(&truth),
             SortStrategy::ExpectedLikelihood,
@@ -147,7 +130,7 @@ mod tests {
 
     #[test]
     fn oracle_asked_exactly_crowdsourced_count() {
-        let (cs, truth) = running_example();
+        let (cs, truth) = crate::running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut oracle = GroundTruthOracle::new(&truth);
         let result = label_sequential(cs.num_objects(), &order, &mut oracle);

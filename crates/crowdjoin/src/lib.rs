@@ -18,7 +18,7 @@
 //! | crowd platform | [`sim`] | discrete-event AMT simulator + the pluggable `CrowdBackend` layer |
 //! | external crowd | [`backend_spool`] | spool-directory backend: drive a job with any external answerer |
 //! | answer journal | [`wal`] | crash-safe write-ahead journal for resumable jobs |
-//! | execution engine | [`engine`] | component sharding, incremental closure, worker-pool scheduler |
+//! | execution engine | [`engine`] | component sharding, event loop, worker-pool scheduler |
 //! | integration | [`pipeline`], [`runner`] | dataset→task glue, platform-driven runs |
 //! | streaming | [`stream`] | journaled record log; `close` is the batch join |
 //!
@@ -79,12 +79,11 @@ pub use crowdjoin_util as util;
 pub use crowdjoin_wal as wal;
 
 pub use crowdjoin_core::{
-    enforce_one_to_one, label_non_transitive, label_sequential, label_with_budget, optimal_cost,
-    resolve_entities, run_parallel_rounds, sort_pairs, BudgetedResult, CandidateSet,
-    EntityResolution, FixedOracle, GroundTruth, GroundTruthOracle, Label, LabeledPair,
-    LabelingResult, LabelingTask, NoisyOracle, OneToOneDeducer, OneToOneOutcome, OptimalCost,
-    Oracle, Pair, ParallelLabeler, ParallelRunStats, Provenance, QualityMetrics, ScoredPair,
-    SortStrategy, WorldEnumeration,
+    enforce_one_to_one, label_non_transitive, label_sequential, optimal_cost, resolve_entities,
+    run_parallel_rounds, sort_pairs, CandidateSet, EntityResolution, FixedOracle, GroundTruth,
+    GroundTruthOracle, Label, LabeledPair, LabelingResult, LabelingTask, NoisyOracle,
+    OneToOneDeducer, OneToOneOutcome, OptimalCost, Oracle, Pair, ParallelLabeler, ParallelRunStats,
+    Provenance, QualityMetrics, ScoredPair, SortStrategy, WorldEnumeration,
 };
 pub use crowdjoin_engine::{
     BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, RoundMetric, ShardContext,

@@ -15,58 +15,6 @@ use crowdjoin_core::{Label, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{HitStager, Platform, TaskSpec, VirtualTime};
 use crowdjoin_util::FxHashMap;
 
-/// A labeling state machine the platform driver can run: both the core
-/// [`ParallelLabeler`] and the engine's [`crate::ShardLabeler`] qualify.
-pub trait PlatformDriveable {
-    /// Algorithm 3: pairs that must be crowdsourced under current
-    /// knowledge, marked as published.
-    fn next_batch(&mut self) -> Vec<ScoredPair>;
-    /// Feeds one crowd answer.
-    fn submit_answer(&mut self, pair: Pair, answer: Label);
-    /// `true` once every pair is labeled.
-    fn is_complete(&self) -> bool;
-    /// Pairs answered by the crowd so far.
-    fn num_crowdsourced(&self) -> usize;
-    /// Pairs labeled so far.
-    fn num_labeled(&self) -> usize;
-}
-
-impl PlatformDriveable for ParallelLabeler {
-    fn next_batch(&mut self) -> Vec<ScoredPair> {
-        ParallelLabeler::next_batch(self)
-    }
-    fn submit_answer(&mut self, pair: Pair, answer: Label) {
-        ParallelLabeler::submit_answer(self, pair, answer);
-    }
-    fn is_complete(&self) -> bool {
-        ParallelLabeler::is_complete(self)
-    }
-    fn num_crowdsourced(&self) -> usize {
-        self.result().num_crowdsourced()
-    }
-    fn num_labeled(&self) -> usize {
-        self.result().num_labeled()
-    }
-}
-
-impl PlatformDriveable for crate::labeler::ShardLabeler {
-    fn next_batch(&mut self) -> Vec<ScoredPair> {
-        crate::labeler::ShardLabeler::next_batch(self)
-    }
-    fn submit_answer(&mut self, pair: Pair, answer: Label) {
-        crate::labeler::ShardLabeler::submit_answer(self, pair, answer);
-    }
-    fn is_complete(&self) -> bool {
-        crate::labeler::ShardLabeler::is_complete(self)
-    }
-    fn num_crowdsourced(&self) -> usize {
-        self.result().num_crowdsourced()
-    }
-    fn num_labeled(&self) -> usize {
-        self.result().num_labeled()
-    }
-}
-
 /// Drives `labeler` to completion against `platform` and returns the number
 /// of publish rounds.
 ///
@@ -82,7 +30,7 @@ impl PlatformDriveable for crate::labeler::ShardLabeler {
 /// Panics if the labeler reports incomplete while the platform is idle and
 /// no batch is publishable — impossible for well-formed inputs.
 pub fn drive_to_completion(
-    labeler: &mut dyn PlatformDriveable,
+    labeler: &mut ParallelLabeler,
     platform: &mut Platform,
     instant_decision: bool,
     truth_of: &dyn Fn(Pair) -> bool,
@@ -115,7 +63,7 @@ pub fn drive_to_completion(
                     let label = if r.label { Label::Matching } else { Label::NonMatching };
                     labeler.submit_answer(pair, label);
                 }
-                on_resolution(labeler.num_crowdsourced(), platform.num_open_pairs(), time);
+                on_resolution(labeler.result().num_crowdsourced(), platform.num_open_pairs(), time);
                 let may_publish = instant_decision || platform.num_unresolved_pairs() == 0;
                 if may_publish && !labeler.is_complete() {
                     let batch = labeler.next_batch();
@@ -133,7 +81,7 @@ pub fn drive_to_completion(
                 assert!(
                     stager.num_staged() > 0,
                     "labeler stuck: platform idle but only {} pairs labeled",
-                    labeler.num_labeled()
+                    labeler.result().num_labeled()
                 );
                 stager.release(platform, true);
             }

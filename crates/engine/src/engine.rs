@@ -2,13 +2,12 @@
 
 use crate::driver::drive_to_completion;
 use crate::event_loop::JournalRun;
-use crate::labeler::ShardLabeler;
 use crate::oracle::SharedOracle;
 use crate::partition::{partition_candidates, Shard};
 use crate::persist::{job_header, verify_header};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::run_sharded;
-use crowdjoin_core::{GroundTruth, Pair, ScoredPair};
+use crowdjoin_core::{GroundTruth, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{
     BackendFactory, Platform, PlatformConfig, SharedClock, SimFactory, VirtualTime,
 };
@@ -79,7 +78,7 @@ impl EngineConfig {
 /// runs and journal resumes share one construction path.
 ///
 /// ```no_run
-/// use crowdjoin_core::{GroundTruth, Pair, ScoredPair};
+/// use crowdjoin_core::{GroundTruth, Pair, ParallelLabeler, ScoredPair};
 /// use crowdjoin_engine::{Engine, EngineConfig};
 /// use crowdjoin_sim::PlatformConfig;
 ///
@@ -306,7 +305,7 @@ fn assert_journalable<F: BackendFactory>(factory: &F, config: &EngineConfig) {
 /// Each shard drives its own labeler; crowd questions are issued in one
 /// batched `answer_batch` call per publish round. With a consistent oracle
 /// the merged labels equal a single-threaded run's on every pair (pinned by
-/// the `engine_equivalence` tests).
+/// `tests/engine_sharding.rs`).
 ///
 /// `config.journal` is ignored: oracle answers arrive synchronously from
 /// the caller, who owns their durability; the write-ahead journal covers
@@ -326,7 +325,7 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
     let partition = partition_candidates(num_objects, order, config.effective_shards());
     let num_components = partition.num_components;
     let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
+        let mut labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
         let mut publish_rounds = 0usize;
         while !labeler.is_complete() {
             let batch = labeler.next_batch();
@@ -460,7 +459,7 @@ fn run_shard_on_platform(
     let cfg =
         crate::event_loop::shard_platform_config(platform_cfg, config, 0, shard.index, num_shards);
     let mut platform = Platform::new(cfg);
-    let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
+    let mut labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
     let publish_rounds = drive_to_completion(
         &mut labeler,
         &mut platform,

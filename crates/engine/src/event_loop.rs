@@ -48,8 +48,7 @@ use crate::partition::{partition_candidates, Partition};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::effective_threads;
 use crate::task::{ShardState, ShardTask};
-use crate::ShardLabeler;
-use crowdjoin_core::{GroundTruth, Label, Pair, ScoredPair};
+use crowdjoin_core::{GroundTruth, Label, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{BackendFactory, CrowdBackend, PlatformConfig, ShardContext, VirtualTime};
 use crowdjoin_util::{derive_seed, FxHashMap};
 use crowdjoin_wal as wal;
@@ -538,7 +537,7 @@ fn reshard<F: BackendFactory>(st: &mut LoopState<F::Backend>, ctx: &LoopCtx<'_, 
         };
         let mut platform = ctx.factory.create(&cfg, &shard_ctx);
         platform.warp_to(barrier);
-        let mut labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
+        let mut labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
         for sp in &shard.pairs {
             if let Some(&label) = known.get(&shard.to_global(sp.pair)) {
                 labeler.seed_known(sp.pair, label);
@@ -576,7 +575,7 @@ fn predict_publishable<F: BackendFactory>(
     open_pairs: &[ScoredPair],
     known: &FxHashMap<Pair, Label>,
 ) -> usize {
-    let mut probe = ShardLabeler::new(ctx.num_objects, open_pairs.to_vec());
+    let mut probe = ParallelLabeler::new(ctx.num_objects, open_pairs.to_vec());
     for sp in open_pairs {
         if let Some(&label) = known.get(&sp.pair) {
             probe.seed_known(sp.pair, label);

@@ -1,11 +1,12 @@
 //! # crowdjoin-engine — sharded, multi-threaded execution engine
 //!
-//! The labelers in `crowdjoin-core` process one candidate graph in one
-//! thread. Their deduction substrate is naturally partitionable, though:
+//! `crowdjoin_core::ParallelLabeler` labels one candidate graph in one
+//! thread. Its deduction substrate is naturally partitionable, though:
 //! transitive relations (positive and negative alike) propagate only along
 //! candidate edges, so **pairs in different connected components can never
 //! deduce each other**. This crate turns that observation into a
-//! job-oriented execution engine:
+//! job-oriented execution engine in which every shard runs that same
+//! labeler over its own components:
 //!
 //! 1. **Partitioner** ([`partition`]) — extracts connected components with
 //!    the `crowdjoin-graph` union–find and bin-packs them (LPT) into
@@ -21,11 +22,7 @@
 //!    virtual event, multiplexing thousands of shards over a bounded worker
 //!    pool — with optional dynamic re-sharding between publish rounds
 //!    ([`EngineConfig::reshard`]).
-//! 4. **Incremental closure** ([`closure`]) — per-shard positive/negative
-//!    transitive closure maintained eagerly as labels stream in (semi-naive
-//!    delta propagation on `ClusterGraph` structural events), so cross-round
-//!    deduction never recomputes from scratch.
-//! 5. **Merged report** ([`report`]) — per-shard `LabelingResult`s stitched
+//! 4. **Merged report** ([`report`]) — per-shard `LabelingResult`s stitched
 //!    into a global result with platform stats summed and completion time
 //!    taken as the virtual-time critical path (max over shards).
 //!
@@ -54,11 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod closure;
 pub mod driver;
 mod engine;
 pub mod event_loop;
-pub mod labeler;
 pub mod oracle;
 pub mod partition;
 mod persist;
@@ -77,12 +72,10 @@ pub use crowdjoin_sim::{
     BackendFactory, CrowdBackend, ShardContext, SimFactory, TimeSource, VirtualClock, WallClock,
 };
 
-pub use closure::IncrementalClosure;
-pub use driver::{drive_to_completion, PlatformDriveable};
+pub use driver::drive_to_completion;
 pub use engine::{
     run_on_platform, run_on_platform_threaded, run_with_oracle, Engine, EngineConfig,
 };
-pub use labeler::ShardLabeler;
 pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};

@@ -68,11 +68,10 @@
 //! (which two records?) without any side channel. Backends must treat ids
 //! as opaque; the simulator does.
 
-use crate::labeler::ShardLabeler;
 use crate::partition::Shard;
 use crate::persist::snapshot_of;
 use crate::report::{RoundMetric, ShardReport};
-use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
+use crowdjoin_core::{Label, LabelingResult, Pair, ParallelLabeler, Provenance, ScoredPair};
 use crowdjoin_graph::UnionFind;
 use crowdjoin_sim::{CrowdBackend, HitStager, ResolvedTask, TaskSpec, VirtualTime};
 use crowdjoin_util::{FxHashMap, FxHashSet};
@@ -134,7 +133,7 @@ pub(crate) struct RetiredShard {
 #[derive(Debug)]
 pub struct ShardTask<B: CrowdBackend> {
     shard: Shard,
-    labeler: ShardLabeler,
+    labeler: ParallelLabeler,
     platform: B,
     stager: HitStager,
     ids: FxHashMap<u64, Pair>,
@@ -198,7 +197,7 @@ impl<B: CrowdBackend> ShardTask<B> {
     /// Creates a task for a fresh shard on its own backend.
     #[must_use]
     pub fn new(shard: Shard, platform: B, instant_decision: bool, report_index: usize) -> Self {
-        let labeler = ShardLabeler::new(shard.num_objects(), shard.pairs.clone());
+        let labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
         Self::resume(shard, labeler, platform, instant_decision, report_index, 0)
     }
 
@@ -208,7 +207,7 @@ impl<B: CrowdBackend> ShardTask<B> {
     #[must_use]
     pub fn resume(
         shard: Shard,
-        labeler: ShardLabeler,
+        labeler: ParallelLabeler,
         platform: B,
         instant_decision: bool,
         report_index: usize,
@@ -782,7 +781,7 @@ mod tests {
             let cfg = PlatformConfig::perfect_workers(17);
 
             let mut platform = Platform::new(cfg.clone());
-            let mut labeler = ShardLabeler::new(cs.num_objects(), order.clone());
+            let mut labeler = ParallelLabeler::new(cs.num_objects(), order.clone());
             let rounds = drive_to_completion(
                 &mut labeler,
                 &mut platform,
@@ -863,7 +862,7 @@ mod tests {
         let resumed_shard =
             crate::partition::partition_candidates(5, &retired.open_pairs, 1).shards.remove(0);
         let mut labeler =
-            ShardLabeler::new(resumed_shard.num_objects(), resumed_shard.pairs.clone());
+            ParallelLabeler::new(resumed_shard.num_objects(), resumed_shard.pairs.clone());
         let known_of: FxHashMap<Pair, Label> = retired.known.iter().copied().collect();
         for sp in &resumed_shard.pairs {
             if let Some(&label) = known_of.get(&resumed_shard.to_global(sp.pair)) {

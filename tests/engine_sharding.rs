@@ -1,7 +1,8 @@
-//! Shard-equivalence tests for the execution engine: the sharded engine
-//! must agree with the single-threaded `ParallelLabeler` on the bundled
-//! generators, at every shard count, and be bit-deterministic for a fixed
-//! seed.
+//! Shard-equivalence tests for the execution engine: every shard runs the
+//! one `ParallelLabeler` over its components, so the sharded engine must
+//! agree with one unsharded `run_parallel_rounds` over the whole candidate
+//! set on the bundled generators, at every shard count, and be
+//! bit-deterministic for a fixed seed.
 
 use crowdjoin::engine::SharedGroundTruth;
 use crowdjoin::matcher::MatcherConfig;
@@ -53,8 +54,8 @@ fn assert_money_partitions(report: &EngineReport) {
     assert_eq!(report.total_cost_cents, sharded, "money must partition across shards");
 }
 
-/// The sharded engine must produce the same labels as the single-threaded
-/// parallel labeler on every candidate pair, and crowdsource the same
+/// The sharded engine must produce the same labels as one unsharded run of
+/// the parallel labeler on every candidate pair, and crowdsource the same
 /// number of pairs (components are deduction-independent, so sharding
 /// cannot change which pairs Algorithm 3 publishes).
 fn assert_shard_equivalence(candidates: &CandidateSet, truth: &GroundTruth, order: &[ScoredPair]) {

@@ -1,16 +1,15 @@
 //! Integration tests for the extension features (Section 8 future-work
-//! items and the related-work budget setting): entity-cluster extraction,
-//! one-to-one constraints, and budget-limited labeling, composed over the
-//! full pipeline.
+//! items): entity-cluster extraction and one-to-one constraints, composed
+//! over the full pipeline.
 
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{
     generate_paper, generate_product, ClusterSpec, PaperGenConfig, PerturbConfig, ProductGenConfig,
 };
 use crowdjoin::{
-    build_task, enforce_one_to_one, ground_truth_of, label_with_budget, resolve_entities,
-    sort_pairs, to_candidate_set, GroundTruthOracle, Label, OneToOneDeducer, Pair, QualityMetrics,
-    ScoredPair, SortStrategy,
+    build_task, enforce_one_to_one, ground_truth_of, resolve_entities, sort_pairs,
+    to_candidate_set, GroundTruthOracle, Label, OneToOneDeducer, Pair, QualityMetrics, ScoredPair,
+    SortStrategy,
 };
 
 #[test]
@@ -118,54 +117,4 @@ fn online_one_to_one_deducer_saves_questions() {
         }
     }
     assert_eq!(asked, 2, "constraint deduced two of four pairs");
-}
-
-#[test]
-fn budget_sweep_on_real_workload() {
-    let ds = generate_paper(&PaperGenConfig {
-        num_records: 150,
-        clusters: ClusterSpec::PowerLaw { alpha: 1.9, max_size: 25, force_max: true },
-        perturb: PerturbConfig::heavy(),
-        sibling_probability: 0.3,
-        seed: 606,
-    });
-    let (task, truth) = build_task(&ds, &MatcherConfig::for_arity(5), 0.3);
-    let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-
-    let mut prev_coverage = -1.0;
-    for budget in [0usize, 10, 50, 200, usize::MAX / 2] {
-        let mut crowd = GroundTruthOracle::new(&truth);
-        let out = label_with_budget(task.candidates().num_objects(), &order, &mut crowd, budget);
-        assert!(out.coverage() >= prev_coverage - 1e-12, "coverage regressed at {budget}");
-        prev_coverage = out.coverage();
-        // Sound labels at every budget.
-        for lp in out.result.labeled_pairs() {
-            assert_eq!(lp.label, truth.label_of(lp.pair));
-        }
-    }
-    assert_eq!(prev_coverage, 1.0, "unbounded budget labels everything");
-}
-
-#[test]
-fn budget_beats_naive_spend_on_likelihood_order() {
-    // Spending B answers via the transitive framework labels (far) more
-    // pairs than the non-transitive baseline's B labels on heavy-tail data.
-    let ds = generate_paper(&PaperGenConfig {
-        num_records: 150,
-        clusters: ClusterSpec::PowerLaw { alpha: 1.9, max_size: 25, force_max: true },
-        perturb: PerturbConfig::heavy(),
-        sibling_probability: 0.3,
-        seed: 607,
-    });
-    let (task, truth) = build_task(&ds, &MatcherConfig::for_arity(5), 0.3);
-    let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let budget = task.candidates().len() / 10;
-    let mut crowd = GroundTruthOracle::new(&truth);
-    let out = label_with_budget(task.candidates().num_objects(), &order, &mut crowd, budget);
-    assert!(
-        out.result.num_labeled() > budget * 2,
-        "transitivity should at least double the budget's reach: {} labeled from {} answers",
-        out.result.num_labeled(),
-        budget
-    );
 }
