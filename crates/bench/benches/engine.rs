@@ -11,9 +11,8 @@ use crowdjoin::engine::SharedGroundTruth;
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    build_task, run_parallel_rounds, run_sharded_on_platform, run_sharded_on_platform_threaded,
-    sort_pairs, CandidateSet, EngineConfig, GroundTruth, GroundTruthOracle, ScoredPair,
-    SortStrategy,
+    build_task, run_parallel_rounds, sort_pairs, CandidateSet, Engine, EngineConfig, EngineReport,
+    GroundTruth, GroundTruthOracle, ScoredPair, SortStrategy,
 };
 use crowdjoin_bench::measure;
 use std::hint::black_box;
@@ -28,6 +27,19 @@ fn product_5k() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     let candidates = task.candidates().clone();
     let order = sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
     (candidates, truth, order)
+}
+
+/// One unjournaled engine job on simulated platforms.
+fn platform_run(
+    candidates: &CandidateSet,
+    order: &[ScoredPair],
+    truth: &GroundTruth,
+    platform: &PlatformConfig,
+    cfg: &EngineConfig,
+) -> EngineReport {
+    Engine::new(candidates.num_objects(), order, truth, platform, cfg.clone())
+        .run()
+        .expect("unjournaled run")
 }
 
 fn bench_shard_scaling(c: &mut Criterion) {
@@ -57,11 +69,8 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Platform-driven drivers head to head: the non-blocking event loop
-    // (poll-based ShardTask state machines, earliest-event scheduling) vs
-    // the blocking thread-per-shard pool, on identical per-shard platform
-    // simulations — plus the event loop with dynamic re-sharding merging
-    // shards between rounds.
+    // The platform-driven event loop, plain and with dynamic re-sharding
+    // merging shards between rounds.
     let mut group = c.benchmark_group("engine/product_5k_platform_drivers");
     group.sample_size(10);
     let platform = PlatformConfig::perfect_workers(7);
@@ -70,29 +79,14 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.bench_function("event_loop", |b| {
         let cfg = platform_cfg(false);
         b.iter(|| {
-            let report =
-                run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg);
+            let report = platform_run(&candidates, &order, &truth, &platform, &cfg);
             black_box(report.total_cost_cents)
         });
     });
     group.bench_function("event_loop_reshard", |b| {
         let cfg = platform_cfg(true);
         b.iter(|| {
-            let report =
-                run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg);
-            black_box(report.total_cost_cents)
-        });
-    });
-    group.bench_function("thread_per_shard", |b| {
-        let cfg = platform_cfg(false);
-        b.iter(|| {
-            let report = run_sharded_on_platform_threaded(
-                candidates.num_objects(),
-                &order,
-                &truth,
-                &platform,
-                &cfg,
-            );
+            let report = platform_run(&candidates, &order, &truth, &platform, &cfg);
             black_box(report.total_cost_cents)
         });
     });
@@ -208,9 +202,8 @@ fn emit_machine_readable() {
         [("engine_platform_event_loop", false), ("engine_platform_reshard", true)]
     {
         let cfg = EngineConfig { num_shards: 8, seed: 3, reshard, ..EngineConfig::default() };
-        let (wall_ms, report) = measure(3, || {
-            run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg)
-        });
+        let (wall_ms, report) =
+            measure(3, || platform_run(&candidates, &order, &truth, &platform, &cfg));
         arms.push(BenchArm {
             name,
             shards: 8,

@@ -5,7 +5,7 @@ use crowdjoin_util::FxHashMap;
 
 /// The outcome of running a labeler over a candidate set: a label for every
 /// pair plus provenance and cost accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabelingResult {
     labels: FxHashMap<Pair, (Label, Provenance)>,
     in_order: Vec<LabeledPair>,

@@ -18,7 +18,7 @@
 //! | crowd platform | [`sim`] | discrete-event AMT simulator + the pluggable `CrowdBackend` layer |
 //! | external crowd | [`backend_spool`] | spool-directory backend: drive a job with any external answerer |
 //! | answer journal | [`wal`] | crash-safe write-ahead journal for resumable jobs |
-//! | execution engine | [`engine`] | component sharding, event loop, worker-pool scheduler |
+//! | execution engine | [`engine`] | component sharding, one event loop over simulated, external and oracle backends |
 //! | integration | [`pipeline`], [`runner`] | dataset→task glue, platform-driven runs |
 //! | streaming | [`stream`] | journaled record log; `close` is the batch join |
 //!
@@ -85,6 +85,8 @@ pub use crowdjoin_core::{
     OneToOneDeducer, OneToOneOutcome, OptimalCost, Oracle, Pair, ParallelLabeler, ParallelRunStats,
     Provenance, QualityMetrics, ScoredPair, SortStrategy, WorldEnumeration,
 };
+// The engine's oracle entry point under the facade's historical name.
+pub use crowdjoin_engine::run_with_oracle as run_sharded_with_oracle;
 pub use crowdjoin_engine::{
     BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, RoundMetric, ShardContext,
     ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory, SyncOracle, TimeSource,
@@ -92,7 +94,6 @@ pub use crowdjoin_engine::{
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
 pub use runner::{
     replay_pairs_sequentially, run_non_transitive_on_platform, run_parallel_on_platform,
-    run_sharded_on_platform, run_sharded_on_platform_threaded, run_sharded_with_oracle,
     AvailabilitySample, CrowdRunReport,
 };
 pub use stream::{StreamIngestReport, StreamJob};

@@ -1,26 +1,23 @@
-//! Platform-driven labeling runs.
-//!
-//! These runners connect the labeling framework (`crowdjoin-core`) to the
-//! discrete-event crowd platform (`crowdjoin-sim`) and implement the
-//! execution modes of the paper's Section 6.3/6.4 experiments:
+//! Single-platform labeling runs: the execution modes of the paper's
+//! Section 6.3/6.4 experiments, on one caller-owned simulated platform.
 //!
 //! * **Transitive, parallel** — [`run_parallel_on_platform`], with or
 //!   without the *instant decision* optimization: without it, the next batch
 //!   of pairs is computed only after every published pair is labeled; with
-//!   it, after every HIT resolution.
+//!   it, after every HIT resolution. It drives the labeler with the
+//!   engine's `ShardTask`, the same code every engine shard runs.
 //! * **Non-transitive** — [`run_non_transitive_on_platform`]: every pair is
 //!   published up front and taken at face value (the prior-work baseline).
 //! * **Sequential replay** — [`replay_pairs_sequentially`]: the Table 1
 //!   Non-Parallel arm, publishing the same pairs one HIT at a time.
-//! * **Sharded** — [`run_sharded_on_platform`] /
-//!   [`run_sharded_with_oracle`]: the `crowdjoin-engine` execution engine,
-//!   partitioning the candidate graph into connected-component shards and
-//!   labeling them on a worker pool.
+//!
+//! Sharded runs are the engine's: `Engine::run` on simulated platforms, and
+//! `run_sharded_with_oracle` (re-exported `run_with_oracle`) on an oracle.
 
 use crowdjoin_core::GroundTruth;
-use crowdjoin_core::{Label, LabelingResult, Pair, ParallelLabeler, Provenance, ScoredPair};
-use crowdjoin_sim::{Platform, PlatformStats, TaskSpec, VirtualTime};
-use crowdjoin_util::FxHashMap;
+use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
+use crowdjoin_engine::{pair_task_id, task_id_pair, Shard, ShardState, ShardTask};
+use crowdjoin_sim::{Platform, PlatformStats, ResolvedTask, TaskSpec, VirtualTime};
 
 /// One point of the Figure 15 series: platform occupancy as labeling
 /// progresses.
@@ -32,6 +29,12 @@ pub struct AvailabilitySample {
     pub open_pairs: usize,
     /// Virtual time of the sample.
     pub time: VirtualTime,
+}
+
+impl AvailabilitySample {
+    fn of(crowdsourced: usize, platform: &Platform, time: VirtualTime) -> Self {
+        Self { crowdsourced, open_pairs: platform.num_open_pairs(), time }
+    }
 }
 
 /// Outcome of a platform-driven run.
@@ -49,21 +52,41 @@ pub struct CrowdRunReport {
     pub publish_rounds: usize,
 }
 
-fn to_tasks(
-    batch: &[ScoredPair],
-    truth: &GroundTruth,
-    ids: &mut FxHashMap<u64, Pair>,
-    next_id: &mut u64,
-) -> Vec<TaskSpec> {
-    batch
-        .iter()
-        .map(|sp| {
-            let id = *next_id;
-            *next_id += 1;
-            ids.insert(id, sp.pair);
-            TaskSpec { id, truth: truth.is_matching(sp.pair), priority: sp.likelihood }
-        })
-        .collect()
+impl CrowdRunReport {
+    fn new(
+        result: LabelingResult,
+        platform: &Platform,
+        series: Vec<AvailabilitySample>,
+        publish_rounds: usize,
+    ) -> Self {
+        let stats = platform.stats();
+        Self { result, stats, completion: stats.last_resolution, series, publish_rounds }
+    }
+}
+
+/// The tasks of `pairs`; each id encodes its pair, as the engine's do.
+fn to_tasks(pairs: &[ScoredPair], truth: &GroundTruth) -> Vec<TaskSpec> {
+    let task = |sp: &ScoredPair| TaskSpec {
+        id: pair_task_id(sp.pair),
+        truth: truth.is_matching(sp.pair),
+        priority: sp.likelihood,
+    };
+    pairs.iter().map(task).collect()
+}
+
+/// Takes one resolution batch at face value (no deduction) and samples the
+/// platform after it.
+fn record_at_face_value(
+    result: &mut LabelingResult,
+    series: &mut Vec<AvailabilitySample>,
+    platform: &Platform,
+    (time, resolved): (VirtualTime, Vec<ResolvedTask>),
+) {
+    for r in &resolved {
+        let label = if r.label { Label::Matching } else { Label::NonMatching };
+        result.record(task_id_pair(r.id), label, Provenance::Crowdsourced);
+    }
+    series.push(AvailabilitySample::of(result.num_crowdsourced(), platform, time));
 }
 
 /// Runs the parallel labeler against a crowd platform.
@@ -93,28 +116,21 @@ pub fn run_parallel_on_platform(
     platform: &mut Platform,
     instant_decision: bool,
 ) -> CrowdRunReport {
-    let mut labeler = ParallelLabeler::new(num_objects, order);
+    // One shard over the whole universe (identity ids) on the caller's
+    // platform: staging, full-HIT batching, instant decision and idle flush
+    // are the engine's, so this arm and the sharded engine cannot drift.
+    let objects = (0..num_objects as u32).collect();
+    let shard = Shard { index: 0, objects, pairs: order, num_components: 0 };
+    let mut task = ShardTask::new(shard, &mut *platform, instant_decision, 0);
+    let truth_of = |pair: Pair| truth.is_matching(pair);
     let mut series = Vec::new();
-    // The drive loop (staging, full-HIT batching, instant decision, idle
-    // flush) is the engine's shared implementation, so the single-platform
-    // and sharded arms cannot drift apart.
-    let publish_rounds = crowdjoin_engine::drive_to_completion(
-        &mut labeler,
-        platform,
-        instant_decision,
-        &|pair| truth.is_matching(pair),
-        &mut |crowdsourced, open_pairs, time| {
-            series.push(AvailabilitySample { crowdsourced, open_pairs, time });
-        },
-    );
-
-    CrowdRunReport {
-        result: labeler.into_result(),
-        stats: platform.stats(),
-        completion: platform.stats().last_resolution,
-        series,
-        publish_rounds,
+    while task.state() != ShardState::Done {
+        task.advance(&truth_of, false, &mut |crowdsourced, platform: &&mut Platform, time| {
+            series.push(AvailabilitySample::of(crowdsourced, platform, time));
+        });
     }
+    let report = task.into_report();
+    CrowdRunReport::new(report.result, platform, series, report.publish_rounds)
 }
 
 /// The non-transitive baseline on a platform: publish everything at once,
@@ -125,31 +141,13 @@ pub fn run_non_transitive_on_platform(
     truth: &GroundTruth,
     platform: &mut Platform,
 ) -> CrowdRunReport {
-    let mut ids: FxHashMap<u64, Pair> = FxHashMap::default();
-    let mut next_id = 0u64;
-    let tasks = to_tasks(order, truth, &mut ids, &mut next_id);
-    platform.publish(tasks);
-
+    platform.publish(to_tasks(order, truth));
     let mut result = LabelingResult::new();
     let mut series = Vec::new();
-    while let Some((time, resolved)) = platform.step() {
-        for r in &resolved {
-            let label = if r.label { Label::Matching } else { Label::NonMatching };
-            result.record(ids[&r.id], label, Provenance::Crowdsourced);
-        }
-        series.push(AvailabilitySample {
-            crowdsourced: result.num_crowdsourced(),
-            open_pairs: platform.num_open_pairs(),
-            time,
-        });
+    while let Some(batch) = platform.step() {
+        record_at_face_value(&mut result, &mut series, platform, batch);
     }
-    CrowdRunReport {
-        result,
-        stats: platform.stats(),
-        completion: platform.stats().last_resolution,
-        series,
-        publish_rounds: 1,
-    }
+    CrowdRunReport::new(result, platform, series, 1)
 }
 
 /// Publishes the given pairs one HIT at a time, waiting for each HIT to
@@ -166,82 +164,17 @@ pub fn replay_pairs_sequentially(
     platform: &mut Platform,
     batch_size: usize,
 ) -> CrowdRunReport {
-    let mut ids: FxHashMap<u64, Pair> = FxHashMap::default();
-    let mut next_id = 0u64;
     let mut result = LabelingResult::new();
     let mut series = Vec::new();
     for chunk in pairs.chunks(batch_size.max(1)) {
-        let tasks = to_tasks(chunk, truth, &mut ids, &mut next_id);
-        platform.publish(tasks);
-        let mut remaining = chunk.len();
-        while remaining > 0 {
-            let (time, resolved) =
-                platform.step().expect("published chunk must eventually resolve");
-            for r in &resolved {
-                let label = if r.label { Label::Matching } else { Label::NonMatching };
-                result.record(ids[&r.id], label, Provenance::Crowdsourced);
-            }
-            remaining -= resolved.len();
-            series.push(AvailabilitySample {
-                crowdsourced: result.num_crowdsourced(),
-                open_pairs: platform.num_open_pairs(),
-                time,
-            });
+        platform.publish(to_tasks(chunk, truth));
+        let target = result.num_crowdsourced() + chunk.len();
+        while result.num_crowdsourced() < target {
+            let batch = platform.step().expect("published chunk must eventually resolve");
+            record_at_face_value(&mut result, &mut series, platform, batch);
         }
     }
-    CrowdRunReport {
-        result,
-        stats: platform.stats(),
-        completion: platform.stats().last_resolution,
-        series,
-        publish_rounds: pairs.len().div_ceil(batch_size.max(1)),
-    }
-}
-
-/// Runs the sharded execution engine against per-shard platform instances
-/// (one deterministic simulator per shard, virtual completion time = the
-/// critical path over shards), multiplexed by the non-blocking event loop —
-/// thousands of shards run on a bounded worker pool, with optional dynamic
-/// re-sharding between publish rounds. Thin facade over
-/// [`crowdjoin_engine::run_on_platform`] taking the same inputs as
-/// [`run_parallel_on_platform`].
-#[must_use]
-pub fn run_sharded_on_platform(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &crowdjoin_sim::PlatformConfig,
-    engine: &crowdjoin_engine::EngineConfig,
-) -> crowdjoin_engine::EngineReport {
-    crowdjoin_engine::run_on_platform(num_objects, order, truth, platform, engine)
-}
-
-/// The blocking thread-per-shard reference arm of
-/// [`run_sharded_on_platform`]: identical per-shard simulations driven to
-/// completion one worker thread at a time. Kept for equivalence testing and
-/// comparison; prefer the event-loop entry point. Thin facade over
-/// [`crowdjoin_engine::run_on_platform_threaded`].
-#[must_use]
-pub fn run_sharded_on_platform_threaded(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &crowdjoin_sim::PlatformConfig,
-    engine: &crowdjoin_engine::EngineConfig,
-) -> crowdjoin_engine::EngineReport {
-    crowdjoin_engine::run_on_platform_threaded(num_objects, order, truth, platform, engine)
-}
-
-/// Runs the sharded execution engine against any thread-safe oracle. Thin
-/// facade over [`crowdjoin_engine::run_with_oracle`].
-#[must_use]
-pub fn run_sharded_with_oracle<O: crowdjoin_engine::SharedOracle + ?Sized>(
-    num_objects: usize,
-    order: &[ScoredPair],
-    oracle: &O,
-    engine: &crowdjoin_engine::EngineConfig,
-) -> crowdjoin_engine::EngineReport {
-    crowdjoin_engine::run_with_oracle(num_objects, order, oracle, engine)
+    CrowdRunReport::new(result, platform, series, pairs.len().div_ceil(batch_size.max(1)))
 }
 
 #[cfg(test)]

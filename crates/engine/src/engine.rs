@@ -1,16 +1,12 @@
 //! Job-level entry points: partition, schedule, run, resume, stitch.
 
-use crate::driver::drive_to_completion;
-use crate::event_loop::JournalRun;
-use crate::oracle::SharedOracle;
-use crate::partition::{partition_candidates, Shard};
+use crate::event_loop::{run_event_loop, JournalRun};
+use crate::oracle::{OracleBackend, SharedOracle};
+use crate::partition::partition_candidates;
 use crate::persist::{job_header, verify_header};
-use crate::report::{EngineReport, ShardReport};
-use crate::scheduler::run_sharded;
-use crowdjoin_core::{GroundTruth, Pair, ParallelLabeler, ScoredPair};
-use crowdjoin_sim::{
-    BackendFactory, Platform, PlatformConfig, SharedClock, SimFactory, VirtualTime,
-};
+use crate::report::EngineReport;
+use crowdjoin_core::{GroundTruth, ScoredPair};
+use crowdjoin_sim::{BackendFactory, PlatformConfig, SimFactory};
 use crowdjoin_wal::{open_resume, partition_replay, Journal, WalError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,21 +23,19 @@ pub struct EngineConfig {
     /// resolution (`true`, the paper's instant-decision optimization) or
     /// only when all outstanding pairs are labeled (`false`).
     pub instant_decision: bool,
-    /// Event-loop runs: dynamically re-shard between publish rounds —
+    /// Platform-driven runs: dynamically re-shard between publish rounds —
     /// retire components that collapsed early and merge the shrinking
     /// working set into fewer, fuller shards (less partial-HIT waste).
-    /// Ignored by the blocking thread-per-shard driver.
+    /// Ignored by [`run_with_oracle`].
     pub reshard: bool,
     /// Master seed for per-shard platform derivation.
     pub seed: u64,
-    /// Platform-driven event-loop runs: append every crowd answer to a
-    /// crash-safe write-ahead journal at this path (see `crowdjoin-wal`).
-    /// A killed job is then resumable with [`Engine::resume`], re-paying
-    /// nothing. The path must not already hold a non-empty file — an
-    /// existing journal may contain paid-for answers and must be resumed
-    /// or deleted explicitly. Ignored by oracle-driven runs and the
-    /// blocking thread-per-shard driver (both documented on their entry
-    /// points).
+    /// Platform-driven runs: append every crowd answer to a crash-safe
+    /// write-ahead journal at this path (see `crowdjoin-wal`). A killed job
+    /// is then resumable with [`Engine::resume`], re-paying nothing. The
+    /// path must not already hold a non-empty file — an existing journal
+    /// may contain paid-for answers and must be resumed or deleted
+    /// explicitly. Ignored by [`run_with_oracle`].
     pub journal: Option<PathBuf>,
 }
 
@@ -115,10 +109,14 @@ impl<'a> Engine<'a> {
         Self { num_objects, order, truth, platform, config }
     }
 
-    /// Runs the job on the event loop against the default simulated-crowd
-    /// backend (see [`run_on_platform`] for the execution model). With
-    /// [`EngineConfig::journal`] set, every crowd answer is write-ahead
-    /// logged so a killed process can be resumed with [`Self::resume`].
+    /// Runs the job on the event loop with one deterministic simulated
+    /// [`crowdjoin_sim::Platform`] per shard (seed derived from the engine
+    /// seed and the shard index). The `platform` config's worker pool models
+    /// the **whole crowd** and is divided evenly across shards (floored at
+    /// `assignments_per_hit`), so different shard counts compare equal total
+    /// crowd labor. With [`EngineConfig::journal`] set, every crowd answer is
+    /// write-ahead logged so a killed process can be resumed with
+    /// [`Self::resume`].
     ///
     /// # Errors
     ///
@@ -128,7 +126,8 @@ impl<'a> Engine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on malformed inputs (see [`run_on_platform`]) or on a
+    /// Panics if a pair references an object `>= num_objects`, appears
+    /// twice in `order`, or the platform configuration is invalid; or on a
     /// journal I/O failure mid-run — a write-ahead log that silently stops
     /// logging would betray the resume, so the engine is fail-stop.
     pub fn run(&self) -> Result<EngineReport, WalError> {
@@ -274,11 +273,11 @@ impl<'a> Engine<'a> {
     ) -> EngineReport {
         let partition =
             partition_candidates(self.num_objects, self.order, config.effective_shards());
-        crate::event_loop::run_event_loop(
+        run_event_loop(
             self.num_objects,
             self.order,
             partition,
-            self.truth,
+            &|pair| self.truth.is_matching(pair),
             factory,
             self.platform,
             config,
@@ -300,16 +299,12 @@ fn assert_journalable<F: BackendFactory>(factory: &F, config: &EngineConfig) {
     );
 }
 
-/// Runs the sharded engine against a thread-safe oracle.
-///
-/// Each shard drives its own labeler; crowd questions are issued in one
-/// batched `answer_batch` call per publish round. With a consistent oracle
-/// the merged labels equal a single-threaded run's on every pair (pinned by
-/// `tests/engine_sharding.rs`).
-///
-/// `config.journal` is ignored: oracle answers arrive synchronously from
-/// the caller, who owns their durability; the write-ahead journal covers
-/// the platform-driven path.
+/// Runs the sharded engine against a thread-safe oracle: the event loop of
+/// [`Engine::run`] over a zero-latency backend that answers each post with
+/// one `answer_batch` call at virtual time zero. The report has no money,
+/// HITs or completion time, and a platform run's round telemetry and
+/// `engine.*` metrics. `config.reshard` and `config.journal` are ignored:
+/// the caller owns the oracle's durability.
 ///
 /// # Panics
 ///
@@ -322,173 +317,28 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
     oracle: &O,
     config: &EngineConfig,
 ) -> EngineReport {
+    let config = EngineConfig { reshard: false, journal: None, ..config.clone() };
     let partition = partition_candidates(num_objects, order, config.effective_shards());
-    let num_components = partition.num_components;
-    let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let mut labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
-        let mut publish_rounds = 0usize;
-        while !labeler.is_complete() {
-            let batch = labeler.next_batch();
-            assert!(
-                !batch.is_empty(),
-                "labeler stuck: shard {} incomplete with nothing to publish",
-                shard.index
-            );
-            publish_rounds += 1;
-            let globals: Vec<Pair> = batch.iter().map(|sp| shard.to_global(sp.pair)).collect();
-            let answers = oracle.answer_batch(&globals);
-            assert_eq!(answers.len(), batch.len(), "oracle must answer every question");
-            for (sp, answer) in batch.iter().zip(answers) {
-                labeler.submit_answer(sp.pair, answer);
-            }
-        }
-        ShardReport {
-            shard: shard.index,
-            num_objects: shard.num_objects(),
-            num_pairs: shard.pairs.len(),
-            num_components: shard.num_components,
-            result: shard.globalize(&labeler.into_result()),
-            stats: None,
-            completion: VirtualTime::ZERO,
-            publish_rounds,
-            replayed_answers: 0,
-            replayed_cost_cents: 0,
-            rounds: Vec::new(),
-            peak_unresolved: 0,
-        }
-    });
-    EngineReport::from_shards(reports, num_components)
-}
-
-/// Runs the sharded engine against simulated crowd platforms on the
-/// **event loop**: one deterministic [`Platform`] per shard (seed derived
-/// from the engine seed and the shard index), every shard a poll-based
-/// [`crate::ShardTask`] state machine, multiplexed over
-/// [`crate::effective_threads`] workers by earliest pending virtual event.
-/// Thousands of shards run fine on two threads — shard count is bounded by
-/// memory, not the thread limit.
-///
-/// Shards stage publishable pairs and release them in full HITs of the
-/// platform's batch size ([`crowdjoin_sim::HitStager`] — the same batching
-/// policy object the single-platform runner uses), flushing partial HITs
-/// only when the shard's platform would otherwise idle.
-///
-/// The `platform` config's worker pool models the **whole crowd**, so it is
-/// divided evenly across shards (each shard's platform gets
-/// `num_workers / shards`, floored at `assignments_per_hit` so HITs can
-/// still resolve). Completion times at different shard counts therefore
-/// compare runs with (nearly) equal total crowd labor — the speedup shown
-/// is the engine's, not extra hired workers'.
-///
-/// Per-shard outcomes are bit-identical to the blocking
-/// [`run_on_platform_threaded`] driver whenever `config.reshard` is off
-/// (pinned by `tests/event_loop.rs`). With `config.reshard` on, the loop
-/// additionally merges shards between publish rounds as early answers
-/// collapse components (see [`crate::EngineConfig::reshard`]).
-///
-/// Thin wrapper over [`Engine::run`] for journal-free call sites; see
-/// [`Engine::resume`] for continuing a killed journaled job.
-///
-/// # Panics
-///
-/// Panics if a pair references an object `>= num_objects`, appears twice in
-/// `order`, or the platform configuration is invalid. With
-/// [`EngineConfig::journal`] set, additionally panics where [`Engine::run`]
-/// would return an error — prefer the `Engine` API for journaled jobs.
-#[must_use]
-pub fn run_on_platform(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &PlatformConfig,
-    config: &EngineConfig,
-) -> EngineReport {
-    Engine::new(num_objects, order, truth, platform, config.clone())
-        .run()
-        .unwrap_or_else(|e| panic!("journaled engine run failed: {e}"))
-}
-
-/// The blocking thread-per-shard driver: each worker thread drives one
-/// shard's platform to completion before taking the next shard. Kept as the
-/// reference arm the event loop is verified against; prefer
-/// [`run_on_platform`] (same results, bounded threads, optional dynamic
-/// re-sharding).
-///
-/// `config.reshard` and `config.journal` are ignored — a blocked worker
-/// cannot reach a global round barrier, and crash safety belongs to the
-/// default driver.
-///
-/// # Panics
-///
-/// Panics if a pair references an object `>= num_objects`, appears twice in
-/// `order`, or the platform configuration is invalid.
-#[must_use]
-pub fn run_on_platform_threaded(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &PlatformConfig,
-    config: &EngineConfig,
-) -> EngineReport {
-    let partition = partition_candidates(num_objects, order, config.effective_shards());
-    let num_components = partition.num_components;
-    let num_shards = partition.shards.len().max(1);
-    let clock = SharedClock::new();
-    let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let report = run_shard_on_platform(shard, num_shards, truth, platform, config);
-        clock.advance_to(report.completion);
-        report
-    });
-    let mut report = EngineReport::from_shards(reports, num_components);
-    // The shared clock and the per-shard maxima agree by construction; keep
-    // the clock authoritative so future async backends (shards reporting
-    // progress mid-run) stay correct.
-    report.completion = clock.now();
-    report
-}
-
-/// Drives one shard against its own platform instance (an equal slice of
-/// the configured crowd) via the shared [`drive_to_completion`] loop.
-fn run_shard_on_platform(
-    shard: &Shard,
-    num_shards: usize,
-    truth: &GroundTruth,
-    platform_cfg: &PlatformConfig,
-    config: &EngineConfig,
-) -> ShardReport {
-    let cfg =
-        crate::event_loop::shard_platform_config(platform_cfg, config, 0, shard.index, num_shards);
-    let mut platform = Platform::new(cfg);
-    let mut labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
-    let publish_rounds = drive_to_completion(
-        &mut labeler,
-        &mut platform,
-        config.instant_decision,
-        &|local| truth.is_matching(shard.to_global(local)),
-        &mut |_, _, _| {},
-    );
-
-    ShardReport {
-        shard: shard.index,
-        num_objects: shard.num_objects(),
-        num_pairs: shard.pairs.len(),
-        num_components: shard.num_components,
-        result: shard.globalize(&labeler.into_result()),
-        stats: Some(platform.stats()),
-        completion: platform.stats().last_resolution,
-        publish_rounds,
-        replayed_answers: 0,
-        replayed_cost_cents: 0,
-        rounds: Vec::new(),
-        peak_unresolved: 0,
-    }
+    run_event_loop(
+        num_objects,
+        order,
+        partition,
+        // The backend answers the pair each task id encodes; the tasks'
+        // ground-truth bit and the platform config go unused.
+        &|_| false,
+        &OracleBackend { oracle, answered: Vec::new() },
+        &PlatformConfig::perfect_workers(config.seed),
+        &config,
+        None,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::SharedGroundTruth;
-    use crowdjoin_core::{sort_pairs, CandidateSet, SortStrategy};
+    use crowdjoin_core::{sort_pairs, CandidateSet, Pair, SortStrategy};
+    use crowdjoin_sim::VirtualTime;
 
     fn running_example() -> (CandidateSet, GroundTruth) {
         let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
@@ -520,19 +370,24 @@ mod tests {
         assert_eq!(report.num_shards(), 1);
         assert_eq!(report.num_components, 1);
         assert_eq!(report.num_crowdsourced() as u64, oracle.questions_asked());
+        // A zero-latency backend: no money, no time, but rounds like a
+        // platform run, each publishing one labeler batch.
+        assert_eq!(report.shards[0].stats, Some(Default::default()));
+        assert_eq!(report.completion, VirtualTime::ZERO);
+        let rounds = report.round_metrics();
+        assert_eq!(rounds.len(), report.critical_path_rounds());
+        assert_eq!(rounds.iter().map(|r| r.published).sum::<usize>(), report.num_crowdsourced());
     }
 
     #[test]
     fn platform_run_matches_oracle_run_costs() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let report = run_on_platform(
-            cs.num_objects(),
-            &order,
-            &truth,
-            &PlatformConfig::perfect_workers(7),
-            &EngineConfig::with_shards(2),
-        );
+        let platform = PlatformConfig::perfect_workers(7);
+        let config = EngineConfig::with_shards(2);
+        let report = Engine::new(cs.num_objects(), &order, &truth, &platform, config)
+            .run()
+            .expect("unjournaled run");
         assert_eq!(report.result.num_crowdsourced(), 6);
         assert_eq!(report.result.num_deduced(), 2);
         assert!(report.completion > VirtualTime::ZERO);

@@ -9,9 +9,9 @@
 //! time and workers always advance the task with the earliest pending
 //! event. Shards are disjoint workloads, so per-shard outcomes are
 //! independent of worker count and interleaving — the loop drives thousands
-//! of shards on two threads to the *same* labels, costs, and completion
-//! times as the thread-per-shard scheduler (pinned by
-//! `tests/event_loop.rs`). Workers never block on a platform: one
+//! of shards to the *same* labels, costs, and completion times on one, two
+//! or four threads (pinned by `tests/event_loop.rs`). Workers never block
+//! on a backend: one
 //! [`ShardTask::advance`] call does a bounded amount of simulation and
 //! returns, so shard count is limited by memory, not threads.
 //!
@@ -48,7 +48,7 @@ use crate::partition::{partition_candidates, Partition};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::effective_threads;
 use crate::task::{ShardState, ShardTask};
-use crowdjoin_core::{GroundTruth, Label, Pair, ParallelLabeler, ScoredPair};
+use crowdjoin_core::{Label, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{BackendFactory, CrowdBackend, PlatformConfig, ShardContext, VirtualTime};
 use crowdjoin_util::{derive_seed, FxHashMap};
 use crowdjoin_wal as wal;
@@ -61,8 +61,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// across the generation's `active_shards` platforms (floored at
 /// `assignments_per_hit` so HITs can still resolve).
 ///
-/// Generation 0 reproduces the historical derivation exactly, which is what
-/// keeps the event loop bit-identical to the thread-per-shard path.
+/// Generation 0's derivation is part of every journal's history: changing
+/// it changes the simulated crowd of every journaled job.
 pub(crate) fn shard_platform_config(
     base: &PlatformConfig,
     engine: &EngineConfig,
@@ -121,7 +121,8 @@ struct LoopState<B: CrowdBackend> {
 
 /// Everything workers need by reference.
 struct LoopCtx<'a, F: BackendFactory> {
-    truth: &'a GroundTruth,
+    /// Ground-truth answer of a global pair, handed to the backends.
+    truth_of: &'a (dyn Fn(Pair) -> bool + Sync),
     /// Creates the per-shard backends and owns the clock workers wait on.
     factory: &'a F,
     platform_cfg: &'a PlatformConfig,
@@ -139,17 +140,17 @@ struct LoopCtx<'a, F: BackendFactory> {
 }
 
 /// Runs a partitioned workload on the event loop and stitches the merged
-/// report. The entry point behind [`crate::run_on_platform`] and
-/// [`crate::Engine::run_with_backend`]; `order` is the same global labeling
-/// order the partition was built from, `factory` creates the per-shard
+/// report. The entry point behind [`crate::Engine::run_with_backend`] and
+/// [`crate::run_with_oracle`]; `order` is the same global labeling order
+/// the partition was built from, `factory` creates the per-shard
 /// [`CrowdBackend`]s and owns the [`crowdjoin_sim::TimeSource`] workers
 /// wait on.
-#[allow(clippy::too_many_arguments)] // crate-internal; the one caller is Engine::run_event_loop
+#[allow(clippy::too_many_arguments)] // crate-internal; two callers in engine.rs
 pub(crate) fn run_event_loop<F: BackendFactory>(
     num_objects: usize,
     order: &[ScoredPair],
     partition: Partition,
-    truth: &GroundTruth,
+    truth_of: &(dyn Fn(Pair) -> bool + Sync),
     factory: &F,
     platform_cfg: &PlatformConfig,
     engine_cfg: &EngineConfig,
@@ -219,7 +220,7 @@ pub(crate) fn run_event_loop<F: BackendFactory>(
         FxHashMap::default()
     };
     let ctx = LoopCtx {
-        truth,
+        truth_of,
         factory,
         platform_cfg,
         engine_cfg,
@@ -363,7 +364,6 @@ fn worker_loop<F: BackendFactory>(
     cv: &Condvar,
     ctx: &LoopCtx<'_, F>,
 ) {
-    let truth_of = |pair: Pair| ctx.truth.is_matching(pair);
     let park_on_idle = ctx.engine_cfg.reshard;
     let mut st = state.lock().expect("event loop mutex poisoned");
     loop {
@@ -402,7 +402,7 @@ fn worker_loop<F: BackendFactory>(
             }
 
             let mut guard = AdvanceGuard { state, cv, armed: true };
-            task.advance(&truth_of, park_on_idle);
+            task.advance(ctx.truth_of, park_on_idle, &mut |_, _, _| {});
             guard.armed = false;
 
             st = state.lock().expect("event loop mutex poisoned");

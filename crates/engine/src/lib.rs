@@ -11,17 +11,18 @@
 //! 1. **Partitioner** ([`partition`]) — extracts connected components with
 //!    the `crowdjoin-graph` union–find and bin-packs them (LPT) into
 //!    balanced shards.
-//! 2. **Scheduler** ([`scheduler`]) — runs shards on a `std::thread` worker
-//!    pool; each shard drives its own labeler against a shared, thread-safe
-//!    oracle front-end ([`oracle::SharedOracle`]) with batched question
-//!    issue, or against its own deterministic crowd-platform instance.
-//! 3. **Event loop** ([`event_loop`]) — the platform-driven path's default
-//!    driver: every shard is a non-blocking [`task::ShardTask`] state
-//!    machine (`Publishing → AwaitingCrowd → Deducing → Done`) and a
-//!    cooperative scheduler advances the shard with the earliest pending
-//!    virtual event, multiplexing thousands of shards over a bounded worker
-//!    pool — with optional dynamic re-sharding between publish rounds
-//!    ([`EngineConfig::reshard`]).
+//! 2. **Event loop** ([`event_loop`]) — the one driver: every shard is a
+//!    non-blocking [`task::ShardTask`] state machine
+//!    (`Publishing → AwaitingCrowd → Deducing → Done`) over its own
+//!    [`CrowdBackend`], and a cooperative scheduler advances the shard with
+//!    the earliest pending virtual event, multiplexing thousands of shards
+//!    over [`effective_threads`] workers — with optional dynamic re-sharding
+//!    between publish rounds ([`EngineConfig::reshard`]).
+//! 3. **Backends** — a deterministic simulated platform per shard
+//!    ([`Engine::run`]), any external [`BackendFactory`]
+//!    ([`Engine::run_with_backend`]), or a thread-safe oracle
+//!    ([`oracle::SharedOracle`]) as a zero-latency backend
+//!    ([`run_with_oracle`]). All three run the same shard tasks.
 //! 4. **Merged report** ([`report`]) — per-shard `LabelingResult`s stitched
 //!    into a global result with platform stats summed and completion time
 //!    taken as the virtual-time critical path (max over shards).
@@ -51,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
 mod engine;
 pub mod event_loop;
 pub mod oracle;
@@ -72,12 +72,9 @@ pub use crowdjoin_sim::{
     BackendFactory, CrowdBackend, ShardContext, SimFactory, TimeSource, VirtualClock, WallClock,
 };
 
-pub use driver::drive_to_completion;
-pub use engine::{
-    run_on_platform, run_on_platform_threaded, run_with_oracle, Engine, EngineConfig,
-};
+pub use engine::{run_with_oracle, Engine, EngineConfig};
 pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};
-pub use scheduler::{effective_threads, run_sharded};
+pub use scheduler::effective_threads;
 pub use task::{pair_task_id, task_id_pair, ShardState, ShardTask};

@@ -8,8 +8,18 @@
 //!   can query it without coordination);
 //! * [`SyncOracle`] adapts any single-threaded [`Oracle`] behind a mutex,
 //!   taking the lock once per *batch* rather than once per question.
+//!
+//! [`crate::run_with_oracle`] puts an oracle behind the event loop as a
+//! zero-latency crowd backend (`OracleBackend`), so an oracle run and a
+//! platform run execute the same shard tasks and differ only in the
+//! backend.
 
+use crate::task::task_id_pair;
 use crowdjoin_core::{GroundTruth, Label, Oracle, Pair};
+use crowdjoin_sim::{
+    BackendFactory, CrowdBackend, PlatformConfig, PlatformStats, ResolvedTask, ShardContext,
+    TaskSpec, TimeSource, VirtualClock, VirtualTime,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -80,6 +90,88 @@ impl<O: Oracle + Send> SharedOracle for SyncOracle<O> {
     fn questions_asked(&self) -> u64 {
         self.inner.lock().expect("oracle mutex poisoned").questions_asked()
     }
+}
+
+/// A crowd with no latency: each post is answered by one
+/// [`SharedOracle::answer_batch`] call, ready at [`VirtualTime::ZERO`].
+/// Nothing is ever unresolved, so every release flushes and a shard's
+/// publish rounds are exactly its labeler's batches. No HITs, no money:
+/// stats stay [`PlatformStats::default`]. It is its own factory: every
+/// shard gets an empty backend over the same oracle.
+pub(crate) struct OracleBackend<'o, O: ?Sized> {
+    pub(crate) oracle: &'o O,
+    /// Answers of the last post, waiting for the next poll.
+    pub(crate) answered: Vec<ResolvedTask>,
+}
+
+impl<O: ?Sized> std::fmt::Debug for OracleBackend<'_, O> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OracleBackend").field("answered", &self.answered.len()).finish()
+    }
+}
+
+impl<'o, O: SharedOracle + ?Sized> BackendFactory for OracleBackend<'o, O> {
+    type Backend = Self;
+
+    fn create(&self, _cfg: &PlatformConfig, _shard: &ShardContext) -> Self {
+        Self { oracle: self.oracle, answered: Vec::new() }
+    }
+
+    fn time_source(&self) -> &dyn TimeSource {
+        &VirtualClock
+    }
+
+    // Oracle runs are never journaled, so there is nothing to replay.
+    fn deterministic_replay(&self) -> bool {
+        true
+    }
+}
+
+impl<O: SharedOracle + ?Sized> CrowdBackend for OracleBackend<'_, O> {
+    fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
+        let pairs: Vec<Pair> = tasks.iter().map(|t| task_id_pair(t.id)).collect();
+        let answers = self.oracle.answer_batch(&pairs);
+        assert_eq!(answers.len(), tasks.len(), "oracle must answer every question");
+        self.answered.extend(tasks.iter().zip(answers).map(|(t, answer)| {
+            let matching = answer == Label::Matching;
+            ResolvedTask {
+                id: t.id,
+                label: matching,
+                yes_votes: u32::from(matching),
+                no_votes: u32::from(!matching),
+            }
+        }));
+    }
+
+    fn poll_completions(
+        &mut self,
+        _until: VirtualTime,
+    ) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
+        (!self.answered.is_empty()).then(|| (VirtualTime::ZERO, std::mem::take(&mut self.answered)))
+    }
+
+    fn next_event_time(&self) -> Option<VirtualTime> {
+        (!self.answered.is_empty()).then_some(VirtualTime::ZERO)
+    }
+
+    fn now(&self) -> VirtualTime {
+        VirtualTime::ZERO
+    }
+
+    fn num_unresolved_pairs(&self) -> usize {
+        0
+    }
+
+    /// No HIT granularity: any staged set is whole HITs.
+    fn batch_size(&self) -> usize {
+        1
+    }
+
+    fn stats(&self) -> PlatformStats {
+        PlatformStats::default()
+    }
+
+    fn warp_to(&mut self, _t: VirtualTime) {}
 }
 
 #[cfg(test)]

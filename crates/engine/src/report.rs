@@ -53,7 +53,7 @@ pub struct ShardMetrics {
 
 /// Outcome of one shard's labeling run. `result` is expressed in **global**
 /// object ids (the engine maps back before reporting).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shard index within the partition.
     pub shard: usize,
@@ -65,7 +65,8 @@ pub struct ShardReport {
     pub num_components: usize,
     /// The shard's labeling result, in global ids.
     pub result: LabelingResult,
-    /// Platform statistics (platform-driven runs only).
+    /// Backend statistics (`PlatformStats::default()` for oracle runs,
+    /// whose zero-latency backend has no HITs and no money).
     pub stats: Option<PlatformStats>,
     /// Virtual completion time of the shard (zero for oracle-driven runs).
     pub completion: VirtualTime,
@@ -78,8 +79,7 @@ pub struct ShardReport {
     /// journal at its last replayed record — money the crashed run paid,
     /// not this one.
     pub replayed_cost_cents: u64,
-    /// Per-round telemetry, ascending by round (empty for drivers that do
-    /// not track rounds, e.g. oracle runs).
+    /// Per-round telemetry, ascending by round.
     pub rounds: Vec<RoundMetric>,
     /// Peak simultaneously-unresolved published pairs (crowd queue depth).
     pub peak_unresolved: usize,
@@ -128,8 +128,8 @@ pub struct EngineReport {
     pub total_cost_cents: u64,
     /// Connected components found by the partitioner.
     pub num_components: usize,
-    /// Dynamic re-sharding barriers the event loop ran (0 for the blocking
-    /// driver, oracle runs, and event-loop runs with re-sharding off). When
+    /// Dynamic re-sharding barriers the event loop ran (0 for oracle runs
+    /// and runs with re-sharding off). When
     /// positive, `shards` holds one report per shard *incarnation*: retired
     /// generations carry the labels of their completed components plus all
     /// platform money they spent; merged successors carry the rest.
@@ -278,7 +278,7 @@ impl EngineReport {
     /// plus the cumulative crowdsourced/deduced/spend totals as of each
     /// shard's latest release at or before that round (a shard that
     /// finished early carries its final values forward). `at` is the
-    /// latest release time of the round. Empty for oracle runs.
+    /// latest release time of the round.
     #[must_use]
     pub fn round_metrics(&self) -> Vec<RoundMetric> {
         let last_round =

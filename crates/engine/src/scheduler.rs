@@ -1,12 +1,4 @@
-//! The worker-pool scheduler: runs shard jobs on `std::thread` workers.
-//!
-//! Shards are independent (the partitioner guarantees no deduction can
-//! cross them), so scheduling is a plain work queue: workers pull the next
-//! unclaimed shard until the queue drains. Results are reassembled in shard
-//! order so the merged report is deterministic regardless of thread timing.
-
-use crate::partition::Shard;
-use std::sync::Mutex;
+//! Worker-pool sizing for the event loop.
 
 /// Effective worker count: `requested`, or (when 0) the machine's available
 /// parallelism, never more than `jobs`.
@@ -24,76 +16,9 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
     base.clamp(1, jobs)
 }
 
-/// Runs `job` over every shard on a pool of `num_threads` workers and
-/// returns the results in shard-index order.
-///
-/// `job` observes shards in an arbitrary interleaving but the returned
-/// vector is ordered, so callers see a deterministic view whenever `job`
-/// itself is deterministic per shard.
-pub fn run_sharded<T, F>(shards: Vec<Shard>, num_threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Shard) -> T + Sync,
-{
-    let n_jobs = shards.len();
-    if n_jobs == 0 {
-        return Vec::new();
-    }
-    let workers = effective_threads(num_threads, n_jobs);
-    if workers <= 1 {
-        return shards.iter().map(&job).collect();
-    }
-
-    let queue: Mutex<std::vec::IntoIter<Shard>> = Mutex::new(shards.into_iter());
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_jobs));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some(shard) = queue.lock().expect("queue mutex poisoned").next() else {
-                    return;
-                };
-                let index = shard.index;
-                let out = job(&shard);
-                results.lock().expect("results mutex poisoned").push((index, out));
-            });
-        }
-    });
-
-    let mut results = results.into_inner().expect("results mutex poisoned");
-    results.sort_unstable_by_key(|&(i, _)| i);
-    assert_eq!(results.len(), n_jobs, "every shard must produce a result");
-    results.into_iter().map(|(_, t)| t).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_candidates;
-    use crowdjoin_core::{Pair, ScoredPair};
-
-    fn shards(n: usize) -> Vec<Shard> {
-        let order: Vec<ScoredPair> =
-            (0..n as u32).map(|i| ScoredPair::new(Pair::new(i * 2, i * 2 + 1), 0.5)).collect();
-        partition_candidates(2 * n, &order, n).shards
-    }
-
-    #[test]
-    fn results_come_back_in_shard_order() {
-        let out = run_sharded(shards(16), 4, |s| s.index * 10);
-        assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_path() {
-        let out = run_sharded(shards(3), 1, |s| s.pairs.len());
-        assert_eq!(out, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn empty_queue() {
-        let out: Vec<usize> = run_sharded(Vec::new(), 4, |_| unreachable!());
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn effective_threads_bounds() {

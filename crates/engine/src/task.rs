@@ -1,12 +1,14 @@
 //! The per-shard non-blocking state machine driven by the event loop.
 //!
-//! [`ShardTask`] is the poll-based reformulation of the blocking
-//! [`crate::driver::drive_to_completion`] loop: instead of monopolizing a
-//! worker thread while its platform simulates, a task exposes *when* it next
-//! needs attention ([`ShardTask::next_wake`]) and does a bounded amount of
-//! work per [`ShardTask::advance`] call. The event loop can therefore
-//! multiplex thousands of shards over a handful of workers, always advancing
-//! the shard with the earliest pending virtual event.
+//! [`ShardTask`] is the one driver of a labeler against a crowd: the event
+//! loop advances one per shard (simulator, external or oracle backend), and
+//! the paper-figure runner advances one whole-universe task over its own
+//! platform. Instead of monopolizing a worker thread while its platform
+//! simulates, a task exposes *when* it next needs attention
+//! ([`ShardTask::next_wake`]) and does a bounded amount of work per
+//! [`ShardTask::advance`] call. The event loop can therefore multiplex
+//! thousands of shards over a handful of workers, always advancing the
+//! shard with the earliest pending virtual event.
 //!
 //! The state machine:
 //!
@@ -21,13 +23,13 @@
 //!                                       (re-sharding barrier)
 //! ```
 //!
-//! Transition policy is byte-for-byte the blocking driver's: the first
-//! round flushes unconditionally, *instant decision* recomputes the
-//! publishable set after every HIT resolution, partial HITs flush only when
-//! the platform would otherwise idle, and an idle platform with an
-//! incomplete labeler must always yield a non-empty batch. With parking
-//! disabled the event loop's per-shard outcome is bit-identical to the
-//! thread-per-shard scheduler's (pinned by `tests/event_loop.rs`).
+//! Transition policy: the first round flushes unconditionally, *instant
+//! decision* recomputes the publishable set after every HIT resolution,
+//! partial HITs flush only when the platform would otherwise idle, and an
+//! idle platform with an incomplete labeler must always yield a non-empty
+//! batch. This is the paper's blocking publish–wait–re-decide loop, cut at
+//! its waits; a `#[cfg(test)]` copy of that loop pins the equivalence
+//! (`task_matches_blocking_driver_exactly`).
 //!
 //! ## Journaling points (crash safety)
 //!
@@ -422,14 +424,23 @@ impl<B: CrowdBackend> ShardTask<B> {
     /// `Done`, `Parked` (re-sharding requested and the platform idled at a
     /// round boundary), or `AwaitingCrowd` with a fresh [`Self::next_wake`].
     ///
-    /// `truth_of` supplies ground-truth answers in **global** ids, exactly
-    /// like the blocking driver's closure.
+    /// `truth_of` supplies the ground-truth answer the simulator uses to
+    /// synthesize worker responses, in **global** ids. `on_resolution`
+    /// fires after each resolution batch is fed to the labeler and before
+    /// the next publish, with `(crowdsourced so far, the backend, resolution
+    /// time)`: the paper-figure runner samples the Figure 15 availability
+    /// series there; the event loop passes a no-op.
     ///
     /// # Panics
     ///
     /// Panics if the labeler reports incomplete while the platform is idle
     /// and no batch is publishable — impossible for well-formed inputs.
-    pub fn advance(&mut self, truth_of: &(dyn Fn(Pair) -> bool + Sync), park_on_idle: bool) {
+    pub fn advance(
+        &mut self,
+        truth_of: &(dyn Fn(Pair) -> bool + Sync),
+        park_on_idle: bool,
+        on_resolution: &mut dyn FnMut(usize, &B, VirtualTime),
+    ) {
         loop {
             match self.state {
                 ShardState::Done | ShardState::Parked => return,
@@ -493,6 +504,8 @@ impl<B: CrowdBackend> ShardTask<B> {
                     }
                     self.m_answers.add(resolved.len() as u64);
                     self.note_queue_depth();
+                    let crowdsourced = self.labeler.result().num_crowdsourced();
+                    on_resolution(crowdsourced, &self.platform, self.resolved_at);
                     if self.labeler.is_complete() {
                         self.set_state(ShardState::Done);
                         return;
@@ -643,19 +656,24 @@ impl<B: CrowdBackend> ShardTask<B> {
             self.report_index,
             self.replay.len()
         );
-        let publish_rounds = self.total_rounds();
+        self.report(self.shard.globalize(self.labeler.result()), self.shard.num_components)
+    }
+
+    /// This incarnation's report over `result` (in global ids): its
+    /// backend's stats and money, its rounds and its replay ledger.
+    fn report(&self, result: LabelingResult, num_components: usize) -> ShardReport {
         ShardReport {
             shard: self.report_index,
             num_objects: self.shard.num_objects(),
-            num_pairs: self.shard.pairs.len(),
-            num_components: self.shard.num_components,
-            result: self.shard.globalize(&self.labeler.into_result()),
+            num_pairs: result.num_labeled(),
+            num_components,
+            result,
             stats: Some(self.platform.stats()),
             completion: self.platform.stats().last_resolution,
-            publish_rounds,
+            publish_rounds: self.total_rounds(),
             replayed_answers: self.replayed_answers,
             replayed_cost_cents: self.replayed_cost_cents,
-            rounds: self.rounds,
+            rounds: self.rounds.clone(),
             peak_unresolved: self.peak_unresolved,
         }
     }
@@ -722,32 +740,13 @@ impl<B: CrowdBackend> ShardTask<B> {
             }
         }
 
-        let num_labeled = retired.num_labeled();
-        RetiredShard {
-            report: ShardReport {
-                shard: self.report_index,
-                num_objects: self.shard.num_objects(),
-                num_pairs: num_labeled,
-                num_components: closed_components.len(),
-                result: retired,
-                stats: Some(self.platform.stats()),
-                completion: self.platform.stats().last_resolution,
-                publish_rounds: self.total_rounds(),
-                replayed_answers: self.replayed_answers,
-                replayed_cost_cents: self.replayed_cost_cents,
-                rounds: self.rounds.clone(),
-                peak_unresolved: self.peak_unresolved,
-            },
-            open_pairs,
-            known,
-        }
+        RetiredShard { report: self.report(retired, closed_components.len()), open_pairs, known }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::drive_to_completion;
     use crowdjoin_core::{sort_pairs, CandidateSet, GroundTruth, SortStrategy};
     use crowdjoin_sim::{Platform, PlatformConfig};
 
@@ -770,44 +769,92 @@ mod tests {
         crate::partition::partition_candidates(cs.num_objects(), cs.pairs(), 1).shards.remove(0)
     }
 
+    /// `(crowdsourced so far, open pairs on the platform, resolution time)`.
+    type Sample = (usize, usize, VirtualTime);
+
+    /// The blocking loop the state machine was cut from: publish, block on
+    /// `Platform::step`, feed the batch, sample, re-decide. Returns the
+    /// publish rounds and one sample per resolution batch.
+    fn blocking_reference(
+        labeler: &mut ParallelLabeler,
+        platform: &mut Platform,
+        instant_decision: bool,
+        truth_of: &dyn Fn(Pair) -> bool,
+    ) -> (usize, Vec<Sample>) {
+        let mut ids: Vec<Pair> = Vec::new();
+        let mut stager = HitStager::new();
+        let stage = |stager: &mut HitStager, ids: &mut Vec<Pair>, batch: Vec<ScoredPair>| {
+            stager.stage(batch.into_iter().map(|sp| {
+                ids.push(sp.pair);
+                let id = ids.len() as u64 - 1;
+                TaskSpec { id, truth: truth_of(sp.pair), priority: sp.likelihood }
+            }));
+        };
+        stage(&mut stager, &mut ids, labeler.next_batch());
+        stager.release(platform, true);
+        let mut series = Vec::new();
+        while !labeler.is_complete() {
+            let Some((time, resolved)) = platform.step() else {
+                stage(&mut stager, &mut ids, labeler.next_batch());
+                assert!(stager.num_staged() > 0, "labeler stuck");
+                stager.release(platform, true);
+                continue;
+            };
+            for r in &resolved {
+                let label = if r.label { Label::Matching } else { Label::NonMatching };
+                labeler.submit_answer(ids[r.id as usize], label);
+            }
+            series.push((labeler.result().num_crowdsourced(), platform.num_open_pairs(), time));
+            let idle = platform.num_unresolved_pairs() == 0;
+            if (instant_decision || idle) && !labeler.is_complete() {
+                stage(&mut stager, &mut ids, labeler.next_batch());
+                stager.release(platform, idle);
+            }
+        }
+        (stager.publish_rounds(), series)
+    }
+
     /// Driving a ShardTask to completion through `advance` must reproduce
-    /// the blocking driver bit for bit: same labels, provenance, rounds,
-    /// platform stats, and completion time.
+    /// the blocking loop bit for bit: same labels, provenance, rounds,
+    /// platform stats, completion time, and the same availability sample
+    /// after every resolution batch — on a perfect and on a noisy crowd.
     #[test]
     fn task_matches_blocking_driver_exactly() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        for instant in [true, false] {
-            let cfg = PlatformConfig::perfect_workers(17);
+        let truth_of = |pair: Pair| truth.is_matching(pair);
+        for cfg in [PlatformConfig::perfect_workers(17), PlatformConfig::amt_like(17)] {
+            for instant in [true, false] {
+                let mut platform = Platform::new(cfg.clone());
+                let mut labeler = ParallelLabeler::new(cs.num_objects(), order.clone());
+                let (rounds, series) =
+                    blocking_reference(&mut labeler, &mut platform, instant, &truth_of);
 
-            let mut platform = Platform::new(cfg.clone());
-            let mut labeler = ParallelLabeler::new(cs.num_objects(), order.clone());
-            let rounds = drive_to_completion(
-                &mut labeler,
-                &mut platform,
-                instant,
-                &|pair| truth.is_matching(pair),
-                &mut |_, _, _| {},
-            );
+                let shard = whole_universe_shard(&cs);
+                let mut task = ShardTask::new(shard, Platform::new(cfg.clone()), instant, 0);
+                let mut observed: Vec<Sample> = Vec::new();
+                while task.state() != ShardState::Done {
+                    assert!(task.next_wake().is_some(), "active task must have a wake time");
+                    task.advance(&truth_of, false, &mut |crowdsourced, p: &Platform, at| {
+                        observed.push((crowdsourced, p.num_open_pairs(), at));
+                    });
+                }
+                let report = task.into_report();
 
-            let shard = whole_universe_shard(&cs);
-            let mut task = ShardTask::new(shard, Platform::new(cfg), instant, 0);
-            let truth_of = |pair: Pair| truth.is_matching(pair);
-            while task.state() != ShardState::Done {
-                assert!(task.next_wake().is_some(), "active task must have a wake time");
-                task.advance(&truth_of, false);
-            }
-            let report = task.into_report();
-
-            assert_eq!(report.publish_rounds, rounds, "instant={instant}");
-            assert_eq!(report.stats, Some(platform.stats()), "instant={instant}");
-            assert_eq!(report.completion, platform.stats().last_resolution);
-            let blocking = labeler.into_result();
-            assert_eq!(report.result.num_crowdsourced(), blocking.num_crowdsourced());
-            assert_eq!(report.result.num_deduced(), blocking.num_deduced());
-            for sp in cs.pairs() {
-                assert_eq!(report.result.label_of(sp.pair), blocking.label_of(sp.pair));
-                assert_eq!(report.result.provenance_of(sp.pair), blocking.provenance_of(sp.pair));
+                assert_eq!(observed, series, "instant={instant}");
+                assert_eq!(report.publish_rounds, rounds, "instant={instant}");
+                assert_eq!(report.stats, Some(platform.stats()), "instant={instant}");
+                assert_eq!(report.completion, platform.stats().last_resolution);
+                let blocking = labeler.into_result();
+                assert_eq!(report.result.num_crowdsourced(), blocking.num_crowdsourced());
+                assert_eq!(report.result.num_deduced(), blocking.num_deduced());
+                for sp in cs.pairs() {
+                    assert_eq!(report.result.label_of(sp.pair), blocking.label_of(sp.pair));
+                    assert_eq!(
+                        report.result.provenance_of(sp.pair),
+                        blocking.provenance_of(sp.pair)
+                    );
+                }
             }
         }
     }
@@ -835,7 +882,7 @@ mod tests {
             ShardTask::new(shard, Platform::new(PlatformConfig::perfect_workers(5)), true, 3);
         let truth_of = |pair: Pair| truth.is_matching(pair);
         while !matches!(task.state(), ShardState::Parked | ShardState::Done) {
-            task.advance(&truth_of, true);
+            task.advance(&truth_of, true, &mut |_, _, _| {});
         }
         assert_eq!(task.state(), ShardState::Parked);
         assert!(task.next_wake().is_none());

@@ -102,12 +102,11 @@ pub trait CrowdBackend: Send + std::fmt::Debug {
 }
 
 /// [`Platform`] is the reference backend: the discrete-event simulator on
-/// virtual time. Every method is a delegation to the inherent API the
-/// blocking drivers already use, so routing through the trait cannot change
-/// behavior.
+/// virtual time. Every method is a delegation to the inherent API, so
+/// routing through the trait cannot change behavior.
 impl CrowdBackend for Platform {
     fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
-        Platform::post_hits(self, tasks);
+        Platform::publish(self, tasks);
     }
 
     fn poll_completions(&mut self, until: VirtualTime) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
@@ -136,6 +135,47 @@ impl CrowdBackend for Platform {
 
     fn warp_to(&mut self, t: VirtualTime) {
         Platform::warp_to(self, t);
+    }
+}
+
+/// A borrowed backend is a backend, so a caller can lend the platform it
+/// owns to a shard task and read it back afterwards (the facade's
+/// single-platform runner does this).
+impl<B: CrowdBackend + ?Sized> CrowdBackend for &mut B {
+    fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
+        (**self).post_hits(tasks);
+    }
+
+    fn poll_completions(&mut self, until: VirtualTime) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
+        (**self).poll_completions(until)
+    }
+
+    fn next_event_time(&self) -> Option<VirtualTime> {
+        (**self).next_event_time()
+    }
+
+    fn now(&self) -> VirtualTime {
+        (**self).now()
+    }
+
+    fn num_unresolved_pairs(&self) -> usize {
+        (**self).num_unresolved_pairs()
+    }
+
+    fn batch_size(&self) -> usize {
+        (**self).batch_size()
+    }
+
+    fn stats(&self) -> PlatformStats {
+        (**self).stats()
+    }
+
+    fn warp_to(&mut self, t: VirtualTime) {
+        (**self).warp_to(t);
+    }
+
+    fn absorb_replayed_cost(&mut self, cents: u64) {
+        (**self).absorb_replayed_cost(cents);
     }
 }
 

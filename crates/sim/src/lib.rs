@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod clock;
 pub mod config;
 pub mod dist;
 pub mod platform;
@@ -45,7 +44,6 @@ pub mod time;
 pub mod vote;
 
 pub use backend::{BackendFactory, CrowdBackend, ShardContext, SimFactory};
-pub use clock::SharedClock;
 pub use config::{AssignmentPolicy, PlatformConfig};
 pub use dist::LogNormal;
 pub use platform::{Platform, PlatformStats, ResolvedTask, TaskSpec, WorkerStats};

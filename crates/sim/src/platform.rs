@@ -284,14 +284,6 @@ impl Platform {
         self.wake_idle_workers();
     }
 
-    /// Non-blocking submit half of the poll-based interface: posts tasks as
-    /// HITs and returns immediately. Alias of [`Self::publish`]; paired with
-    /// [`Self::poll_completions`] by event-loop drivers that multiplex many
-    /// platforms on one thread.
-    pub fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
-        self.publish(tasks);
-    }
-
     /// Wakes every idle qualified worker with a fresh revisit delay (used on
     /// publish and when an abandoned assignment re-opens a HIT).
     fn wake_idle_workers(&mut self) {
@@ -359,8 +351,9 @@ impl Platform {
     /// `None` when no events remain — either everything resolved or no
     /// worker can make progress).
     ///
-    /// Compatibility wrapper over [`Self::poll_completions`] with no time
-    /// bound; blocking drive loops keep using it unchanged.
+    /// [`Self::poll_completions`] with no time bound. The paper's baseline
+    /// publication policies (publish everything at once, or one HIT at a
+    /// time) wait on it; the labeler is only ever driven by polling.
     pub fn step(&mut self) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
         self.poll_completions(VirtualTime::MAX)
     }
@@ -725,7 +718,7 @@ mod tests {
         // Drive an identical platform purely through the poll interface,
         // always advancing to the next event time — the event-loop pattern.
         let mut polled = Platform::new(PlatformConfig::perfect_workers(7));
-        polled.post_hits(tasks(50, true));
+        polled.publish(tasks(50, true));
         let mut batches = Vec::new();
         while let Some(t) = polled.next_event_time() {
             assert!(t >= polled.now(), "next event cannot be in the past");
@@ -742,7 +735,7 @@ mod tests {
     #[test]
     fn poll_before_first_event_is_empty() {
         let mut p = Platform::new(PlatformConfig::perfect_workers(3));
-        p.post_hits(tasks(10, true));
+        p.publish(tasks(10, true));
         let first = p.next_event_time().expect("publish schedules worker checks");
         assert!(first > VirtualTime::ZERO);
         // Polling strictly before the first event processes nothing.

@@ -1,12 +1,11 @@
-//! HIT staging policy shared by every platform driver.
+//! HIT staging policy of the engine's shard tasks.
 //!
 //! Iterative publishing (instant decision) would fragment tasks into tiny
 //! HITs and waste money; the batching optimization of Section 6.4 says to
-//! publish in full HITs of the platform's batch size. [`HitStager`]
-//! centralizes that policy so the single-platform runner and the sharded
-//! engine cannot drift apart: stage publishable tasks as the labeler emits
-//! them, release full HITs immediately, and flush the partial remainder
-//! only when the platform would otherwise sit idle waiting for it.
+//! publish in full HITs of the platform's batch size. [`HitStager`] holds
+//! that policy: stage publishable tasks as the labeler emits them, release
+//! full HITs immediately, and flush the partial remainder only when the
+//! platform would otherwise sit idle waiting for it.
 
 use crate::backend::CrowdBackend;
 use crate::platform::TaskSpec;

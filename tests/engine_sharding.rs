@@ -11,10 +11,20 @@ use crowdjoin::records::{
 };
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    build_task, run_parallel_rounds, run_sharded_on_platform, run_sharded_with_oracle, sort_pairs,
-    CandidateSet, EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle,
-    ScoredPair, SortStrategy, SyncOracle,
+    build_task, run_parallel_rounds, run_sharded_with_oracle, sort_pairs, CandidateSet, Engine,
+    EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle, ScoredPair,
+    SortStrategy, SyncOracle,
 };
+
+fn run_engine(
+    num_objects: usize,
+    order: &[ScoredPair],
+    truth: &GroundTruth,
+    platform: &PlatformConfig,
+    engine: &EngineConfig,
+) -> EngineReport {
+    Engine::new(num_objects, order, truth, platform, engine.clone()).run().expect("unjournaled run")
+}
 
 fn paper_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     let dataset = generate_paper(&PaperGenConfig {
@@ -116,15 +126,8 @@ fn product_workload_shard_equivalence() {
 fn sharded_platform_run_is_deterministic() {
     let (candidates, truth, order) = paper_workload();
     let cfg = EngineConfig { num_shards: 4, seed: 99, ..EngineConfig::default() };
-    let run = || {
-        run_sharded_on_platform(
-            candidates.num_objects(),
-            &order,
-            &truth,
-            &PlatformConfig::perfect_workers(5),
-            &cfg,
-        )
-    };
+    let platform = PlatformConfig::perfect_workers(5);
+    let run = || run_engine(candidates.num_objects(), &order, &truth, &platform, &cfg);
     let a = run();
     let b = run();
     assert_money_partitions(&a);
@@ -150,8 +153,7 @@ fn noisy_runs_stay_per_seed_deterministic() {
     let platform = PlatformConfig { num_workers: 80, ..PlatformConfig::amt_like(29) };
     for shards in [1usize, 4] {
         let cfg = EngineConfig { num_shards: shards, seed: 11, ..EngineConfig::default() };
-        let run =
-            || run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &cfg);
+        let run = || run_engine(candidates.num_objects(), &order, &truth, &platform, &cfg);
         let (a, b) = (run(), run());
         assert_eq!(a.result.num_labeled(), order.len(), "{shards} shards: fully labeled");
         assert_money_partitions(&a);
@@ -206,20 +208,11 @@ fn noisy_oracle_sharding_is_deterministic() {
 fn sharded_platform_divides_crowd_and_keeps_cost() {
     let (candidates, truth, order) = paper_workload();
     let platform = PlatformConfig::perfect_workers(11);
-    let single = run_sharded_on_platform(
-        candidates.num_objects(),
-        &order,
-        &truth,
-        &platform,
-        &EngineConfig { num_shards: 1, seed: 7, ..EngineConfig::default() },
-    );
-    let sharded = run_sharded_on_platform(
-        candidates.num_objects(),
-        &order,
-        &truth,
-        &platform,
-        &EngineConfig { num_shards: 8, seed: 7, ..EngineConfig::default() },
-    );
+    let run = |num_shards| {
+        let cfg = EngineConfig { num_shards, seed: 7, ..EngineConfig::default() };
+        run_engine(candidates.num_objects(), &order, &truth, &platform, &cfg)
+    };
+    let (single, sharded) = (run(1), run(8));
     assert_eq!(
         single.result.num_crowdsourced(),
         sharded.result.num_crowdsourced(),

@@ -1,7 +1,7 @@
 //! Event-loop engine tests: the non-blocking `ShardTask` event loop must
-//! drive ≥1000 shards on 2 worker threads to outcomes **bit-identical** to
-//! the blocking thread-per-shard scheduler (labels, crowdsourced counts,
-//! money, per-shard stats, completion time), on synthetic and generated
+//! drive ≥1000 shards to outcomes **bit-identical** at 1, 2 and 4 worker
+//! threads (labels, provenance, crowdsourced counts, money, per-shard stats,
+//! completion time and publish rounds), on synthetic and generated
 //! workloads; and dynamic re-sharding must stay label-correct while
 //! merging shards as components collapse.
 
@@ -11,9 +11,19 @@ use crowdjoin::records::{
 };
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    build_task, run_sharded_on_platform, run_sharded_on_platform_threaded, sort_pairs,
-    CandidateSet, EngineConfig, GroundTruth, Pair, ScoredPair, SortStrategy,
+    build_task, sort_pairs, CandidateSet, Engine, EngineConfig, EngineReport, GroundTruth, Pair,
+    ScoredPair, SortStrategy,
 };
+
+fn run_engine(
+    num_objects: usize,
+    order: &[ScoredPair],
+    truth: &GroundTruth,
+    platform: &PlatformConfig,
+    engine: &EngineConfig,
+) -> EngineReport {
+    Engine::new(num_objects, order, truth, platform, engine.clone()).run().expect("unjournaled run")
+}
 
 /// 1200 disjoint triangle components (3600 objects). Even components are a
 /// true 3-cluster, odd components are all-distinct — the latter force a
@@ -66,53 +76,46 @@ fn product_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     (candidates, truth, order)
 }
 
-/// Both drivers over identical inputs must agree *exactly*: merged result,
-/// money, completion, and every per-shard report.
-fn assert_drivers_identical(
+/// The same job at every listed worker-thread count must agree *exactly*
+/// with the single-threaded run, shard report for shard report: labels,
+/// provenance, stats, completion, publish rounds and round telemetry.
+/// Returns the single-threaded report.
+fn assert_thread_count_invariant(
     num_objects: usize,
     order: &[ScoredPair],
     truth: &GroundTruth,
     platform: &PlatformConfig,
     engine: &EngineConfig,
-) {
-    let ev = run_sharded_on_platform(num_objects, order, truth, platform, engine);
-    let th = run_sharded_on_platform_threaded(num_objects, order, truth, platform, engine);
-    assert_eq!(ev.num_shards(), th.num_shards());
-    assert_eq!(ev.result.num_labeled(), th.result.num_labeled());
-    assert_eq!(ev.result.num_crowdsourced(), th.result.num_crowdsourced());
-    assert_eq!(ev.result.num_deduced(), th.result.num_deduced());
-    assert_eq!(ev.result.num_conflicts(), th.result.num_conflicts());
-    assert_eq!(ev.total_cost_cents, th.total_cost_cents);
-    assert_eq!(ev.completion, th.completion);
-    assert_eq!(ev.reshard_generations, 0);
-    for sp in order {
-        assert_eq!(
-            ev.result.label_of(sp.pair),
-            th.result.label_of(sp.pair),
-            "label diverged on {}",
-            sp.pair
-        );
-        assert_eq!(ev.result.provenance_of(sp.pair), th.result.provenance_of(sp.pair));
+    threads: &[usize],
+) -> EngineReport {
+    let run = |num_threads| {
+        let engine = EngineConfig { num_threads, ..engine.clone() };
+        run_engine(num_objects, order, truth, platform, &engine)
+    };
+    let reference = run(1);
+    assert_eq!(reference.reshard_generations, 0);
+    for &num_threads in threads {
+        let other = run(num_threads);
+        assert_eq!(other.num_shards(), reference.num_shards());
+        for (a, b) in other.shards.iter().zip(&reference.shards) {
+            assert_eq!(a, b, "{num_threads} threads: shard {} diverged", b.shard);
+        }
+        assert_eq!(other.result, reference.result, "{num_threads} threads: merged result");
+        assert_eq!(other.completion, reference.completion);
     }
-    for (a, b) in ev.shards.iter().zip(&th.shards) {
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.stats, b.stats, "shard {} platform stats diverged", a.shard);
-        assert_eq!(a.completion, b.completion);
-        assert_eq!(a.publish_rounds, b.publish_rounds);
-    }
+    reference
 }
 
-/// The acceptance bar: ≥1000 shards multiplexed over 2 worker threads, with
-/// labels, crowdsourced counts, and total cost identical to the
-/// thread-per-shard path — and correct against ground truth.
+/// The acceptance bar: ≥1000 shards multiplexed over 2 (and 4) worker
+/// threads, with every per-shard report identical to the single-threaded
+/// run — and correct against ground truth.
 #[test]
 fn thousand_shards_on_two_threads_match_thread_per_shard() {
     let (num_objects, order, truth) = thousand_component_workload();
-    let engine =
-        EngineConfig { num_shards: 1200, num_threads: 2, seed: 5, ..EngineConfig::default() };
+    let engine = EngineConfig { num_shards: 1200, seed: 5, ..EngineConfig::default() };
     let platform = PlatformConfig::perfect_workers(13);
-
-    let report = run_sharded_on_platform(num_objects, &order, &truth, &platform, &engine);
+    let report =
+        assert_thread_count_invariant(num_objects, &order, &truth, &platform, &engine, &[2, 4]);
     assert_eq!(report.num_shards(), 1200, "every component must become a shard");
     assert_eq!(report.result.num_labeled(), order.len());
     for sp in &order {
@@ -121,13 +124,11 @@ fn thousand_shards_on_two_threads_match_thread_per_shard() {
     // Odd (all-distinct) components need a second round for their held-back
     // third pair, so the loop genuinely interleaves rounds across shards.
     assert!(report.critical_path_rounds() >= 2);
-
-    assert_drivers_identical(num_objects, &order, &truth, &platform, &engine);
 }
 
-/// Generated Paper and Product workloads, perfect and noisy crowds: the two
-/// drivers must agree bit for bit (noisy answers included — identical
-/// per-shard platform seeds mean identical worker behavior).
+/// Generated Paper and Product workloads, perfect and noisy crowds: 1 and 2
+/// worker threads must agree bit for bit (noisy answers included —
+/// per-shard platform seeds do not depend on scheduling).
 #[test]
 fn event_loop_matches_thread_per_shard_on_generated_workloads() {
     let paper = paper_workload();
@@ -140,21 +141,23 @@ fn event_loop_matches_thread_per_shard_on_generated_workloads() {
                 seed: 7,
                 ..EngineConfig::default()
             };
-            assert_drivers_identical(
+            assert_thread_count_invariant(
                 candidates.num_objects(),
                 order,
                 truth,
                 &PlatformConfig::perfect_workers(11),
                 &engine,
+                &[2],
             );
             // Noisy arm: a bigger crowd so an 8-way split still leaves every
             // shard enough qualification-passing workers to resolve HITs.
-            assert_drivers_identical(
+            assert_thread_count_invariant(
                 candidates.num_objects(),
                 order,
                 truth,
                 &PlatformConfig { num_workers: 160, ..PlatformConfig::amt_like(23) },
                 &engine,
+                &[2],
             );
         }
     }
@@ -175,8 +178,7 @@ fn resharding_stays_correct_and_merges_shards() {
         reshard: true,
         ..EngineConfig::default()
     };
-    let run =
-        || run_sharded_on_platform(candidates.num_objects(), &order, &truth, &platform, &engine);
+    let run = || run_engine(candidates.num_objects(), &order, &truth, &platform, &engine);
     let report = run();
 
     assert_eq!(report.result.num_labeled(), order.len());
@@ -208,7 +210,7 @@ fn resharding_stays_correct_and_merges_shards() {
     // Against the same config without re-sharding: merging can only reduce
     // the crowd bill (shared HITs across merged shards; answers are never
     // re-asked) and must not change any label.
-    let baseline = run_sharded_on_platform(
+    let baseline = run_engine(
         candidates.num_objects(),
         &order,
         &truth,
@@ -244,8 +246,8 @@ fn resharding_reduces_partial_hit_waste_on_many_small_shards() {
     let platform = PlatformConfig::perfect_workers(29);
     let base =
         EngineConfig { num_shards: 1200, num_threads: 2, seed: 3, ..EngineConfig::default() };
-    let plain = run_sharded_on_platform(num_objects, &order, &truth, &platform, &base);
-    let merged = run_sharded_on_platform(
+    let plain = run_engine(num_objects, &order, &truth, &platform, &base);
+    let merged = run_engine(
         num_objects,
         &order,
         &truth,

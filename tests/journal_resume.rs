@@ -8,9 +8,7 @@
 
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::wal::{self, Record, WalError};
-use crowdjoin::{
-    run_sharded_on_platform, Engine, EngineConfig, EngineReport, GroundTruth, Pair, ScoredPair,
-};
+use crowdjoin::{Engine, EngineConfig, EngineReport, GroundTruth, Pair, ScoredPair};
 use std::path::{Path, PathBuf};
 
 /// 40 disjoint triangle components (120 objects). Even components are a
@@ -95,8 +93,9 @@ fn assert_journals_equivalent(a: &Path, b: &Path, ctx: &str) {
 fn run_journaled(name: &str, reshard: bool) -> (EngineReport, EngineReport, PathBuf) {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let plain =
-        run_sharded_on_platform(num_objects, &order, &truth, &platform, &engine_config(reshard));
+    let plain = Engine::new(num_objects, &order, &truth, &platform, engine_config(reshard))
+        .run()
+        .expect("plain run");
 
     let path = temp_path(name);
     let _ = std::fs::remove_file(&path);

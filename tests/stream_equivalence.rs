@@ -10,8 +10,8 @@ use crowdjoin::records::{
 };
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    run_sharded_on_platform, sort_pairs, to_candidate_set, EngineConfig, EngineReport, GroundTruth,
-    ScoredPair, SortStrategy, StreamJob,
+    sort_pairs, to_candidate_set, Engine, EngineConfig, EngineReport, GroundTruth, ScoredPair,
+    SortStrategy, StreamJob,
 };
 
 const NUM_RECORDS: usize = 120;
@@ -133,11 +133,15 @@ fn interleavings_label_identically_to_batch() {
             seed: 11,
             ..EngineConfig::default()
         };
-        let batch_report =
-            run_sharded_on_platform(ds.len(), &batch_order, &truth, &platform, &engine);
+        let run = |order: &[ScoredPair]| {
+            Engine::new(ds.len(), order, &truth, &platform, engine.clone())
+                .run()
+                .expect("engine run")
+        };
+        let batch_report = run(&batch_order);
         for k in 0..INTERLEAVINGS {
             let order = labeling_order(&ds, &stream_candidates(&ds, &shuffled(ds.len(), 1000 + k)));
-            let report = run_sharded_on_platform(ds.len(), &order, &truth, &platform, &engine);
+            let report = run(&order);
             assert_reports_identical(
                 &batch_report,
                 &report,
