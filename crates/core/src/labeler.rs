@@ -7,16 +7,20 @@
 //! costs O(affected pairs), not a sweep over every pending pair. Batch
 //! selection (Algorithm 3) is a scan because the *supposed-matching* graph
 //! must be rebuilt under each round's knowledge, but the labeler keeps one
-//! scan graph for its lifetime ([`ClusterGraph::reset`] per scan, one
-//! [`ClusterGraph::insert`] per position) and does not scan when the scan
-//! cannot differ from the last one.
+//! [`ScanGraph`] for its lifetime ([`ScanGraph::reset`] per scan), does not
+//! scan when the scan cannot differ from the last one, and in a scan that
+//! runs decides afresh only the positions that touch a cluster the scan has
+//! changed — every other position replays its last decision.
 //!
-//! `scan_equivalence_with_reference` (below) pins both against a
+//! `scan_equivalence_with_reference` (below) pins all three against a
 //! `#[cfg(test)]` reference that is Algorithms 2 and 3 as written: a fresh
 //! graph per scan, `deduce` then `insert`, and an O(pending) sweep after
 //! every answer. The two agree call for call on the batch and the
 //! outstanding count, and on labels, provenance and conflicts, under
-//! crowds whose answers contradict each other.
+//! crowds whose answers contradict each other. Each of these planted
+//! mutations fails it: dropping any one of the three dirty-marking rules of
+//! the rescan (below), `set_label` never requesting a rescan, and the
+//! reference without its sweep.
 //!
 //! # The scan graph depends on the non-matching positions only
 //!
@@ -29,16 +33,48 @@
 //! function of **which positions are labeled `NonMatching`**: publishing, a
 //! `Matching` answer and a closure-deduced `Matching` label change nothing.
 //!
-//! **Skip rule.** Each scan records, per position, whether it inserted
-//! (unioned). [`ParallelLabeler::next_batch`] rescans only if, since the last
-//! scan, some position that unioned in it has turned `NonMatching`;
-//! otherwise it returns the empty batch. Proof: take the newly
-//! `NonMatching` positions in order. The first one's prefix is unchanged;
-//! it did not union, so it was deducible there and still is — as
-//! `NonMatching` it is redundant or a conflict and leaves the graph alone,
-//! exactly as before, so the next one's prefix is unchanged too. The whole
-//! scan therefore repeats the last one, whose every unlabeled
-//! non-deducible position is already published: the batch is empty.
+//! **Skip rule.** Each scan records, per position, its decision: the
+//! [`ScanStep`] — nothing, a merge or an edge, with the roots it saw.
+//! [`ParallelLabeler::next_batch`] rescans only if, since the last scan,
+//! some position that merged in it has turned `NonMatching`; otherwise it
+//! returns the empty batch. Proof: take the newly `NonMatching` positions
+//! in order. The first one's prefix is unchanged; it did not merge, so it
+//! was deducible there and still is — as `NonMatching` it is redundant or a
+//! conflict and leaves the graph alone, exactly as before, so the next
+//! one's prefix is unchanged too. The whole scan therefore repeats the last
+//! one, whose every unlabeled non-deducible position is already published:
+//! the batch is empty.
+//!
+//! **Replay.** A rescan marks roots *dirty* as it goes; every root starts
+//! clean. A position whose two recorded roots are still roots and both
+//! clean, and which has not *flipped* (a merge that has since turned
+//! `NonMatching`), re-applies its recorded step with no `find` and no
+//! adjacency walk. Every other position is decided afresh and marks:
+//!
+//! 1. both recorded roots of a flipped position whose roots are clean — it
+//!    becomes an edge between the two clusters it used to merge;
+//! 2. the root of any fresh merge;
+//! 3. both current roots when the old decision was a merge and the new one
+//!    is not.
+//!
+//! **Invariant**, by induction over the positions: a clean root names the
+//! same object set, with the same root, as at that position of the previous
+//! scan, and two clean clusters are adjacent now exactly when they were
+//! then. A replayed position sees the same roots, the same adjacency and a
+//! label with the same effect (a `NonMatching` label on a pair that did
+//! nothing still does nothing), so it repeats its old outcome, which keeps
+//! the invariant. A position decided afresh has a recorded root that is
+//! gone or dirty, or it flipped. If it merges now or merged then, rules 1–3
+//! leave dirty every cluster that holds one of its two objects. Otherwise
+//! neither outcome changes a cluster, and each is at most an edge between
+//! the clusters of its two objects, at least one of them dirty (two clean
+//! ones would be the recorded roots, and the position a replay). Either
+//! way neither the old outcome nor the new one touches a clean cluster or
+//! the adjacency between two clean ones.
+//!
+//! Publishing needs a merge of an unlabeled position, and a position that
+//! merged in the last scan was published by it, so **only re-decided
+//! positions can publish**. The first scan decides every position.
 //!
 //! Besides the live path ([`ParallelLabeler::next_batch`] /
 //! [`ParallelLabeler::submit_answer`]), the labeler exposes the **replay
@@ -53,7 +89,7 @@
 use crate::closure::IncrementalClosure;
 use crate::result::LabelingResult;
 use crate::types::{Label, Pair, Provenance, ScoredPair};
-use crowdjoin_graph::{ClusterGraph, InsertOutcome};
+use crowdjoin_graph::{ScanGraph, ScanStep};
 use crowdjoin_util::FxHashMap;
 
 /// Per-pair lifecycle.
@@ -77,13 +113,21 @@ pub struct ParallelLabeler {
     result: LabelingResult,
     outstanding: usize,
     /// The Algorithm-3 scan graph, reset and refilled by each scan.
-    scan: ClusterGraph,
-    /// Per position: it inserted into `scan` (unioned) in the last scan.
-    unioned: Vec<bool>,
-    /// A position with `unioned` set turned `NonMatching` since the last
-    /// scan (or no scan has run yet): the next scan can differ.
-    dirty: bool,
+    scan: ScanGraph,
+    /// Per position: its decision in the last scan. Before the first scan
+    /// it names no object, so nothing replays.
+    decisions: Vec<ScanStep>,
+    /// Per object: a root the running scan has marked dirty.
+    dirty: Vec<bool>,
+    /// A position that merged in the last scan turned `NonMatching` since
+    /// (or no scan has run yet): the next scan can differ.
+    rescan: bool,
+    /// Positions the last scan decided afresh rather than replayed.
+    decided: usize,
 }
+
+/// The decision record of a position no scan has visited.
+const UNSCANNED: ScanStep = ScanStep::Nothing(u32::MAX, u32::MAX);
 
 impl ParallelLabeler {
     /// Creates a labeler for `order` over a universe of `num_objects`. Pairs
@@ -120,9 +164,11 @@ impl ParallelLabeler {
             closure,
             result: LabelingResult::new(),
             outstanding: 0,
-            scan: ClusterGraph::new(num_objects),
-            unioned: vec![false; n],
-            dirty: true,
+            scan: ScanGraph::new(num_objects),
+            decisions: vec![UNSCANNED; n],
+            dirty: vec![false; num_objects],
+            rescan: true,
+            decided: 0,
         }
     }
 
@@ -140,11 +186,18 @@ impl ParallelLabeler {
 
     /// `true` when the next [`Self::next_batch`] call will scan; `false`
     /// when it will return the empty batch because no position that
-    /// unioned in the last scan has turned `NonMatching` since (the skip
+    /// merged in the last scan has turned `NonMatching` since (the skip
     /// rule).
     #[must_use]
     pub fn rescan_pending(&self) -> bool {
-        self.dirty
+        self.rescan
+    }
+
+    /// Positions the last [`Self::next_batch`] scan decided afresh instead
+    /// of replaying (0 when it skipped the scan).
+    #[must_use]
+    pub fn last_scan_decisions(&self) -> usize {
+        self.decided
     }
 
     /// Algorithm 3 with instant decision: the pairs that must be
@@ -156,39 +209,72 @@ impl ParallelLabeler {
     /// (a real label that contradicts a *supposed* cluster is skipped, which
     /// can only cause extra publishing). Skipped altogether when no answer
     /// since the last scan can have changed its outcome
-    /// ([`Self::rescan_pending`]).
+    /// ([`Self::rescan_pending`]); within a scan, a position replays its
+    /// last decision unless it touches a changed cluster (module docs).
     pub fn next_batch(&mut self) -> Vec<ScoredPair> {
         let mut batch = Vec::new();
-        if !self.dirty {
+        self.decided = 0;
+        if !self.rescan {
             return batch;
         }
-        self.dirty = false;
+        self.rescan = false;
         self.scan.reset();
+        self.dirty.fill(false);
         for (i, sp) in self.order.iter().enumerate() {
             let state = self.state[i];
             let label = match state {
                 PairState::Labeled(label) => label,
                 PairState::Published | PairState::Unlabeled => Label::Matching,
             };
-            // `Inserted` is "not deducible"; redundant or conflicting is
-            // "deducible" and leaves the graph alone.
-            let inserted =
-                self.scan.insert(sp.pair.a(), sp.pair.b(), label) == Ok(InsertOutcome::Inserted);
-            self.unioned[i] = inserted;
-            if inserted && state == PairState::Unlabeled {
-                self.state[i] = PairState::Published;
-                self.outstanding += 1;
-                batch.push(*sp);
+            let old = self.decisions[i];
+            let merged = matches!(old, ScanStep::Merge { .. });
+            let flipped = merged && label == Label::NonMatching;
+            let (x, y) = old.roots();
+            let clean = |r: u32| self.scan.is_root(r) && !self.dirty[r as usize];
+            if clean(x) && clean(y) {
+                if !flipped {
+                    debug_assert!(!merged || state != PairState::Unlabeled, "a merge published");
+                    self.scan.replay(old);
+                    continue;
+                }
+                // The two clusters it merged last scan are unchanged, so
+                // distinct and not adjacent: the flipped pair links them.
+                let step = ScanStep::Edge(x, y);
+                self.scan.replay(step);
+                self.dirty[x as usize] = true; // rule 1
+                self.dirty[y as usize] = true;
+                self.decisions[i] = step;
+                self.decided += 1;
+                continue;
             }
+            let step = self.scan.insert(sp.pair.a(), sp.pair.b(), label);
+            match step {
+                ScanStep::Merge { winner, .. } => {
+                    self.dirty[winner as usize] = true; // rule 2
+                    if state == PairState::Unlabeled {
+                        self.state[i] = PairState::Published;
+                        self.outstanding += 1;
+                        batch.push(*sp);
+                    }
+                }
+                ScanStep::Nothing(a, b) | ScanStep::Edge(a, b) if merged => {
+                    self.dirty[a as usize] = true; // rule 3
+                    self.dirty[b as usize] = true;
+                }
+                ScanStep::Nothing(..) | ScanStep::Edge(..) => {}
+            }
+            self.decisions[i] = step;
+            self.decided += 1;
         }
         batch
     }
 
     /// Labels position `i`, requesting a rescan when that changes the scan
-    /// graph: the position unioned in the last scan and now will not.
+    /// graph: the position merged in the last scan and now will not.
     fn set_label(&mut self, i: usize, label: Label) {
         self.state[i] = PairState::Labeled(label);
-        self.dirty |= label == Label::NonMatching && self.unioned[i];
+        self.rescan |=
+            label == Label::NonMatching && matches!(self.decisions[i], ScanStep::Merge { .. });
     }
 
     /// Feeds one crowd answer, then labels exactly the pairs the answer made
@@ -323,6 +409,7 @@ mod tests {
     use crate::parallel::run_parallel_rounds;
     use crate::sort::{sort_pairs, SortStrategy};
     use crate::types::LabeledPair;
+    use crowdjoin_graph::ClusterGraph;
 
     /// Algorithms 2 and 3 as written, sharing nothing with the labeler's
     /// reused scan graph, skip rule or closure: a fresh graph per scan with
@@ -441,15 +528,20 @@ mod tests {
     fn matching_answers_never_force_a_rescan() {
         let (mut fast, mut slow) = triangle();
         assert!(!fast.rescan_pending(), "a scan just ran");
+        assert_eq!(fast.last_scan_decisions(), 4, "the first scan decides every position");
+        let round1 = fast.decisions.clone();
+        let merges = round1.iter().filter(|d| matches!(d, ScanStep::Merge { .. })).count();
+        assert_eq!(merges, 3);
         for pair in [Pair::new(3, 4), Pair::new(0, 1), Pair::new(1, 2)] {
             fast.submit_answer(pair, Label::Matching);
             slow.submit_answer(pair, Label::Matching);
             // (0,2) is closure-deduced Matching along the way: no rescan
-            // either. The scan graph stays as round 1 left it.
+            // either. The decisions stay as round 1 left them.
             assert!(!fast.rescan_pending(), "after {pair}");
             assert!(fast.next_batch().is_empty());
             assert!(slow.next_batch().is_empty());
-            assert_eq!((fast.scan.matching_inserted(), fast.scan.num_clusters()), (3, 2));
+            assert_eq!(fast.last_scan_decisions(), 0);
+            assert_eq!(fast.decisions, round1);
         }
         assert!(fast.is_complete());
         assert_eq!(labels(fast.result()), labels(&slow.result));
@@ -465,6 +557,8 @@ mod tests {
         assert!(fast.rescan_pending());
         assert!(fast.next_batch().is_empty());
         assert!(slow.next_batch().is_empty());
+        // The triangle is decided afresh; the disjoint (3,4) replays.
+        assert_eq!(fast.last_scan_decisions(), 3);
         // Refuting (1,2) too leaves (0,2) with two non-matching hops: the
         // forced rescan publishes it.
         fast.submit_answer(Pair::new(1, 2), Label::NonMatching);

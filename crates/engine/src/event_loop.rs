@@ -357,8 +357,11 @@ impl<B: CrowdBackend> Drop for AdvanceGuard<'_, B> {
 
 /// One worker: pop the earliest-event task, wait out its deadline on the
 /// factory's time source (a no-op on virtual time, a real sleep on wall
-/// clock), advance it outside the lock, reinsert/park/finish it, and run
-/// the re-sharding barrier when no task can progress otherwise.
+/// clock), advance it outside the lock, and park or finish it — or, while
+/// its next wake is still no later than the heap's earliest, keep advancing
+/// it rather than requeue it for another worker (a hot task bouncing
+/// between cores costs more than it overlaps). Runs the re-sharding
+/// barrier when no task can progress otherwise.
 fn worker_loop<F: BackendFactory>(
     state: &Mutex<LoopState<F::Backend>>,
     cv: &Condvar,
@@ -366,14 +369,20 @@ fn worker_loop<F: BackendFactory>(
 ) {
     let park_on_idle = ctx.engine_cfg.reshard;
     let mut st = state.lock().expect("event loop mutex poisoned");
+    // The task this worker keeps advancing, counted in `inflight`.
+    let mut held = None;
     loop {
         if st.active == 0 {
             cv.notify_all();
             return;
         }
-        if let Some(Reverse((wake, slot))) = st.heap.pop() {
-            let mut task = st.slots[slot].take().expect("scheduled slot must hold a task");
+        let next = held.take().or_else(|| {
+            let Reverse((wake, slot)) = st.heap.pop()?;
+            let task = st.slots[slot].take().expect("scheduled slot must hold a task");
             st.inflight += 1;
+            Some((wake, slot, task))
+        });
+        if let Some((wake, slot, mut task)) = next {
             drop(st);
 
             // Wall-clock backends schedule polls in the future; sleep until
@@ -421,6 +430,11 @@ fn worker_loop<F: BackendFactory>(
                 }
                 _ => {
                     let wake = task.next_wake().expect("active task must have a wake time");
+                    if st.heap.peek().is_none_or(|&Reverse((earliest, _))| wake <= earliest) {
+                        st.inflight += 1;
+                        held = Some((wake, slot, task));
+                        continue;
+                    }
                     st.slots[slot] = Some(task);
                     st.heap.push(Reverse((wake, slot)));
                     // Exactly one unit of work appeared; one waiter suffices.

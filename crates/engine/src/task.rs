@@ -177,10 +177,12 @@ pub struct ShardTask<B: CrowdBackend> {
     /// Global metric handles (`--progress` reads these live).
     m_answers: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
     /// Algorithm-3 scans run, `next_batch` calls skipped under the
-    /// labeler's skip rule, and positions visited by the scans run.
+    /// labeler's skip rule, positions visited by the scans run, and those
+    /// of them decided afresh rather than replayed.
     m_scans: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
     m_scans_skipped: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
     m_scan_visits: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
+    m_scan_decisions: std::sync::Arc<crowdjoin_obs::metrics::Counter>,
     m_queue: std::sync::Arc<crowdjoin_obs::metrics::Gauge>,
 }
 
@@ -240,6 +242,7 @@ impl<B: CrowdBackend> ShardTask<B> {
             m_scans: crowdjoin_obs::counter("engine.scans", shard_tag),
             m_scans_skipped: crowdjoin_obs::counter("engine.scans_skipped", shard_tag),
             m_scan_visits: crowdjoin_obs::counter("engine.scan_visits", shard_tag),
+            m_scan_decisions: crowdjoin_obs::counter("engine.scan_decisions", shard_tag),
             m_queue: crowdjoin_obs::gauge("engine.unresolved_pairs", shard_tag),
         }
     }
@@ -396,13 +399,16 @@ impl<B: CrowdBackend> ShardTask<B> {
 
     /// The labeler's next batch, counted: per call, not per position.
     fn next_batch(&mut self) -> Vec<ScoredPair> {
-        if self.labeler.rescan_pending() {
+        let scans = self.labeler.rescan_pending();
+        let batch = self.labeler.next_batch();
+        if scans {
             self.m_scans.add(1);
             self.m_scan_visits.add(self.labeler.order().len() as u64);
+            self.m_scan_decisions.add(self.labeler.last_scan_decisions() as u64);
         } else {
             self.m_scans_skipped.add(1);
         }
-        self.labeler.next_batch()
+        batch
     }
 
     fn stage(&mut self, batch: &[ScoredPair], truth_of: &(dyn Fn(Pair) -> bool + Sync)) {

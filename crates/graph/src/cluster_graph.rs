@@ -14,10 +14,9 @@
 //! a slot starts as its object's id and dies when a merge drops it; it is
 //! never reused. The cluster edges live in **one** flat, insert-only set of
 //! unordered `(slot, slot)` keys (`EdgeSet`), so `deduce` and
-//! `slots_adjacent` are two `find`s plus one probe into one table, and
-//! [`ClusterGraph::reset`] returns to `n` isolated objects without freeing
-//! anything — the engine's Algorithm-3 scan refills one graph hundreds of
-//! times per job.
+//! `slots_adjacent` are two `find`s plus one probe into one table. (The
+//! labeler's Algorithm-3 scan, which rebuilds a graph per scan, uses
+//! [`crate::ScanGraph`] instead.)
 //!
 //! The set cannot enumerate a slot's edges, which a merge must, so every
 //! edge is also an entry in each endpoint's *neighbour list* (singly linked
@@ -42,9 +41,9 @@
 //! when its slot is dropped, so a stale entry is skipped once, and there
 //! are at most as many of them as list pushes — two per inserted or
 //! migrated edge. The total stays O(E log E), and so does the memory: dead
-//! keys and entries are reclaimed by `reset`, not before (one key and two
-//! entries per migrated edge; merges move the smaller side, so in the
-//! labelers' graphs this is a fraction of the live edges).
+//! keys and entries are never reclaimed (one key and two entries per
+//! migrated edge; merges move the smaller side, so in the labelers' graphs
+//! this is a fraction of the live edges).
 
 use crate::edge_set::EdgeSet;
 use crate::{EdgeLabel, UnionFind};
@@ -171,23 +170,6 @@ impl ClusterGraph {
             matching_inserted: 0,
             nonmatching_inserted: 0,
         }
-    }
-
-    /// Forgets every inserted label: back to `num_objects()` isolated
-    /// objects and zeroed counters, exactly as [`Self::new`] would build,
-    /// but keeping every allocation.
-    pub fn reset(&mut self) {
-        self.uf.reset();
-        for (root, slot) in self.slot_of_root.iter_mut().enumerate() {
-            *slot = root as u32;
-        }
-        self.edges.clear();
-        self.head.fill(NONE);
-        self.entries.clear();
-        self.degree.fill(0);
-        self.cluster_edges = 0;
-        self.matching_inserted = 0;
-        self.nonmatching_inserted = 0;
     }
 
     /// Number of objects in the universe.

@@ -18,6 +18,8 @@
 //! * [`UnionFind`] — Tarjan union–find with path halving and union by size;
 //! * [`ClusterGraph`] — the incremental deduction structure (the hot path of
 //!   every labeler in `crowdjoin-core`);
+//! * [`ScanGraph`] — the same insert outcomes on a layout the labeler's
+//!   Algorithm-3 scan rebuilds per scan and replays recorded steps into;
 //! * [`PathOracleGraph`] — a deliberately simple reference implementation of
 //!   the Lemma 1 path semantics, used by tests to verify `ClusterGraph`.
 //!
@@ -42,10 +44,12 @@
 mod cluster_graph;
 mod edge_set;
 mod path_oracle;
+mod scan_graph;
 mod union_find;
 
 pub use cluster_graph::{ClusterGraph, ConflictError, InsertOutcome, TrackedInsert};
 pub use path_oracle::PathOracleGraph;
+pub use scan_graph::{ScanGraph, ScanStep};
 pub use union_find::UnionFind;
 
 /// The label of an edge (a labeled object pair).

@@ -89,7 +89,7 @@ impl PathOracleGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterGraph;
+    use crate::{ClusterGraph, ScanGraph, ScanStep};
     use proptest::prelude::*;
 
     #[test]
@@ -203,37 +203,59 @@ mod tests {
             }
         }
 
-        /// `reset` is `new`: a second case run on a used, reset instance is
-        /// indistinguishable from the same case run on a fresh graph —
-        /// every insert outcome, every deduction, the counts and counters.
-        /// The universe is the larger of the two cases', so the first run
-        /// leaves state in slots the second also uses.
+        /// The scan graph is `ClusterGraph::insert` on a noisy sequence:
+        /// `Inserted` is a merge (matching) or an edge (non-matching),
+        /// `Redundant` and a conflict are nothing, every step names the
+        /// roots the `ClusterGraph` sees, and after every insert both graphs
+        /// deduce the same label for every pair. The scan graph runs on an
+        /// instance reset after a first sequence, and a second reset graph
+        /// replaying the recorded steps ends in the same state — the two
+        /// things the labeler's rescan does. The universe is the larger of
+        /// the two cases', so the first run leaves state in ids the second
+        /// also uses.
         #[test]
-        fn reset_reuse_equals_fresh(
+        fn scan_graph_equals_cluster_graph(
             (n1, first) in noisy_sequence(),
             (n2, second) in noisy_sequence(),
         ) {
             let n = n1.max(n2);
-            let mut reused = ClusterGraph::new(n);
+            let mut scan = ScanGraph::new(n);
+            let mut replayed = ScanGraph::new(n);
             for &(a, b, label) in &first {
-                let _ = reused.insert(a, b, label);
+                scan.insert(a, b, label);
+                replayed.insert(a, b, label);
             }
-            reused.reset();
-            let mut fresh = ClusterGraph::new(n);
+            scan.reset();
+            replayed.reset();
+            let mut reference = ClusterGraph::new(n);
+            let mut steps = Vec::new();
             for &(a, b, label) in &second {
-                prop_assert_eq!(reused.insert_tracked(a, b, label), fresh.insert_tracked(a, b, label));
-            }
-            for x in 0..n as u32 {
-                for y in (x + 1)..n as u32 {
-                    prop_assert_eq!(reused.deduce(x, y), fresh.deduce(x, y), "({}, {})", x, y);
+                let roots = (reference.cluster_of(a), reference.cluster_of(b));
+                let inserted = reference.insert(a, b, label) == Ok(crate::InsertOutcome::Inserted);
+                let step = scan.insert(a, b, label);
+                let (x, y) = step.roots();
+                match step {
+                    ScanStep::Nothing(..) => prop_assert!(!inserted),
+                    ScanStep::Merge { .. } => prop_assert!(inserted && label.is_matching()),
+                    ScanStep::Edge(..) => prop_assert!(inserted && !label.is_matching()),
+                }
+                prop_assert!((x, y) == roots || (y, x) == roots, "{:?} vs roots {:?}", step, roots);
+                steps.push(step);
+                for x in 0..n as u32 {
+                    for y in (x + 1)..n as u32 {
+                        prop_assert_eq!(scan.deduce(x, y), reference.deduce(x, y), "({}, {})", x, y);
+                    }
                 }
             }
-            prop_assert_eq!(reused.num_objects(), fresh.num_objects());
-            prop_assert_eq!(reused.num_clusters(), fresh.num_clusters());
-            prop_assert_eq!(reused.num_cluster_edges(), fresh.num_cluster_edges());
-            prop_assert_eq!(reused.matching_inserted(), fresh.matching_inserted());
-            prop_assert_eq!(reused.nonmatching_inserted(), fresh.nonmatching_inserted());
-            prop_assert_eq!(reused.clusters(), fresh.clusters());
+            for step in steps {
+                replayed.replay(step);
+            }
+            for x in 0..n as u32 {
+                prop_assert_eq!(replayed.is_root(x), reference.cluster_of(x) == x);
+                for y in (x + 1)..n as u32 {
+                    prop_assert_eq!(replayed.deduce(x, y), reference.deduce(x, y), "({}, {})", x, y);
+                }
+            }
         }
 
         /// Inconsistent label sequences (a noisy crowd): a rejected insert

@@ -60,6 +60,11 @@ impl UnionFind {
         self.components
     }
 
+    /// `true` when `x` is a root; `false` for an id outside the universe.
+    pub(crate) fn is_root(&self, x: u32) -> bool {
+        self.parent.get(x as usize) == Some(&x)
+    }
+
     /// Finds the root of `x`, applying path halving.
     ///
     /// # Panics

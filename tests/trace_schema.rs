@@ -124,12 +124,28 @@ fn trace_jsonl_and_chrome_follow_the_schema() {
         parse(&std::fs::read_to_string(&metrics).expect("metrics file")).expect("metrics parse");
     assert_eq!(m.get("schema").and_then(Value::as_str), Some("crowdjoin-metrics/1"));
     let rows = m.get("metrics").and_then(Value::as_arr).expect("metrics array");
-    for name in ["engine.answers", "engine.scans", "engine.scans_skipped", "engine.scan_visits"] {
+    for name in [
+        "engine.answers",
+        "engine.scans",
+        "engine.scans_skipped",
+        "engine.scan_visits",
+        "engine.scan_decisions",
+    ] {
         assert!(
             rows.iter().any(|r| r.get("name").and_then(Value::as_str) == Some(name)),
             "metrics missing {name}"
         );
     }
+    // Every scan visits each position and decides only those it does not
+    // replay; the first scan decides them all.
+    let total = |name: &str| -> u64 {
+        rows.iter()
+            .filter(|r| r.get("name").and_then(Value::as_str) == Some(name))
+            .map(|r| r.get("value").and_then(Value::as_u64).expect("counter value"))
+            .sum()
+    };
+    let decisions = total("engine.scan_decisions");
+    assert!(0 < decisions && decisions <= total("engine.scan_visits"), "decisions {decisions}");
 
     // The stdout report: one tagged document with the engine rollups.
     let report = parse(&String::from_utf8_lossy(&output.stdout)).expect("report parses");
@@ -167,7 +183,7 @@ fn oracle_runs_report_like_platform_runs() {
 
     let m = parse(&std::fs::read_to_string(&metrics).expect("metrics file")).expect("parse");
     let rows = m.get("metrics").and_then(Value::as_arr).expect("metrics array");
-    for name in ["engine.scans", "engine.scan_visits", "engine.answers"] {
+    for name in ["engine.scans", "engine.scan_visits", "engine.scan_decisions", "engine.answers"] {
         let named = |r: &Value| r.get("name").and_then(Value::as_str) == Some(name);
         assert!(rows.iter().any(named), "oracle run metrics missing {name}");
     }
