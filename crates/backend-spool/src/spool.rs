@@ -77,7 +77,7 @@ struct PendingHit {
 /// ## File protocol
 ///
 /// Publishing a HIT atomically creates `<dir>/hits/<name>.json`, where
-/// `<name>` is `h-<shard>-<seq>-<nonce>` (shard incarnation, sequence
+/// `<name>` is `h-<shard>-<seq>-<nonce>` (shard index, sequence
 /// number, and a run nonce that keeps names from a crashed run and its
 /// resume — or any two runs sharing the directory — from ever colliding):
 ///
@@ -125,7 +125,7 @@ pub struct SpoolBackend {
 }
 
 impl SpoolBackend {
-    /// One backend instance for shard incarnation `shard` (usually built
+    /// One backend instance for shard `shard` (usually built
     /// via [`SpoolFactory`]). `cfg` supplies the knobs that apply to an
     /// external crowd: `batch_size` (pairs per HIT file) and
     /// `price_per_assignment_cents`; the simulated-worker fields are
@@ -348,8 +348,8 @@ impl CrowdBackend for SpoolBackend {
     }
 
     fn warp_to(&mut self, _t: VirtualTime) {
-        // Wall-clock time cannot warp; incarnation timelines are already
-        // continuous because every backend shares the job's WallClock.
+        // Wall-clock time cannot warp; every backend already shares the
+        // job's WallClock.
     }
 
     fn absorb_replayed_cost(&mut self, cents: u64) {
@@ -395,7 +395,7 @@ impl BackendFactory for SpoolFactory {
     type Backend = SpoolBackend;
 
     fn create(&self, cfg: &PlatformConfig, shard: &ShardContext) -> SpoolBackend {
-        SpoolBackend::new(&self.config, cfg, shard.report_index, Arc::clone(&self.clock))
+        SpoolBackend::new(&self.config, cfg, shard.shard_index, Arc::clone(&self.clock))
     }
 
     fn time_source(&self) -> &dyn TimeSource {

@@ -69,24 +69,14 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // The platform-driven event loop, plain and with dynamic re-sharding
-    // merging shards between rounds.
+    // The platform-driven event loop.
     let mut group = c.benchmark_group("engine/product_5k_platform_drivers");
     group.sample_size(10);
     let platform = PlatformConfig::perfect_workers(7);
-    let platform_cfg =
-        |reshard: bool| EngineConfig { num_shards: 8, seed: 3, reshard, ..EngineConfig::default() };
+    let platform_cfg = EngineConfig { num_shards: 8, seed: 3, ..EngineConfig::default() };
     group.bench_function("event_loop", |b| {
-        let cfg = platform_cfg(false);
         b.iter(|| {
-            let report = platform_run(&candidates, &order, &truth, &platform, &cfg);
-            black_box(report.total_cost_cents)
-        });
-    });
-    group.bench_function("event_loop_reshard", |b| {
-        let cfg = platform_cfg(true);
-        b.iter(|| {
-            let report = platform_run(&candidates, &order, &truth, &platform, &cfg);
+            let report = platform_run(&candidates, &order, &truth, &platform, &platform_cfg);
             black_box(report.total_cost_cents)
         });
     });
@@ -198,21 +188,17 @@ fn emit_machine_readable() {
     }
 
     let platform = PlatformConfig::perfect_workers(7);
-    for (name, reshard) in
-        [("engine_platform_event_loop", false), ("engine_platform_reshard", true)]
-    {
-        let cfg = EngineConfig { num_shards: 8, seed: 3, reshard, ..EngineConfig::default() };
-        let (wall_ms, report) =
-            measure(3, || platform_run(&candidates, &order, &truth, &platform, &cfg));
-        arms.push(BenchArm {
-            name,
-            shards: 8,
-            wall_ms,
-            crowdsourced: report.num_crowdsourced(),
-            deduced: report.num_deduced(),
-            waste: Some(report.partial_hit_waste()),
-        });
-    }
+    let cfg = EngineConfig { num_shards: 8, seed: 3, ..EngineConfig::default() };
+    let (wall_ms, report) =
+        measure(3, || platform_run(&candidates, &order, &truth, &platform, &cfg));
+    arms.push(BenchArm {
+        name: "engine_platform_event_loop",
+        shards: 8,
+        wall_ms,
+        crowdsourced: report.num_crowdsourced(),
+        deduced: report.num_deduced(),
+        waste: Some(report.partial_hit_waste()),
+    });
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut json = BenchJson::new("crowdjoin-bench-engine/3");

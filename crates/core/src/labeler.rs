@@ -82,9 +82,8 @@
 //! crowd answer without publishing, propagating its deduction delta
 //! exactly as a live answer would. Replaying a shard's crowdsourced
 //! answers in labeling order re-derives its deduced labels too, which is
-//! what both dynamic re-sharding (rebuilding merged shards at a barrier)
-//! and journal recovery (rebuilding labeler state from
-//! `crowdjoin-wal` answer records) are built on.
+//! what a fed journal replay (rebuilding labeler state from `crowdjoin-wal`
+//! answer records for a backend that cannot re-execute) is built on.
 
 use crate::closure::IncrementalClosure;
 use crate::result::LabelingResult;
@@ -323,17 +322,16 @@ impl ParallelLabeler {
     }
 
     /// Seeds an already-known crowd answer without publishing — the replay
-    /// primitive dynamic re-sharding uses to reconstruct a merged shard's
-    /// deduction state from its predecessors' crowdsourced answers.
+    /// primitive a fed journal replay (`ShardTask::feed_replay` in
+    /// `crowdjoin-engine`) uses to rebuild a shard's deduction state from
+    /// the journaled answers of a crashed run.
     ///
-    /// The pair is recorded as crowdsourced (it was paid for in a previous
-    /// incarnation) and its deduction delta propagates exactly as a live
-    /// answer would, so replaying a shard's crowdsourced answers in labeling
-    /// order re-derives its deduced labels too. A pair that an earlier seed
-    /// already made deducible is skipped: the closure has its label, and the
-    /// money spent on the redundant answer stays accounted to the retired
-    /// platform. A replayed conflict is **not** re-counted (the incarnation
-    /// that first saw it already did); the deduced label wins as usual.
+    /// The pair is recorded as crowdsourced (the crashed run paid for it)
+    /// and its deduction delta propagates exactly as a live answer would, so
+    /// replaying a shard's crowdsourced answers in journal order re-derives
+    /// its deduced labels too. A pair an earlier seed already labeled is
+    /// skipped. A replayed conflict is **not** re-counted (the crashed run
+    /// already did); the deduced label wins as usual.
     ///
     /// # Panics
     ///
@@ -370,18 +368,6 @@ impl ParallelLabeler {
     #[must_use]
     pub fn order(&self) -> &[ScoredPair] {
         &self.order
-    }
-
-    /// Pairs with no label yet that are not awaiting a crowd answer — the
-    /// still-open work dynamic re-sharding repartitions.
-    #[must_use]
-    pub fn unlabeled_pairs(&self) -> Vec<ScoredPair> {
-        self.order
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.state[i] == PairState::Unlabeled)
-            .map(|(_, sp)| *sp)
-            .collect()
     }
 
     /// Consumes the labeler and returns the labeling result.
@@ -506,8 +492,7 @@ mod tests {
         labels
     }
 
-    /// The triangle of `crowdjoin-engine`'s `parks_at_round_boundary…`:
-    /// all-distinct objects 0–2 plus a disjoint matching pair; round 1
+    /// All-distinct objects 0–2 plus a disjoint matching pair; round 1
     /// publishes (0,1), (1,2), (3,4) and holds (0,2) as presumed-deducible.
     fn triangle() -> (ParallelLabeler, Reference) {
         let order = vec![
@@ -663,7 +648,6 @@ mod tests {
             }
         }
         assert!(replayed.is_complete());
-        assert!(replayed.unlabeled_pairs().is_empty());
         let result = replayed.into_result();
         assert_eq!(result.num_labeled(), live.num_labeled());
         for sp in cs.pairs() {
@@ -687,13 +671,13 @@ mod tests {
             .filter(|sp| first.result().provenance_of(sp.pair) == Some(Provenance::Crowdsourced))
             .map(|sp| (sp.pair, first.result().label_of(sp.pair).unwrap()))
             .collect();
-        let unlabeled = first.unlabeled_pairs().len();
+        let labeled = first.result().num_labeled();
 
         let mut resumed = ParallelLabeler::new(cs.num_objects(), order.clone());
         for &(pair, label) in &known {
             resumed.seed_known(pair, label);
         }
-        assert_eq!(resumed.unlabeled_pairs().len(), unlabeled);
+        assert_eq!(resumed.result().num_labeled(), labeled);
         let mut oracle = GroundTruthOracle::new(&truth);
         while !resumed.is_complete() {
             let batch = resumed.next_batch();

@@ -89,8 +89,6 @@ struct JoinOpts {
     backend: BackendKind,
     /// Spool directory of the spool backend (`--backend spool`).
     spool: Option<String>,
-    /// Dynamically re-shard between publish rounds (platform mode only).
-    reshard: bool,
     /// Seed for the simulated platform.
     seed: u64,
     /// Write-ahead journal every crowd answer to this file (platform mode
@@ -140,7 +138,6 @@ impl Default for JoinOpts {
             platform: None,
             backend: BackendKind::Sim,
             spool: None,
-            reshard: false,
             seed: 42,
             journal: None,
             resume: None,
@@ -223,9 +220,6 @@ options:
                         an external process or human answers them; implies
                         --platform perfect for batch/price defaults)
   --spool DIR           spool directory of --backend spool
-  --reshard yes         platform mode (sim backend only): dynamically merge
-                        shards between publish rounds as components
-                        collapse (less partial-HIT waste)
   --seed N              seed for the simulated platform (default 42)
   --journal FILE        platform mode: append every crowd answer to a
                         crash-safe write-ahead journal; a killed run
@@ -342,9 +336,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 other => return Err(format!("--platform must be perfect|amt, got {other:?}")),
             });
         }
-        if let Some(v) = flags("reshard") {
-            opts.reshard = parse_bool("reshard", v)?;
-        }
         if let Some(s) = flags("seed") {
             opts.seed = s.parse().map_err(|_| format!("--seed: not a number: {s:?}"))?;
         }
@@ -400,12 +391,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 if opts.spool.is_none() {
                     return Err("--backend spool requires --spool DIR (where HITs are \
                                 published and answers are read back)"
-                        .to_string());
-                }
-                if opts.reshard {
-                    return Err("--reshard is a simulator-path optimization; the spool \
-                                backend's journal replay cannot reconstruct re-sharded \
-                                history (drop --reshard or use --backend sim)"
                         .to_string());
                 }
                 // The preset only supplies batch-size/price defaults for an
@@ -618,7 +603,6 @@ fn simulate_on_platform(
     }
     let engine = crowdjoin::EngineConfig {
         num_shards: opts.shards,
-        reshard: opts.reshard,
         seed: opts.seed,
         journal: opts.journal.clone().map(std::path::PathBuf::from),
         ..crowdjoin::EngineConfig::default()
@@ -1161,15 +1145,11 @@ mod tests {
                 assert_eq!(opts.platform, Some(PlatformPreset::Perfect));
                 assert_eq!(opts.shards, 0);
                 assert_eq!(opts.seed, 9);
-                assert!(!opts.reshard);
             }
             other => panic!("wrong command {other:?}"),
         }
-        match parse_args(&args("join --left a --right b --platform amt --reshard yes")).unwrap() {
-            Command::Join { opts, .. } => {
-                assert_eq!(opts.platform, Some(PlatformPreset::Amt));
-                assert!(opts.reshard);
-            }
+        match parse_args(&args("join --left a --right b --platform amt")).unwrap() {
+            Command::Join { opts, .. } => assert_eq!(opts.platform, Some(PlatformPreset::Amt)),
             other => panic!("wrong command {other:?}"),
         }
         // Defaults: platform off, seed 42.
@@ -1182,7 +1162,6 @@ mod tests {
         }
         assert!(parse_args(&args("dedup --input a.csv --platform mturk")).is_err());
         assert!(parse_args(&args("dedup --input a.csv --seed soon")).is_err());
-        assert!(parse_args(&args("dedup --input a.csv --reshard maybe")).is_err());
     }
 
     #[test]
@@ -1270,15 +1249,12 @@ mod tests {
             Command::Dedup { opts, .. } => assert_eq!(opts.platform, Some(PlatformPreset::Amt)),
             other => panic!("wrong command {other:?}"),
         }
-        // Validation: each half of the pair requires the other; re-sharding
-        // and unknown kinds are refused.
+        // Validation: each half of the pair requires the other; unknown
+        // kinds are refused.
         let spool_needs_dir = parse_args(&args("dedup --input a.csv --backend spool"));
         assert!(spool_needs_dir.unwrap_err().contains("--spool DIR"));
         let dir_needs_spool = parse_args(&args("dedup --input a.csv --spool s --platform amt"));
         assert!(dir_needs_spool.unwrap_err().contains("--backend spool"));
-        let no_reshard =
-            parse_args(&args("dedup --input a.csv --backend spool --spool s --reshard yes"));
-        assert!(no_reshard.unwrap_err().contains("simulator-path"));
         assert!(parse_args(&args("dedup --input a.csv --backend mturk --spool s")).is_err());
         // Explicit `--backend sim` outside platform mode is an error, with
         // the fix in the message.
@@ -1288,7 +1264,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_by_name() {
-        for (flag, value) in [("order", "online"), ("frobnicate", "1")] {
+        for (flag, value) in [("order", "online"), ("reshard", "yes"), ("frobnicate", "1")] {
             let line = format!("dedup --input a.csv --shards 4 --{flag} {value}");
             let err = parse_args(&args(&line)).unwrap_err();
             assert!(err.contains(&format!("unknown flag --{flag}")), "{err:?}");

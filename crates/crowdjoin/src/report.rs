@@ -216,23 +216,11 @@ impl Reporter {
                 eprintln!("=== external crowd run (spool backend, event-loop engine) ===");
             }
         }
-        if report.reshard_generations > 0 {
-            // With re-sharding, `shards` holds one report per shard
-            // *incarnation* (retired generations plus their merged
-            // successors), not a concurrent shard count.
-            eprintln!(
-                "  shard runs         {} incarnations over {} component(s), {} re-shard generation(s)",
-                report.num_shards(),
-                report.num_components,
-                report.reshard_generations
-            );
-        } else {
-            eprintln!(
-                "  shards             {} over {} component(s)",
-                report.num_shards(),
-                report.num_components
-            );
-        }
+        eprintln!(
+            "  shards             {} over {} component(s)",
+            report.num_shards(),
+            report.num_components
+        );
         eprintln!("  publish rounds     {} (critical path)", report.critical_path_rounds());
         eprintln!(
             "  pairs labeled      {} = {} crowdsourced + {} deduced ({:.0}% saved)",
@@ -332,7 +320,6 @@ pub fn engine_json(report: &EngineReport) -> String {
     let mut obj = JsonObject::new();
     obj.field("shards", report.num_shards().to_string());
     obj.field("components", report.num_components.to_string());
-    obj.field("reshard_generations", report.reshard_generations.to_string());
     obj.field("critical_path_rounds", report.critical_path_rounds().to_string());
     obj.field("hits_published", hits.to_string());
     obj.field("assignments_completed", assignments.to_string());

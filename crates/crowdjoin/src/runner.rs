@@ -121,11 +121,11 @@ pub fn run_parallel_on_platform(
     // are the engine's, so this arm and the sharded engine cannot drift.
     let objects = (0..num_objects as u32).collect();
     let shard = Shard { index: 0, objects, pairs: order, num_components: 0 };
-    let mut task = ShardTask::new(shard, &mut *platform, instant_decision, 0);
+    let mut task = ShardTask::new(shard, &mut *platform, instant_decision);
     let truth_of = |pair: Pair| truth.is_matching(pair);
     let mut series = Vec::new();
     while task.state() != ShardState::Done {
-        task.advance(&truth_of, false, &mut |crowdsourced, platform: &&mut Platform, time| {
+        task.advance(&truth_of, &mut |crowdsourced, platform: &&mut Platform, time| {
             series.push(AvailabilitySample::of(crowdsourced, platform, time));
         });
     }

@@ -23,11 +23,6 @@ pub struct EngineConfig {
     /// resolution (`true`, the paper's instant-decision optimization) or
     /// only when all outstanding pairs are labeled (`false`).
     pub instant_decision: bool,
-    /// Platform-driven runs: dynamically re-shard between publish rounds —
-    /// retire components that collapsed early and merge the shrinking
-    /// working set into fewer, fuller shards (less partial-HIT waste).
-    /// Ignored by [`run_with_oracle`].
-    pub reshard: bool,
     /// Master seed for per-shard platform derivation.
     pub seed: u64,
     /// Platform-driven runs: append every crowd answer to a crash-safe
@@ -41,14 +36,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            num_shards: 0,
-            num_threads: 0,
-            instant_decision: true,
-            reshard: false,
-            seed: 0,
-            journal: None,
-        }
+        Self { num_shards: 0, num_threads: 0, instant_decision: true, seed: 0, journal: None }
     }
 }
 
@@ -136,7 +124,7 @@ impl<'a> Engine<'a> {
 
     /// Runs the job on the event loop against the crowd backends `factory`
     /// creates — the generic entry point behind [`Self::run`]. One backend
-    /// is created per shard incarnation; the event loop schedules every
+    /// is created per shard; the event loop schedules every
     /// shard by its backend's next event time and waits on the factory's
     /// [`crowdjoin_sim::TimeSource`], so simulated (virtual-time) and
     /// external (wall-clock) backends run through the identical engine
@@ -148,11 +136,7 @@ impl<'a> Engine<'a> {
     ///
     /// # Panics
     ///
-    /// As [`Self::run`]; additionally panics when [`EngineConfig::journal`]
-    /// is combined with [`EngineConfig::reshard`] on a backend without
-    /// [`BackendFactory::deterministic_replay`] — re-sharded partitions
-    /// depend on answer timing, so a fed replay could not reconstruct
-    /// which shard a journaled answer belongs to.
+    /// As [`Self::run`].
     pub fn run_with_backend<F: BackendFactory>(
         &self,
         factory: &F,
@@ -160,7 +144,6 @@ impl<'a> Engine<'a> {
         let journal = match &self.config.journal {
             None => None,
             Some(path) => {
-                assert_journalable(factory, &self.config);
                 let header = job_header(
                     self.num_objects,
                     self.order,
@@ -205,7 +188,9 @@ impl<'a> Engine<'a> {
     ///
     /// [`WalError::HeaderMismatch`] when the inputs, seeds, or flags
     /// differ from the journaled job (e.g. resuming with a different
-    /// `--seed`); [`WalError::Corrupt`] / [`WalError::NotAJournal`] /
+    /// `--seed`), or when the journal was written by an older build under
+    /// dynamic re-sharding or a question-ordering policy this build no
+    /// longer has; [`WalError::Corrupt`] / [`WalError::NotAJournal`] /
     /// [`WalError::VersionMismatch`] for a damaged or foreign file;
     /// [`WalError::Io`] on I/O failure.
     ///
@@ -235,9 +220,7 @@ impl<'a> Engine<'a> {
     ///
     /// # Panics
     ///
-    /// As [`Self::resume`]; additionally panics when resuming a re-sharded
-    /// journal on a backend without deterministic replay (see
-    /// [`Self::run_with_backend`]).
+    /// As [`Self::resume`].
     pub fn resume_with_backend<F: BackendFactory>(
         &self,
         path: &Path,
@@ -251,7 +234,6 @@ impl<'a> Engine<'a> {
         // New records go to the journal being resumed, whatever
         // `config.journal` says.
         config.journal = Some(path.to_path_buf());
-        assert_journalable(factory, &config);
         let header = job_header(
             self.num_objects,
             self.order,
@@ -274,8 +256,6 @@ impl<'a> Engine<'a> {
         let partition =
             partition_candidates(self.num_objects, self.order, config.effective_shards());
         run_event_loop(
-            self.num_objects,
-            self.order,
             partition,
             &|pair| self.truth.is_matching(pair),
             factory,
@@ -286,25 +266,12 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Journaled re-sharding requires deterministic replay: which shard a
-/// journaled answer belongs to after a barrier depends on answer timing,
-/// which a fed replay cannot reconstruct. Refuse loudly up front instead
-/// of diverging mid-resume.
-fn assert_journalable<F: BackendFactory>(factory: &F, config: &EngineConfig) {
-    assert!(
-        factory.deterministic_replay() || !config.reshard,
-        "EngineConfig::journal cannot be combined with EngineConfig::reshard on a backend \
-         without deterministic replay (journaled re-sharded history is only replayable by \
-         re-execution)"
-    );
-}
-
 /// Runs the sharded engine against a thread-safe oracle: the event loop of
 /// [`Engine::run`] over a zero-latency backend that answers each post with
 /// one `answer_batch` call at virtual time zero. The report has no money,
 /// HITs or completion time, and a platform run's round telemetry and
-/// `engine.*` metrics. `config.reshard` and `config.journal` are ignored:
-/// the caller owns the oracle's durability.
+/// `engine.*` metrics. `config.journal` is ignored: the caller owns the
+/// oracle's durability.
 ///
 /// # Panics
 ///
@@ -317,18 +284,15 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
     oracle: &O,
     config: &EngineConfig,
 ) -> EngineReport {
-    let config = EngineConfig { reshard: false, journal: None, ..config.clone() };
     let partition = partition_candidates(num_objects, order, config.effective_shards());
     run_event_loop(
-        num_objects,
-        order,
         partition,
         // The backend answers the pair each task id encodes; the tasks'
         // ground-truth bit and the platform config go unused.
         &|_| false,
         &OracleBackend { oracle, answered: Vec::new() },
         &PlatformConfig::perfect_workers(config.seed),
-        &config,
+        config,
         None,
     )
 }

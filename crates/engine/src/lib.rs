@@ -16,8 +16,8 @@
 //!    (`Publishing → AwaitingCrowd → Deducing → Done`) over its own
 //!    [`CrowdBackend`], and a cooperative scheduler advances the shard with
 //!    the earliest pending virtual event, multiplexing thousands of shards
-//!    over [`effective_threads`] workers — with optional dynamic re-sharding
-//!    between publish rounds ([`EngineConfig::reshard`]).
+//!    over [`effective_threads`] workers. The partition is fixed for the
+//!    whole job.
 //! 3. **Backends** — a deterministic simulated platform per shard
 //!    ([`Engine::run`]), any external [`BackendFactory`]
 //!    ([`Engine::run_with_backend`]), or a thread-safe oracle

@@ -101,7 +101,7 @@ pub(crate) fn job_header(
         engine_seed: config.seed,
         num_shards: num_shards as u32,
         instant_decision: config.instant_decision,
-        reshard: config.reshard,
+        reshard: false,
         ordering: 0,
     }
 }
@@ -118,7 +118,15 @@ pub(crate) fn verify_header(journal: &JobHeader, job: &JobHeader) -> Result<(), 
         ("engine_seed", journal.engine_seed, job.engine_seed),
         ("num_shards", u64::from(journal.num_shards), u64::from(job.num_shards)),
         ("instant_decision", u64::from(journal.instant_decision), u64::from(job.instant_decision)),
-        ("reshard", u64::from(journal.reshard), u64::from(job.reshard)),
+        // Reserved, always 0 for this build. Non-zero means a retired
+        // dynamic re-sharding barrier moved the journal's answers into
+        // shards this build never creates; replaying them would diverge.
+        (
+            "reshard (the journal was written with dynamic re-sharding, which this build no \
+             longer has, and must be finished by the build that started it)",
+            u64::from(journal.reshard),
+            u64::from(job.reshard),
+        ),
         // Reserved, always 0 for this build. Non-zero means a retired
         // question-ordering policy chose the journal's crowdsourced pairs;
         // replaying it through the one remaining order would diverge.
@@ -191,5 +199,10 @@ mod tests {
             err.to_string().contains("ordering"),
             "mismatch must name the ordering field: {err}"
         );
+
+        assert!(!h.reshard, "the reserved byte is always written 0");
+        let resharded = JobHeader { reshard: true, ..h };
+        let err = verify_header(&resharded, &h).expect_err("re-sharded journal detected");
+        assert!(err.to_string().contains("re-sharding"), "mismatch must name the field: {err}");
     }
 }

@@ -10,8 +10,7 @@ use crowdjoin_sim::{PlatformStats, VirtualTime};
 /// round's own answers arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundMetric {
-    /// Publish round index on the shard's critical path (1-based;
-    /// re-sharded generations continue their predecessors' count).
+    /// Publish round index on the shard's critical path (1-based).
     pub round: usize,
     /// Pairs published by this release.
     pub published: usize,
@@ -29,7 +28,7 @@ pub struct RoundMetric {
 /// paper's money/waste columns plus scheduling depth, in one row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardMetrics {
-    /// Report index of the shard incarnation.
+    /// Shard index within the partition.
     pub shard: usize,
     /// Pairs the crowd answered.
     pub crowdsourced: usize,
@@ -128,12 +127,6 @@ pub struct EngineReport {
     pub total_cost_cents: u64,
     /// Connected components found by the partitioner.
     pub num_components: usize,
-    /// Dynamic re-sharding barriers the event loop ran (0 for oracle runs
-    /// and runs with re-sharding off). When
-    /// positive, `shards` holds one report per shard *incarnation*: retired
-    /// generations carry the labels of their completed components plus all
-    /// platform money they spent; merged successors carry the rest.
-    pub reshard_generations: usize,
     /// `true` when this run replayed its journal by **feeding** (external,
     /// non-deterministic backends): journaled answers went straight into
     /// the labelers, so the backend counters only cover what *this* run
@@ -170,7 +163,6 @@ impl EngineReport {
             completion,
             total_cost_cents,
             num_components,
-            reshard_generations: 0,
             fed_replay: false,
         }
     }
@@ -199,15 +191,13 @@ impl EngineReport {
         self.shards.iter().map(|s| s.publish_rounds).max().unwrap_or(0)
     }
 
-    /// Crowd answers paid for across the whole job — for re-sharding runs
-    /// this counts every *paid* answer once (unlike
-    /// [`Self::num_crowdsourced`], which counts labeled pairs and can fall
-    /// below it when a merged generation re-derives a redundant answer as
-    /// deduced). On a fed-replay resume the journaled answers are added on
-    /// top of the backend counters (which only saw this run's posts); under
-    /// re-execution replay the platforms re-count them. Equals the
-    /// journal's answer-record count on journaled runs either way; 0 for
-    /// oracle-driven runs (no platforms).
+    /// Crowd answers paid for across the whole job: every paid answer is a
+    /// crowdsourced label, so on platform runs this equals
+    /// [`Self::num_crowdsourced`]. On a fed-replay resume the journaled
+    /// answers are added on top of the backend counters (which only saw
+    /// this run's posts); under re-execution replay the platforms re-count
+    /// them. Equals the journal's answer-record count on journaled runs
+    /// either way; 0 for oracle-driven runs (no platforms).
     #[must_use]
     pub fn num_crowd_answers(&self) -> usize {
         let posted: usize =
@@ -251,8 +241,8 @@ impl EngineReport {
     /// own partial HIT per round (~30% of slots on small sharded workloads)
     /// — and since every HIT costs `assignments_per_hit` assignments
     /// regardless of fill, empty slots are money spent without questions
-    /// asked. Dynamic re-sharding exists to shrink this number. Returns 0
-    /// for oracle-driven runs (no platforms).
+    /// asked; fewer shards shrink it. Returns 0 for oracle-driven runs (no
+    /// platforms).
     #[must_use]
     pub fn partial_hit_waste(&self) -> f64 {
         let (published, slots) = self

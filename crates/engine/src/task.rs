@@ -14,13 +14,10 @@
 //!
 //! ```text
 //! Publishing ──publish round──▶ AwaitingCrowd ──resolution──▶ Deducing
-//!     ▲                               ▲       (feed answers)    │ │ │
-//!     │ platform idle                 └─────publish / wait──────┘ │ │
-//!     │ (defensive republish)                                     │ │
-//!     └───────────────◀── all labeled ──▶ Done ◀──────────────────┘ │
-//!                                                                   │
-//!              round fully resolved + parking requested ──▶ Parked ─┘
-//!                                       (re-sharding barrier)
+//!     ▲                               ▲       (feed answers)    │ │
+//!     │ platform idle                 └─────publish / wait──────┘ │
+//!     │ (defensive republish)                                     │
+//!     └───────────────◀── all labeled ──▶ Done ◀──────────────────┘
 //! ```
 //!
 //! Transition policy: the first round flushes unconditionally, *instant
@@ -41,7 +38,7 @@
 //!   labeler — the WAL discipline: a paid answer is durable before its
 //!   effects (deductions, the next publish decision) exist anywhere;
 //! * a drained platform at a round boundary (the `AwaitingCrowd` →
-//!   `Publishing`/`Parked`/`Done` transition) appends an fsynced
+//!   `Publishing`/`Done` transition) appends an fsynced
 //!   [`crowdjoin_wal::BarrierRecord`] snapshotting the platform's full
 //!   counters, making every round a durable, verifiable recovery point.
 //!
@@ -73,10 +70,9 @@
 use crate::partition::Shard;
 use crate::persist::snapshot_of;
 use crate::report::{RoundMetric, ShardReport};
-use crowdjoin_core::{Label, LabelingResult, Pair, ParallelLabeler, Provenance, ScoredPair};
-use crowdjoin_graph::UnionFind;
+use crowdjoin_core::{Label, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{CrowdBackend, HitStager, ResolvedTask, TaskSpec, VirtualTime};
-use crowdjoin_util::{FxHashMap, FxHashSet};
+use crowdjoin_util::FxHashMap;
 use crowdjoin_wal::{AnswerRecord, BarrierRecord, Journal, Record, ShardEvent};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -103,29 +99,8 @@ pub enum ShardState {
     AwaitingCrowd,
     /// A resolution batch is being fed back into the labeler.
     Deducing,
-    /// The platform drained at a round boundary and the task waits for the
-    /// re-sharding barrier (only entered when parking is requested).
-    Parked,
     /// Every pair is labeled; the task can be turned into a report.
     Done,
-}
-
-/// What remains of a parked shard when the re-sharding barrier retires it:
-/// a report carrying everything already paid for and decided, plus the open
-/// work (and its deduction context) to fold into the next generation.
-#[derive(Debug)]
-pub(crate) struct RetiredShard {
-    /// Labels of fully-labeled components, this incarnation's platform
-    /// stats (all money it spent, including on still-open components), and
-    /// its publish rounds.
-    pub report: ShardReport,
-    /// Every pair of a component that still has unlabeled pairs, in global
-    /// ids, preserving the shard's labeling order.
-    pub open_pairs: Vec<ScoredPair>,
-    /// Crowdsourced answers already obtained for `open_pairs` (global ids);
-    /// seeding them into the next generation's labeler re-derives the
-    /// deduced labels too.
-    pub known: Vec<(Pair, Label)>,
 }
 
 /// A non-blocking shard state machine: labeler + crowd backend + staging
@@ -158,15 +133,9 @@ pub struct ShardTask<B: CrowdBackend> {
     /// The initial publish round is exempt from the stuck assertion (an
     /// empty workload completes at construction instead).
     first_round: bool,
-    /// Index under which this task reports (unique across re-sharding
-    /// generations, unlike `shard.index` which restarts per generation).
-    report_index: usize,
-    /// Publish rounds already on this shard's critical path when the task
-    /// was created — the sequential depth of the re-sharding generations
-    /// behind it (0 for generation 0). Reported rounds are
-    /// `base_rounds + own stager rounds`, so the job-level critical-path
-    /// maximum counts chained generations sequentially, not as parallel
-    /// shards.
+    /// Publish rounds a fed replay inherited from the journal's round
+    /// barriers (0 otherwise). Reported rounds are
+    /// `base_rounds + own stager rounds`.
     base_rounds: usize,
     /// Per-round telemetry, recorded at each publish release (pure
     /// bookkeeping over deterministic state — rolls up into
@@ -192,33 +161,17 @@ fn state_name(s: ShardState) -> &'static str {
         ShardState::Publishing => "Publishing",
         ShardState::AwaitingCrowd => "AwaitingCrowd",
         ShardState::Deducing => "Deducing",
-        ShardState::Parked => "Parked",
         ShardState::Done => "Done",
     }
 }
 
 impl<B: CrowdBackend> ShardTask<B> {
-    /// Creates a task for a fresh shard on its own backend.
+    /// Creates a task for a shard on its own backend.
     #[must_use]
-    pub fn new(shard: Shard, platform: B, instant_decision: bool, report_index: usize) -> Self {
+    pub fn new(shard: Shard, platform: B, instant_decision: bool) -> Self {
         let labeler = ParallelLabeler::new(shard.num_objects(), shard.pairs.clone());
-        Self::resume(shard, labeler, platform, instant_decision, report_index, 0)
-    }
-
-    /// Creates a task around an existing labeler (possibly pre-seeded with
-    /// known answers by the re-sharding barrier), `base_rounds` publish
-    /// rounds into the job's critical path.
-    #[must_use]
-    pub fn resume(
-        shard: Shard,
-        labeler: ParallelLabeler,
-        platform: B,
-        instant_decision: bool,
-        report_index: usize,
-        base_rounds: usize,
-    ) -> Self {
         let state = if labeler.is_complete() { ShardState::Done } else { ShardState::Publishing };
-        let shard_tag = report_index as u32;
+        let shard_tag = shard.index as u32;
         Self {
             shard,
             labeler,
@@ -234,8 +187,7 @@ impl<B: CrowdBackend> ShardTask<B> {
             replayed_answers: 0,
             replayed_cost_cents: 0,
             first_round: true,
-            report_index,
-            base_rounds,
+            base_rounds: 0,
             rounds: Vec::new(),
             peak_unresolved: 0,
             m_answers: crowdjoin_obs::counter("engine.answers", shard_tag),
@@ -289,7 +241,7 @@ impl<B: CrowdBackend> ShardTask<B> {
                         panic!(
                             "journal divergence on shard {}: journaled answer {global} is not \
                              a pair of this shard",
-                            self.report_index
+                            self.shard.index
                         )
                     });
                     let label = if a.matching { Label::Matching } else { Label::NonMatching };
@@ -315,11 +267,9 @@ impl<B: CrowdBackend> ShardTask<B> {
         self.replayed_answers
     }
 
-    /// Publish rounds on this shard's critical path so far: the sequential
-    /// depth inherited from earlier generations plus this incarnation's own
-    /// rounds.
-    #[must_use]
-    pub fn total_rounds(&self) -> usize {
+    /// Publish rounds on this shard's critical path so far: the rounds a
+    /// fed replay inherited from the journal plus this task's own.
+    fn total_rounds(&self) -> usize {
         self.base_rounds + self.stager.publish_rounds()
     }
 
@@ -331,12 +281,11 @@ impl<B: CrowdBackend> ShardTask<B> {
 
     /// When this task next needs attention, in its platform's virtual time:
     /// the next platform event, or "now" when it has work ready (publishing,
-    /// deducing, or an idle platform to republish into). `None` once done or
-    /// parked.
+    /// deducing, or an idle platform to republish into). `None` once done.
     #[must_use]
     pub fn next_wake(&self) -> Option<VirtualTime> {
         match self.state {
-            ShardState::Done | ShardState::Parked => None,
+            ShardState::Done => None,
             ShardState::Publishing | ShardState::Deducing => Some(self.platform.now()),
             ShardState::AwaitingCrowd => {
                 Some(self.platform.next_event_time().unwrap_or_else(|| self.platform.now()))
@@ -344,18 +293,11 @@ impl<B: CrowdBackend> ShardTask<B> {
         }
     }
 
-    /// The task platform's current virtual time (the re-sharding barrier
-    /// maximizes this over parked tasks).
-    #[must_use]
-    pub fn platform_now(&self) -> VirtualTime {
-        self.platform.now()
-    }
-
     /// Updates the state, emitting a `task.state` trace event when the
     /// transition is real and tracing is on (one relaxed load otherwise).
     fn set_state(&mut self, next: ShardState) {
         if crowdjoin_obs::enabled() && next != self.state {
-            crowdjoin_obs::EventBuilder::new("engine", "task.state", self.report_index as u32)
+            crowdjoin_obs::EventBuilder::new("engine", "task.state", self.shard.index as u32)
                 .virt(self.platform.now().0)
                 .field("from", state_name(self.state))
                 .field("to", state_name(next))
@@ -368,7 +310,7 @@ impl<B: CrowdBackend> ShardTask<B> {
     /// round's telemetry when anything went out.
     fn release_staged(&mut self, flush: bool) {
         let mut span =
-            crowdjoin_obs::SpanGuard::new("engine", "backend.post", self.report_index as u32)
+            crowdjoin_obs::SpanGuard::new("engine", "backend.post", self.shard.index as u32)
                 .virt(self.platform.now().0);
         let published = self.stager.release(&mut self.platform, flush);
         span.set_field("pairs", published);
@@ -427,8 +369,7 @@ impl<B: CrowdBackend> ShardTask<B> {
     /// Advances the state machine by one bounded step: publish a round, poll
     /// the platform up to its next event, or feed one resolution batch (and
     /// publish per the instant-decision policy). Returns with the task
-    /// `Done`, `Parked` (re-sharding requested and the platform idled at a
-    /// round boundary), or `AwaitingCrowd` with a fresh [`Self::next_wake`].
+    /// `Done` or `AwaitingCrowd` with a fresh [`Self::next_wake`].
     ///
     /// `truth_of` supplies the ground-truth answer the simulator uses to
     /// synthesize worker responses, in **global** ids. `on_resolution`
@@ -444,12 +385,11 @@ impl<B: CrowdBackend> ShardTask<B> {
     pub fn advance(
         &mut self,
         truth_of: &(dyn Fn(Pair) -> bool + Sync),
-        park_on_idle: bool,
         on_resolution: &mut dyn FnMut(usize, &B, VirtualTime),
     ) {
         loop {
             match self.state {
-                ShardState::Done | ShardState::Parked => return,
+                ShardState::Done => return,
                 ShardState::Publishing => {
                     let batch = self.next_batch();
                     self.stage(&batch, truth_of);
@@ -470,18 +410,15 @@ impl<B: CrowdBackend> ShardTask<B> {
                         self.journal_round_boundary();
                         if self.labeler.is_complete() {
                             self.set_state(ShardState::Done);
-                        } else if park_on_idle {
-                            self.set_state(ShardState::Parked);
-                        } else {
-                            self.set_state(ShardState::Publishing);
-                            continue;
+                            return;
                         }
-                        return;
+                        self.set_state(ShardState::Publishing);
+                        continue;
                     };
                     let mut poll_span = crowdjoin_obs::SpanGuard::new(
                         "engine",
                         "backend.poll",
-                        self.report_index as u32,
+                        self.shard.index as u32,
                     )
                     .virt(until.0);
                     match self.platform.poll_completions(until) {
@@ -516,18 +453,6 @@ impl<B: CrowdBackend> ShardTask<B> {
                         self.set_state(ShardState::Done);
                         return;
                     }
-                    // A fully-resolved round with nothing staged or awaiting
-                    // is a clean round boundary: park there when re-sharding
-                    // is on (publishing the next round is exactly what the
-                    // barrier wants to do globally instead).
-                    if park_on_idle
-                        && self.platform.num_unresolved_pairs() == 0
-                        && self.stager.num_staged() == 0
-                        && self.labeler.num_outstanding() == 0
-                    {
-                        self.set_state(ShardState::Parked);
-                        return;
-                    }
                     let may_publish =
                         self.instant_decision || self.platform.num_unresolved_pairs() == 0;
                     if may_publish {
@@ -560,13 +485,13 @@ impl<B: CrowdBackend> ShardTask<B> {
         if self.journal.is_none() && self.replay.is_empty() {
             return;
         }
-        let _span = crowdjoin_obs::SpanGuard::new("wal", "wal.append", self.report_index as u32)
+        let _span = crowdjoin_obs::SpanGuard::new("wal", "wal.append", self.shard.index as u32)
             .virt(self.resolved_at.0)
             .field("answers", resolved.len());
         for r in resolved {
             let global = self.shard.to_global(self.ids[&r.id]);
             let record = AnswerRecord {
-                shard: self.report_index as u32,
+                shard: self.shard.index as u32,
                 a: global.a(),
                 b: global.b(),
                 matching: r.label,
@@ -581,7 +506,7 @@ impl<B: CrowdBackend> ShardTask<B> {
                         journaled, record,
                         "journal divergence on shard {}: the resumed run re-derived a \
                          different answer than the journaled one",
-                        self.report_index
+                        self.shard.index
                     );
                     self.replayed_answers += 1;
                     self.replayed_cost_cents = journaled.cost_cents;
@@ -589,7 +514,7 @@ impl<B: CrowdBackend> ShardTask<B> {
                 Some(ShardEvent::Barrier(_)) => panic!(
                     "journal divergence on shard {}: journal holds a round barrier where \
                      the resumed run produced an answer",
-                    self.report_index
+                    self.shard.index
                 ),
                 None => {
                     if let Some(journal) = &self.journal {
@@ -613,10 +538,10 @@ impl<B: CrowdBackend> ShardTask<B> {
             return;
         }
         // Barrier appends fsync; the span makes that latency visible.
-        let _span = crowdjoin_obs::SpanGuard::new("wal", "wal.barrier", self.report_index as u32)
+        let _span = crowdjoin_obs::SpanGuard::new("wal", "wal.barrier", self.shard.index as u32)
             .virt(self.platform.now().0);
         let record = BarrierRecord {
-            shard: self.report_index as u32,
+            shard: self.shard.index as u32,
             rounds: self.total_rounds() as u32,
             time: self.platform.now().0,
             stats: snapshot_of(&self.platform.stats()),
@@ -627,14 +552,14 @@ impl<B: CrowdBackend> ShardTask<B> {
                     journaled, record,
                     "journal divergence on shard {}: round-barrier platform counters do \
                      not match the journaled ones",
-                    self.report_index
+                    self.shard.index
                 );
                 self.replayed_cost_cents = journaled.stats.total_cost_cents;
             }
             Some(ShardEvent::Answer(_)) => panic!(
                 "journal divergence on shard {}: journal holds an answer where the \
                  resumed run reached a round barrier",
-                self.report_index
+                self.shard.index
             ),
             None => {
                 if let Some(journal) = &self.journal {
@@ -659,94 +584,24 @@ impl<B: CrowdBackend> ShardTask<B> {
         assert!(
             self.replay.is_empty(),
             "journal divergence on shard {}: {} journaled event(s) were never re-derived",
-            self.report_index,
+            self.shard.index,
             self.replay.len()
         );
-        self.report(self.shard.globalize(self.labeler.result()), self.shard.num_components)
-    }
-
-    /// This incarnation's report over `result` (in global ids): its
-    /// backend's stats and money, its rounds and its replay ledger.
-    fn report(&self, result: LabelingResult, num_components: usize) -> ShardReport {
+        let result = self.shard.globalize(self.labeler.result());
         ShardReport {
-            shard: self.report_index,
+            shard: self.shard.index,
             num_objects: self.shard.num_objects(),
             num_pairs: result.num_labeled(),
-            num_components,
+            num_components: self.shard.num_components,
             result,
             stats: Some(self.platform.stats()),
             completion: self.platform.stats().last_resolution,
             publish_rounds: self.total_rounds(),
             replayed_answers: self.replayed_answers,
             replayed_cost_cents: self.replayed_cost_cents,
-            rounds: self.rounds.clone(),
+            rounds: self.rounds,
             peak_unresolved: self.peak_unresolved,
         }
-    }
-
-    /// Retires a parked task at the re-sharding barrier: splits it into a
-    /// report of everything decided and paid for so far, the open work to
-    /// repartition, and the answers that rebuild its deduction context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task is not `Parked` (the barrier only retires parked
-    /// tasks, which by construction have nothing staged or outstanding).
-    #[must_use]
-    pub(crate) fn retire(self) -> RetiredShard {
-        assert_eq!(self.state, ShardState::Parked, "only parked tasks retire");
-        assert_eq!(self.labeler.num_outstanding(), 0, "parked task cannot await answers");
-        assert_eq!(self.stager.num_staged(), 0, "parked task cannot hold staged pairs");
-        assert!(
-            self.replay.is_empty(),
-            "journal divergence on shard {}: {} journaled event(s) were never re-derived \
-             before parking",
-            self.report_index,
-            self.replay.len()
-        );
-
-        // Components over the shard's local candidate graph; a component is
-        // *open* while any of its pairs is unlabeled.
-        let mut uf = UnionFind::new(self.shard.num_objects());
-        for sp in self.labeler.order() {
-            uf.union(sp.pair.a(), sp.pair.b());
-        }
-        let comp_of = uf.component_ids();
-        let mut open: FxHashSet<u32> = FxHashSet::default();
-        for sp in self.labeler.unlabeled_pairs() {
-            open.insert(comp_of[sp.pair.a() as usize]);
-        }
-
-        // Labels of closed components retire now; conflicts stay attributed
-        // to this incarnation (replay into the next one never re-counts).
-        let mut retired = LabelingResult::new();
-        let mut closed_components: FxHashSet<u32> = FxHashSet::default();
-        for lp in self.labeler.result().labeled_pairs() {
-            let c = comp_of[lp.pair.a() as usize];
-            if !open.contains(&c) {
-                closed_components.insert(c);
-                retired.record(self.shard.to_global(lp.pair), lp.label, lp.provenance);
-            }
-        }
-        for _ in 0..self.labeler.result().num_conflicts() {
-            retired.record_conflict();
-        }
-
-        let mut open_pairs = Vec::new();
-        let mut known = Vec::new();
-        for sp in self.labeler.order() {
-            if !open.contains(&comp_of[sp.pair.a() as usize]) {
-                continue;
-            }
-            let global = self.shard.to_global(sp.pair);
-            open_pairs.push(ScoredPair::new(global, sp.likelihood));
-            if self.labeler.result().provenance_of(sp.pair) == Some(Provenance::Crowdsourced) {
-                let label = self.labeler.result().label_of(sp.pair).expect("labeled");
-                known.push((global, label));
-            }
-        }
-
-        RetiredShard { report: self.report(retired, closed_components.len()), open_pairs, known }
     }
 }
 
@@ -837,11 +692,11 @@ mod tests {
                     blocking_reference(&mut labeler, &mut platform, instant, &truth_of);
 
                 let shard = whole_universe_shard(&cs);
-                let mut task = ShardTask::new(shard, Platform::new(cfg.clone()), instant, 0);
+                let mut task = ShardTask::new(shard, Platform::new(cfg.clone()), instant);
                 let mut observed: Vec<Sample> = Vec::new();
                 while task.state() != ShardState::Done {
                     assert!(task.next_wake().is_some(), "active task must have a wake time");
-                    task.advance(&truth_of, false, &mut |crowdsourced, p: &Platform, at| {
+                    task.advance(&truth_of, &mut |crowdsourced, p: &Platform, at| {
                         observed.push((crowdsourced, p.num_open_pairs(), at));
                     });
                 }
@@ -863,68 +718,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// With parking enabled the task stops at its first fully-resolved round
-    /// boundary and retire() hands back exactly the open components and
-    /// their crowdsourced context.
-    #[test]
-    fn parks_at_round_boundary_and_retires_open_work() {
-        // A triangle over all-distinct objects plus a disjoint matching
-        // pair: round 1 publishes (0,1), (1,2) and (3,4) — (0,2) is held as
-        // presumed-deducible. The two non-matching answers refute the
-        // deduction, so the shard needs a second round and parks before it.
-        let pairs = vec![
-            ScoredPair::new(Pair::new(0, 1), 0.9),
-            ScoredPair::new(Pair::new(1, 2), 0.8),
-            ScoredPair::new(Pair::new(0, 2), 0.7),
-            ScoredPair::new(Pair::new(3, 4), 0.6),
-        ];
-        let cs = CandidateSet::new(5, pairs);
-        let truth = GroundTruth::from_clusters(5, &[vec![3, 4]]);
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let shard = crate::partition::partition_candidates(5, &order, 1).shards.remove(0);
-        let mut task =
-            ShardTask::new(shard, Platform::new(PlatformConfig::perfect_workers(5)), true, 3);
-        let truth_of = |pair: Pair| truth.is_matching(pair);
-        while !matches!(task.state(), ShardState::Parked | ShardState::Done) {
-            task.advance(&truth_of, true, &mut |_, _, _| {});
-        }
-        assert_eq!(task.state(), ShardState::Parked);
-        assert!(task.next_wake().is_none());
-
-        let retired = task.retire();
-        assert_eq!(retired.report.shard, 3);
-        assert!(retired.report.stats.expect("platform stats").total_cost_cents > 0);
-        // The {3,4} component closed in round 1 and retires with its label.
-        assert_eq!(retired.report.result.num_labeled(), 1);
-        assert_eq!(retired.report.result.label_of(Pair::new(3, 4)), Some(Label::Matching));
-        // The triangle component stays open: all three of its pairs travel,
-        // with the two answered ones as known context.
-        let open: FxHashSet<Pair> = retired.open_pairs.iter().map(|sp| sp.pair).collect();
-        assert_eq!(open, [Pair::new(0, 1), Pair::new(1, 2), Pair::new(0, 2)].into_iter().collect());
-        let mut known = retired.known.clone();
-        known.sort_by_key(|&(p, _)| p);
-        assert_eq!(
-            known,
-            vec![(Pair::new(0, 1), Label::NonMatching), (Pair::new(1, 2), Label::NonMatching)]
-        );
-
-        // Seeding the known answers into a fresh labeler over the open pairs
-        // resumes exactly where the shard parked: one pair left to publish.
-        let resumed_shard =
-            crate::partition::partition_candidates(5, &retired.open_pairs, 1).shards.remove(0);
-        let mut labeler =
-            ParallelLabeler::new(resumed_shard.num_objects(), resumed_shard.pairs.clone());
-        let known_of: FxHashMap<Pair, Label> = retired.known.iter().copied().collect();
-        for sp in &resumed_shard.pairs {
-            if let Some(&label) = known_of.get(&resumed_shard.to_global(sp.pair)) {
-                labeler.seed_known(sp.pair, label);
-            }
-        }
-        assert!(!labeler.is_complete());
-        let batch = labeler.next_batch();
-        assert_eq!(batch.len(), 1, "only (0,2) is left to crowdsource");
-        assert_eq!(resumed_shard.to_global(batch[0].pair), Pair::new(0, 2));
     }
 }

@@ -77,8 +77,7 @@ pub struct TraceEvent {
     /// Coarse layer category (`engine`, `matcher`, `backend`, `wal`,
     /// `sim`) — becomes the Chrome trace category.
     pub cat: &'static str,
-    /// Report index of the shard incarnation the event belongs to, or
-    /// [`NO_SHARD`].
+    /// Index of the shard the event belongs to, or [`NO_SHARD`].
     pub shard: u32,
     /// Small per-thread ordinal (first thread to record gets 0).
     pub tid: u64,

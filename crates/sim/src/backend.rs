@@ -87,10 +87,10 @@ pub trait CrowdBackend: Send + std::fmt::Debug {
     /// resolution time).
     fn stats(&self) -> PlatformStats;
 
-    /// Advances an **idle** backend's clock to at least `t`, used when a
-    /// backend is created mid-job (dynamic re-sharding) so its timeline
-    /// continues its predecessors'. Wall-clock backends, whose `now` is
-    /// physical, may ignore it.
+    /// Advances an **idle** backend's clock to at least `t`, so a backend
+    /// created mid-job can continue a predecessor's timeline. The engine
+    /// no longer calls it. Wall-clock backends, whose `now` is physical,
+    /// may ignore it.
     fn warp_to(&mut self, t: VirtualTime);
 
     /// Folds money a resumed journal already paid into this backend's
@@ -179,20 +179,16 @@ impl<B: CrowdBackend + ?Sized> CrowdBackend for &mut B {
     }
 }
 
-/// Identity of one shard incarnation a backend is created for: enough for
-/// a factory to derive unique spool names, topics, or queue ids.
+/// Identity of the shard a backend is created for: enough for a factory to
+/// derive unique spool names, topics, or queue ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardContext {
-    /// Re-sharding generation (0 for the initial partition).
-    pub generation: usize,
-    /// Shard index within its generation's partition.
+    /// Shard index within the job's partition — unique per job, so it is
+    /// the right key for external namespaces (the spool backend names its
+    /// HIT files with it) and for the journal.
     pub shard_index: usize,
-    /// Concurrent shards in this generation.
+    /// Concurrent shards in the job.
     pub active_shards: usize,
-    /// Globally unique report index of this incarnation — unique across
-    /// generations, so it is the right key for external namespaces (the
-    /// spool backend names its HIT files with it) and for the journal.
-    pub report_index: usize,
 }
 
 /// Creates the per-shard backends of one engine run and owns their shared
@@ -205,7 +201,7 @@ pub trait BackendFactory: Sync {
     /// The backend type this factory creates.
     type Backend: CrowdBackend;
 
-    /// Creates the backend for one shard incarnation.
+    /// Creates the backend for one shard.
     fn create(&self, cfg: &PlatformConfig, shard: &ShardContext) -> Self::Backend;
 
     /// The clock the event loop schedules (and waits) against. Must be the
@@ -271,8 +267,7 @@ mod tests {
         let expected = direct.run_to_completion();
 
         let factory = SimFactory::new();
-        let shard =
-            ShardContext { generation: 0, shard_index: 0, active_shards: 1, report_index: 0 };
+        let shard = ShardContext { shard_index: 0, active_shards: 1 };
         let mut routed: Box<dyn CrowdBackend> =
             Box::new(factory.create(&PlatformConfig::perfect_workers(7), &shard));
         routed.post_hits(tasks(50));

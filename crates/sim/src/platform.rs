@@ -359,10 +359,9 @@ impl Platform {
     }
 
     /// Advances an **idle** platform's clock to `t` (keeping the maximum of
-    /// the two). Used when a platform is constructed mid-job — e.g. after
-    /// dynamic re-sharding merges shards into a fresh platform — so its
-    /// resolutions continue the merged shards' virtual timeline instead of
-    /// restarting at zero.
+    /// the two). For a platform constructed mid-job, so its resolutions
+    /// continue a predecessor's virtual timeline instead of restarting at
+    /// zero.
     ///
     /// # Panics
     ///

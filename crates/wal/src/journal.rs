@@ -40,12 +40,12 @@ pub fn open_resume(path: &Path) -> Result<(JournalContents, Journal), WalError> 
 }
 
 /// A journal split into the queues the engine replays: per-shard event
-/// streams, the global generation-barrier stream, and the completion
-/// marker if the job finished.
+/// streams, the generation-barrier stream (written only by older builds
+/// with dynamic re-sharding, whose journals the engine refuses), and the
+/// completion marker if the job finished.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayPlan {
-    /// Per shard incarnation (report index), its answers and round
-    /// barriers in append order.
+    /// Per shard index, its answers and round barriers in append order.
     pub shards: BTreeMap<u32, VecDeque<ShardEvent>>,
     /// Re-sharding barriers in order.
     pub generations: VecDeque<GenerationRecord>,

@@ -75,18 +75,19 @@
 //! [`FrameLog::append`] writes the frame and flushes it to the OS: the
 //! record survives a **process** crash. [`FrameLog::append_durable`]
 //! additionally `fsync`s: the record survives a **power** failure. The
-//! engine appends answers with the former and round-barrier / generation /
-//! completion records with the latter, so the expensive sync is paid once
+//! engine appends answers with the former and round-barrier / completion
+//! records with the latter, so the expensive sync is paid once
 //! per publish round, not once per answer.
 //!
 //! ## Record stream semantics
 //!
-//! Per shard (keyed by the engine's report index) the stream is strictly
-//! `Answer* Barrier Answer* Barrier …`; [`GenerationRecord`]s mark global
-//! re-sharding barriers between shard generations and a final
-//! [`CompleteRecord`] marks a finished job. [`partition_replay`] splits a
-//! decoded record list back into those per-shard queues for the engine's
-//! replay. See `docs/ARCHITECTURE.md` for the crash & resume walkthrough.
+//! Per shard (keyed by the engine's shard index) the stream is strictly
+//! `Answer* Barrier Answer* Barrier …`, and a final [`CompleteRecord`]
+//! marks a finished job. [`GenerationRecord`]s marked the global barriers
+//! of dynamic re-sharding, which older builds wrote; the codec still reads
+//! them, and the engine refuses such journals by their header.
+//! [`partition_replay`] splits a decoded record list back into those
+//! per-shard queues for the engine's replay. See `docs/ARCHITECTURE.md` for the crash & resume walkthrough.
 //!
 //! ## The stream journal
 //!

@@ -17,7 +17,9 @@ use crate::frame::{Reader, RecordFamily, Writer};
 /// different semantics. The policies other than likelihood-descending were
 /// since retired on measurement; the byte stays in the v2 layout as a
 /// reserved field (see [`JobHeader::ordering`]), so journal bytes did not
-/// change.
+/// change. Dynamic re-sharding was retired the same way: its header byte
+/// is reserved ([`JobHeader::reshard`]) and [`GenerationRecord`]s are no
+/// longer written.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload; anything larger is corruption (real
@@ -80,7 +82,9 @@ pub struct JobHeader {
     pub num_shards: u32,
     /// Whether the instant-decision optimization was on.
     pub instant_decision: bool,
-    /// Whether dynamic re-sharding was on.
+    /// Reserved; always written 0. Builds that still had dynamic
+    /// re-sharding wrote 1 here when it was on; such a journal's answers
+    /// belong to shards this build never creates, so resume refuses it.
     pub reshard: bool,
     /// Reserved; always written 0 (likelihood-descending, the one labeling
     /// order). Builds that still had selectable question-ordering policies
@@ -94,8 +98,7 @@ pub struct JobHeader {
 /// *before* the engine applies the answer to its labeler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnswerRecord {
-    /// Report index of the shard incarnation that asked (unique across
-    /// re-sharding generations).
+    /// Index of the shard that asked.
     pub shard: u32,
     /// Smaller object id of the pair (global ids).
     pub a: u32,
@@ -141,7 +144,7 @@ pub struct StatsSnapshot {
 /// resume can rebuild exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierRecord {
-    /// Report index of the shard incarnation.
+    /// Index of the shard.
     pub shard: u32,
     /// Publish rounds on the shard's critical path so far.
     pub rounds: u32,
@@ -153,7 +156,8 @@ pub struct BarrierRecord {
 
 /// A global re-sharding barrier: every shard of the generation parked, the
 /// survivors were merged, and the next generation's platforms start at the
-/// barrier time.
+/// barrier time. Written only by older builds with dynamic re-sharding; the
+/// codec keeps it so their journals still decode (and are then refused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenerationRecord {
     /// Re-sharding generation number (1 for the first barrier).
@@ -196,7 +200,7 @@ pub enum Record {
 }
 
 /// A per-shard replay event: the subsequence of the journal belonging to
-/// one shard incarnation, in append order (see
+/// one shard, in append order (see
 /// [`partition_replay`](crate::partition_replay)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardEvent {

@@ -104,7 +104,7 @@ impl BackendFactory for ShuffledFactory {
         ShuffledBackend {
             inner: Platform::new(cfg.clone()),
             buffered: Vec::new(),
-            rng: SplitMix64::new(derive_seed(self.shuffle_seed, shard.report_index as u64)),
+            rng: SplitMix64::new(derive_seed(self.shuffle_seed, shard.shard_index as u64)),
         }
     }
 

@@ -56,12 +56,18 @@ fn product_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     (candidates, truth, order)
 }
 
-/// A platform run's total money is exactly the sum of its per-shard reports.
+/// A platform run's total money is exactly the sum of its per-shard
+/// reports, and every paid answer is a crowdsourced label.
 fn assert_money_partitions(report: &EngineReport) {
     let sharded: u64 =
         report.shards.iter().map(|s| s.stats.as_ref().map_or(0, |st| st.total_cost_cents)).sum();
     assert!(sharded > 0, "a platform run pays for its questions");
     assert_eq!(report.total_cost_cents, sharded, "money must partition across shards");
+    assert_eq!(
+        report.num_crowd_answers(),
+        report.num_crowdsourced(),
+        "every paid answer must be a crowdsourced label"
+    );
 }
 
 /// The sharded engine must produce the same labels as one unsharded run of

@@ -2,8 +2,7 @@
 //! drive ≥1000 shards to outcomes **bit-identical** at 1, 2 and 4 worker
 //! threads (labels, provenance, crowdsourced counts, money, per-shard stats,
 //! completion time and publish rounds), on synthetic and generated
-//! workloads; and dynamic re-sharding must stay label-correct while
-//! merging shards as components collapse.
+//! workloads.
 
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{
@@ -93,7 +92,6 @@ fn assert_thread_count_invariant(
         run_engine(num_objects, order, truth, platform, &engine)
     };
     let reference = run(1);
-    assert_eq!(reference.reshard_generations, 0);
     for &num_threads in threads {
         let other = run(num_threads);
         assert_eq!(other.num_shards(), reference.num_shards());
@@ -161,114 +159,4 @@ fn event_loop_matches_thread_per_shard_on_generated_workloads() {
             );
         }
     }
-}
-
-/// Dynamic re-sharding: with a perfect crowd the merged generations must
-/// still label every pair correctly, run deterministically, never lose or
-/// double-count money, and actually merge (components collapse early, so
-/// later generations pack fewer shards).
-#[test]
-fn resharding_stays_correct_and_merges_shards() {
-    let (candidates, truth, order) = paper_workload();
-    let platform = PlatformConfig::perfect_workers(11);
-    let engine = EngineConfig {
-        num_shards: 8,
-        num_threads: 2,
-        seed: 7,
-        reshard: true,
-        ..EngineConfig::default()
-    };
-    let run = || run_engine(candidates.num_objects(), &order, &truth, &platform, &engine);
-    let report = run();
-
-    assert_eq!(report.result.num_labeled(), order.len());
-    for sp in candidates.pairs() {
-        assert_eq!(
-            report.result.label_of(sp.pair),
-            Some(truth.label_of(sp.pair)),
-            "re-sharded label wrong on {}",
-            sp.pair
-        );
-    }
-    assert!(report.reshard_generations >= 1, "round boundaries must trigger re-sharding");
-    // Generations run strictly one after another (each barrier waits for
-    // every shard), so the critical-path round count chains across them
-    // instead of resetting per incarnation.
-    assert!(
-        report.critical_path_rounds() > report.reshard_generations,
-        "{} rounds cannot cover {} sequential generations",
-        report.critical_path_rounds(),
-        report.reshard_generations
-    );
-    // Retired + merged incarnations both report; money is the sum of every
-    // platform that ran and is internally consistent.
-    assert!(report.num_shards() > 8, "retired generations must keep their reports");
-    let stats_cost: u64 =
-        report.shards.iter().filter_map(|s| s.stats.as_ref()).map(|st| st.total_cost_cents).sum();
-    assert_eq!(report.total_cost_cents, stats_cost);
-
-    // Against the same config without re-sharding: merging can only reduce
-    // the crowd bill (shared HITs across merged shards; answers are never
-    // re-asked) and must not change any label.
-    let baseline = run_engine(
-        candidates.num_objects(),
-        &order,
-        &truth,
-        &platform,
-        &EngineConfig { reshard: false, ..engine.clone() },
-    );
-    for sp in candidates.pairs() {
-        assert_eq!(report.result.label_of(sp.pair), baseline.result.label_of(sp.pair));
-    }
-    assert!(
-        report.result.num_crowdsourced() <= baseline.result.num_crowdsourced(),
-        "re-sharding never asks more questions ({} vs {})",
-        report.result.num_crowdsourced(),
-        baseline.result.num_crowdsourced()
-    );
-
-    // Determinism: a second run is bit-identical.
-    let again = run();
-    assert_eq!(report.total_cost_cents, again.total_cost_cents);
-    assert_eq!(report.completion, again.completion);
-    assert_eq!(report.reshard_generations, again.reshard_generations);
-    for sp in candidates.pairs() {
-        assert_eq!(report.result.label_of(sp.pair), again.result.label_of(sp.pair));
-    }
-}
-
-/// The re-sharded working set shrinks monotonically: later generations run
-/// fewer shards, visible as fewer live platforms and less partial-HIT
-/// fragmentation on a many-shard workload.
-#[test]
-fn resharding_reduces_partial_hit_waste_on_many_small_shards() {
-    let (num_objects, order, truth) = thousand_component_workload();
-    let platform = PlatformConfig::perfect_workers(29);
-    let base =
-        EngineConfig { num_shards: 1200, num_threads: 2, seed: 3, ..EngineConfig::default() };
-    let plain = run_engine(num_objects, &order, &truth, &platform, &base);
-    let merged = run_engine(
-        num_objects,
-        &order,
-        &truth,
-        &platform,
-        &EngineConfig { reshard: true, ..base.clone() },
-    );
-    for sp in &order {
-        assert_eq!(merged.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
-    }
-    assert!(merged.reshard_generations >= 1);
-    assert!(
-        merged.partial_hit_waste() < plain.partial_hit_waste(),
-        "merging 600 second-round singleton batches into shared HITs must cut waste \
-         (merged {:.3} vs plain {:.3})",
-        merged.partial_hit_waste(),
-        plain.partial_hit_waste()
-    );
-    assert!(
-        merged.total_cost_cents < plain.total_cost_cents,
-        "fewer HITs must cost less (merged {}¢ vs plain {}¢)",
-        merged.total_cost_cents,
-        plain.total_cost_cents
-    );
 }

@@ -7,7 +7,7 @@
 //! uninterrupted run's.
 
 use crowdjoin::sim::PlatformConfig;
-use crowdjoin::wal::{self, Record, WalError};
+use crowdjoin::wal::{self, WalError};
 use crowdjoin::{Engine, EngineConfig, EngineReport, GroundTruth, Pair, ScoredPair};
 use std::path::{Path, PathBuf};
 
@@ -34,8 +34,8 @@ fn workload() -> (usize, Vec<ScoredPair>, GroundTruth) {
     (num_objects, pairs, GroundTruth::new(entity))
 }
 
-fn engine_config(reshard: bool) -> EngineConfig {
-    EngineConfig { num_shards: 6, num_threads: 2, seed: 11, reshard, ..EngineConfig::default() }
+fn engine_config() -> EngineConfig {
+    EngineConfig { num_shards: 6, num_threads: 2, seed: 11, ..EngineConfig::default() }
 }
 
 fn platform_config() -> PlatformConfig {
@@ -59,7 +59,6 @@ fn assert_reports_identical(a: &EngineReport, b: &EngineReport, order: &[ScoredP
     assert_eq!(a.result.num_conflicts(), b.result.num_conflicts(), "{ctx}: conflicts");
     assert_eq!(a.total_cost_cents, b.total_cost_cents, "{ctx}: money");
     assert_eq!(a.completion, b.completion, "{ctx}: completion");
-    assert_eq!(a.reshard_generations, b.reshard_generations, "{ctx}: generations");
     assert_eq!(a.num_crowd_answers(), b.num_crowd_answers(), "{ctx}: crowd answers");
     for sp in order {
         assert_eq!(a.result.label_of(sp.pair), b.result.label_of(sp.pair), "{ctx}: {}", sp.pair);
@@ -84,22 +83,21 @@ fn assert_journals_equivalent(a: &Path, b: &Path, ctx: &str) {
     let pa = wal::partition_replay(&ca.records);
     let pb = wal::partition_replay(&cb.records);
     assert_eq!(pa.shards, pb.shards, "{ctx}: per-shard record streams");
-    assert_eq!(pa.generations, pb.generations, "{ctx}: generation barriers");
     assert_eq!(pa.complete, pb.complete, "{ctx}: completion records");
 }
 
 /// Runs the job uninterrupted, once plain and once journaled, returning
 /// (plain report, journaled report, journal path).
-fn run_journaled(name: &str, reshard: bool) -> (EngineReport, EngineReport, PathBuf) {
+fn run_journaled(name: &str) -> (EngineReport, EngineReport, PathBuf) {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let plain = Engine::new(num_objects, &order, &truth, &platform, engine_config(reshard))
+    let plain = Engine::new(num_objects, &order, &truth, &platform, engine_config())
         .run()
         .expect("plain run");
 
     let path = temp_path(name);
     let _ = std::fs::remove_file(&path);
-    let config = EngineConfig { journal: Some(path.clone()), ..engine_config(reshard) };
+    let config = EngineConfig { journal: Some(path.clone()), ..engine_config() };
     let journaled =
         Engine::new(num_objects, &order, &truth, &platform, config).run().expect("journaled run");
     (plain, journaled, path)
@@ -108,7 +106,7 @@ fn run_journaled(name: &str, reshard: bool) -> (EngineReport, EngineReport, Path
 #[test]
 fn journaling_does_not_perturb_the_run() {
     let (num_objects, order, _) = workload();
-    let (plain, journaled, path) = run_journaled("perturb.wal", false);
+    let (plain, journaled, path) = run_journaled("perturb.wal");
     assert_reports_identical(&plain, &journaled, &order, "journaled vs plain");
     assert_eq!(journaled.num_replayed_answers(), 0, "fresh run replays nothing");
 
@@ -133,7 +131,7 @@ fn journaling_does_not_perturb_the_run() {
 fn kill_at_every_record_resumes_bit_identically() {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let (_, full, path) = run_journaled("killer.wal", false);
+    let (_, full, path) = run_journaled("killer.wal");
     let contents = wal::read_journal(&path).expect("full journal");
 
     // Cut points: after the header only (offset of record 0), after every
@@ -148,7 +146,7 @@ fn kill_at_every_record_resumes_bit_identically() {
         let paid_before_crash =
             wal::partition_replay(&contents.records[..i.min(contents.records.len())]).num_answers();
 
-        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config())
             .resume(&cut_path)
             .unwrap_or_else(|e| panic!("resume at cut {i} failed: {e}"));
 
@@ -178,7 +176,7 @@ fn kill_at_every_record_resumes_bit_identically() {
 fn resume_from_torn_tails() {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let (_, full, path) = run_journaled("torn.wal", false);
+    let (_, full, path) = run_journaled("torn.wal");
     let bytes = std::fs::read(&path).expect("journal bytes");
     let cut_path = temp_path("torn-cut.wal");
 
@@ -186,49 +184,11 @@ fn resume_from_torn_tails() {
     for frac in [0.21, 0.433, 0.62, 0.871, 0.995] {
         let cut = ((bytes.len() as f64) * frac) as usize;
         std::fs::write(&cut_path, &bytes[..cut]).expect("write cut");
-        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config())
             .resume(&cut_path)
             .unwrap_or_else(|e| panic!("resume at byte {cut} failed: {e}"));
         assert_reports_identical(&full, &resumed, &order, &format!("byte cut {cut}"));
         assert_journals_equivalent(&path, &cut_path, &format!("byte cut {cut}"));
-    }
-    std::fs::remove_file(&path).expect("cleanup");
-    std::fs::remove_file(&cut_path).expect("cleanup");
-}
-
-/// Re-sharding runs journal generation barriers too; killing one mid-flight
-/// (including between generations) must resume bit-identically.
-#[test]
-fn reshard_runs_resume_bit_identically() {
-    let (num_objects, order, truth) = workload();
-    let platform = platform_config();
-    let (plain, full, path) = run_journaled("reshard.wal", true);
-    assert_reports_identical(&plain, &full, &order, "journaled vs plain (reshard)");
-    let contents = wal::read_journal(&path).expect("full journal");
-    assert!(
-        wal::partition_replay(&contents.records).generations.front().is_some(),
-        "workload must actually re-shard for this test to bite"
-    );
-
-    let bytes = std::fs::read(&path).expect("journal bytes");
-    let cut_path = temp_path("reshard-cut.wal");
-    // Cut right after each generation record, plus a mid-generation record.
-    let mut cuts = Vec::new();
-    for (i, r) in contents.records.iter().enumerate() {
-        if matches!(r, Record::Generation(_)) {
-            let end = contents.offsets.get(i + 1).copied().unwrap_or(contents.valid_len);
-            cuts.push(end);
-            cuts.push(contents.offsets[i]); // just *before* the barrier too
-        }
-    }
-    cuts.push(contents.offsets[contents.offsets.len() / 2]);
-    for cut in cuts {
-        std::fs::write(&cut_path, &bytes[..cut as usize]).expect("write cut");
-        let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(true))
-            .resume(&cut_path)
-            .unwrap_or_else(|e| panic!("reshard resume at byte {cut} failed: {e}"));
-        assert_reports_identical(&full, &resumed, &order, &format!("reshard cut {cut}"));
-        assert_journals_equivalent(&path, &cut_path, &format!("reshard cut {cut}"));
     }
     std::fs::remove_file(&path).expect("cleanup");
     std::fs::remove_file(&cut_path).expect("cleanup");
@@ -240,10 +200,10 @@ fn reshard_runs_resume_bit_identically() {
 fn resuming_a_finished_job_asks_nothing() {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let (_, full, path) = run_journaled("finished.wal", false);
+    let (_, full, path) = run_journaled("finished.wal");
     let before = std::fs::read(&path).expect("journal bytes");
 
-    let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config(false))
+    let resumed = Engine::new(num_objects, &order, &truth, &platform, engine_config())
         .resume(&path)
         .expect("resume of finished job");
     assert_reports_identical(&full, &resumed, &order, "finished resume");
@@ -260,7 +220,7 @@ fn resuming_a_finished_job_asks_nothing() {
 fn resume_rejects_a_different_job() {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let (_, _, path) = run_journaled("mismatch.wal", false);
+    let (_, _, path) = run_journaled("mismatch.wal");
 
     let resume = |order: &[ScoredPair],
                   truth: &GroundTruth,
@@ -268,7 +228,7 @@ fn resume_rejects_a_different_job() {
                   config: &EngineConfig| {
         Engine::new(num_objects, order, truth, platform, config.clone()).resume(&path)
     };
-    let base = engine_config(false);
+    let base = engine_config();
 
     let cases: Vec<(&str, Result<EngineReport, WalError>)> = vec![
         (
@@ -280,10 +240,6 @@ fn resume_rejects_a_different_job() {
         (
             "shard count",
             resume(&order, &truth, &platform, &EngineConfig { num_shards: 5, ..base.clone() }),
-        ),
-        (
-            "reshard flag",
-            resume(&order, &truth, &platform, &EngineConfig { reshard: true, ..base.clone() }),
         ),
         ("labeling order", resume(&order[1..], &truth, &platform, &base)),
         ("ground truth", resume(&order, &GroundTruth::all_distinct(num_objects), &platform, &base)),
@@ -332,6 +288,46 @@ fn resume_rejects_a_different_job() {
     }
     std::fs::remove_file(&retired_path).expect("cleanup");
     std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// The header's `reshard` byte is reserved (always written 0). A journal
+/// started by an older build with dynamic re-sharding is this job in every
+/// other field, but its answers belong to shards this build never
+/// creates: resume refuses it with a typed error naming the field and
+/// leaves the paid-for file untouched.
+#[test]
+fn resume_refuses_a_re_sharded_journal() {
+    let (num_objects, order, truth) = workload();
+    let platform = platform_config();
+    let (_, _, path) = run_journaled("resharded.wal");
+    let header = wal::read_journal(&path).expect("journal readable").header;
+    assert!(!header.reshard, "this build writes the reserved byte as 0");
+    std::fs::remove_file(&path).expect("cleanup");
+
+    let resharded = temp_path("resharded-header.wal");
+    let _ = std::fs::remove_file(&resharded);
+    drop(
+        wal::Journal::create(&resharded, &wal::JobHeader { reshard: true, ..header })
+            .expect("header-only journal"),
+    );
+    let before = std::fs::read(&resharded).expect("journal bytes");
+    match Engine::new(num_objects, &order, &truth, &platform, engine_config()).resume(&resharded) {
+        Err(e @ WalError::HeaderMismatch { .. }) => {
+            let text = e.to_string();
+            assert!(
+                text.contains("reshard") && text.contains("no longer has"),
+                "the refusal must name the retired re-sharding field: {text}"
+            );
+        }
+        Ok(_) => panic!("a re-sharded journal must be refused"),
+        Err(other) => panic!("wrong error: {other}"),
+    }
+    assert_eq!(
+        std::fs::read(&resharded).expect("journal bytes"),
+        before,
+        "a refused journal must be left as it was"
+    );
+    std::fs::remove_file(&resharded).expect("cleanup");
 }
 
 // ===== Streaming: the two-file scheme (`FILE.stream` ingest frames + =====
@@ -408,7 +404,7 @@ fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
     // Uninterrupted journaled reference run.
     let full_path = temp_path("stream-full.wal");
     let _ = std::fs::remove_file(&full_path);
-    let config = EngineConfig { journal: Some(full_path.clone()), ..engine_config(false) };
+    let config = EngineConfig { journal: Some(full_path.clone()), ..engine_config() };
     let full =
         Engine::new(ds.len(), &order, &truth, &platform, config).run().expect("reference run");
 
@@ -438,7 +434,7 @@ fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
         let sorder = stream_order(&ds, &streamed);
         let jpath = temp_path(&format!("stream-{kill_after}.wal"));
         let _ = std::fs::remove_file(&jpath);
-        let config = EngineConfig { journal: Some(jpath.clone()), ..engine_config(false) };
+        let config = EngineConfig { journal: Some(jpath.clone()), ..engine_config() };
         let run =
             Engine::new(ds.len(), &sorder, &truth, &platform, config).run().expect("engine run");
         assert_reports_identical(&full, &run, &order, &format!("stream kill {kill_after}"));
@@ -452,7 +448,7 @@ fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
             let idx = ((contents.offsets.len() - 1) as f64 * frac) as usize;
             std::fs::write(&cut_path, &bytes[..contents.offsets[idx] as usize]).expect("cut");
             let paid_before = wal::partition_replay(&contents.records[..idx]).num_answers();
-            let resumed = Engine::new(ds.len(), &sorder, &truth, &platform, engine_config(false))
+            let resumed = Engine::new(ds.len(), &sorder, &truth, &platform, engine_config())
                 .resume(&cut_path)
                 .unwrap_or_else(|e| panic!("resume after {paid_before} answers failed: {e}"));
             let ctx = format!("stream kill {kill_after}, answer cut {idx}");
@@ -509,9 +505,9 @@ fn torn_stream_tail_resumes_to_identical_close() {
 fn new_journal_refuses_to_overwrite() {
     let (num_objects, order, truth) = workload();
     let platform = platform_config();
-    let (_, _, path) = run_journaled("overwrite.wal", false);
+    let (_, _, path) = run_journaled("overwrite.wal");
 
-    let config = EngineConfig { journal: Some(path.clone()), ..engine_config(false) };
+    let config = EngineConfig { journal: Some(path.clone()), ..engine_config() };
     match Engine::new(num_objects, &order, &truth, &platform, config).run() {
         Err(WalError::AlreadyExists(_)) => {}
         Ok(_) => panic!("running over an existing journal must be refused"),
