@@ -178,7 +178,7 @@ fn emit_machine_readable() {
             crowdjoin::run_sharded_with_oracle(candidates.num_objects(), &order, &oracle, &cfg)
         });
         arms.push(BenchArm {
-            name: "engine_oracle",
+            name: "oracle_event_loop",
             shards,
             wall_ms,
             crowdsourced: report.num_crowdsourced(),

@@ -2,7 +2,7 @@
 //! full publish-to-resolution runs, across platform sizes and policies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowdjoin_sim::{AssignmentPolicy, Platform, PlatformConfig, TaskSpec};
+use crowdjoin_sim::{AssignmentPolicy, Platform, PlatformConfig, TaskSpec, VirtualTime};
 use std::hint::black_box;
 
 fn tasks(n: u64) -> Vec<TaskSpec> {
@@ -11,16 +11,21 @@ fn tasks(n: u64) -> Vec<TaskSpec> {
         .collect()
 }
 
-fn bench_run_to_completion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulator/run_to_completion");
+/// Polls with no time bound until no event remains; returns the number of
+/// resolution batches.
+fn drain(p: &mut Platform) -> usize {
+    std::iter::from_fn(|| p.poll_completions(VirtualTime::MAX)).count()
+}
+
+fn bench_drain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulator/drain");
     group.sample_size(10);
     for &n in &[200u64, 2_000, 10_000] {
         group.bench_with_input(BenchmarkId::new("perfect_workers", n), &n, |b, &n| {
             b.iter(|| {
                 let mut p = Platform::new(PlatformConfig::perfect_workers(1));
                 p.publish(tasks(n));
-                let batches = p.run_to_completion();
-                black_box(batches.len())
+                black_box(drain(&mut p))
             });
         });
     }
@@ -28,7 +33,7 @@ fn bench_run_to_completion(c: &mut Criterion) {
         b.iter(|| {
             let mut p = Platform::new(PlatformConfig::amt_like(1));
             p.publish(tasks(2_000));
-            black_box(p.run_to_completion().len())
+            black_box(drain(&mut p))
         });
     });
     group.bench_function("nonmatching_first_2000", |b| {
@@ -39,7 +44,7 @@ fn bench_run_to_completion(c: &mut Criterion) {
             };
             let mut p = Platform::new(cfg);
             p.publish(tasks(2_000));
-            black_box(p.run_to_completion().len())
+            black_box(drain(&mut p))
         });
     });
     group.finish();
@@ -47,7 +52,7 @@ fn bench_run_to_completion(c: &mut Criterion) {
 
 fn bench_incremental_publish(c: &mut Criterion) {
     // The instant-decision pattern: many small publishes interleaved with
-    // stepping.
+    // unbounded polls.
     c.bench_function("simulator/incremental_publish_100x20", |b| {
         b.iter(|| {
             let mut p = Platform::new(PlatformConfig::perfect_workers(2));
@@ -64,7 +69,7 @@ fn bench_incremental_publish(c: &mut Criterion) {
                 );
                 let mut remaining = 20usize;
                 while remaining > 0 {
-                    let (_, batch) = p.step().expect("resolves");
+                    let (_, batch) = p.poll_completions(VirtualTime::MAX).expect("resolves");
                     remaining -= batch.len();
                     resolved += batch.len();
                 }
@@ -74,5 +79,5 @@ fn bench_incremental_publish(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_run_to_completion, bench_incremental_publish);
+criterion_group!(benches, bench_drain, bench_incremental_publish);
 criterion_main!(benches);

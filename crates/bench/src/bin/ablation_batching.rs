@@ -22,8 +22,8 @@ fn main() {
     let mut rows = Vec::new();
     for &batch in &[1usize, 5, 10, 20, 50, 100] {
         let cfg = PlatformConfig { batch_size: batch, ..PlatformConfig::perfect_workers(seed) };
-        let mut platform = Platform::new(cfg);
-        let report = run_parallel_on_platform(n, order.clone(), &wl.truth, &mut platform, true);
+        let report =
+            run_parallel_on_platform(n, order.clone(), &wl.truth, Platform::new(cfg), true);
         rows.push(vec![
             batch.to_string(),
             report.stats.hits_published.to_string(),

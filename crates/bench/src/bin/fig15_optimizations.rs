@@ -33,12 +33,11 @@ fn run_arm(wl: &Workload, arm: &Arm, threshold: f64, seed: u64) -> Vec<Availabil
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
     let cfg =
         PlatformConfig { assignment_policy: arm.policy, ..PlatformConfig::perfect_workers(seed) };
-    let mut platform = Platform::new(cfg);
     let report = run_parallel_on_platform(
         task.candidates().num_objects(),
         order,
         &wl.truth,
-        &mut platform,
+        Platform::new(cfg),
         arm.instant_decision,
     );
     report.series

@@ -6,7 +6,7 @@
 //! Paper reference: Paper dataset, 68 HITs — 78 hours sequential vs 8 hours
 //! parallel; Product, 144 HITs — 97 hours vs 14 hours.
 
-use crowdjoin::runner::{replay_pairs_sequentially, run_parallel_on_platform};
+use crowdjoin::runner::{publish_in_waves, run_parallel_on_platform};
 use crowdjoin_bench::{paper_workload, print_table, product_workload};
 use crowdjoin_core::{sort_pairs, Provenance, ScoredPair, SortStrategy};
 use crowdjoin_sim::{Platform, PlatformConfig};
@@ -20,12 +20,11 @@ fn main() {
         let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
 
         // Parallel(ID).
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(seed));
         let par = run_parallel_on_platform(
             task.candidates().num_objects(),
             order.clone(),
             &wl.truth,
-            &mut p1,
+            Platform::new(PlatformConfig::perfect_workers(seed)),
             true,
         );
 
@@ -35,8 +34,8 @@ fn main() {
             .copied()
             .filter(|sp| par.result.provenance_of(sp.pair) == Some(Provenance::Crowdsourced))
             .collect();
-        let mut p2 = Platform::new(PlatformConfig::perfect_workers(seed));
-        let seq = replay_pairs_sequentially(&crowdsourced, &wl.truth, &mut p2, 20);
+        let p2 = Platform::new(PlatformConfig::perfect_workers(seed));
+        let seq = publish_in_waves(&crowdsourced, &wl.truth, p2, 20);
 
         rows.push(vec![
             wl.name.to_string(),

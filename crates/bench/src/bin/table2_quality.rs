@@ -10,7 +10,7 @@
 //!   HITs / 30 h / F 79.71% (≈10% fewer HITs, quality preserved, slightly
 //!   longer because publishing is iterative).
 
-use crowdjoin::runner::{run_non_transitive_on_platform, run_parallel_on_platform};
+use crowdjoin::runner::{publish_in_waves, run_parallel_on_platform};
 use crowdjoin_bench::{paper_workload, print_table, product_workload};
 use crowdjoin_core::{sort_pairs, QualityMetrics, SortStrategy};
 use crowdjoin_sim::{Platform, PlatformConfig};
@@ -22,17 +22,17 @@ fn main() {
         let task = wl.task_at(threshold);
         let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
 
-        let mut p1 = Platform::new(PlatformConfig::amt_like(seed));
-        let non_transitive =
-            run_non_transitive_on_platform(task.candidates().pairs(), &wl.truth, &mut p1);
+        // Non-transitive: every pair in one wave, each vote at face value.
+        let pairs = task.candidates().pairs();
+        let p1 = Platform::new(PlatformConfig::amt_like(seed));
+        let non_transitive = publish_in_waves(pairs, &wl.truth, p1, pairs.len());
         let q_nt = QualityMetrics::of_result(&non_transitive.result, &wl.truth);
 
-        let mut p2 = Platform::new(PlatformConfig::amt_like(seed));
         let transitive = run_parallel_on_platform(
             task.candidates().num_objects(),
             order,
             &wl.truth,
-            &mut p2,
+            Platform::new(PlatformConfig::amt_like(seed)),
             true,
         );
         let q_tr = QualityMetrics::of_result(&transitive.result, &wl.truth);

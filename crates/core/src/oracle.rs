@@ -13,11 +13,11 @@ use crowdjoin_util::SplitMix64;
 
 /// A source of crowd answers for object pairs.
 ///
-/// The trait itself is single-threaded; the multi-threaded execution engine
-/// (`crowdjoin-engine`) requires `Oracle + Send` only at its own boundary
-/// (`SyncOracle`), so exotic non-`Send` oracles remain usable with the
-/// sequential labelers. Every stock oracle here is plain data and `Send`
-/// (asserted below).
+/// The trait itself is single-threaded and drives the sequential labelers.
+/// The multi-threaded execution engine (`crowdjoin-engine`) asks its own
+/// `&self`-based `SharedOracle` instead, so exotic non-`Send` oracles stay
+/// usable here. Every stock oracle here is plain data and `Send` (asserted
+/// below).
 pub trait Oracle {
     /// Answers whether the pair is matching. Called once per crowdsourced
     /// pair; implementations may be stateful (e.g. track cost, inject noise).

@@ -3,7 +3,7 @@
 //! ```text
 //! crowdjoin demo  [--seed N]
 //! crowdjoin dedup --input FILE  [--threshold T] [--crowd auto|interactive]
-//!                 [--auto-threshold X] [--output FILE] [--shards N]
+//!                 [--auto-threshold X] [--output FILE] [--platform P [--shards N]]
 //! crowdjoin join  --left FILE --right FILE  [same options]
 //! crowdjoin join  --stream PATH  [--stream-chunk N] [same options]
 //! ```
@@ -25,7 +25,10 @@
 //! stdin (a crowd of one); `auto` (default) labels a pair matching iff its
 //! machine likelihood is at least `--auto-threshold` (default 0.8) — a
 //! self-labeling heuristic for pipelines without humans; deductions then
-//! propagate those decisions transitively either way.
+//! propagate those decisions transitively either way. Both answer at once,
+//! so both run the sequential labeler, which asks the fewest questions.
+//! `--platform` (or `--backend spool`) instead puts a crowd with latency
+//! behind the sharded event-loop engine; `--shards` sizes that engine.
 //!
 //! Output is CSV with columns `a,b,label,provenance,likelihood` (record
 //! indices are 0-based row numbers; for `join`, right-file indices continue
@@ -79,9 +82,9 @@ struct JoinOpts {
     /// Enforce a one-to-one constraint on the matches (cross joins of
     /// internally deduplicated tables).
     one_to_one: bool,
-    /// Shard count for the execution engine: 1 = single-threaded sequential
-    /// labeler (the classic path), 0 = one shard per CPU, N = N shards.
-    shards: usize,
+    /// Platform mode: shard count of the execution engine (`None` = 1,
+    /// 0 = one shard per CPU, N = N shards).
+    shards: Option<usize>,
     /// Simulated-crowd mode: drive the event-loop engine against a
     /// deterministic platform and report cost/latency Table-1 style.
     platform: Option<PlatformPreset>,
@@ -134,7 +137,7 @@ impl Default for JoinOpts {
             output: None,
             resolve: false,
             one_to_one: false,
-            shards: 1,
+            shards: None,
             platform: None,
             backend: BackendKind::Sim,
             spool: None,
@@ -206,9 +209,10 @@ options:
   --output FILE         write CSV here instead of stdout
   --resolve yes         output entity clusters instead of pair labels
   --one-to-one yes      keep at most one match per record (join only)
-  --shards N            run the sharded engine on N shards (0 = one per CPU;
-                        default 1 = classic single-threaded labeling;
-                        auto crowd only — interactive stays sequential)
+  --shards N            platform mode: partition the job into N engine
+                        shards, one platform each (0 = one per CPU;
+                        default 1). Refused without --platform: a crowd
+                        that answers at once runs the sequential labeler
   --platform PRESET     simulate the crowd on the event-loop engine and
                         report cost/completion Table-1 style:
                         perfect (accurate workers) | amt (25% spammers,
@@ -275,6 +279,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         let mut opts = JoinOpts::default();
         if let Some(t) = flags("threshold") {
             opts.threshold = t.parse().map_err(|_| format!("--threshold: not a number: {t:?}"))?;
+            // The matcher runs at this floor, which must be a likelihood.
+            if !(0.0..=1.0).contains(&opts.threshold) {
+                return Err(format!("--threshold must be in [0, 1], got {t}"));
+            }
         }
         if let Some(c) = flags("crowd") {
             opts.crowd = match c.as_str() {
@@ -327,7 +335,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             opts.stream_chunk = Some(n);
         }
         if let Some(s) = flags("shards") {
-            opts.shards = s.parse().map_err(|_| format!("--shards: not a number: {s:?}"))?;
+            opts.shards = Some(s.parse().map_err(|_| format!("--shards: not a number: {s:?}"))?);
         }
         if let Some(p) = flags("platform") {
             opts.platform = Some(match p.as_str() {
@@ -415,7 +423,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         (simulated runs finish in virtual time)"
                 .to_string());
         }
-        let platform_only: [(&str, bool); 5] = [
+        let platform_only: [(&str, bool); 6] = [
+            ("--shards", opts.shards.is_some()),
             ("--journal", opts.journal.is_some()),
             ("--resume", opts.resume.is_some()),
             ("--batch-size", opts.batch_size.is_some()),
@@ -602,7 +611,7 @@ fn simulate_on_platform(
         platform.price_per_assignment_cents = price;
     }
     let engine = crowdjoin::EngineConfig {
-        num_shards: opts.shards,
+        num_shards: opts.shards.unwrap_or(1),
         seed: opts.seed,
         journal: opts.journal.clone().map(std::path::PathBuf::from),
         ..crowdjoin::EngineConfig::default()
@@ -671,7 +680,8 @@ fn run_join(dataset: &Dataset, opts: &JoinOpts) -> Result<(), String> {
     // publishes its own wall time into the metrics registry
     // (`matcher.*.us` counters), which `--timings` reads back at the end —
     // no CLI-side stopwatches for the matcher phases.
-    let matcher_cfg = MatcherConfig::for_arity(arity);
+    let matcher_cfg =
+        MatcherConfig { min_likelihood: opts.threshold, ..MatcherConfig::for_arity(arity) };
     let corpus = TokenizedCorpus::build_threaded(dataset, matcher_cfg.threads);
     let tfidf =
         TfIdfIndex::from_corpus_threaded(&corpus, &matcher_cfg.field_weights, matcher_cfg.threads);
@@ -680,8 +690,8 @@ fn run_join(dataset: &Dataset, opts: &JoinOpts) -> Result<(), String> {
 }
 
 /// Everything downstream of candidate generation — thresholding, labeling
-/// (sequential / sharded / platform), constraint cleanup, CSV output, and
-/// report/trace/metrics flushing. Shared verbatim by the batch path
+/// (sequential, or the engine on a platform), constraint cleanup, CSV
+/// output, and report/trace/metrics flushing. Shared verbatim by the batch path
 /// ([`run_join`]) and the streaming path ([`run_stream`]), which is what
 /// makes a closed stream's labels/money/reports equal to batch by
 /// construction.
@@ -696,18 +706,10 @@ fn finish_join(
     let clock = std::time::Instant::now();
 
     let order: Vec<ScoredPair> = sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
-    // Interactive mode is a crowd of one human answering serially: the
-    // sequential labeler asks them the provably minimal question sequence,
-    // while the engine's batch publishing would ask strictly more (a batch
-    // is chosen before any of its answers arrive) in thread-dependent
-    // order. So a human always gets the sequential path.
-    let use_engine = opts.shards != 1 && opts.crowd != CrowdMode::Interactive;
-    if opts.shards != 1 && opts.crowd == CrowdMode::Interactive {
-        reporter.note(
-            "note: --shards is ignored with --crowd interactive (a single human answers \
-             sequentially; batching would ask you more questions)",
-        );
-    }
+    // Without a platform the crowd answers at once: the sequential labeler
+    // asks it the provably minimal question sequence, while batch
+    // publishing would ask strictly more (a batch is chosen before any of
+    // its answers arrive) and buy nothing back.
     let result: LabelingResult = if let Some(preset) = opts.platform {
         if opts.crowd == CrowdMode::Interactive {
             return Err(
@@ -716,41 +718,16 @@ fn finish_join(
             );
         }
         simulate_on_platform(candidates.num_objects(), &order, opts, preset, &mut reporter)?
-    } else if !use_engine {
-        match opts.crowd {
-            CrowdMode::Auto => {
-                let mut oracle = AutoOracle {
-                    likelihoods: order.iter().map(|sp| (sp.pair, sp.likelihood)).collect(),
-                    cutoff: opts.auto_threshold,
-                    asked: 0,
-                };
-                crowdjoin::label_sequential(candidates.num_objects(), &order, &mut oracle)
-            }
-            CrowdMode::Interactive => {
-                let mut oracle = InteractiveOracle { dataset, asked: 0 };
-                crowdjoin::label_sequential(candidates.num_objects(), &order, &mut oracle)
-            }
-        }
     } else {
-        // Sharded engine: connected-component shards labeled on a worker
-        // pool, questions answered through a thread-safe oracle front-end.
-        let engine_cfg = crowdjoin::EngineConfig {
-            num_shards: opts.shards,
-            ..crowdjoin::EngineConfig::default()
+        let mut oracle: Box<dyn Oracle + '_> = match opts.crowd {
+            CrowdMode::Auto => Box::new(AutoOracle {
+                likelihoods: order.iter().map(|sp| (sp.pair, sp.likelihood)).collect(),
+                cutoff: opts.auto_threshold,
+                asked: 0,
+            }),
+            CrowdMode::Interactive => Box::new(InteractiveOracle { dataset, asked: 0 }),
         };
-        let oracle = crowdjoin::SyncOracle::new(AutoOracle {
-            likelihoods: order.iter().map(|sp| (sp.pair, sp.likelihood)).collect(),
-            cutoff: opts.auto_threshold,
-            asked: 0,
-        });
-        let report = crowdjoin::run_sharded_with_oracle(
-            candidates.num_objects(),
-            &order,
-            &oracle,
-            &engine_cfg,
-        );
-        reporter.engine_oracle(&report);
-        report.result
+        crowdjoin::label_sequential(candidates.num_objects(), &order, oracle.as_mut())
     };
     // The labeling stage is the CLI's own phase (the library stages above
     // publish theirs); same registry, same read-back path.
@@ -919,7 +896,10 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
     let chunk_size = opts.stream_chunk.unwrap_or(DEFAULT_STREAM_CHUNK);
     let (schema, chunks) = load_stream_chunks(input, chunk_size)?;
     let total: usize = chunks.iter().map(Vec::len).sum();
-    let matcher_cfg = MatcherConfig::for_arity(schema.arity());
+    let matcher_cfg = MatcherConfig {
+        min_likelihood: opts.threshold,
+        ..MatcherConfig::for_arity(schema.arity())
+    };
 
     // Resume may precede the engine run that creates the answer journal: a
     // stream killed before close leaves only `FILE.stream` behind. The
@@ -1125,15 +1105,48 @@ mod tests {
 
     #[test]
     fn parses_shards() {
-        match parse_args(&args("dedup --input a.csv --shards 8")).unwrap() {
-            Command::Dedup { opts, .. } => assert_eq!(opts.shards, 8),
+        match parse_args(&args("dedup --input a.csv --platform amt --shards 8")).unwrap() {
+            Command::Dedup { opts, .. } => assert_eq!(opts.shards, Some(8)),
+            other => panic!("wrong command {other:?}"),
+        }
+        match parse_args(&args("dedup --input a.csv --backend spool --spool s --shards 4")).unwrap()
+        {
+            Command::Dedup { opts, .. } => assert_eq!(opts.shards, Some(4)),
             other => panic!("wrong command {other:?}"),
         }
         match parse_args(&args("dedup --input a.csv")).unwrap() {
-            Command::Dedup { opts, .. } => assert_eq!(opts.shards, 1),
+            Command::Dedup { opts, .. } => assert_eq!(opts.shards, None),
             other => panic!("wrong command {other:?}"),
         }
-        assert!(parse_args(&args("dedup --input a.csv --shards many")).is_err());
+        assert!(parse_args(&args("dedup --input a.csv --platform amt --shards many")).is_err());
+    }
+
+    #[test]
+    fn shards_without_a_platform_are_refused() {
+        // A crowd that answers at once runs the sequential labeler; shards
+        // only partition a platform run.
+        for line in [
+            "dedup --input a.csv --shards 4",
+            "dedup --input a.csv --shards 1",
+            "join --left a --right b --shards 0",
+            "dedup --input a.csv --crowd interactive --shards 4",
+            "join --stream s.jsonl --shards 4",
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err, "--shards requires --platform perfect|amt", "{line}");
+        }
+    }
+
+    #[test]
+    fn threshold_must_be_a_likelihood() {
+        for bad in ["1.5", "-0.1", "NaN", "inf"] {
+            let err =
+                parse_args(&args(&format!("dedup --input a.csv --threshold {bad}"))).unwrap_err();
+            assert!(err.contains("--threshold must be in [0, 1]"), "{bad}: {err:?}");
+        }
+        for good in ["0", "0.02", "1"] {
+            assert!(parse_args(&args(&format!("dedup --input a.csv --threshold {good}"))).is_ok());
+        }
     }
 
     #[test]
@@ -1143,7 +1156,7 @@ mod tests {
         {
             Command::Dedup { opts, .. } => {
                 assert_eq!(opts.platform, Some(PlatformPreset::Perfect));
-                assert_eq!(opts.shards, 0);
+                assert_eq!(opts.shards, Some(0));
                 assert_eq!(opts.seed, 9);
             }
             other => panic!("wrong command {other:?}"),
@@ -1265,7 +1278,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected_by_name() {
         for (flag, value) in [("order", "online"), ("reshard", "yes"), ("frobnicate", "1")] {
-            let line = format!("dedup --input a.csv --shards 4 --{flag} {value}");
+            let line = format!("dedup --input a.csv --platform amt --shards 4 --{flag} {value}");
             let err = parse_args(&args(&line)).unwrap_err();
             assert!(err.contains(&format!("unknown flag --{flag}")), "{err:?}");
         }
@@ -1353,7 +1366,7 @@ mod tests {
             Command::Stream { opts, .. } => {
                 assert_eq!(opts.platform, Some(PlatformPreset::Perfect));
                 assert_eq!(opts.journal.as_deref(), Some("j.wal"));
-                assert_eq!(opts.shards, 4);
+                assert_eq!(opts.shards, Some(4));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1387,6 +1400,30 @@ mod tests {
         assert!(parse_args(&args("dedup --input a --crowd psychic")).is_err());
         assert!(parse_args(&args("demo --bogus 1")).is_err());
         assert!(parse_args(&args("demo --seed 1 --seed 2")).is_err(), "duplicate flag");
+    }
+
+    #[test]
+    fn low_threshold_keeps_pairs_under_the_default_matcher_floor() {
+        // Two records sharing one token score 0.0465, under the matcher's
+        // default 0.05 floor: kept only because the matcher runs at T.
+        let dir = std::env::temp_dir().join(format!("crowdjoin-floor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let (input, output) = (dir.join("in.csv"), dir.join("out.csv"));
+        let records = "alpha bravo charlie delta echo foxtrot golf hotel common,100\n\
+                       india juliet kilo lima mike november oscar papa common,137\n";
+        std::fs::write(&input, format!("name,price\n{records}")).expect("write input");
+        let line = format!(
+            "dedup --input {} --threshold 0.02 --output {}",
+            input.display(),
+            output.display()
+        );
+        run(parse_args(&args(&line)).unwrap()).expect("dedup run");
+        let csv = std::fs::read_to_string(&output).expect("output csv");
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 1, "{csv}");
+        let likelihood: f64 = rows[0].rsplit(',').next().unwrap().parse().unwrap();
+        assert!((0.02..0.05).contains(&likelihood), "{csv}");
     }
 
     #[test]

@@ -89,11 +89,8 @@ pub use crowdjoin_core::{
 pub use crowdjoin_engine::run_with_oracle as run_sharded_with_oracle;
 pub use crowdjoin_engine::{
     BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, RoundMetric, ShardContext,
-    ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory, SyncOracle, TimeSource,
+    ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory, TimeSource,
 };
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
-pub use runner::{
-    replay_pairs_sequentially, run_non_transitive_on_platform, run_parallel_on_platform,
-    AvailabilitySample, CrowdRunReport,
-};
+pub use runner::{publish_in_waves, run_parallel_on_platform, AvailabilitySample, CrowdRunReport};
 pub use stream::{StreamIngestReport, StreamJob};

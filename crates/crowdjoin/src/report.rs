@@ -70,7 +70,7 @@ pub struct MatcherTimings {
     pub prefix: Duration,
     /// Candidate generation (blocked probe + verify).
     pub candidates: Duration,
-    /// The labeling run itself (sequential, engine, or platform).
+    /// The labeling run itself (sequential or engine).
     pub join: Duration,
     /// Probe blocks the index was tiled into.
     pub blocks: u64,
@@ -139,9 +139,10 @@ impl Reporter {
         self.format == ReportFormat::Json
     }
 
-    /// An informational aside (spool banner, shard-flag note, one-to-one
-    /// demotions, consistency warnings). Always goes to stderr — asides
-    /// narrate the run in both formats and never join the JSON document.
+    /// An informational aside (spool banner, stream ingest summary,
+    /// one-to-one demotions, consistency warnings). Always goes to stderr —
+    /// asides narrate the run in both formats and never join the JSON
+    /// document.
     pub fn note(&self, msg: &str) {
         eprintln!("{msg}");
     }
@@ -174,20 +175,6 @@ impl Reporter {
                 result.num_crowdsourced(),
                 result.num_deduced(),
                 result.savings_ratio() * 100.0
-            );
-        }
-    }
-
-    /// The sharded-engine one-liner for oracle-driven (non-platform) runs.
-    pub fn engine_oracle(&mut self, report: &EngineReport) {
-        if self.is_json() {
-            self.fields.push(("engine", engine_json(report)));
-        } else {
-            eprintln!(
-                "engine: {} component(s) across {} shard(s), critical path {} publish round(s)",
-                report.num_components,
-                report.num_shards(),
-                report.critical_path_rounds()
             );
         }
     }
@@ -486,7 +473,7 @@ mod tests {
         let mut result = LabelingResult::new();
         result.record(Pair::new(0, 1), Label::Matching, Provenance::Crowdsourced);
         rep.labeled(&result);
-        rep.engine_oracle(&tiny_report());
+        rep.platform_summary(&tiny_report(), EngineBackend::Sim, JournalOutcome::None);
         rep.timings(&MatcherTimings::default());
         let doc = rep.finish().expect("json document");
         assert!(doc.starts_with("{\"schema\": \"crowdjoin-report/1\""), "{doc}");

@@ -1,15 +1,15 @@
 //! Single-platform labeling runs: the execution modes of the paper's
-//! Section 6.3/6.4 experiments, on one caller-owned simulated platform.
+//! Section 6.3/6.4 experiments, each on a simulated platform of its own.
 //!
 //! * **Transitive, parallel** — [`run_parallel_on_platform`], with or
 //!   without the *instant decision* optimization: without it, the next batch
 //!   of pairs is computed only after every published pair is labeled; with
 //!   it, after every HIT resolution. It drives the labeler with the
 //!   engine's `ShardTask`, the same code every engine shard runs.
-//! * **Non-transitive** — [`run_non_transitive_on_platform`]: every pair is
-//!   published up front and taken at face value (the prior-work baseline).
-//! * **Sequential replay** — [`replay_pairs_sequentially`]: the Table 1
-//!   Non-Parallel arm, publishing the same pairs one HIT at a time.
+//! * **The baselines** — [`publish_in_waves`]: publish a fixed list of
+//!   pairs a wave at a time, wait for the whole wave, take every answer at
+//!   face value. One wave of every pair is the non-transitive prior work
+//!   (Table 2); one HIT per wave is the Non-Parallel arm (Table 1).
 //!
 //! Sharded runs are the engine's: `Engine::run` on simulated platforms, and
 //! `run_sharded_with_oracle` (re-exported `run_with_oracle`) on an oracle.
@@ -17,7 +17,7 @@
 use crowdjoin_core::GroundTruth;
 use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
 use crowdjoin_engine::{pair_task_id, task_id_pair, Shard, ShardState, ShardTask};
-use crowdjoin_sim::{Platform, PlatformStats, ResolvedTask, TaskSpec, VirtualTime};
+use crowdjoin_sim::{Platform, PlatformStats, TaskSpec, VirtualTime};
 
 /// One point of the Figure 15 series: platform occupancy as labeling
 /// progresses.
@@ -55,38 +55,12 @@ pub struct CrowdRunReport {
 impl CrowdRunReport {
     fn new(
         result: LabelingResult,
-        platform: &Platform,
+        stats: PlatformStats,
         series: Vec<AvailabilitySample>,
         publish_rounds: usize,
     ) -> Self {
-        let stats = platform.stats();
         Self { result, stats, completion: stats.last_resolution, series, publish_rounds }
     }
-}
-
-/// The tasks of `pairs`; each id encodes its pair, as the engine's do.
-fn to_tasks(pairs: &[ScoredPair], truth: &GroundTruth) -> Vec<TaskSpec> {
-    let task = |sp: &ScoredPair| TaskSpec {
-        id: pair_task_id(sp.pair),
-        truth: truth.is_matching(sp.pair),
-        priority: sp.likelihood,
-    };
-    pairs.iter().map(task).collect()
-}
-
-/// Takes one resolution batch at face value (no deduction) and samples the
-/// platform after it.
-fn record_at_face_value(
-    result: &mut LabelingResult,
-    series: &mut Vec<AvailabilitySample>,
-    platform: &Platform,
-    (time, resolved): (VirtualTime, Vec<ResolvedTask>),
-) {
-    for r in &resolved {
-        let label = if r.label { Label::Matching } else { Label::NonMatching };
-        result.record(task_id_pair(r.id), label, Provenance::Crowdsourced);
-    }
-    series.push(AvailabilitySample::of(result.num_crowdsourced(), platform, time));
 }
 
 /// Runs the parallel labeler against a crowd platform.
@@ -113,68 +87,73 @@ pub fn run_parallel_on_platform(
     num_objects: usize,
     order: Vec<ScoredPair>,
     truth: &GroundTruth,
-    platform: &mut Platform,
+    platform: Platform,
     instant_decision: bool,
 ) -> CrowdRunReport {
-    // One shard over the whole universe (identity ids) on the caller's
+    // One shard over the whole universe (identity ids) on its own
     // platform: staging, full-HIT batching, instant decision and idle flush
     // are the engine's, so this arm and the sharded engine cannot drift.
     let objects = (0..num_objects as u32).collect();
     let shard = Shard { index: 0, objects, pairs: order, num_components: 0 };
-    let mut task = ShardTask::new(shard, &mut *platform, instant_decision);
+    let mut task = ShardTask::new(shard, platform, instant_decision);
     let truth_of = |pair: Pair| truth.is_matching(pair);
     let mut series = Vec::new();
     while task.state() != ShardState::Done {
-        task.advance(&truth_of, &mut |crowdsourced, platform: &&mut Platform, time| {
+        task.advance(&truth_of, &mut |crowdsourced, platform: &Platform, time| {
             series.push(AvailabilitySample::of(crowdsourced, platform, time));
         });
     }
     let report = task.into_report();
-    CrowdRunReport::new(report.result, platform, series, report.publish_rounds)
+    let stats = report.stats.expect("a platform-driven shard reports platform stats");
+    CrowdRunReport::new(report.result, stats, series, report.publish_rounds)
 }
 
-/// The non-transitive baseline on a platform: publish everything at once,
-/// accept every majority vote.
-#[must_use]
-pub fn run_non_transitive_on_platform(
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &mut Platform,
-) -> CrowdRunReport {
-    platform.publish(to_tasks(order, truth));
-    let mut result = LabelingResult::new();
-    let mut series = Vec::new();
-    while let Some(batch) = platform.step() {
-        record_at_face_value(&mut result, &mut series, platform, batch);
-    }
-    CrowdRunReport::new(result, platform, series, 1)
-}
-
-/// Publishes the given pairs one HIT at a time, waiting for each HIT to
-/// complete before publishing the next — the Table 1 "Non-Parallel" arm
-/// (same HITs as the parallel run, serialized publishing).
+/// The paper's baselines: publishes `pairs` in waves of `wave` pairs
+/// (at least 1), waits until every pair of a wave has resolved, then
+/// publishes the next wave. Every majority vote is taken at face value —
+/// nothing is deduced.
 ///
-/// The next HIT is published the moment the previous one resolves; late
-/// worker arrivals stay scheduled and simply find the newer HIT, as on a
-/// real platform.
+/// * `wave = pairs.len()` is the non-transitive prior work (Table 2):
+///   everything goes out at once, in one round.
+/// * `wave = batch_size` is the Non-Parallel arm (Table 1): one HIT at a
+///   time. The next HIT is published the moment the previous one
+///   resolves; late worker arrivals stay scheduled and simply find the
+///   newer HIT, as on a real platform.
+///
+/// # Panics
+///
+/// Panics if the platform drains with a published pair unresolved (no
+/// worker can take it).
 #[must_use]
-pub fn replay_pairs_sequentially(
+pub fn publish_in_waves(
     pairs: &[ScoredPair],
     truth: &GroundTruth,
-    platform: &mut Platform,
-    batch_size: usize,
+    mut platform: Platform,
+    wave: usize,
 ) -> CrowdRunReport {
+    let wave = wave.max(1);
+    // Each task id encodes its pair, as the engine's do.
+    let task = |sp: &ScoredPair| TaskSpec {
+        id: pair_task_id(sp.pair),
+        truth: truth.is_matching(sp.pair),
+        priority: sp.likelihood,
+    };
     let mut result = LabelingResult::new();
     let mut series = Vec::new();
-    for chunk in pairs.chunks(batch_size.max(1)) {
-        platform.publish(to_tasks(chunk, truth));
+    for chunk in pairs.chunks(wave) {
+        platform.publish(chunk.iter().map(task).collect());
         let target = result.num_crowdsourced() + chunk.len();
         while result.num_crowdsourced() < target {
-            let batch = platform.step().expect("published chunk must eventually resolve");
-            record_at_face_value(&mut result, &mut series, platform, batch);
+            let until = platform.next_event_time().expect("published wave must eventually resolve");
+            let Some((time, resolved)) = platform.poll_completions(until) else { continue };
+            for r in &resolved {
+                let label = if r.label { Label::Matching } else { Label::NonMatching };
+                result.record(task_id_pair(r.id), label, Provenance::Crowdsourced);
+            }
+            series.push(AvailabilitySample::of(result.num_crowdsourced(), &platform, time));
         }
     }
-    CrowdRunReport::new(result, platform, series, pairs.len().div_ceil(batch_size.max(1)))
+    CrowdRunReport::new(result, platform.stats(), series, pairs.len().div_ceil(wave))
 }
 
 #[cfg(test)]
@@ -203,8 +182,8 @@ mod tests {
     fn parallel_on_platform_matches_oracle_run() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut platform = Platform::new(PlatformConfig::perfect_workers(7));
-        let report = run_parallel_on_platform(cs.num_objects(), order, &truth, &mut platform, true);
+        let platform = Platform::new(PlatformConfig::perfect_workers(7));
+        let report = run_parallel_on_platform(cs.num_objects(), order, &truth, platform, true);
         assert_eq!(report.result.num_crowdsourced(), 6);
         assert_eq!(report.result.num_deduced(), 2);
         for sp in cs.pairs() {
@@ -213,32 +192,44 @@ mod tests {
         assert!(report.completion > VirtualTime::ZERO);
     }
 
+    /// One wave of every pair is the non-transitive baseline: one round,
+    /// every pair crowdsourced exactly once, `⌈n / batch_size⌉` HITs.
     #[test]
     fn non_transitive_labels_everything() {
         let (cs, truth) = running_example();
-        let mut platform = Platform::new(PlatformConfig::perfect_workers(9));
-        let report = run_non_transitive_on_platform(cs.pairs(), &truth, &mut platform);
+        let cfg = PlatformConfig { batch_size: 3, ..PlatformConfig::perfect_workers(9) };
+        let report = publish_in_waves(cs.pairs(), &truth, Platform::new(cfg), cs.len());
+        assert_eq!(report.publish_rounds, 1);
         assert_eq!(report.result.num_crowdsourced(), 8);
         assert_eq!(report.result.num_deduced(), 0);
+        for sp in cs.pairs() {
+            assert_eq!(report.result.provenance_of(sp.pair), Some(Provenance::Crowdsourced));
+            assert_eq!(report.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
+        }
+        assert_eq!(report.stats.pairs_published, 8, "no pair is published twice");
+        assert_eq!(report.stats.hits_published, 8usize.div_ceil(3));
+        assert_eq!(report.series.last().map(|s| s.crowdsourced), Some(8));
     }
 
+    /// One HIT per wave is the Non-Parallel arm: the same crowdsourced
+    /// pairs cost the same, but every wave waits out the worker latency.
     #[test]
     fn sequential_replay_is_slower_than_parallel() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+        let cfg = PlatformConfig { batch_size: 2, ..PlatformConfig::perfect_workers(4) };
+        let platform = || Platform::new(cfg.clone());
+        let par =
+            run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, platform(), true);
 
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(4));
-        let par = run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, &mut p1, true);
-
-        // Replay the same crowdsourced pairs one 2-pair HIT at a time.
         let crowdsourced: Vec<ScoredPair> = order
             .iter()
             .copied()
             .filter(|sp| par.result.provenance_of(sp.pair) == Some(Provenance::Crowdsourced))
             .collect();
-        let mut p2 = Platform::new(PlatformConfig::perfect_workers(4));
-        let seq = replay_pairs_sequentially(&crowdsourced, &truth, &mut p2, 2);
+        let seq = publish_in_waves(&crowdsourced, &truth, platform(), cfg.batch_size);
         assert_eq!(seq.result.num_crowdsourced(), par.result.num_crowdsourced());
+        assert_eq!(seq.publish_rounds, crowdsourced.len().div_ceil(cfg.batch_size));
         assert!(
             seq.completion > par.completion,
             "sequential {:?} should be slower than parallel {:?}",
@@ -251,11 +242,10 @@ mod tests {
     fn instant_decision_never_increases_rounds_needed() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(3));
+        let platform = || Platform::new(PlatformConfig::perfect_workers(3));
         let plain =
-            run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, &mut p1, false);
-        let mut p2 = Platform::new(PlatformConfig::perfect_workers(3));
-        let id = run_parallel_on_platform(cs.num_objects(), order, &truth, &mut p2, true);
+            run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, platform(), false);
+        let id = run_parallel_on_platform(cs.num_objects(), order, &truth, platform(), true);
         // Same crowdsourcing cost either way (consistent answers).
         assert_eq!(plain.result.num_crowdsourced(), id.result.num_crowdsourced());
     }

@@ -343,6 +343,33 @@ mod tests {
         assert_eq!(rounds.iter().map(|r| r.published).sum::<usize>(), report.num_crowdsourced());
     }
 
+    /// An oracle run is the event loop over a zero-latency backend, so it
+    /// reports like a platform run: the shard tasks' `engine.*` metrics, and
+    /// round metrics whose `published` sum to the crowdsourced count.
+    #[test]
+    fn oracle_runs_report_like_platform_runs() {
+        let (cs, truth) = running_example();
+        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+        let oracle = SharedGroundTruth::new(&truth);
+        let report =
+            run_with_oracle(cs.num_objects(), &order, &oracle, &EngineConfig::with_shards(2));
+
+        // Nothing in this crate resets the registry: these counters only grow.
+        use crowdjoin_obs::metrics::MetricValue;
+        let snapshot = crowdjoin_obs::snapshot_metrics();
+        for name in
+            ["engine.scans", "engine.scan_visits", "engine.scan_decisions", "engine.answers"]
+        {
+            let counted =
+                snapshot.iter().any(|m| m.name == name && m.value != MetricValue::Counter(0));
+            assert!(counted, "oracle run metrics missing {name}");
+        }
+
+        let rounds = report.round_metrics();
+        assert!(!rounds.is_empty(), "oracle run emitted no round metrics");
+        assert_eq!(rounds.iter().map(|r| r.published).sum::<usize>(), report.num_crowdsourced());
+    }
+
     #[test]
     fn platform_run_matches_oracle_run_costs() {
         let (cs, truth) = running_example();

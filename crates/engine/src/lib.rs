@@ -73,7 +73,7 @@ pub use crowdjoin_sim::{
 };
 
 pub use engine::{run_with_oracle, Engine, EngineConfig};
-pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
+pub use oracle::{SharedGroundTruth, SharedOracle};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};
 pub use scheduler::effective_threads;

@@ -1,13 +1,9 @@
 //! Thread-safe answer sources for the execution engine.
 //!
 //! Shards run on worker threads and issue their crowd questions in batches;
-//! [`SharedOracle`] is the `&self`-based, `Sync` front-end they share. Two
-//! implementations cover the common cases:
-//!
-//! * [`GroundTruth`] answers directly (it is immutable data, so every shard
-//!   can query it without coordination);
-//! * [`SyncOracle`] adapts any single-threaded [`Oracle`] behind a mutex,
-//!   taking the lock once per *batch* rather than once per question.
+//! [`SharedOracle`] is the `&self`-based, `Sync` front-end they share.
+//! [`SharedGroundTruth`] answers from a [`GroundTruth`] directly (it is
+//! immutable data, so every shard can query it without coordination).
 //!
 //! [`crate::run_with_oracle`] puts an oracle behind the event loop as a
 //! zero-latency crowd backend (`OracleBackend`), so an oracle run and a
@@ -15,13 +11,12 @@
 //! backend.
 
 use crate::task::task_id_pair;
-use crowdjoin_core::{GroundTruth, Label, Oracle, Pair};
+use crowdjoin_core::{GroundTruth, Label, Pair};
 use crowdjoin_sim::{
     BackendFactory, CrowdBackend, PlatformConfig, PlatformStats, ResolvedTask, ShardContext,
     TaskSpec, TimeSource, VirtualClock, VirtualTime,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A thread-safe source of crowd answers, queried in batches.
 pub trait SharedOracle: Sync {
@@ -55,40 +50,6 @@ impl SharedOracle for SharedGroundTruth<'_> {
 
     fn questions_asked(&self) -> u64 {
         self.asked.load(Ordering::Relaxed)
-    }
-}
-
-/// Mutex adapter turning any [`Oracle`] into a [`SharedOracle`].
-///
-/// The lock is taken once per batch — the engine's batched question issue
-/// keeps contention proportional to publish rounds, not questions.
-#[derive(Debug)]
-pub struct SyncOracle<O: Oracle + Send> {
-    inner: Mutex<O>,
-}
-
-impl<O: Oracle + Send> SyncOracle<O> {
-    /// Wraps a single-threaded oracle.
-    #[must_use]
-    pub fn new(oracle: O) -> Self {
-        Self { inner: Mutex::new(oracle) }
-    }
-
-    /// Unwraps the inner oracle (e.g. to read its final statistics).
-    #[must_use]
-    pub fn into_inner(self) -> O {
-        self.inner.into_inner().expect("oracle mutex poisoned")
-    }
-}
-
-impl<O: Oracle + Send> SharedOracle for SyncOracle<O> {
-    fn answer_batch(&self, pairs: &[Pair]) -> Vec<Label> {
-        let mut oracle = self.inner.lock().expect("oracle mutex poisoned");
-        pairs.iter().map(|&p| oracle.answer(p)).collect()
-    }
-
-    fn questions_asked(&self) -> u64 {
-        self.inner.lock().expect("oracle mutex poisoned").questions_asked()
     }
 }
 
@@ -177,7 +138,6 @@ impl<O: SharedOracle + ?Sized> CrowdBackend for OracleBackend<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdjoin_core::GroundTruthOracle;
 
     #[test]
     fn shared_ground_truth_counts() {
@@ -186,14 +146,5 @@ mod tests {
         let answers = o.answer_batch(&[Pair::new(0, 1), Pair::new(0, 2)]);
         assert_eq!(answers, vec![Label::Matching, Label::NonMatching]);
         assert_eq!(o.questions_asked(), 2);
-    }
-
-    #[test]
-    fn sync_oracle_adapts_and_counts() {
-        let truth = GroundTruth::from_clusters(3, &[vec![0, 1, 2]]);
-        let o = SyncOracle::new(GroundTruthOracle::new(&truth));
-        assert_eq!(o.answer_batch(&[Pair::new(0, 2)]), vec![Label::Matching]);
-        assert_eq!(o.questions_asked(), 1);
-        assert_eq!(o.into_inner().questions_asked(), 1);
     }
 }

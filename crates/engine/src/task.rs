@@ -634,7 +634,7 @@ mod tests {
     type Sample = (usize, usize, VirtualTime);
 
     /// The blocking loop the state machine was cut from: publish, block on
-    /// `Platform::step`, feed the batch, sample, re-decide. Returns the
+    /// an unbounded poll, feed the batch, sample, re-decide. Returns the
     /// publish rounds and one sample per resolution batch.
     fn blocking_reference(
         labeler: &mut ParallelLabeler,
@@ -655,7 +655,7 @@ mod tests {
         stager.release(platform, true);
         let mut series = Vec::new();
         while !labeler.is_complete() {
-            let Some((time, resolved)) = platform.step() else {
+            let Some((time, resolved)) = platform.poll_completions(VirtualTime::MAX) else {
                 stage(&mut stager, &mut ids, labeler.next_batch());
                 assert!(stager.num_staged() > 0, "labeler stuck");
                 stager.release(platform, true);

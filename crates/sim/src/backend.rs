@@ -138,47 +138,6 @@ impl CrowdBackend for Platform {
     }
 }
 
-/// A borrowed backend is a backend, so a caller can lend the platform it
-/// owns to a shard task and read it back afterwards (the facade's
-/// single-platform runner does this).
-impl<B: CrowdBackend + ?Sized> CrowdBackend for &mut B {
-    fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
-        (**self).post_hits(tasks);
-    }
-
-    fn poll_completions(&mut self, until: VirtualTime) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
-        (**self).poll_completions(until)
-    }
-
-    fn next_event_time(&self) -> Option<VirtualTime> {
-        (**self).next_event_time()
-    }
-
-    fn now(&self) -> VirtualTime {
-        (**self).now()
-    }
-
-    fn num_unresolved_pairs(&self) -> usize {
-        (**self).num_unresolved_pairs()
-    }
-
-    fn batch_size(&self) -> usize {
-        (**self).batch_size()
-    }
-
-    fn stats(&self) -> PlatformStats {
-        (**self).stats()
-    }
-
-    fn warp_to(&mut self, t: VirtualTime) {
-        (**self).warp_to(t);
-    }
-
-    fn absorb_replayed_cost(&mut self, cents: u64) {
-        (**self).absorb_replayed_cost(cents);
-    }
-}
-
 /// Identity of the shard a backend is created for: enough for a factory to
 /// derive unique spool names, topics, or queue ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,6 +212,7 @@ impl BackendFactory for SimFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::drain;
 
     fn tasks(n: usize) -> Vec<TaskSpec> {
         (0..n).map(|i| TaskSpec { id: i as u64, truth: true, priority: 0.5 }).collect()
@@ -264,7 +224,7 @@ mod tests {
     fn trait_routed_platform_is_identical() {
         let mut direct = Platform::new(PlatformConfig::perfect_workers(7));
         direct.publish(tasks(50));
-        let expected = direct.run_to_completion();
+        let expected = drain(&mut direct);
 
         let factory = SimFactory::new();
         let shard = ShardContext { shard_index: 0, active_shards: 1 };

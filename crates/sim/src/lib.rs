@@ -24,9 +24,12 @@
 //! platform.publish(
 //!     (0..40).map(|id| TaskSpec { id, truth: id % 2 == 0, priority: 0.5 }).collect(),
 //! );
+//! // Polling up to the next event is what advances the virtual clock.
 //! let mut labeled = 0;
-//! while let Some((_time, batch)) = platform.step() {
-//!     labeled += batch.len();
+//! while let Some(next) = platform.next_event_time() {
+//!     if let Some((_time, batch)) = platform.poll_completions(next) {
+//!         labeled += batch.len();
+//!     }
 //! }
 //! assert_eq!(labeled, 40);
 //! assert_eq!(platform.stats().hits_published, 2); // 20 pairs per HIT

@@ -322,7 +322,8 @@ impl Platform {
     /// advances past them, so a caller multiplexing many platforms can
     /// interleave them fairly by always polling the platform whose
     /// [`Self::next_event_time`] is earliest. Polling with
-    /// [`VirtualTime::MAX`] reproduces the blocking [`Self::step`] exactly.
+    /// [`VirtualTime::MAX`] blocks: it runs the simulation until the next
+    /// resolution batch, or returns `None` once no event remains.
     pub fn poll_completions(
         &mut self,
         until: VirtualTime,
@@ -347,17 +348,6 @@ impl Platform {
         }
     }
 
-    /// Advances the simulation until the next batch of task resolutions (or
-    /// `None` when no events remain — either everything resolved or no
-    /// worker can make progress).
-    ///
-    /// [`Self::poll_completions`] with no time bound. The paper's baseline
-    /// publication policies (publish everything at once, or one HIT at a
-    /// time) wait on it; the labeler is only ever driven by polling.
-    pub fn step(&mut self) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
-        self.poll_completions(VirtualTime::MAX)
-    }
-
     /// Advances an **idle** platform's clock to `t` (keeping the maximum of
     /// the two). For a platform constructed mid-job, so its resolutions
     /// continue a predecessor's virtual timeline instead of restarting at
@@ -373,16 +363,6 @@ impl Platform {
             "cannot warp a platform with pending events"
         );
         self.now = self.now.max(t);
-    }
-
-    /// Runs until no progress is possible, returning all resolutions in
-    /// order.
-    pub fn run_to_completion(&mut self) -> Vec<(VirtualTime, Vec<ResolvedTask>)> {
-        let mut out = Vec::new();
-        while let Some(batch) = self.step() {
-            out.push(batch);
-        }
-        out
     }
 
     fn schedule(&mut self, time: VirtualTime, kind: EventKind) {
@@ -510,6 +490,13 @@ impl Platform {
     }
 }
 
+/// Polls `platform` with no time bound until no event remains, returning
+/// every resolution batch in order.
+#[cfg(test)]
+pub(crate) fn drain(platform: &mut Platform) -> Vec<(VirtualTime, Vec<ResolvedTask>)> {
+    std::iter::from_fn(|| platform.poll_completions(VirtualTime::MAX)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,7 +509,7 @@ mod tests {
     fn resolves_all_published_tasks() {
         let mut p = Platform::new(PlatformConfig::perfect_workers(7));
         p.publish(tasks(50, true));
-        let batches = p.run_to_completion();
+        let batches = drain(&mut p);
         let total: usize = batches.iter().map(|(_, r)| r.len()).sum();
         assert_eq!(total, 50);
         assert_eq!(p.num_unresolved_pairs(), 0);
@@ -542,7 +529,7 @@ mod tests {
         }
         let truths: Vec<bool> = spec.iter().map(|t| t.truth).collect();
         p.publish(spec);
-        for (_, batch) in p.run_to_completion() {
+        for (_, batch) in drain(&mut p) {
             for r in batch {
                 assert_eq!(r.label, truths[r.id as usize]);
                 assert_eq!(r.yes_votes + r.no_votes, 3);
@@ -557,7 +544,7 @@ mod tests {
         p.publish(tasks(400, true));
         let mut correct = 0;
         let mut total = 0;
-        for (_, batch) in p.run_to_completion() {
+        for (_, batch) in drain(&mut p) {
             for r in batch {
                 total += 1;
                 if r.label {
@@ -576,7 +563,7 @@ mod tests {
         let run = |seed: u64| {
             let mut p = Platform::new(PlatformConfig::amt_like(seed));
             p.publish(tasks(60, false));
-            let batches = p.run_to_completion();
+            let batches = drain(&mut p);
             (batches.len(), p.now(), p.stats().assignments_completed)
         };
         assert_eq!(run(5), run(5));
@@ -593,7 +580,7 @@ mod tests {
         // Parallel: all at once.
         let mut par = Platform::new(config());
         par.publish(tasks(n, true));
-        par.run_to_completion();
+        drain(&mut par);
         let t_par = par.stats().last_resolution;
 
         // Sequential: one HIT (batch of 20) at a time, next HIT published as
@@ -604,7 +591,7 @@ mod tests {
             seq.publish(chunk.to_vec());
             let mut remaining = chunk.len();
             while remaining > 0 {
-                let (_, resolved) = seq.step().expect("chunk resolves");
+                let (_, resolved) = seq.poll_completions(VirtualTime::MAX).expect("chunk resolves");
                 remaining -= resolved.len();
             }
         }
@@ -634,7 +621,7 @@ mod tests {
             spec.push(TaskSpec { id: i, truth: true, priority: 0.1 });
         }
         p.publish(spec);
-        let batches = p.run_to_completion();
+        let batches = drain(&mut p);
         let first_ids: Vec<u64> = batches[0].1.iter().map(|r| r.id).collect();
         assert!(
             first_ids.iter().all(|&id| id >= 5),
@@ -667,7 +654,7 @@ mod tests {
         };
         let mut p = Platform::new(cfg);
         p.publish(tasks(100, true));
-        let resolved: usize = p.run_to_completion().iter().map(|(_, r)| r.len()).sum();
+        let resolved: usize = drain(&mut p).iter().map(|(_, r)| r.len()).sum();
         assert_eq!(resolved, 100, "every task resolves despite abandonment");
         assert!(p.stats().assignments_abandoned > 0, "30% rate must abandon something");
         // Abandoned assignments are not paid.
@@ -684,7 +671,7 @@ mod tests {
             };
             let mut p = Platform::new(cfg);
             p.publish(tasks(200, true));
-            p.run_to_completion();
+            drain(&mut p);
             p.stats().last_resolution
         };
         let clean = run(0.0);
@@ -696,7 +683,7 @@ mod tests {
     fn worker_stats_account_for_all_assignments() {
         let mut p = Platform::new(PlatformConfig::perfect_workers(13));
         p.publish(tasks(60, true));
-        p.run_to_completion();
+        drain(&mut p);
         let stats = p.worker_stats();
         assert_eq!(stats.len(), 40);
         let total: u32 = stats.iter().map(|w| w.assignments_completed).sum();
@@ -712,7 +699,7 @@ mod tests {
     fn poll_respects_time_bound() {
         let mut blocking = Platform::new(PlatformConfig::perfect_workers(7));
         blocking.publish(tasks(50, true));
-        let expected = blocking.run_to_completion();
+        let expected = drain(&mut blocking);
 
         // Drive an identical platform purely through the poll interface,
         // always advancing to the next event time — the event-loop pattern.
@@ -751,7 +738,7 @@ mod tests {
         p.warp_to(VirtualTime(1_000)); // never backwards
         assert_eq!(p.now(), VirtualTime(5_000));
         p.publish(tasks(20, true));
-        let batches = p.run_to_completion();
+        let batches = drain(&mut p);
         assert!(batches.iter().all(|&(t, _)| t >= VirtualTime(5_000)));
     }
 
@@ -777,7 +764,7 @@ mod tests {
     fn publish_nothing_is_noop() {
         let mut p = Platform::new(PlatformConfig::perfect_workers(1));
         p.publish(vec![]);
-        assert!(p.step().is_none());
+        assert!(p.poll_completions(VirtualTime::MAX).is_none());
         assert_eq!(p.stats().hits_published, 0);
     }
 
@@ -787,7 +774,7 @@ mod tests {
         let mut p = Platform::new(cfg);
         p.publish(tasks(10, true));
         assert_eq!(p.num_open_pairs(), 10);
-        p.run_to_completion();
+        drain(&mut p);
         assert_eq!(p.num_open_pairs(), 0);
     }
 
@@ -796,14 +783,14 @@ mod tests {
         let mut p = Platform::new(PlatformConfig::perfect_workers(31));
         p.publish(tasks(20, true));
         let mut last = VirtualTime::ZERO;
-        while let Some((t, _)) = p.step() {
+        while let Some((t, _)) = p.poll_completions(VirtualTime::MAX) {
             assert!(t >= last);
             last = t;
         }
         // Publish more after completion; clock keeps advancing.
         p.publish((100..120u64).map(|id| TaskSpec { id, truth: false, priority: 0.2 }).collect());
         let mut resolved2 = 0;
-        while let Some((t, r)) = p.step() {
+        while let Some((t, r)) = p.poll_completions(VirtualTime::MAX) {
             assert!(t >= last);
             last = t;
             resolved2 += r.len();

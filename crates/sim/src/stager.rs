@@ -34,7 +34,7 @@ impl HitStager {
         Self::default()
     }
 
-    /// An empty stager tagged with the owning shard's report index (trace
+    /// An empty stager tagged with the owning shard's index (trace
     /// attribution only; publishing behavior is identical).
     #[must_use]
     pub fn for_shard(shard: u32) -> Self {
@@ -87,7 +87,8 @@ impl HitStager {
 mod tests {
     use super::*;
     use crate::config::PlatformConfig;
-    use crate::platform::Platform;
+    use crate::platform::{drain, Platform};
+    use crate::time::VirtualTime;
 
     fn tasks(n: usize) -> Vec<TaskSpec> {
         (0..n).map(|i| TaskSpec { id: i as u64, truth: true, priority: 0.5 }).collect()
@@ -127,12 +128,13 @@ mod tests {
         stager.release(&mut platform, false);
         assert_eq!(stager.num_staged(), 1, "lone pair must wait for the flush");
         assert_eq!(platform.stats().hits_published, 0);
-        assert!(platform.step().is_none(), "nothing published, platform idle");
+        assert!(platform.next_event_time().is_none(), "nothing published, platform idle");
 
         stager.release(&mut platform, true);
         assert_eq!(stager.num_staged(), 0);
         assert_eq!(platform.stats().hits_published, 1);
-        let (_, resolved) = platform.step().expect("the one-pair HIT resolves");
+        let (_, resolved) =
+            platform.poll_completions(VirtualTime::MAX).expect("the one-pair HIT resolves");
         assert_eq!(resolved.len(), 1);
         assert_eq!(stager.publish_rounds(), 1);
     }
@@ -149,7 +151,7 @@ mod tests {
         assert_eq!(stager.num_staged(), 0);
         assert_eq!(platform.stats().hits_published, 7);
         assert_eq!(platform.stats().pair_slots, 7, "batch size 1 cannot fragment");
-        let resolved: usize = platform.run_to_completion().iter().map(|(_, r)| r.len()).sum();
+        let resolved: usize = drain(&mut platform).iter().map(|(_, r)| r.len()).sum();
         assert_eq!(resolved, 7);
     }
 
@@ -163,14 +165,14 @@ mod tests {
         stager.stage(tasks(25));
         stager.release(&mut platform, false);
         assert_eq!(platform.stats().hits_published, 1);
-        let resolved: usize = platform.run_to_completion().iter().map(|(_, r)| r.len()).sum();
+        let resolved: usize = drain(&mut platform).iter().map(|(_, r)| r.len()).sum();
         assert_eq!(resolved, 20);
 
         // Final round: the leftover partial HIT flushes once the platform
         // would otherwise idle.
         stager.release(&mut platform, true);
         assert_eq!(stager.num_staged(), 0);
-        let resolved: usize = platform.run_to_completion().iter().map(|(_, r)| r.len()).sum();
+        let resolved: usize = drain(&mut platform).iter().map(|(_, r)| r.len()).sum();
         assert_eq!(resolved, 5);
         let stats = platform.stats();
         assert_eq!(stats.hits_published, 2);

@@ -1,32 +1,28 @@
 //! Deterministic random-number helpers.
 //!
 //! All stochastic behaviour in the workspace flows through explicit `u64`
-//! seeds. Two tools are provided:
+//! seeds and one generator, [`SplitMix64`]:
 //!
-//! * [`seeded_rng`] — builds a [`rand::rngs::StdRng`] from a seed; used where
-//!   rich distributions (`random_range`, shuffles) are needed.
-//! * [`SplitMix64`] — a tiny, allocation-free generator used to *derive*
-//!   independent child seeds from a parent seed (e.g. one seed per worker in
-//!   the crowd simulator) without correlating their streams.
+//! * [`seeded_rng`] — the generator for a user-facing seed (the random
+//!   labeling order's shuffle);
+//! * [`derive_seed`] — fans one parent seed out into independent child
+//!   seeds (e.g. one per worker in the crowd simulator) without correlating
+//!   their streams.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-// Re-exported so downstream crates get the full method surface (`random_range`
-// and friends live on `RngExt` in rand 0.10) with one import.
-pub use rand::{Rng, RngExt};
-
-/// Builds a deterministic [`StdRng`] from a `u64` seed.
+/// Builds the deterministic generator for a user-facing `u64` seed.
+///
+/// The seed is whitened by a fixed constant, so every committed seed keeps
+/// the stream it has always produced (the random labeling orders of the
+/// paper-figure programs depend on it).
 ///
 /// ```
-/// use rand::RngExt;
 /// let mut a = crowdjoin_util::seeded_rng(7);
 /// let mut b = crowdjoin_util::seeded_rng(7);
-/// assert_eq!(a.random_range(0..1_000_000), b.random_range(0..1_000_000));
+/// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 #[must_use]
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+pub fn seeded_rng(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x5851_f42d_4c95_7f2d)
 }
 
 /// Derives an independent child seed from `(parent, stream)`.
@@ -68,6 +64,15 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         // 53 high-quality mantissa bits.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Shuffles `items` in place (Fisher–Yates, back to front; the swap
+    /// partner of position `i` is `next_u64() % (i + 1)`).
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = (self.next_u64() % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
     }
 }
 
@@ -112,11 +117,20 @@ mod tests {
 
     #[test]
     fn seeded_rng_reproducible() {
-        use rand::RngExt;
         let mut a = seeded_rng(5);
         let mut b = seeded_rng(5);
-        let va: Vec<u32> = (0..16).map(|_| a.random_range(0..1000)).collect();
-        let vb: Vec<u32> = (0..16).map(|_| b.random_range(0..1000)).collect();
+        let va: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
+        let vb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn shuffle_is_a_permutation() {
+        let mut v: Vec<u32> = (0..50).collect();
+        seeded_rng(3).shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+        assert_ne!(v, sorted, "50 elements should not shuffle to identity");
     }
 }

@@ -17,8 +17,8 @@ use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{generate_product, ClusterSpec, PerturbConfig, ProductGenConfig};
 use crowdjoin::sim::{Platform, PlatformConfig};
 use crowdjoin::{
-    ground_truth_of, run_non_transitive_on_platform, run_parallel_on_platform, sort_pairs,
-    to_candidate_set, QualityMetrics, SortStrategy,
+    ground_truth_of, publish_in_waves, run_parallel_on_platform, sort_pairs, to_candidate_set,
+    QualityMetrics, SortStrategy,
 };
 
 fn main() {
@@ -47,15 +47,14 @@ fn main() {
 
     let order = sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
 
-    // Arm 1: prior work — publish every candidate pair.
-    let mut p1 = Platform::new(PlatformConfig::amt_like(5));
-    let baseline = run_non_transitive_on_platform(candidates.pairs(), &truth, &mut p1);
+    // Arm 1: prior work — publish every candidate pair in one wave.
+    let p1 = Platform::new(PlatformConfig::amt_like(5));
+    let baseline = publish_in_waves(candidates.pairs(), &truth, p1, candidates.len());
     let q1 = QualityMetrics::of_result(&baseline.result, &truth);
 
     // Arm 2: transitive parallel labeling with instant decision.
-    let mut p2 = Platform::new(PlatformConfig::amt_like(5));
-    let transitive =
-        run_parallel_on_platform(candidates.num_objects(), order, &truth, &mut p2, true);
+    let p2 = Platform::new(PlatformConfig::amt_like(5));
+    let transitive = run_parallel_on_platform(candidates.num_objects(), order, &truth, p2, true);
     let q2 = QualityMetrics::of_result(&transitive.result, &truth);
 
     println!("                 |    HITs |    cost | completion | quality");

@@ -4,7 +4,7 @@
 //! set on the bundled generators, at every shard count, and be
 //! bit-deterministic for a fixed seed.
 
-use crowdjoin::engine::SharedGroundTruth;
+use crowdjoin::engine::{SharedGroundTruth, SharedOracle};
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{
     generate_paper, generate_product, ClusterSpec, PaperGenConfig, PerturbConfig, ProductGenConfig,
@@ -12,9 +12,25 @@ use crowdjoin::records::{
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
     build_task, run_parallel_rounds, run_sharded_with_oracle, sort_pairs, CandidateSet, Engine,
-    EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle, ScoredPair,
-    SortStrategy, SyncOracle,
+    EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle, Oracle, Pair,
+    ScoredPair, SortStrategy,
 };
+use std::sync::Mutex;
+
+/// A single-threaded oracle behind a mutex, locked once per batch: the
+/// shared front-end the engine's shards ask.
+struct MutexOracle<O>(Mutex<O>);
+
+impl<O: Oracle + Send> SharedOracle for MutexOracle<O> {
+    fn answer_batch(&self, pairs: &[Pair]) -> Vec<Label> {
+        let mut oracle = self.0.lock().expect("oracle mutex poisoned");
+        pairs.iter().map(|&pair| oracle.answer(pair)).collect()
+    }
+
+    fn questions_asked(&self) -> u64 {
+        self.0.lock().expect("oracle mutex poisoned").questions_asked()
+    }
+}
 
 fn run_engine(
     num_objects: usize,
@@ -183,7 +199,7 @@ fn noisy_runs_stay_per_seed_deterministic() {
 fn noisy_oracle_sharding_is_deterministic() {
     let (candidates, truth, order) = product_workload();
     let run = |shards: usize| {
-        let noisy = SyncOracle::new(NoisyOracle::new(&truth, 0.05, 1234));
+        let noisy = MutexOracle(Mutex::new(NoisyOracle::new(&truth, 0.05, 1234)));
         run_sharded_with_oracle(
             candidates.num_objects(),
             &order,
@@ -201,7 +217,6 @@ fn noisy_oracle_sharding_is_deterministic() {
     // Labels are booleans over the same pairs, so the merged result is
     // complete even under noise.
     assert_eq!(once.result.num_labeled(), candidates.len());
-    let _ = Label::Matching;
 }
 
 /// Platform-driven sharding models a **fixed crowd split across shards**

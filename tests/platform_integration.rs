@@ -6,8 +6,8 @@ use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{generate_paper, ClusterSpec, PaperGenConfig, PerturbConfig};
 use crowdjoin::sim::{Platform, PlatformConfig};
 use crowdjoin::{
-    build_task, replay_pairs_sequentially, run_non_transitive_on_platform,
-    run_parallel_on_platform, sort_pairs, Provenance, QualityMetrics, ScoredPair, SortStrategy,
+    build_task, publish_in_waves, run_parallel_on_platform, sort_pairs, Provenance, QualityMetrics,
+    ScoredPair, SortStrategy,
 };
 
 fn workload() -> (crowdjoin::LabelingTask, crowdjoin::GroundTruth) {
@@ -25,12 +25,12 @@ fn workload() -> (crowdjoin::LabelingTask, crowdjoin::GroundTruth) {
 fn perfect_platform_run_is_exact() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut platform = Platform::new(PlatformConfig::perfect_workers(1));
+    let config = PlatformConfig::perfect_workers(1);
     let report = run_parallel_on_platform(
         task.candidates().num_objects(),
         order,
         &truth,
-        &mut platform,
+        Platform::new(config.clone()),
         true,
     );
     assert_eq!(report.result.num_labeled(), task.candidates().len());
@@ -39,7 +39,7 @@ fn perfect_platform_run_is_exact() {
     assert_eq!(q.f_measure(), 1.0);
     // Cost accounting: every crowdsourced pair sits in exactly one HIT slot;
     // HITs are at most batch-size pairs.
-    let batch = platform.batch_size();
+    let batch = config.batch_size;
     let min_hits = report.result.num_crowdsourced().div_ceil(batch);
     assert!(report.stats.hits_published >= min_hits);
     assert_eq!(
@@ -54,11 +54,12 @@ fn transitive_is_cheaper_than_non_transitive_on_platform() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
 
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(2));
+    let p1 = Platform::new(PlatformConfig::perfect_workers(2));
     let transitive =
-        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, &mut p1, true);
-    let mut p2 = Platform::new(PlatformConfig::perfect_workers(2));
-    let baseline = run_non_transitive_on_platform(task.candidates().pairs(), &truth, &mut p2);
+        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, p1, true);
+    let pairs = task.candidates().pairs();
+    let p2 = Platform::new(PlatformConfig::perfect_workers(2));
+    let baseline = publish_in_waves(pairs, &truth, p2, pairs.len());
 
     assert!(
         transitive.stats.total_cost_cents < baseline.stats.total_cost_cents,
@@ -73,12 +74,11 @@ fn transitive_is_cheaper_than_non_transitive_on_platform() {
 fn sequential_replay_slower_parallel_same_cost() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(3));
     let par = run_parallel_on_platform(
         task.candidates().num_objects(),
         order.clone(),
         &truth,
-        &mut p1,
+        Platform::new(PlatformConfig::perfect_workers(3)),
         true,
     );
     let crowdsourced: Vec<ScoredPair> = order
@@ -86,8 +86,8 @@ fn sequential_replay_slower_parallel_same_cost() {
         .copied()
         .filter(|sp| par.result.provenance_of(sp.pair) == Some(Provenance::Crowdsourced))
         .collect();
-    let mut p2 = Platform::new(PlatformConfig::perfect_workers(3));
-    let seq = replay_pairs_sequentially(&crowdsourced, &truth, &mut p2, 20);
+    let p2 = Platform::new(PlatformConfig::perfect_workers(3));
+    let seq = publish_in_waves(&crowdsourced, &truth, p2, 20);
 
     assert_eq!(seq.result.num_crowdsourced(), par.result.num_crowdsourced());
     assert!(
@@ -102,12 +102,11 @@ fn sequential_replay_slower_parallel_same_cost() {
 fn noisy_platform_quality_degrades_gracefully() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut platform = Platform::new(PlatformConfig::amt_like(4));
     let report = run_parallel_on_platform(
         task.candidates().num_objects(),
         order,
         &truth,
-        &mut platform,
+        Platform::new(PlatformConfig::amt_like(4)),
         true,
     );
     assert_eq!(report.result.num_labeled(), task.candidates().len());
@@ -120,17 +119,15 @@ fn noisy_platform_quality_degrades_gracefully() {
 fn instant_decision_and_plain_parallel_same_final_labels() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(6));
     let plain = run_parallel_on_platform(
         task.candidates().num_objects(),
         order.clone(),
         &truth,
-        &mut p1,
+        Platform::new(PlatformConfig::perfect_workers(6)),
         false,
     );
-    let mut p2 = Platform::new(PlatformConfig::perfect_workers(6));
-    let id =
-        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, &mut p2, true);
+    let p2 = Platform::new(PlatformConfig::perfect_workers(6));
+    let id = run_parallel_on_platform(task.candidates().num_objects(), order, &truth, p2, true);
     for sp in task.candidates().pairs() {
         assert_eq!(plain.result.label_of(sp.pair), id.result.label_of(sp.pair));
     }
@@ -141,12 +138,11 @@ fn deterministic_reports_per_seed() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
     let run = |seed: u64| {
-        let mut p = Platform::new(PlatformConfig::amt_like(seed));
         let r = run_parallel_on_platform(
             task.candidates().num_objects(),
             order.clone(),
             &truth,
-            &mut p,
+            Platform::new(PlatformConfig::amt_like(seed)),
             true,
         );
         (r.result.num_crowdsourced(), r.completion, r.stats.hits_published)

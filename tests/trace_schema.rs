@@ -158,47 +158,6 @@ fn trace_jsonl_and_chrome_follow_the_schema() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An oracle run (no `--platform`) is the event loop over a zero-latency
-/// backend, so it reports like a platform run: the shard tasks' `engine.*`
-/// metrics, and `round_metrics` whose `published` sum to the crowdsourced
-/// count.
-#[test]
-fn oracle_runs_report_like_platform_runs() {
-    let dir = temp_dir("oracle");
-    let (input, metrics, out) = (write_input(&dir), dir.join("m.json"), dir.join("out.csv"));
-    let output = run_cli(&[
-        "dedup",
-        "--input",
-        input.to_str().unwrap(),
-        "--shards",
-        "2",
-        "--metrics",
-        metrics.to_str().unwrap(),
-        "--report",
-        "json",
-        "--output",
-        out.to_str().unwrap(),
-    ]);
-    assert!(output.status.success(), "cli failed: {}", String::from_utf8_lossy(&output.stderr));
-
-    let m = parse(&std::fs::read_to_string(&metrics).expect("metrics file")).expect("parse");
-    let rows = m.get("metrics").and_then(Value::as_arr).expect("metrics array");
-    for name in ["engine.scans", "engine.scan_visits", "engine.scan_decisions", "engine.answers"] {
-        let named = |r: &Value| r.get("name").and_then(Value::as_str) == Some(name);
-        assert!(rows.iter().any(named), "oracle run metrics missing {name}");
-    }
-
-    let report = parse(&String::from_utf8_lossy(&output.stdout)).expect("report parses");
-    let field = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).expect(k);
-    let rounds = report.get("engine").and_then(|e| e.get("round_metrics")).and_then(Value::as_arr);
-    let rounds = rounds.expect("round_metrics");
-    assert!(!rounds.is_empty(), "oracle run emitted no round_metrics");
-    let published: u64 = rounds.iter().map(|r| field(r, "published")).sum();
-    assert_eq!(published, field(report.get("labeled").expect("labeled"), "crowdsourced"));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn csv_output_is_byte_identical_with_and_without_sinks() {
     let dir = temp_dir("identical");
