@@ -153,7 +153,6 @@ mod tests {
                 SortStrategy::ExpectedLikelihood,
                 SortStrategy::Random { seed },
                 SortStrategy::Worst(&truth),
-                SortStrategy::AsGiven,
             ] {
                 let order = sort_pairs(&cs, strategy);
                 let mut oracle = GroundTruthOracle::new(&truth);

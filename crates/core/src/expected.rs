@@ -227,57 +227,6 @@ impl WorldEnumeration {
     }
 }
 
-/// Monte Carlo estimate of the expected number of crowdsourced pairs for
-/// `order`, usable beyond [`MAX_ENUMERABLE_PAIRS`].
-///
-/// Consistent worlds are drawn by rejection: each pair is labeled matching
-/// with its likelihood independently and the draw is kept only if it is
-/// realizable (no non-matching pair inside a matching-connected component).
-/// This samples exactly the renormalized distribution the exact machinery
-/// integrates over.
-///
-/// Returns `None` when fewer than `samples` consistent worlds were found
-/// within `samples * 1000` attempts (pathologically coupled instances).
-#[must_use]
-pub fn estimate_expected_cost(
-    num_objects: usize,
-    order: &[ScoredPair],
-    samples: usize,
-    seed: u64,
-) -> Option<f64> {
-    assert!(samples > 0, "need at least one sample");
-    let mut rng = crowdjoin_util::SplitMix64::new(seed);
-    let mut total = 0.0f64;
-    let mut accepted = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = samples.saturating_mul(1000);
-    let mut labels = vec![Label::NonMatching; order.len()];
-    while accepted < samples && attempts < max_attempts {
-        attempts += 1;
-        for (i, sp) in order.iter().enumerate() {
-            labels[i] =
-                if rng.next_f64() < sp.likelihood { Label::Matching } else { Label::NonMatching };
-        }
-        if !is_consistent(num_objects, order, &labels) {
-            continue;
-        }
-        accepted += 1;
-        // Replay the sequential labeler in this world.
-        let mut graph = ClusterGraph::new(num_objects);
-        let mut cost = 0usize;
-        for (i, sp) in order.iter().enumerate() {
-            if graph.deduce(sp.pair.a(), sp.pair.b()).is_none() {
-                cost += 1;
-                graph
-                    .insert(sp.pair.a(), sp.pair.b(), labels[i])
-                    .expect("consistent world cannot conflict");
-            }
-        }
-        total += cost as f64;
-    }
-    (accepted >= samples).then(|| total / accepted as f64)
-}
-
 /// A labeling of pairs is consistent iff no non-matching pair connects two
 /// objects that the matching pairs place in the same cluster.
 #[must_use]
@@ -407,43 +356,6 @@ mod tests {
         let via_pairs = we.expected_cost_of_pairs(&reordered);
         let via_indices = we.expected_cost(&[1, 0, 2]);
         assert!((via_pairs - via_indices).abs() < 1e-15);
-    }
-
-    #[test]
-    fn monte_carlo_matches_exact_on_example4() {
-        let (n, pairs) = example4();
-        let we = WorldEnumeration::new(n, &pairs).unwrap();
-        let exact = we.expected_cost(&[0, 1, 2]);
-        let mc = estimate_expected_cost(n, &pairs, 20_000, 7).unwrap();
-        assert!((mc - exact).abs() < 0.03, "MC {mc} vs exact {exact}");
-    }
-
-    #[test]
-    fn monte_carlo_is_seed_deterministic() {
-        let (n, pairs) = example4();
-        let a = estimate_expected_cost(n, &pairs, 500, 1).unwrap();
-        let b = estimate_expected_cost(n, &pairs, 500, 1).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn monte_carlo_scales_past_exact_cap() {
-        // 30 pairs — beyond MAX_ENUMERABLE_PAIRS — still estimable.
-        let mut pairs = Vec::new();
-        for i in 0..30u32 {
-            pairs.push(ScoredPair::new(Pair::new(i, i + 1), 0.5));
-        }
-        assert!(WorldEnumeration::new(31, &pairs).is_err());
-        let est = estimate_expected_cost(31, &pairs, 200, 3).unwrap();
-        // A path graph: nothing is ever deducible, cost is exactly 30.
-        assert!((est - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn monte_carlo_rejects_zero_samples() {
-        let (n, pairs) = example4();
-        let _ = estimate_expected_cost(n, &pairs, 0, 1);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! (Section 3, Figure 4): sorting component + labeling component behind one
 //! entry point.
 
-use crate::baseline::label_non_transitive;
 use crate::oracle::Oracle;
-use crate::parallel::{run_parallel_rounds, ParallelRunStats};
 use crate::result::LabelingResult;
 use crate::sequential::label_sequential;
 use crate::sort::{sort_pairs, SortStrategy};
@@ -57,28 +55,14 @@ impl LabelingTask {
         let order = sort_pairs(&self.candidates, strategy);
         label_sequential(self.candidates.num_objects(), &order, oracle)
     }
-
-    /// Sorts then labels with the parallel algorithm (Section 5), one crowd
-    /// round trip per iteration.
-    pub fn run_parallel(
-        &self,
-        strategy: SortStrategy<'_>,
-        oracle: &mut dyn Oracle,
-    ) -> (LabelingResult, ParallelRunStats) {
-        let order = sort_pairs(&self.candidates, strategy);
-        run_parallel_rounds(self.candidates.num_objects(), order, oracle)
-    }
-
-    /// The non-transitive baseline: crowdsource every candidate pair.
-    pub fn run_non_transitive(&self, oracle: &mut dyn Oracle) -> LabelingResult {
-        label_non_transitive(self.candidates.pairs(), oracle)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::label_non_transitive;
     use crate::oracle::GroundTruthOracle;
+    use crate::parallel::run_parallel_rounds;
     use crate::truth::GroundTruth;
     use crate::types::{Pair, ScoredPair};
 
@@ -99,7 +83,7 @@ mod tests {
         let mut o1 = GroundTruthOracle::new(&truth);
         let seq = task.run_sequential(SortStrategy::ExpectedLikelihood, &mut o1);
         let mut o2 = GroundTruthOracle::new(&truth);
-        let baseline = task.run_non_transitive(&mut o2);
+        let baseline = label_non_transitive(task.candidates().pairs(), &mut o2);
         assert_eq!(seq.num_crowdsourced(), 3, "spanning tree of the 4-clique");
         assert_eq!(baseline.num_crowdsourced(), 6);
     }
@@ -110,7 +94,8 @@ mod tests {
         let mut o1 = GroundTruthOracle::new(&truth);
         let seq = task.run_sequential(SortStrategy::ExpectedLikelihood, &mut o1);
         let mut o2 = GroundTruthOracle::new(&truth);
-        let (par, stats) = task.run_parallel(SortStrategy::ExpectedLikelihood, &mut o2);
+        let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
+        let (par, stats) = run_parallel_rounds(4, order, &mut o2);
         assert_eq!(par.num_crowdsourced(), seq.num_crowdsourced());
         assert!(stats.num_iterations() <= seq.num_crowdsourced());
     }

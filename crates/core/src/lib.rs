@@ -79,13 +79,11 @@ pub mod types;
 
 pub use analysis::{optimal_cost, OptimalCost};
 pub use baseline::label_non_transitive;
-pub use expected::{
-    estimate_expected_cost, is_consistent, World, WorldEnumeration, MAX_ENUMERABLE_PAIRS,
-};
+pub use expected::{is_consistent, World, WorldEnumeration, MAX_ENUMERABLE_PAIRS};
 pub use framework::LabelingTask;
 pub use labeler::ParallelLabeler;
 pub use metrics::QualityMetrics;
-pub use one_to_one::{enforce_one_to_one, OneToOneDeducer, OneToOneOutcome};
+pub use one_to_one::{enforce_one_to_one, OneToOneOutcome};
 pub use oracle::{FixedOracle, GroundTruthOracle, NoisyOracle, Oracle};
 pub use parallel::{run_parallel_rounds, ParallelRunStats};
 pub use resolution::{resolve_entities, EntityResolution};

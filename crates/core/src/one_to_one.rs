@@ -5,16 +5,11 @@
 //! right record and vice versa (two catalogs, each deduplicated internally).
 //! That knowledge is *extra deduction power*: once `(a, b)` is matching,
 //! every other pair touching `a` or `b` is non-matching without asking
-//! anyone. This module provides both uses:
-//!
-//! * [`enforce_one_to_one`] — post-processing: given labeled matches with
-//!   likelihoods, keep a maximum-likelihood one-to-one subset (greedy by
-//!   weight) and demote the rest;
-//! * [`OneToOneDeducer`] — online: track matched records during labeling
-//!   and answer "is this pair already excluded?" in O(1), letting a driver
-//!   skip crowdsourcing pairs the constraint decides.
+//! anyone. [`enforce_one_to_one`] applies it as post-processing: given
+//! labeled matches with likelihoods, keep a maximum-likelihood one-to-one
+//! subset (greedy by weight) and demote the rest.
 
-use crate::types::{Pair, ScoredPair};
+use crate::types::ScoredPair;
 use crowdjoin_util::FxHashSet;
 
 /// Result of enforcing a one-to-one constraint over matching pairs.
@@ -25,15 +20,6 @@ pub struct OneToOneOutcome {
     /// Matching pairs demoted to non-matching because an endpoint was
     /// already claimed by a higher-likelihood pair.
     pub demoted: Vec<ScoredPair>,
-}
-
-impl OneToOneOutcome {
-    /// `true` if nothing had to be demoted (the input already satisfied the
-    /// constraint).
-    #[must_use]
-    pub fn was_consistent(&self) -> bool {
-        self.demoted.is_empty()
-    }
 }
 
 /// Greedily selects a maximum-likelihood one-to-one subset of `matches`:
@@ -62,52 +48,10 @@ pub fn enforce_one_to_one(matches: &[ScoredPair]) -> OneToOneOutcome {
     OneToOneOutcome { kept, demoted }
 }
 
-/// Online one-to-one tracker: during labeling, a confirmed match excludes
-/// every other pair touching either record.
-#[derive(Debug, Clone, Default)]
-pub struct OneToOneDeducer {
-    matched: FxHashSet<u32>,
-}
-
-impl OneToOneDeducer {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a confirmed match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either record is already matched to someone else — the
-    /// caller must consult [`Self::excludes`] first.
-    pub fn confirm_match(&mut self, pair: Pair) {
-        assert!(
-            !self.excludes(pair),
-            "one-to-one violation: an endpoint of {pair} is already matched"
-        );
-        self.matched.insert(pair.a());
-        self.matched.insert(pair.b());
-    }
-
-    /// `true` when the constraint already rules this pair out (an endpoint
-    /// is matched elsewhere), so it can be labeled non-matching for free.
-    #[must_use]
-    pub fn excludes(&self, pair: Pair) -> bool {
-        self.matched.contains(&pair.a()) || self.matched.contains(&pair.b())
-    }
-
-    /// Number of records currently matched.
-    #[must_use]
-    pub fn num_matched_records(&self) -> usize {
-        self.matched.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Pair;
 
     fn sp(a: u32, b: u32, l: f64) -> ScoredPair {
         ScoredPair::new(Pair::new(a, b), l)
@@ -117,7 +61,7 @@ mod tests {
     fn keeps_disjoint_input_unchanged() {
         let matches = vec![sp(0, 10, 0.9), sp(1, 11, 0.8), sp(2, 12, 0.7)];
         let out = enforce_one_to_one(&matches);
-        assert!(out.was_consistent());
+        assert!(out.demoted.is_empty());
         assert_eq!(out.kept.len(), 3);
     }
 
@@ -166,28 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn online_deducer_excludes_after_confirm() {
-        let mut d = OneToOneDeducer::new();
-        assert!(!d.excludes(Pair::new(0, 10)));
-        d.confirm_match(Pair::new(0, 10));
-        assert!(d.excludes(Pair::new(0, 11)));
-        assert!(d.excludes(Pair::new(3, 10)));
-        assert!(!d.excludes(Pair::new(1, 11)));
-        assert_eq!(d.num_matched_records(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "one-to-one violation")]
-    fn online_deducer_rejects_double_match() {
-        let mut d = OneToOneDeducer::new();
-        d.confirm_match(Pair::new(0, 10));
-        d.confirm_match(Pair::new(0, 11));
-    }
-
-    #[test]
     fn empty_input() {
         let out = enforce_one_to_one(&[]);
         assert!(out.kept.is_empty());
-        assert!(out.was_consistent());
+        assert!(out.demoted.is_empty());
     }
 }

@@ -97,11 +97,6 @@ impl LabelingResult {
             self.deduced as f64 / self.in_order.len() as f64
         }
     }
-
-    /// Iterator over pairs labeled matching.
-    pub fn matching_pairs(&self) -> impl Iterator<Item = Pair> + '_ {
-        self.in_order.iter().filter(|lp| lp.label == Label::Matching).map(|lp| lp.pair)
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,6 @@ mod tests {
         assert_eq!(r.label_of(Pair::new(0, 2)), Some(Label::Matching));
         assert_eq!(r.provenance_of(Pair::new(0, 2)), Some(Provenance::Deduced));
         assert_eq!(r.label_of(Pair::new(2, 3)), None);
-        assert_eq!(r.matching_pairs().count(), 3);
         assert!((r.savings_ratio() - 0.25).abs() < 1e-12);
     }
 

@@ -14,8 +14,6 @@ use crate::types::{CandidateSet, Label, ScoredPair};
 /// A labeling-order strategy.
 #[derive(Debug, Clone, Copy)]
 pub enum SortStrategy<'a> {
-    /// Keep the candidate set's insertion order.
-    AsGiven,
     /// Theorem 1's optimal order: all true matching pairs first, then all
     /// non-matching pairs (requires ground truth — experiment-only).
     Optimal(&'a GroundTruth),
@@ -37,7 +35,6 @@ impl SortStrategy<'_> {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            SortStrategy::AsGiven => "as-given",
             SortStrategy::Optimal(_) => "optimal",
             SortStrategy::ExpectedLikelihood => "expected",
             SortStrategy::Random { .. } => "random",
@@ -54,7 +51,6 @@ impl SortStrategy<'_> {
 pub fn sort_pairs(candidates: &CandidateSet, strategy: SortStrategy<'_>) -> Vec<ScoredPair> {
     let mut pairs: Vec<ScoredPair> = candidates.pairs().to_vec();
     match strategy {
-        SortStrategy::AsGiven => {}
         SortStrategy::ExpectedLikelihood => {
             sort_by_likelihood_desc(&mut pairs);
         }
@@ -167,17 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn as_given_preserves_input() {
-        let (cs, _) = candidates();
-        let sorted = sort_pairs(&cs, SortStrategy::AsGiven);
-        assert_eq!(sorted, cs.pairs());
-    }
-
-    #[test]
     fn all_orders_are_permutations() {
         let (cs, truth) = candidates();
         for strategy in [
-            SortStrategy::AsGiven,
             SortStrategy::Optimal(&truth),
             SortStrategy::ExpectedLikelihood,
             SortStrategy::Random { seed: 3 },

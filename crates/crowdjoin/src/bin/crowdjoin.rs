@@ -1,492 +1,451 @@
 //! `crowdjoin` — command-line crowdsourced joins over CSV files.
 //!
-//! ```text
-//! crowdjoin demo  [--seed N]
-//! crowdjoin dedup --input FILE  [--threshold T] [--crowd auto|interactive]
-//!                 [--auto-threshold X] [--output FILE] [--platform P [--shards N]]
-//! crowdjoin join  --left FILE --right FILE  [same options]
-//! crowdjoin join  --stream PATH  [--stream-chunk N] [same options]
-//! ```
-//!
 //! * `demo` runs the paper's running example plus a generated workload and
 //!   prints the savings summary — no files needed.
 //! * `dedup` finds duplicate records within one CSV file (self join).
 //! * `join` matches records across two CSV files with identical headers
 //!   (cross join).
 //! * `join --stream` is the streaming self-join: records arrive as JSONL
-//!   (one file chunked by `--stream-chunk`, or a spool-style directory of
-//!   `*.jsonl` chunk files processed in name order), and the closed stream
-//!   feeds the ordinary labeling path — bit-identical to a batch run over
-//!   the same records. With `--journal FILE` every ingest is write-ahead
-//!   logged to `FILE.stream` so a killed stream resumes with
-//!   `--resume FILE`.
+//!   and the closed stream feeds the ordinary labeling path —
+//!   bit-identical to a batch run over the same records.
 //!
-//! Crowd modes: `interactive` asks *you* to label each undeduced pair on
-//! stdin (a crowd of one); `auto` (default) labels a pair matching iff its
-//! machine likelihood is at least `--auto-threshold` (default 0.8) — a
-//! self-labeling heuristic for pipelines without humans; deductions then
-//! propagate those decisions transitively either way. Both answer at once,
-//! so both run the sequential labeler, which asks the fewest questions.
-//! `--platform` (or `--backend spool`) instead puts a crowd with latency
-//! behind the sharded event-loop engine; `--shards` sizes that engine.
+//! Every option is one row of [`FLAGS`]: its name, value placeholder,
+//! scope, parser and help text. The usage text and the unknown-flag,
+//! duplicate-flag and wrong-scope refusals are all derived from it.
+//!
+//! Crowd modes: `interactive` asks *you* about each undeduced pair on
+//! stdin; `auto` (default) answers matching iff the machine likelihood is
+//! at least `--auto-threshold`. Both answer at once, so both run the
+//! sequential labeler, which asks the fewest questions. `--platform` (or
+//! `--backend spool`) instead puts a crowd with latency behind the sharded
+//! event-loop engine; `--shards` sizes that engine.
 //!
 //! Output is CSV with columns `a,b,label,provenance,likelihood` (record
 //! indices are 0-based row numbers; for `join`, right-file indices continue
 //! after the left file's).
 
 use crowdjoin::records::{
-    table_from_csv, table_from_jsonl, write_csv, Dataset, Record, Schema, Table,
+    generate_paper, table_from_csv, table_from_jsonl, write_csv, ClusterSpec, Dataset,
+    PaperGenConfig, PerturbConfig, Record, Schema, Table,
 };
 use crowdjoin::report::{
-    EngineBackend, JournalOutcome, MatcherTimings, ProgressLine, ReportFormat, Reporter,
+    EngineBackend as BackendKind, JournalOutcome, MatcherTimings, ProgressLine, ReportFormat,
+    Reporter,
 };
 use crowdjoin::{
-    enforce_one_to_one, resolve_entities, sort_pairs, to_candidate_set, Label, LabelingResult,
-    Oracle, Pair, Provenance, ScoredPair, SortStrategy,
+    build_task, enforce_one_to_one, resolve_entities, sort_pairs, to_candidate_set,
+    GroundTruthOracle, Label, LabelingResult, Oracle, Pair, Provenance, ScoredPair, SortStrategy,
 };
-use crowdjoin_matcher::{generate_candidates_prepared, MatcherConfig, TfIdfIndex, TokenizedCorpus};
+use crowdjoin_matcher::{generate_candidates, MatcherConfig};
 use crowdjoin_util::FxHashMap;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
-/// Parsed command line.
+/// Parsed command line; `Stream` is `join --stream PATH`, the streaming
+/// self-join.
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
-    Demo {
-        seed: u64,
-    },
-    Dedup {
-        input: String,
-        opts: JoinOpts,
-    },
-    Join {
-        left: String,
-        right: String,
-        opts: JoinOpts,
-    },
-    /// `join --stream PATH`: the streaming self-join.
-    Stream {
-        input: String,
-        opts: JoinOpts,
-    },
+    Demo { seed: u64 },
+    Dedup { input: String, opts: JoinOpts },
+    Join { left: String, right: String, opts: JoinOpts },
+    Stream { input: String, opts: JoinOpts },
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// The options of a join job: one field per row of [`FLAGS`], whose help
+/// text documents it. An unset `Option` means the default. `Default` is
+/// every flag unset and every number 0: [`parse_args`] starts from it with
+/// the three numeric defaults the help text states.
+#[derive(Debug, Clone, PartialEq, Default)]
 struct JoinOpts {
     threshold: f64,
     crowd: CrowdMode,
     auto_threshold: f64,
     output: Option<String>,
-    /// Emit resolved entity clusters instead of pair labels.
     resolve: bool,
-    /// Enforce a one-to-one constraint on the matches (cross joins of
-    /// internally deduplicated tables).
     one_to_one: bool,
-    /// Platform mode: shard count of the execution engine (`None` = 1,
-    /// 0 = one shard per CPU, N = N shards).
     shards: Option<usize>,
-    /// Simulated-crowd mode: drive the event-loop engine against a
-    /// deterministic platform and report cost/latency Table-1 style.
     platform: Option<PlatformPreset>,
-    /// Which crowd backend answers the published HITs.
     backend: BackendKind,
-    /// Spool directory of the spool backend (`--backend spool`).
     spool: Option<String>,
-    /// Seed for the simulated platform.
     seed: u64,
-    /// Write-ahead journal every crowd answer to this file (platform mode
-    /// only); a killed run resumes with `--resume`.
     journal: Option<String>,
-    /// Resume a killed journaled run from this file (platform mode only).
     resume: Option<String>,
-    /// Platform override: pairs per HIT.
     batch_size: Option<usize>,
-    /// Platform override: workers in the simulated crowd.
     crowd_size: Option<usize>,
-    /// Platform override: cents per completed assignment.
     price: Option<u32>,
-    /// Print a per-phase wall-clock breakdown (tokenize / index /
-    /// candidates / join) to stderr.
     timings: bool,
-    /// Final-report format: progressive stderr lines, or one JSON document
-    /// on stdout.
     report: ReportFormat,
-    /// Write a JSONL trace of engine/matcher/backend events to this file
-    /// (plus a Chrome-trace twin at `FILE.chrome.json` for Perfetto).
     trace: Option<String>,
-    /// Write the final metrics-registry snapshot (JSON) to this file.
     metrics: Option<String>,
-    /// Repaint a live stderr progress line while a spool-backed job waits
-    /// on its external crowd.
     progress: bool,
-    /// `join --stream` only: records per ingest batch when the stream
-    /// input is a single JSONL file (`None` = the 512 default; a
-    /// directory input ingests one chunk per file regardless).
     stream_chunk: Option<usize>,
 }
 
 /// Default ingest-batch size for a single-file `--stream` input.
 const DEFAULT_STREAM_CHUNK: usize = 512;
 
-impl Default for JoinOpts {
-    fn default() -> Self {
-        Self {
-            threshold: 0.3,
-            crowd: CrowdMode::Auto,
-            auto_threshold: 0.8,
-            output: None,
-            resolve: false,
-            one_to_one: false,
-            shards: None,
-            platform: None,
-            backend: BackendKind::Sim,
-            spool: None,
-            seed: 42,
-            journal: None,
-            resume: None,
-            batch_size: None,
-            crowd_size: None,
-            price: None,
-            timings: false,
-            report: ReportFormat::Human,
-            trace: None,
-            metrics: None,
-            progress: false,
-            stream_chunk: None,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum CrowdMode {
+    #[default]
     Auto,
     Interactive,
-}
-
-/// Who answers the engine's published HITs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendKind {
-    /// The in-process discrete-event simulator (default).
-    Sim,
-    /// The spool-directory backend: HITs out as JSON files, answers read
-    /// back from an external process or human.
-    Spool,
 }
 
 /// Worker-pool profile of the simulated platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlatformPreset {
-    /// The paper's Table 1 setting: AMT latency model, perfectly accurate
-    /// workers.
+    /// The paper's Table 1 setting: AMT latency model, accurate workers.
     Perfect,
     /// The Table 2 setting: 25% spammers, qualification test, majority vote.
     Amt,
 }
 
-const USAGE: &str = "usage:
-  crowdjoin demo  [--seed N]
-  crowdjoin dedup --input FILE  [options]
-  crowdjoin join  --left FILE --right FILE  [options]
-  crowdjoin join  --stream PATH  [options]
+/// The command-line shapes of the usage synopsis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Demo,
+    Dedup,
+    Join,
+    Stream,
+}
 
-options:
-  --stream PATH         join only: streaming self-join. Arrivals come from
-                        PATH instead of --left/--right: a JSONL file (one
-                        object per line, ingested in --stream-chunk
-                        batches) or a spool-style directory of *.jsonl
-                        chunk files (processed in name order, one ingest
-                        batch per file). The closed stream is bit-identical
-                        to a batch run over the same records.
-                        With --journal FILE each ingest is write-ahead
-                        logged to FILE.stream before it is applied, so a
-                        killed stream resumes with --resume FILE (re-pass
-                        the same input and flags)
-  --stream-chunk N      records per ingest batch for a single-file --stream
-                        input (default 512)
-  --threshold T         machine-likelihood threshold for candidates (default 0.3)
-  --crowd MODE          auto | interactive (default auto)
-  --auto-threshold X    auto crowd answers matching iff likelihood >= X (default 0.8)
-  --output FILE         write CSV here instead of stdout
-  --resolve yes         output entity clusters instead of pair labels
-  --one-to-one yes      keep at most one match per record (join only)
-  --shards N            platform mode: partition the job into N engine
-                        shards, one platform each (0 = one per CPU;
-                        default 1). Refused without --platform: a crowd
-                        that answers at once runs the sequential labeler
-  --platform PRESET     simulate the crowd on the event-loop engine and
-                        report cost/completion Table-1 style:
-                        perfect (accurate workers) | amt (25% spammers,
-                        majority vote). Labels come from the simulated run;
-                        ground truth is the auto-threshold clustering.
-  --backend KIND        who answers the published HITs: sim (the in-process
-                        simulator, default) | spool (publish HITs as JSON
-                        files into --spool DIR/hits and poll DIR/answers —
-                        an external process or human answers them; implies
-                        --platform perfect for batch/price defaults)
-  --spool DIR           spool directory of --backend spool
-  --seed N              seed for the simulated platform (default 42)
-  --journal FILE        platform mode: append every crowd answer to a
-                        crash-safe write-ahead journal; a killed run
-                        resumes with --resume without re-paying the crowd
-  --resume FILE         platform mode: resume a killed journaled run —
-                        replays the journaled answers, asks only the rest,
-                        and keeps appending to FILE (pass the same input
-                        and flags as the original run)
-  --batch-size N        platform mode: pairs per HIT (default 20)
-  --crowd-size N        platform mode: size of the simulated worker pool
-                        (default 40; split evenly across shards). This is
-                        THE platform-capacity knob; the separate --crowd
-                        flag picks the answering mode, not a size.
-  --price CENTS         platform mode: cents per completed assignment
-                        (default 2)
-  --timings yes         print a per-phase wall-clock breakdown (tokenize /
-                        tf-idf index / prefix index / candidate generation /
-                        join) plus the probe-block filter-cascade decisions
-                        to stderr — see where time goes on large inputs
-  --report FORMAT       human (progressive stderr lines, default) | json
-                        (one machine-readable report document on stdout at
-                        the end; the labels CSV then only appears with
-                        --output FILE)
-  --trace FILE          record a structured event trace of the run: JSONL
-                        at FILE plus a Chrome-trace twin at
-                        FILE.chrome.json (open in Perfetto / about:tracing)
-  --metrics FILE        write the final counters/gauges/histograms snapshot
-                        (JSON) to FILE
-  --progress yes        spool backend only: repaint a live stderr line
-                        (answers so far, pairs awaiting the crowd) while
-                        the job waits on its external answerer";
+/// The synopsis lines of the usage text: command, then its operands.
+const SYNOPSIS: [(&str, &str); 4] = [
+    ("demo", "[--seed N]"),
+    ("dedup", "--input FILE  [options]"),
+    ("join", "--left FILE --right FILE  [options]"),
+    ("join", "--stream PATH  [options]"),
+];
+
+/// Where a flag may appear. Outside its scope it is refused: on `demo`
+/// as an unknown flag, elsewhere with the scope's reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Every command, `demo` included.
+    Any,
+    /// Every join job: `dedup`, `join` and `join --stream`.
+    Job,
+    /// `join --stream` only; the text is the refusal elsewhere.
+    Stream(&'static str),
+    /// A job in platform mode: `--platform`, or `--backend spool`.
+    Platform,
+    /// A job on the spool backend; the text is the refusal elsewhere.
+    Spool(&'static str),
+}
+
+/// Parses a flag's value into the options.
+type Setter = fn(&mut JoinOpts, &Arg<'_>) -> Result<(), String>;
+
+/// One command-line option.
+struct Flag {
+    /// `name VALUE`, as the usage text shows it after `--`.
+    head: &'static str,
+    scope: Scope,
+    set: Setter,
+    /// The usage help, one `\n`-separated line per usage line.
+    help: &'static str,
+}
+
+const fn flag(head: &'static str, scope: Scope, set: Setter, help: &'static str) -> Flag {
+    Flag { head, scope, set, help }
+}
+
+/// Every option, in usage order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("stream PATH", Scope::Stream("--stream belongs to the join command (a streaming \
+                                       self-join): crowdjoin join --stream PATH"),
+        // `join` reads the path itself: the flag picks the command.
+        |_, _| Ok(()),
+        "join only: streaming self-join. Arrivals come from\n\
+         PATH instead of --left/--right: a JSONL file (one\n\
+         object per line, ingested in --stream-chunk\n\
+         batches) or a spool-style directory of *.jsonl\n\
+         chunk files (processed in name order, one ingest\n\
+         batch per file). The closed stream is bit-identical\n\
+         to a batch run over the same records.\n\
+         With --journal FILE each ingest is write-ahead\n\
+         logged to FILE.stream before it is applied, so a\n\
+         killed stream resumes with --resume FILE (re-pass\n\
+         the same input and flags)"),
+    flag("stream-chunk N", Scope::Stream("--stream-chunk requires --stream"),
+        |o, a| a.positive("record per batch").map(|n| o.stream_chunk = Some(n)),
+        "records per ingest batch for a single-file --stream\n\
+         input (default 512)"),
+    // The matcher runs at this floor, which must be a likelihood.
+    flag("threshold T", Scope::Job, |o, a| a.likelihood().map(|x| o.threshold = x),
+        "machine-likelihood threshold for candidates (default 0.3)"),
+    flag("crowd MODE", Scope::Job, |o, a| crowd_mode(a).map(|c| o.crowd = c),
+        "auto | interactive (default auto)"),
+    flag("auto-threshold X", Scope::Job, |o, a| a.likelihood().map(|x| o.auto_threshold = x),
+        "auto crowd answers matching iff likelihood >= X (default 0.8)"),
+    flag("output FILE", Scope::Job, |o, a| a.path().map(|p| o.output = p),
+        "write CSV here instead of stdout"),
+    flag("resolve yes", Scope::Job, |o, a| a.yes_no().map(|b| o.resolve = b),
+        "output entity clusters instead of pair labels"),
+    flag("one-to-one yes", Scope::Job, |o, a| a.yes_no().map(|b| o.one_to_one = b),
+        "keep at most one match per record (join only)"),
+    flag("shards N", Scope::Platform, |o, a| a.num().map(|n| o.shards = Some(n)),
+        "platform mode: partition the job into N engine\n\
+         shards, one platform each (0 = one per CPU;\n\
+         default 1). Refused without --platform: a crowd\n\
+         that answers at once runs the sequential labeler"),
+    flag("platform PRESET", Scope::Job,
+        |o, a| {
+            let presets = [("perfect", PlatformPreset::Perfect), ("amt", PlatformPreset::Amt)];
+            a.choice(&presets).map(|p| o.platform = Some(p))
+        },
+        "simulate the crowd on the event-loop engine and\n\
+         report cost/completion Table-1 style:\n\
+         perfect (accurate workers) | amt (25% spammers,\n\
+         majority vote). Labels come from the simulated run;\n\
+         ground truth is the auto-threshold clustering."),
+    flag("backend KIND", Scope::Job,
+        |o, a| a.choice(&[("sim", BackendKind::Sim), ("spool", BackendKind::Spool)])
+            .map(|b| o.backend = b),
+        "who answers the published HITs: sim (the in-process\n\
+         simulator, default) | spool (publish HITs as JSON\n\
+         files into --spool DIR/hits and poll DIR/answers —\n\
+         an external process or human answers them; implies\n\
+         --platform perfect for batch/price defaults)"),
+    flag("spool DIR", Scope::Spool("--spool only applies to --backend spool"),
+        |o, a| a.path().map(|p| o.spool = p),
+        "spool directory of --backend spool"),
+    flag("seed N", Scope::Any, |o, a| a.num().map(|n| o.seed = n),
+        "seed for the simulated platform (default 42)"),
+    flag("journal FILE", Scope::Platform, |o, a| a.path().map(|p| o.journal = p),
+        "platform mode: append every crowd answer to a\n\
+         crash-safe write-ahead journal; a killed run\n\
+         resumes with --resume without re-paying the crowd"),
+    flag("resume FILE", Scope::Platform, |o, a| a.path().map(|p| o.resume = p),
+        "platform mode: resume a killed journaled run —\n\
+         replays the journaled answers, asks only the rest,\n\
+         and keeps appending to FILE (pass the same input\n\
+         and flags as the original run)"),
+    flag("batch-size N", Scope::Platform,
+        |o, a| a.positive("pair per HIT").map(|n| o.batch_size = Some(n)),
+        "platform mode: pairs per HIT (default 20)"),
+    flag("crowd-size N", Scope::Platform, |o, a| crowd_size(a).map(|n| o.crowd_size = Some(n)),
+        "platform mode: size of the simulated worker pool\n\
+         (default 40; split evenly across shards). This is\n\
+         THE platform-capacity knob; the separate --crowd\n\
+         flag picks the answering mode, not a size."),
+    flag("price CENTS", Scope::Platform, |o, a| a.num().map(|n| o.price = Some(n)),
+        "platform mode: cents per completed assignment\n\
+         (default 2)"),
+    flag("timings yes", Scope::Job, |o, a| a.yes_no().map(|b| o.timings = b),
+        "print a per-phase wall-clock breakdown (tokenize /\n\
+         tf-idf index / prefix index / candidate generation /\n\
+         join) plus the probe-block filter-cascade decisions\n\
+         to stderr — see where time goes on large inputs"),
+    flag("report FORMAT", Scope::Job,
+        |o, a| a.choice(&[("human", ReportFormat::Human), ("json", ReportFormat::Json)])
+            .map(|r| o.report = r),
+        "human (progressive stderr lines, default) | json\n\
+         (one machine-readable report document on stdout at\n\
+         the end; the labels CSV then only appears with\n\
+         --output FILE)"),
+    flag("trace FILE", Scope::Job, |o, a| a.path().map(|p| o.trace = p),
+        "record a structured event trace of the run: JSONL\n\
+         at FILE plus a Chrome-trace twin at\n\
+         FILE.chrome.json (open in Perfetto / about:tracing)"),
+    flag("metrics FILE", Scope::Job, |o, a| a.path().map(|p| o.metrics = p),
+        "write the final counters/gauges/histograms snapshot\n\
+         (JSON) to FILE"),
+    flag("progress yes", Scope::Spool("--progress tracks a wall-clock crowd; it requires \
+                                       --backend spool (simulated runs finish in virtual time)"),
+        |o, a| a.yes_no().map(|b| o.progress = b),
+        "spool backend only: repaint a live stderr line\n\
+         (answers so far, pairs awaiting the crowd) while\n\
+         the job waits on its external answerer"),
+];
+
+/// A flag's value, with the parsers every flag shares (one error format).
+struct Arg<'a> {
+    name: &'a str,
+    value: &'a str,
+}
+
+impl Arg<'_> {
+    fn num<T: std::str::FromStr>(&self) -> Result<T, String> {
+        self.value.parse().map_err(|_| format!("--{}: not a number: {:?}", self.name, self.value))
+    }
+
+    /// A count of at least one `unit`.
+    fn positive(&self, unit: &str) -> Result<usize, String> {
+        let n = self.num()?;
+        (n > 0).then_some(n).ok_or_else(|| format!("--{} must be at least 1 {unit}", self.name))
+    }
+
+    fn likelihood(&self) -> Result<f64, String> {
+        let x: f64 = self.num()?;
+        let refusal = || format!("--{} must be in [0, 1], got {}", self.name, self.value);
+        (0.0..=1.0).contains(&x).then_some(x).ok_or_else(refusal)
+    }
+
+    fn choice<T: Copy>(&self, choices: &[(&str, T)]) -> Result<T, String> {
+        let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+        let refusal =
+            || format!("--{} must be {}, got {:?}", self.name, names.join("|"), self.value);
+        choices.iter().find(|&&(name, _)| name == self.value).map(|&(_, v)| v).ok_or_else(refusal)
+    }
+
+    fn yes_no(&self) -> Result<bool, String> {
+        match self.value {
+            "true" | "1" => Ok(true),
+            "false" | "0" => Ok(false),
+            _ => self.choice(&[("yes", true), ("no", false)]),
+        }
+    }
+
+    fn path(&self) -> Result<Option<String>, String> {
+        Ok(Some(self.value.to_string()))
+    }
+}
+
+/// `--crowd`, which a number most likely meant for `--crowd-size`.
+fn crowd_mode(a: &Arg<'_>) -> Result<CrowdMode, String> {
+    if a.value.parse::<usize>().is_ok() {
+        return Err(format!(
+            "--crowd picks the answering mode (auto|interactive), not a size; did you mean \
+             --crowd-size {} (simulated worker-pool size)?",
+            a.value
+        ));
+    }
+    a.choice(&[("auto", CrowdMode::Auto), ("interactive", CrowdMode::Interactive)])
+}
+
+/// `--crowd-size`, which an answering mode most likely meant for `--crowd`.
+fn crowd_size(a: &Arg<'_>) -> Result<usize, String> {
+    if matches!(a.value, "auto" | "interactive") {
+        return Err(format!(
+            "--crowd-size is the simulated worker-pool size (a number); for the answering mode \
+             use --crowd {}",
+            a.value
+        ));
+    }
+    // Every HIT needs `assignments_per_hit` (3 in both presets) distinct
+    // workers to resolve.
+    match a.num()? {
+        n if n < 3 => Err(format!(
+            "--crowd-size must be at least 3 (each HIT needs 3 distinct workers for its majority \
+             vote), got {n}"
+        )),
+        n => Ok(n),
+    }
+}
+
+/// The usage text, rendered from [`SYNOPSIS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for (command, operands) in SYNOPSIS {
+        out += &format!("\n  crowdjoin {command:<5} {operands}");
+    }
+    out += "\n\noptions:";
+    for flag in FLAGS {
+        for (i, line) in flag.help.lines().enumerate() {
+            let head = if i == 0 { format!("--{}", flag.head) } else { String::new() };
+            out += &format!("\n  {head:<22}{line}");
+        }
+    }
+    out
+}
 
 /// Parses argv (without the program name). Pure for testability.
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let sub = it.next().ok_or_else(|| USAGE.to_string())?;
-    let mut flags: FxHashMap<String, String> = FxHashMap::default();
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i]
+    let (sub, rest) = args.split_first().ok_or_else(usage)?;
+    let mut given: Vec<(&str, &str)> = Vec::new();
+    for pair in rest.chunks(2) {
+        let name = pair[0]
             .strip_prefix("--")
-            .ok_or_else(|| format!("unexpected argument {:?}\n{USAGE}", rest[i]))?;
+            .ok_or_else(|| format!("unexpected argument {:?}\n{}", pair[0], usage()))?;
         let value =
-            rest.get(i + 1).ok_or_else(|| format!("flag --{key} needs a value\n{USAGE}"))?;
-        if flags.insert(key.to_string(), value.to_string()).is_some() {
-            return Err(format!("duplicate flag --{key}"));
+            pair.get(1).ok_or_else(|| format!("flag --{name} needs a value\n{}", usage()))?;
+        if given.iter().any(|&(seen, _)| seen == name) {
+            return Err(format!("duplicate flag --{name}"));
         }
-        i += 2;
+        given.push((name, value));
     }
-    let mut take = |name: &str| flags.remove(name);
-    let parse_opts = |flags: &mut dyn FnMut(&str) -> Option<String>| -> Result<JoinOpts, String> {
-        let mut opts = JoinOpts::default();
-        if let Some(t) = flags("threshold") {
-            opts.threshold = t.parse().map_err(|_| format!("--threshold: not a number: {t:?}"))?;
-            // The matcher runs at this floor, which must be a likelihood.
-            if !(0.0..=1.0).contains(&opts.threshold) {
-                return Err(format!("--threshold must be in [0, 1], got {t}"));
-            }
-        }
-        if let Some(c) = flags("crowd") {
-            opts.crowd = match c.as_str() {
-                "auto" => CrowdMode::Auto,
-                "interactive" => CrowdMode::Interactive,
-                other if other.parse::<usize>().is_ok() => {
-                    return Err(format!(
-                        "--crowd picks the answering mode (auto|interactive), not a size; \
-                         did you mean --crowd-size {other} (simulated worker-pool size)?"
-                    ))
-                }
-                other => return Err(format!("--crowd must be auto|interactive, got {other:?}")),
-            };
-        }
-        if let Some(x) = flags("auto-threshold") {
-            opts.auto_threshold =
-                x.parse().map_err(|_| format!("--auto-threshold: not a number: {x:?}"))?;
-        }
-        let parse_bool = |name: &str, v: String| match v.as_str() {
-            "yes" | "true" | "1" => Ok(true),
-            "no" | "false" | "0" => Ok(false),
-            other => Err(format!("--{name} must be yes|no, got {other:?}")),
-        };
-        if let Some(v) = flags("resolve") {
-            opts.resolve = parse_bool("resolve", v)?;
-        }
-        if let Some(v) = flags("one-to-one") {
-            opts.one_to_one = parse_bool("one-to-one", v)?;
-        }
-        if let Some(v) = flags("timings") {
-            opts.timings = parse_bool("timings", v)?;
-        }
-        if let Some(r) = flags("report") {
-            opts.report = match r.as_str() {
-                "human" => ReportFormat::Human,
-                "json" => ReportFormat::Json,
-                other => return Err(format!("--report must be human|json, got {other:?}")),
-            };
-        }
-        opts.trace = flags("trace");
-        opts.metrics = flags("metrics");
-        if let Some(v) = flags("progress") {
-            opts.progress = parse_bool("progress", v)?;
-        }
-        if let Some(c) = flags("stream-chunk") {
-            let n: usize = c.parse().map_err(|_| format!("--stream-chunk: not a number: {c:?}"))?;
-            if n == 0 {
-                return Err("--stream-chunk must be at least 1 record per batch".to_string());
-            }
-            opts.stream_chunk = Some(n);
-        }
-        if let Some(s) = flags("shards") {
-            opts.shards = Some(s.parse().map_err(|_| format!("--shards: not a number: {s:?}"))?);
-        }
-        if let Some(p) = flags("platform") {
-            opts.platform = Some(match p.as_str() {
-                "perfect" => PlatformPreset::Perfect,
-                "amt" => PlatformPreset::Amt,
-                other => return Err(format!("--platform must be perfect|amt, got {other:?}")),
-            });
-        }
-        if let Some(s) = flags("seed") {
-            opts.seed = s.parse().map_err(|_| format!("--seed: not a number: {s:?}"))?;
-        }
-        if let Some(b) = flags("batch-size") {
-            let n = b.parse().map_err(|_| format!("--batch-size: not a number: {b:?}"))?;
-            if n == 0 {
-                return Err("--batch-size must be at least 1 pair per HIT".to_string());
-            }
-            opts.batch_size = Some(n);
-        }
-        if let Some(c) = flags("crowd-size") {
-            if matches!(c.as_str(), "auto" | "interactive") {
-                return Err(format!(
-                    "--crowd-size is the simulated worker-pool size (a number); for the \
-                     answering mode use --crowd {c}"
-                ));
-            }
-            let n: usize = c.parse().map_err(|_| format!("--crowd-size: not a number: {c:?}"))?;
-            // Every HIT needs `assignments_per_hit` (3 in both presets)
-            // distinct workers to resolve.
-            if n < 3 {
-                return Err(format!(
-                    "--crowd-size must be at least 3 (each HIT needs 3 distinct workers for \
-                     its majority vote), got {n}"
-                ));
-            }
-            opts.crowd_size = Some(n);
-        }
-        if let Some(p) = flags("price") {
-            opts.price = Some(p.parse().map_err(|_| format!("--price: not a number: {p:?}"))?);
-        }
-        opts.journal = flags("journal");
-        opts.resume = flags("resume");
-        if opts.journal.is_some() && opts.resume.is_some() {
-            return Err("--journal starts a new journal and --resume continues an existing \
-                        one; pass exactly one"
-                .to_string());
-        }
-        let backend_given = flags("backend");
-        if let Some(b) = &backend_given {
-            opts.backend = match b.as_str() {
-                "sim" => BackendKind::Sim,
-                "spool" => BackendKind::Spool,
-                other => return Err(format!("--backend must be sim|spool, got {other:?}")),
-            };
-        }
-        opts.spool = flags("spool");
-        if opts.spool.is_some() && opts.backend != BackendKind::Spool {
-            return Err("--spool only applies to --backend spool".to_string());
-        }
-        match opts.backend {
-            BackendKind::Spool => {
-                if opts.spool.is_none() {
-                    return Err("--backend spool requires --spool DIR (where HITs are \
-                                published and answers are read back)"
-                        .to_string());
-                }
-                // The preset only supplies batch-size/price defaults for an
-                // external crowd; imply one so `--backend spool` works
-                // standalone.
-                if opts.platform.is_none() {
-                    opts.platform = Some(PlatformPreset::Perfect);
-                }
-            }
-            BackendKind::Sim => {
-                if backend_given.is_some() && opts.platform.is_none() {
-                    return Err(
-                        "--backend sim requires --platform perfect|amt (the backend answers \
-                         the simulated platform run)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        if opts.progress && opts.backend != BackendKind::Spool {
-            return Err("--progress tracks a wall-clock crowd; it requires --backend spool \
-                        (simulated runs finish in virtual time)"
-                .to_string());
-        }
-        let platform_only: [(&str, bool); 6] = [
-            ("--shards", opts.shards.is_some()),
-            ("--journal", opts.journal.is_some()),
-            ("--resume", opts.resume.is_some()),
-            ("--batch-size", opts.batch_size.is_some()),
-            ("--crowd-size", opts.crowd_size.is_some()),
-            ("--price", opts.price.is_some()),
-        ];
-        if opts.platform.is_none() {
-            if let Some((flag, _)) = platform_only.iter().find(|(_, set)| *set) {
-                return Err(format!("{flag} requires --platform perfect|amt"));
-            }
-        }
-        opts.output = flags("output");
-        Ok(opts)
+    let value_of =
+        |name: &str| given.iter().find(|&&(seen, _)| seen == name).map(|&(_, v)| v.to_string());
+    // The mode, and the operands its command reads (or refuses) itself.
+    let (mode, operands): (Mode, &[&str]) = match sub.as_str() {
+        "demo" => (Mode::Demo, &[]),
+        "dedup" => (Mode::Dedup, &["input"]),
+        "join" if value_of("stream").is_some() => (Mode::Stream, &["left", "right"]),
+        "join" => (Mode::Join, &["left", "right"]),
+        other => return Err(format!("unknown subcommand {other:?}\n{}", usage())),
     };
 
-    let cmd = match sub.as_str() {
-        "demo" => {
-            let seed = match take("seed") {
-                Some(s) => s.parse().map_err(|_| format!("--seed: not a number: {s:?}"))?,
-                None => 42,
-            };
-            Command::Demo { seed }
+    let mut opts = JoinOpts { threshold: 0.3, auto_threshold: 0.8, seed: 42, ..Default::default() };
+    // The flags that changed an option: one left at its default
+    // (`--progress no`) needs no crowd mode.
+    let mut effective = Vec::new();
+    for &(name, value) in given.iter().filter(|(name, _)| !operands.contains(name)) {
+        let unknown = || format!("unknown flag --{name}\n{}", usage());
+        let flag = FLAGS.iter().find(|f| f.head.split(' ').next() == Some(name));
+        let flag = flag.ok_or_else(unknown)?;
+        match (flag.scope, mode) {
+            (Scope::Any, _) | (Scope::Stream(_), Mode::Stream) => {}
+            (_, Mode::Demo) => return Err(unknown()),
+            (Scope::Stream(why), _) => return Err(why.to_string()),
+            _ => {}
         }
-        "dedup" => {
-            if take("stream").is_some() {
-                return Err("--stream belongs to the join command (a streaming self-join): \
-                            crowdjoin join --stream PATH"
-                    .to_string());
-            }
-            let input = take("input").ok_or("dedup requires --input FILE")?;
-            let opts = parse_opts(&mut take)?;
-            if opts.stream_chunk.is_some() {
-                return Err("--stream-chunk requires --stream".to_string());
-            }
-            Command::Dedup { input, opts }
+        let before = opts.clone();
+        (flag.set)(&mut opts, &Arg { name, value })?;
+        if opts != before {
+            effective.push((name, flag.scope));
         }
-        "join" => match take("stream") {
-            Some(input) => {
-                if take("left").is_some() || take("right").is_some() {
-                    return Err("--stream reads arrivals from its own file/directory (a \
-                                streaming self-join); drop --left/--right"
-                        .to_string());
-                }
-                Command::Stream { input, opts: parse_opts(&mut take)? }
-            }
-            None => {
-                let left = take("left")
-                    .ok_or("join requires --left FILE (or --stream PATH for streaming)")?;
-                let right = take("right").ok_or("join requires --right FILE")?;
-                let opts = parse_opts(&mut take)?;
-                if opts.stream_chunk.is_some() {
-                    return Err("--stream-chunk requires --stream".to_string());
-                }
-                Command::Join { left, right, opts }
-            }
-        },
-        other => return Err(format!("unknown subcommand {other:?}\n{USAGE}")),
-    };
-    if let Some(stray) = flags.keys().next() {
-        return Err(format!("unknown flag --{stray}\n{USAGE}"));
     }
-    Ok(cmd)
+
+    if opts.backend == BackendKind::Spool {
+        // The preset only supplies batch-size/price defaults for an
+        // external crowd; imply one so `--backend spool` works standalone.
+        opts.platform.get_or_insert(PlatformPreset::Perfect);
+    }
+    // The rules that tie flags together, each with its refusal.
+    #[rustfmt::skip]
+    let rules = [
+        (mode == Mode::Stream && (value_of("left").is_some() || value_of("right").is_some()),
+         "--stream reads arrivals from its own file/directory (a streaming self-join); drop \
+          --left/--right"),
+        (opts.journal.is_some() && opts.resume.is_some(),
+         "--journal starts a new journal and --resume continues an existing one; pass exactly one"),
+        (opts.backend == BackendKind::Spool && opts.spool.is_none(),
+         "--backend spool requires --spool DIR (where HITs are published and answers are read \
+          back)"),
+        (value_of("backend").is_some() && opts.platform.is_none(),
+         "--backend sim requires --platform perfect|amt (the backend answers the simulated \
+          platform run)"),
+        (opts.platform.is_some() && opts.crowd == CrowdMode::Interactive,
+         "--platform simulates a crowd; it cannot be combined with --crowd interactive"),
+    ];
+    if let Some((_, refusal)) = rules.iter().find(|(broken, _)| *broken) {
+        return Err(refusal.to_string());
+    }
+    for (name, scope) in effective {
+        match scope {
+            Scope::Platform if opts.platform.is_none() => {
+                return Err(format!("--{name} requires --platform perfect|amt"));
+            }
+            Scope::Spool(why) if opts.backend != BackendKind::Spool => return Err(why.to_string()),
+            _ => {}
+        }
+    }
+
+    Ok(match mode {
+        Mode::Demo => Command::Demo { seed: opts.seed },
+        Mode::Dedup => {
+            Command::Dedup { input: value_of("input").ok_or("dedup requires --input FILE")?, opts }
+        }
+        Mode::Join => Command::Join {
+            left: value_of("left")
+                .ok_or("join requires --left FILE (or --stream PATH for streaming)")?,
+            right: value_of("right").ok_or("join requires --right FILE")?,
+            opts,
+        },
+        Mode::Stream => Command::Stream { input: value_of("stream").unwrap_or_default(), opts },
+    })
 }
 
 /// Oracle that auto-answers from the machine likelihood.
@@ -551,6 +510,12 @@ impl Oracle for InteractiveOracle<'_> {
     }
 }
 
+/// A dataset over `table` whose true entities are unknown (and unused).
+fn unlabeled(table: Table, split: Option<usize>, name: String) -> Dataset {
+    let n = table.len() as u32;
+    Dataset { table, entity_of: (0..n).collect(), split, name }
+}
+
 fn load_table(path: &str) -> Result<Table, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     table_from_csv(&text).map_err(|e| format!("{path}: {e}"))
@@ -587,36 +552,25 @@ fn simulate_on_platform(
     preset: PlatformPreset,
     reporter: &mut Reporter,
 ) -> Result<LabelingResult, String> {
-    use crowdjoin::graph::UnionFind;
-    use crowdjoin::sim::PlatformConfig;
-
-    let mut uf = UnionFind::new(num_objects);
-    for sp in order {
-        if sp.likelihood >= opts.auto_threshold {
-            uf.union(sp.pair.a(), sp.pair.b());
-        }
+    let mut uf = crowdjoin::graph::UnionFind::new(num_objects);
+    for sp in order.iter().filter(|sp| sp.likelihood >= opts.auto_threshold) {
+        uf.union(sp.pair.a(), sp.pair.b());
     }
     let truth = crowdjoin::GroundTruth::new(uf.component_ids());
     let mut platform = match preset {
-        PlatformPreset::Perfect => PlatformConfig::perfect_workers(opts.seed),
-        PlatformPreset::Amt => PlatformConfig::amt_like(opts.seed),
+        PlatformPreset::Perfect => crowdjoin::sim::PlatformConfig::perfect_workers(opts.seed),
+        PlatformPreset::Amt => crowdjoin::sim::PlatformConfig::amt_like(opts.seed),
     };
-    if let Some(batch_size) = opts.batch_size {
-        platform.batch_size = batch_size;
-    }
-    if let Some(crowd_size) = opts.crowd_size {
-        platform.num_workers = crowd_size;
-    }
-    if let Some(price) = opts.price {
-        platform.price_per_assignment_cents = price;
-    }
+    platform.batch_size = opts.batch_size.unwrap_or(platform.batch_size);
+    platform.num_workers = opts.crowd_size.unwrap_or(platform.num_workers);
+    platform.price_per_assignment_cents = opts.price.unwrap_or(platform.price_per_assignment_cents);
     let engine = crowdjoin::EngineConfig {
         num_shards: opts.shards.unwrap_or(1),
         seed: opts.seed,
         journal: opts.journal.clone().map(std::path::PathBuf::from),
         ..crowdjoin::EngineConfig::default()
     };
-    let progress = if opts.progress { Some(ProgressLine::start()) } else { None };
+    let progress = opts.progress.then(ProgressLine::start);
     let job = crowdjoin::Engine::new(num_objects, order, &truth, &platform, engine);
     let resume = opts.resume.as_deref();
     let report = match opts.backend {
@@ -639,18 +593,12 @@ fn simulate_on_platform(
         line.finish();
     }
 
-    let backend = match opts.backend {
-        BackendKind::Sim => EngineBackend::Sim,
-        BackendKind::Spool => EngineBackend::Spool,
+    let journal = match (&opts.resume, &opts.journal) {
+        (Some(path), _) => JournalOutcome::Resumed(path),
+        (None, Some(path)) => JournalOutcome::Journaled(path),
+        (None, None) => JournalOutcome::None,
     };
-    let journal = if let Some(path) = &opts.resume {
-        JournalOutcome::Resumed(path)
-    } else if let Some(path) = &opts.journal {
-        JournalOutcome::Journaled(path)
-    } else {
-        JournalOutcome::None
-    };
-    reporter.platform_summary(&report, backend, journal);
+    reporter.platform_summary(&report, opts.backend, journal);
     Ok(report.result)
 }
 
@@ -676,25 +624,18 @@ fn run_join(dataset: &Dataset, opts: &JoinOpts) -> Result<(), String> {
     let reporter = Reporter::new(opts.report);
 
     let arity = dataset.table.schema().arity();
-    // The matcher stage runs in explicit phases; each library stage
-    // publishes its own wall time into the metrics registry
-    // (`matcher.*.us` counters), which `--timings` reads back at the end —
-    // no CLI-side stopwatches for the matcher phases.
+    // Each matcher stage publishes its own wall time into the metrics
+    // registry (`matcher.*.us` counters), which `--timings` reads back.
     let matcher_cfg =
         MatcherConfig { min_likelihood: opts.threshold, ..MatcherConfig::for_arity(arity) };
-    let corpus = TokenizedCorpus::build_threaded(dataset, matcher_cfg.threads);
-    let tfidf =
-        TfIdfIndex::from_corpus_threaded(&corpus, &matcher_cfg.field_weights, matcher_cfg.threads);
-    let candidates_raw = generate_candidates_prepared(dataset, &corpus, &tfidf, &matcher_cfg);
-    finish_join(dataset, &candidates_raw, opts, reporter)
+    finish_join(dataset, &generate_candidates(dataset, &matcher_cfg), opts, reporter)
 }
 
 /// Everything downstream of candidate generation — thresholding, labeling
 /// (sequential, or the engine on a platform), constraint cleanup, CSV
-/// output, and report/trace/metrics flushing. Shared verbatim by the batch path
-/// ([`run_join`]) and the streaming path ([`run_stream`]), which is what
-/// makes a closed stream's labels/money/reports equal to batch by
-/// construction.
+/// output, and report/trace/metrics flushing. Shared verbatim by the batch
+/// path ([`run_join`]) and the streaming path ([`run_stream`]), which makes
+/// a closed stream's labels/money/reports equal to batch by construction.
 fn finish_join(
     dataset: &Dataset,
     candidates_raw: &[crowdjoin_matcher::ScoredCandidate],
@@ -711,12 +652,6 @@ fn finish_join(
     // publishing would ask strictly more (a batch is chosen before any of
     // its answers arrive) and buy nothing back.
     let result: LabelingResult = if let Some(preset) = opts.platform {
-        if opts.crowd == CrowdMode::Interactive {
-            return Err(
-                "--platform simulates a crowd; it cannot be combined with --crowd interactive"
-                    .to_string(),
-            );
-        }
         simulate_on_platform(candidates.num_objects(), &order, opts, preset, &mut reporter)?
     } else {
         let mut oracle: Box<dyn Oracle + '_> = match opts.crowd {
@@ -755,13 +690,8 @@ fn finish_join(
             reporter.note(&format!("one-to-one constraint demoted {} match(es)", demoted.len()));
         }
     }
-    let effective_label = |pair: Pair, label: Label| {
-        if demoted.contains(&pair) {
-            Label::NonMatching
-        } else {
-            label
-        }
-    };
+    let effective_label =
+        |pair: Pair, label| if demoted.contains(&pair) { Label::NonMatching } else { label };
 
     let csv = if opts.resolve {
         // Entity clusters: rebuild a result view with demotions applied.
@@ -784,22 +714,15 @@ fn finish_join(
         }
         write_csv(&rows)
     } else {
-        let mut rows = vec![vec![
-            "a".to_string(),
-            "b".to_string(),
-            "label".to_string(),
-            "provenance".to_string(),
-            "likelihood".to_string(),
-        ]];
+        let mut rows =
+            vec![["a", "b", "label", "provenance", "likelihood"].map(String::from).to_vec()];
         for lp in result.labeled_pairs() {
             rows.push(vec![
                 lp.pair.a().to_string(),
                 lp.pair.b().to_string(),
                 effective_label(lp.pair, lp.label).to_string(),
-                match lp.provenance {
-                    Provenance::Crowdsourced => "crowdsourced".to_string(),
-                    Provenance::Deduced => "deduced".to_string(),
-                },
+                if lp.provenance == Provenance::Deduced { "deduced" } else { "crowdsourced" }
+                    .to_string(),
                 format!("{:.4}", likelihood_of.get(&lp.pair).copied().unwrap_or(0.0)),
             ]);
         }
@@ -854,16 +777,13 @@ fn load_stream_chunks(input: &str, chunk: usize) -> Result<(Schema, Vec<Vec<Reco
             let name = file.display();
             let text = std::fs::read_to_string(file).map_err(|e| format!("{name}: {e}"))?;
             let table = table_from_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
-            match &schema {
-                None => schema = Some(table.schema().clone()),
-                Some(s) if s != table.schema() => {
-                    return Err(format!(
-                        "schema mismatch: {name} has fields {:?}, earlier chunks have {:?}",
-                        table.schema().fields(),
-                        s.fields()
-                    ));
-                }
-                Some(_) => {}
+            let first = schema.get_or_insert_with(|| table.schema().clone());
+            if first != table.schema() {
+                return Err(format!(
+                    "schema mismatch: {name} has fields {:?}, earlier chunks have {:?}",
+                    table.schema().fields(),
+                    first.fields()
+                ));
             }
             chunks.push(table.records().to_vec());
         }
@@ -876,13 +796,6 @@ fn load_stream_chunks(input: &str, chunk: usize) -> Result<(Schema, Vec<Vec<Reco
         let chunks = table.records().chunks(chunk).map(<[Record]>::to_vec).collect();
         Ok((schema, chunks))
     }
-}
-
-/// The engine journal at `path` gets a `.stream` sibling for ingest frames
-/// (two-file scheme: answers in `path`, arrivals in `path.stream`, each
-/// file byte-identical to what a pure batch/stream run would write).
-fn stream_journal_path(path: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(format!("{path}.stream"))
 }
 
 /// `join --stream PATH`: the streaming self-join. Ingests arrivals into
@@ -901,20 +814,24 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
         ..MatcherConfig::for_arity(schema.arity())
     };
 
+    // The engine journal FILE gets a `FILE.stream` sibling for ingest
+    // frames (answers in one file, arrivals in the other, each
+    // byte-identical to what a pure batch/stream run would write).
     // Resume may precede the engine run that creates the answer journal: a
     // stream killed before close leaves only `FILE.stream` behind. The
     // stream side still resumes; the engine side then *starts* a journal
     // at FILE instead of resuming one.
+    let stream_journal = |path: &str| std::path::PathBuf::from(format!("{path}.stream"));
     let mut opts = opts.clone();
     let (mut job, replayed) = match (&opts.journal, &opts.resume) {
         (Some(path), None) => {
-            let spath = stream_journal_path(path);
+            let spath = stream_journal(path);
             let job = crowdjoin::StreamJob::with_journal(schema, matcher_cfg, opts.seed, &spath)
                 .map_err(|e| format!("--journal {}: {e}", spath.display()))?;
             (job, 0)
         }
         (None, Some(path)) => {
-            let spath = stream_journal_path(path);
+            let spath = stream_journal(path);
             let (job, replayed) =
                 crowdjoin::StreamJob::resume(schema, matcher_cfg, opts.seed, &spath)
                     .map_err(|e| format!("--resume {}: {e}", spath.display()))?;
@@ -963,8 +880,6 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
 }
 
 fn run_demo(seed: u64) -> Result<(), String> {
-    use crowdjoin::records::{generate_paper, ClusterSpec, PaperGenConfig, PerturbConfig};
-    use crowdjoin::{build_task, GroundTruthOracle};
     let dataset = generate_paper(&PaperGenConfig {
         num_records: 200,
         clusters: ClusterSpec::PowerLaw { alpha: 1.9, max_size: 30, force_max: true },
@@ -990,39 +905,22 @@ fn run(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Demo { seed } => run_demo(seed),
         Command::Dedup { input, opts } => {
-            let table = load_table(&input)?;
-            let n = table.len();
-            let dataset = Dataset {
-                table,
-                entity_of: (0..n as u32).collect(), // unknown truth: unused
-                split: None,
-                name: input,
-            };
-            run_join(&dataset, &opts)
+            run_join(&unlabeled(load_table(&input)?, None, input), &opts)
         }
         Command::Join { left, right, opts } => {
-            let lt = load_table(&left)?;
-            let rt = load_table(&right)?;
-            if lt.schema() != rt.schema() {
+            let (mut table, right_table) = (load_table(&left)?, load_table(&right)?);
+            if table.schema() != right_table.schema() {
                 return Err(format!(
                     "schema mismatch: {left} has {:?}, {right} has {:?}",
-                    lt.schema().fields(),
-                    rt.schema().fields()
+                    table.schema().fields(),
+                    right_table.schema().fields()
                 ));
             }
-            let split = lt.len();
-            let mut table = lt;
-            for r in rt.records() {
+            let split = table.len();
+            for r in right_table.records() {
                 table.push(r.clone());
             }
-            let n = table.len();
-            let dataset = Dataset {
-                table,
-                entity_of: (0..n as u32).collect(), // unknown truth: unused
-                split: Some(split),
-                name: format!("{left}⋈{right}"),
-            };
-            run_join(&dataset, &opts)
+            run_join(&unlabeled(table, Some(split), format!("{left}⋈{right}")), &opts)
         }
         Command::Stream { input, opts } => run_stream(&input, &opts),
     }
@@ -1400,6 +1298,177 @@ mod tests {
         assert!(parse_args(&args("dedup --input a --crowd psychic")).is_err());
         assert!(parse_args(&args("demo --bogus 1")).is_err());
         assert!(parse_args(&args("demo --seed 1 --seed 2")).is_err(), "duplicate flag");
+    }
+
+    /// Every single-fault command line the parser refuses, with its exact
+    /// refusal; `true` marks the refusals followed by the usage text.
+    #[test]
+    fn every_refusal_keeps_its_text() {
+        assert_eq!(parse_args(&[]), Err(usage()));
+        for (line, refusal, then_usage) in [
+            ("frobnicate", "unknown subcommand \"frobnicate\"", true),
+            ("dedup input.csv", "unexpected argument \"input.csv\"", true),
+            ("dedup --input", "flag --input needs a value", true),
+            ("demo --seed 1 --seed 2", "duplicate flag --seed", false),
+            ("demo --seed nope", "--seed: not a number: \"nope\"", false),
+            ("demo --bogus 1", "unknown flag --bogus", true),
+            ("demo --threshold 0.3", "unknown flag --threshold", true),
+            ("demo --stream s.jsonl", "unknown flag --stream", true),
+            ("demo --progress no", "unknown flag --progress", true),
+            ("dedup", "dedup requires --input FILE", false),
+            ("dedup --input a.csv --left b.csv", "unknown flag --left", true),
+            ("dedup --input a.csv --frobnicate 1", "unknown flag --frobnicate", true),
+            ("dedup --input a.csv --stream s.jsonl", "--stream belongs to the join command (a streaming self-join): crowdjoin join --stream PATH", false),
+            ("dedup --input a.csv --stream-chunk 64", "--stream-chunk requires --stream", false),
+            ("join --left a.csv --right b.csv --stream-chunk 64", "--stream-chunk requires --stream", false),
+            ("join --right b.csv", "join requires --left FILE (or --stream PATH for streaming)", false),
+            ("join --left a.csv", "join requires --right FILE", false),
+            ("join --left a.csv --right b.csv --input c.csv", "unknown flag --input", true),
+            ("join --stream s.jsonl --left a.csv", "--stream reads arrivals from its own file/directory (a streaming self-join); drop --left/--right", false),
+            ("join --stream s.jsonl --input c.csv", "unknown flag --input", true),
+            ("join --stream s.jsonl --stream-chunk 0", "--stream-chunk must be at least 1 record per batch", false),
+            ("join --stream s.jsonl --stream-chunk many", "--stream-chunk: not a number: \"many\"", false),
+            ("dedup --input a.csv --threshold high", "--threshold: not a number: \"high\"", false),
+            ("dedup --input a.csv --threshold 1.5", "--threshold must be in [0, 1], got 1.5", false),
+            ("dedup --input a.csv --crowd 40", "--crowd picks the answering mode (auto|interactive), not a size; did you mean --crowd-size 40 (simulated worker-pool size)?", false),
+            ("dedup --input a.csv --crowd psychic", "--crowd must be auto|interactive, got \"psychic\"", false),
+            ("dedup --input a.csv --auto-threshold high", "--auto-threshold: not a number: \"high\"", false),
+            ("dedup --input a.csv --resolve maybe", "--resolve must be yes|no, got \"maybe\"", false),
+            ("dedup --input a.csv --one-to-one maybe", "--one-to-one must be yes|no, got \"maybe\"", false),
+            ("dedup --input a.csv --timings sometimes", "--timings must be yes|no, got \"sometimes\"", false),
+            ("dedup --input a.csv --progress sometimes", "--progress must be yes|no, got \"sometimes\"", false),
+            ("dedup --input a.csv --report xml", "--report must be human|json, got \"xml\"", false),
+            ("dedup --input a.csv --platform amt --shards many", "--shards: not a number: \"many\"", false),
+            ("dedup --input a.csv --platform mturk", "--platform must be perfect|amt, got \"mturk\"", false),
+            ("dedup --input a.csv --seed soon", "--seed: not a number: \"soon\"", false),
+            ("dedup --input a.csv --platform amt --batch-size many", "--batch-size: not a number: \"many\"", false),
+            ("dedup --input a.csv --platform amt --batch-size 0", "--batch-size must be at least 1 pair per HIT", false),
+            ("dedup --input a.csv --platform amt --crowd-size interactive", "--crowd-size is the simulated worker-pool size (a number); for the answering mode use --crowd interactive", false),
+            ("dedup --input a.csv --platform amt --crowd-size auto", "--crowd-size is the simulated worker-pool size (a number); for the answering mode use --crowd auto", false),
+            ("dedup --input a.csv --platform amt --crowd-size many", "--crowd-size: not a number: \"many\"", false),
+            ("dedup --input a.csv --platform amt --crowd-size 2", "--crowd-size must be at least 3 (each HIT needs 3 distinct workers for its majority vote), got 2", false),
+            ("dedup --input a.csv --platform amt --price free", "--price: not a number: \"free\"", false),
+            ("dedup --input a.csv --platform amt --journal j.wal --resume j.wal", "--journal starts a new journal and --resume continues an existing one; pass exactly one", false),
+            ("dedup --input a.csv --platform amt --backend mturk", "--backend must be sim|spool, got \"mturk\"", false),
+            ("dedup --input a.csv --platform amt --spool s", "--spool only applies to --backend spool", false),
+            ("dedup --input a.csv --backend spool", "--backend spool requires --spool DIR (where HITs are published and answers are read back)", false),
+            ("dedup --input a.csv --backend sim", "--backend sim requires --platform perfect|amt (the backend answers the simulated platform run)", false),
+            ("dedup --input a.csv --platform amt --progress yes", "--progress tracks a wall-clock crowd; it requires --backend spool (simulated runs finish in virtual time)", false),
+            ("dedup --input a.csv --journal j.wal", "--journal requires --platform perfect|amt", false),
+            ("dedup --input a.csv --resume j.wal", "--resume requires --platform perfect|amt", false),
+            ("dedup --input a.csv --batch-size 10", "--batch-size requires --platform perfect|amt", false),
+            ("dedup --input a.csv --crowd-size 80", "--crowd-size requires --platform perfect|amt", false),
+            ("dedup --input a.csv --price 3", "--price requires --platform perfect|amt", false),
+        ] {
+            let want = if then_usage { format!("{refusal}\n{}", usage()) } else { refusal.to_string() };
+            assert_eq!(parse_args(&args(line)), Err(want), "{line}");
+        }
+        // Left at its default, a spool-only flag needs no spool.
+        assert!(parse_args(&args("dedup --input a.csv --progress no")).is_ok());
+    }
+
+    /// The usage text rendered from the flag table, byte for byte.
+    #[test]
+    fn usage_text_is_pinned() {
+        let want = "usage:
+  crowdjoin demo  [--seed N]
+  crowdjoin dedup --input FILE  [options]
+  crowdjoin join  --left FILE --right FILE  [options]
+  crowdjoin join  --stream PATH  [options]
+
+options:
+  --stream PATH         join only: streaming self-join. Arrivals come from
+                        PATH instead of --left/--right: a JSONL file (one
+                        object per line, ingested in --stream-chunk
+                        batches) or a spool-style directory of *.jsonl
+                        chunk files (processed in name order, one ingest
+                        batch per file). The closed stream is bit-identical
+                        to a batch run over the same records.
+                        With --journal FILE each ingest is write-ahead
+                        logged to FILE.stream before it is applied, so a
+                        killed stream resumes with --resume FILE (re-pass
+                        the same input and flags)
+  --stream-chunk N      records per ingest batch for a single-file --stream
+                        input (default 512)
+  --threshold T         machine-likelihood threshold for candidates (default 0.3)
+  --crowd MODE          auto | interactive (default auto)
+  --auto-threshold X    auto crowd answers matching iff likelihood >= X (default 0.8)
+  --output FILE         write CSV here instead of stdout
+  --resolve yes         output entity clusters instead of pair labels
+  --one-to-one yes      keep at most one match per record (join only)
+  --shards N            platform mode: partition the job into N engine
+                        shards, one platform each (0 = one per CPU;
+                        default 1). Refused without --platform: a crowd
+                        that answers at once runs the sequential labeler
+  --platform PRESET     simulate the crowd on the event-loop engine and
+                        report cost/completion Table-1 style:
+                        perfect (accurate workers) | amt (25% spammers,
+                        majority vote). Labels come from the simulated run;
+                        ground truth is the auto-threshold clustering.
+  --backend KIND        who answers the published HITs: sim (the in-process
+                        simulator, default) | spool (publish HITs as JSON
+                        files into --spool DIR/hits and poll DIR/answers —
+                        an external process or human answers them; implies
+                        --platform perfect for batch/price defaults)
+  --spool DIR           spool directory of --backend spool
+  --seed N              seed for the simulated platform (default 42)
+  --journal FILE        platform mode: append every crowd answer to a
+                        crash-safe write-ahead journal; a killed run
+                        resumes with --resume without re-paying the crowd
+  --resume FILE         platform mode: resume a killed journaled run —
+                        replays the journaled answers, asks only the rest,
+                        and keeps appending to FILE (pass the same input
+                        and flags as the original run)
+  --batch-size N        platform mode: pairs per HIT (default 20)
+  --crowd-size N        platform mode: size of the simulated worker pool
+                        (default 40; split evenly across shards). This is
+                        THE platform-capacity knob; the separate --crowd
+                        flag picks the answering mode, not a size.
+  --price CENTS         platform mode: cents per completed assignment
+                        (default 2)
+  --timings yes         print a per-phase wall-clock breakdown (tokenize /
+                        tf-idf index / prefix index / candidate generation /
+                        join) plus the probe-block filter-cascade decisions
+                        to stderr — see where time goes on large inputs
+  --report FORMAT       human (progressive stderr lines, default) | json
+                        (one machine-readable report document on stdout at
+                        the end; the labels CSV then only appears with
+                        --output FILE)
+  --trace FILE          record a structured event trace of the run: JSONL
+                        at FILE plus a Chrome-trace twin at
+                        FILE.chrome.json (open in Perfetto / about:tracing)
+  --metrics FILE        write the final counters/gauges/histograms snapshot
+                        (JSON) to FILE
+  --progress yes        spool backend only: repaint a live stderr line
+                        (answers so far, pairs awaiting the crowd) while
+                        the job waits on its external answerer";
+        assert_eq!(usage(), want);
+    }
+
+    #[test]
+    fn auto_threshold_must_be_a_likelihood() {
+        // With NaN every auto answer would silently be non-matching.
+        for bad in ["1.5", "-0.1", "NaN", "inf"] {
+            let line = format!("dedup --input a.csv --auto-threshold {bad}");
+            let want = format!("--auto-threshold must be in [0, 1], got {bad}");
+            assert_eq!(parse_args(&args(&line)), Err(want));
+        }
+        for good in ["0", "0.5", "1"] {
+            let line = format!("dedup --input a.csv --auto-threshold {good}");
+            assert!(parse_args(&args(&line)).is_ok(), "{good}");
+        }
+    }
+
+    #[test]
+    fn interactive_crowd_on_a_platform_is_refused_before_any_work() {
+        let want = "--platform simulates a crowd; it cannot be combined with --crowd interactive";
+        for line in [
+            "dedup --input a.csv --platform amt --crowd interactive",
+            "dedup --input a.csv --backend spool --spool s --crowd interactive",
+            "join --stream s.jsonl --platform perfect --crowd interactive --trace t.jsonl",
+        ] {
+            assert_eq!(parse_args(&args(line)), Err(want.to_string()), "{line}");
+        }
     }
 
     #[test]

@@ -79,18 +79,16 @@ pub use crowdjoin_util as util;
 pub use crowdjoin_wal as wal;
 
 pub use crowdjoin_core::{
-    enforce_one_to_one, label_non_transitive, label_sequential, optimal_cost, resolve_entities,
-    run_parallel_rounds, sort_pairs, CandidateSet, EntityResolution, FixedOracle, GroundTruth,
-    GroundTruthOracle, Label, LabeledPair, LabelingResult, LabelingTask, NoisyOracle,
-    OneToOneDeducer, OneToOneOutcome, OptimalCost, Oracle, Pair, ParallelLabeler, ParallelRunStats,
-    Provenance, QualityMetrics, ScoredPair, SortStrategy, WorldEnumeration,
+    enforce_one_to_one, label_sequential, optimal_cost, resolve_entities, run_parallel_rounds,
+    sort_pairs, CandidateSet, GroundTruth, GroundTruthOracle, Label, LabelingResult, LabelingTask,
+    Oracle, Pair, ParallelLabeler, Provenance, QualityMetrics, ScoredPair, SortStrategy,
 };
 // The engine's oracle entry point under the facade's historical name.
 pub use crowdjoin_engine::run_with_oracle as run_sharded_with_oracle;
 pub use crowdjoin_engine::{
-    BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, RoundMetric, ShardContext,
-    ShardMetrics, ShardReport, SharedGroundTruth, SharedOracle, SimFactory, TimeSource,
+    BackendFactory, CrowdBackend, Engine, EngineConfig, EngineReport, ShardContext,
+    SharedGroundTruth, SimFactory, TimeSource,
 };
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
-pub use runner::{publish_in_waves, run_parallel_on_platform, AvailabilitySample, CrowdRunReport};
-pub use stream::{StreamIngestReport, StreamJob};
+pub use runner::{publish_in_waves, run_parallel_on_platform};
+pub use stream::StreamJob;

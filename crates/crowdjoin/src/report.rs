@@ -39,9 +39,10 @@ pub enum ReportFormat {
 
 /// Which backend answered the engine's HITs (affects the summary header
 /// and whether completion time is virtual or wall-clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineBackend {
     /// The in-process discrete-event simulator.
+    #[default]
     Sim,
     /// The spool-directory backend (external answerer, wall clock).
     Spool,

@@ -136,10 +136,6 @@ pub struct ClusterGraph {
     degree: Vec<u32>,
     /// Number of distinct cluster-level non-matching edges.
     cluster_edges: usize,
-    /// Count of matching labels inserted (non-redundant).
-    matching_inserted: usize,
-    /// Count of non-matching labels inserted (non-redundant).
-    nonmatching_inserted: usize,
 }
 
 /// End of a neighbour list.
@@ -167,8 +163,6 @@ impl ClusterGraph {
             entries: Vec::new(),
             degree: vec![0; n],
             cluster_edges: 0,
-            matching_inserted: 0,
-            nonmatching_inserted: 0,
         }
     }
 
@@ -188,18 +182,6 @@ impl ClusterGraph {
     #[must_use]
     pub fn num_cluster_edges(&self) -> usize {
         self.cluster_edges
-    }
-
-    /// Non-redundant matching labels inserted so far.
-    #[must_use]
-    pub fn matching_inserted(&self) -> usize {
-        self.matching_inserted
-    }
-
-    /// Non-redundant non-matching labels inserted so far.
-    #[must_use]
-    pub fn nonmatching_inserted(&self) -> usize {
-        self.nonmatching_inserted
     }
 
     /// Attempts to deduce the label of `(a, b)` from the inserted edges.
@@ -312,7 +294,6 @@ impl ClusterGraph {
                 self.degree[sa as usize] += 1;
                 self.degree[sb as usize] += 1;
                 self.cluster_edges += 1;
-                self.nonmatching_inserted += 1;
                 Ok(Change::Edge { slot_a: sa, slot_b: sb })
             }
             EdgeLabel::Matching => {
@@ -377,7 +358,6 @@ impl ClusterGraph {
         }
         self.degree[drop as usize] = DEAD;
         self.slot_of_root[winner as usize] = keep;
-        self.matching_inserted += 1;
         Change::Merge { kept_slot: keep, dropped_slot: drop }
     }
 
@@ -436,11 +416,6 @@ impl ClusterGraph {
     /// insert).
     pub fn cluster_of(&mut self, x: u32) -> u32 {
         self.uf.find(x)
-    }
-
-    /// Size of the cluster containing `x`.
-    pub fn cluster_size(&mut self, x: u32) -> u32 {
-        self.uf.component_size(x)
     }
 }
 
@@ -524,7 +499,7 @@ mod tests {
         g.insert(0, 1, EdgeLabel::Matching).unwrap();
         g.insert(1, 2, EdgeLabel::Matching).unwrap();
         assert_eq!(g.insert(0, 2, EdgeLabel::Matching), Ok(InsertOutcome::Redundant));
-        assert_eq!(g.matching_inserted(), 2);
+        assert_eq!(g.num_clusters(), 1);
     }
 
     #[test]

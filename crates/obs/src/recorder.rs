@@ -9,7 +9,7 @@
 //! and the sink lock — so a run with no sinks attached does one relaxed
 //! load per site and nothing else.
 
-use crate::event::{FieldValue, TraceEvent, NO_SHARD};
+use crate::event::{FieldValue, TraceEvent};
 use crate::sink::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -245,15 +245,10 @@ macro_rules! obs_span {
     };
 }
 
-/// Convenience for job-level events with no shard.
-#[must_use]
-pub fn job_event(cat: &'static str, kind: &'static str) -> EventBuilder {
-    EventBuilder::new(cat, kind, NO_SHARD)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::event::NO_SHARD;
     use crate::sink::CaptureSink;
 
     /// The recorder is process-global; tests that install sinks serialize

@@ -59,12 +59,6 @@ impl SimDuration {
         SimDuration(s * 1000)
     }
 
-    /// Builds from whole minutes.
-    #[must_use]
-    pub fn from_mins(m: u64) -> Self {
-        SimDuration(m * 60_000)
-    }
-
     /// Builds from fractional seconds (sub-millisecond truncated; negative
     /// inputs clamp to zero).
     #[must_use]
@@ -178,12 +172,12 @@ mod tests {
         let t = VirtualTime::ZERO.after(SimDuration::from_secs(90));
         assert_eq!(t, VirtualTime(90_000));
         assert_eq!(t.since(VirtualTime::ZERO), SimDuration(90_000));
-        assert_eq!(t.after(SimDuration::from_mins(1)), VirtualTime(150_000));
+        assert_eq!(t.after(SimDuration::from_secs(60)), VirtualTime(150_000));
     }
 
     #[test]
     fn hours_conversion() {
-        let t = VirtualTime::ZERO.after(SimDuration::from_mins(90));
+        let t = VirtualTime::ZERO.after(SimDuration::from_secs(90 * 60));
         assert!((t.as_hours() - 1.5).abs() < 1e-12);
     }
 

@@ -23,13 +23,6 @@ impl Histogram {
         *self.counts.entry(bucket).or_insert(0) += 1;
     }
 
-    /// Increments the count for `bucket` by `n`.
-    pub fn record_n(&mut self, bucket: usize, n: u64) {
-        if n > 0 {
-            *self.counts.entry(bucket).or_insert(0) += n;
-        }
-    }
-
     /// Count stored for `bucket` (zero if never recorded).
     #[must_use]
     pub fn count(&self, bucket: usize) -> u64 {
@@ -68,19 +61,6 @@ impl Histogram {
     pub fn weighted_total(&self) -> u64 {
         self.counts.iter().map(|(&b, &c)| b as u64 * c).sum()
     }
-
-    /// Renders a compact one-line-per-bucket table, used by experiment
-    /// binaries for Figure-10-style output.
-    #[must_use]
-    pub fn render_table(&self, bucket_label: &str, count_label: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{bucket_label:>12}  {count_label:>12}");
-        for (bucket, count) in self.sorted_entries() {
-            let _ = writeln!(out, "{bucket:>12}  {count:>12}");
-        }
-        out
-    }
 }
 
 impl FromIterator<usize> for Histogram {
@@ -112,29 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn record_n_zero_is_noop() {
-        let mut h = Histogram::new();
-        h.record_n(4, 0);
-        assert_eq!(h.num_buckets(), 0);
-        h.record_n(4, 5);
-        assert_eq!(h.count(4), 5);
-    }
-
-    #[test]
     fn sorted_entries_and_weighted_total() {
         let h: Histogram = vec![2, 2, 2, 102, 1].into_iter().collect();
         assert_eq!(h.sorted_entries(), vec![(1, 1), (2, 3), (102, 1)]);
         // 1*1 + 2*3 + 102*1 = 109 objects in total.
         assert_eq!(h.weighted_total(), 109);
-    }
-
-    #[test]
-    fn render_table_contains_rows() {
-        let h: Histogram = vec![1, 1, 5].into_iter().collect();
-        let table = h.render_table("size", "clusters");
-        assert!(table.contains("size"));
-        assert!(table.contains("clusters"));
-        assert!(table.lines().count() >= 3);
     }
 
     #[test]

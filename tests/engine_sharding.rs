@@ -4,6 +4,7 @@
 //! set on the bundled generators, at every shard count, and be
 //! bit-deterministic for a fixed seed.
 
+use crowdjoin::core::NoisyOracle;
 use crowdjoin::engine::{SharedGroundTruth, SharedOracle};
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{
@@ -12,8 +13,8 @@ use crowdjoin::records::{
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
     build_task, run_parallel_rounds, run_sharded_with_oracle, sort_pairs, CandidateSet, Engine,
-    EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, NoisyOracle, Oracle, Pair,
-    ScoredPair, SortStrategy,
+    EngineConfig, EngineReport, GroundTruth, GroundTruthOracle, Label, Oracle, Pair, ScoredPair,
+    SortStrategy,
 };
 use std::sync::Mutex;
 

@@ -8,8 +8,7 @@ use crowdjoin::records::{
 };
 use crowdjoin::{
     build_task, enforce_one_to_one, ground_truth_of, resolve_entities, sort_pairs,
-    to_candidate_set, GroundTruthOracle, Label, OneToOneDeducer, Pair, QualityMetrics, ScoredPair,
-    SortStrategy,
+    to_candidate_set, GroundTruthOracle, Label, QualityMetrics, ScoredPair, SortStrategy,
 };
 
 #[test]
@@ -63,7 +62,7 @@ fn one_to_one_cleanup_improves_noisy_cross_join_precision() {
     // every record has at most one true partner, so one-to-one cleanup can
     // only remove errors.
     let order = sort_pairs(&candidates, SortStrategy::ExpectedLikelihood);
-    let mut crowd = crowdjoin::NoisyOracle::new(&truth, 0.15, 99);
+    let mut crowd = crowdjoin::core::NoisyOracle::new(&truth, 0.15, 99);
     let result = crowdjoin::label_sequential(candidates.num_objects(), &order, &mut crowd);
 
     let matches: Vec<ScoredPair> = order
@@ -87,34 +86,4 @@ fn one_to_one_cleanup_improves_noisy_cross_join_precision() {
     for sp in &cleaned.kept {
         assert!(used.insert(sp.pair.a()) && used.insert(sp.pair.b()));
     }
-}
-
-#[test]
-fn online_one_to_one_deducer_saves_questions() {
-    // Manually drive labeling with the online 1:1 tracker: once (a, b)
-    // matches, other pairs touching a or b are answered by the constraint
-    // instead of the crowd.
-    let truth = crowdjoin::GroundTruth::from_clusters(6, &[vec![0, 3]]);
-    let order = vec![
-        ScoredPair::new(Pair::new(0, 3), 0.9), // true match
-        ScoredPair::new(Pair::new(0, 4), 0.8), // excluded by constraint
-        ScoredPair::new(Pair::new(1, 3), 0.7), // excluded by constraint
-        ScoredPair::new(Pair::new(1, 4), 0.6), // needs the crowd
-    ];
-    let mut crowd = GroundTruthOracle::new(&truth);
-    let mut tracker = OneToOneDeducer::new();
-    let mut asked = 0;
-    for sp in &order {
-        if tracker.excludes(sp.pair) {
-            assert_eq!(truth.label_of(sp.pair), Label::NonMatching, "constraint is sound");
-            continue;
-        }
-        use crowdjoin::Oracle as _;
-        let label = crowd.answer(sp.pair);
-        asked += 1;
-        if label == Label::Matching {
-            tracker.confirm_match(sp.pair);
-        }
-    }
-    assert_eq!(asked, 2, "constraint deduced two of four pairs");
 }

@@ -2,9 +2,10 @@
 //! candidate graphs. The framework must degrade gracefully, never panic,
 //! and keep its accounting consistent.
 
+use crowdjoin::core::NoisyOracle;
 use crowdjoin::{
     label_sequential, run_parallel_rounds, sort_pairs, CandidateSet, GroundTruth,
-    GroundTruthOracle, NoisyOracle, Pair, QualityMetrics, ScoredPair, SortStrategy,
+    GroundTruthOracle, Pair, QualityMetrics, ScoredPair, SortStrategy,
 };
 
 /// A clique candidate set over one true cluster.
