@@ -79,6 +79,12 @@ pub struct MatcherTimings {
     pub blocks_len_on: u64,
     /// Blocks where the cascade enabled the positional filter.
     pub blocks_pos_on: u64,
+    /// (probe, record) pairs a posting scan touched.
+    pub probe_touched: u64,
+    /// Touched pairs whose cosine tail the verifier walked.
+    pub probe_tail_walks: u64,
+    /// Exact merge joins (cosine or Jaccard) the verifier ran.
+    pub probe_merges: u64,
 }
 
 impl MatcherTimings {
@@ -86,9 +92,10 @@ impl MatcherTimings {
     ///
     /// The matcher library publishes its own stage timers as µs counters
     /// (`matcher.tokenize.us`, `matcher.index.us`, `matcher.prefix.us`,
-    /// `matcher.candidates.us`) plus the block cascade's decision counters
-    /// (`matcher.blocks`, `matcher.blocks.len_on`, `matcher.blocks.pos_on`),
-    /// and the CLI publishes `join.label.us` around the labeling run, so
+    /// `matcher.candidates.us`), the block cascade's decision counters
+    /// (`matcher.blocks`, `matcher.blocks.len_on`, `matcher.blocks.pos_on`)
+    /// and the verifier's work counters (`matcher.probe.touched`,
+    /// `matcher.probe.tail_walks`, `matcher.probe.merges`), and the CLI publishes `join.label.us` around the labeling run, so
     /// `--timings` no longer needs its own `Instant` bookkeeping — one
     /// registry read after the job replaces the ad-hoc stopwatch sites.
     /// Counters accumulate, so callers should `reset_metrics()` at job
@@ -111,6 +118,9 @@ impl MatcherTimings {
                 "matcher.blocks" => t.blocks = v,
                 "matcher.blocks.len_on" => t.blocks_len_on = v,
                 "matcher.blocks.pos_on" => t.blocks_pos_on = v,
+                "matcher.probe.touched" => t.probe_touched = v,
+                "matcher.probe.tail_walks" => t.probe_tail_walks = v,
+                "matcher.probe.merges" => t.probe_merges = v,
                 _ => {}
             }
         }
@@ -262,6 +272,11 @@ impl Reporter {
             blocks.field("len_filter_on", t.blocks_len_on.to_string());
             blocks.field("pos_filter_on", t.blocks_pos_on.to_string());
             self.fields.push(("probe_blocks", blocks.render()));
+            let mut pairs = JsonObject::new();
+            pairs.field("touched", t.probe_touched.to_string());
+            pairs.field("tail_walks", t.probe_tail_walks.to_string());
+            pairs.field("merges", t.probe_merges.to_string());
+            self.fields.push(("probe_pairs", pairs.render()));
         } else {
             eprintln!(
                 "timings: tokenize {:.1} ms | tf-idf index {:.1} ms | prefix {:.1} ms | \
@@ -276,6 +291,10 @@ impl Reporter {
                 "blocks:  {} probe block(s) — length filter on in {}, positional filter on \
                  in {}",
                 t.blocks, t.blocks_len_on, t.blocks_pos_on
+            );
+            eprintln!(
+                "probe:   {} pair(s) touched, {} cosine tail walk(s), {} exact merge(s)",
+                t.probe_touched, t.probe_tail_walks, t.probe_merges
             );
         }
     }
@@ -496,6 +515,9 @@ mod tests {
         crowdjoin_obs::counter("matcher.blocks", NO_SHARD).add(7);
         crowdjoin_obs::counter("matcher.blocks.len_on", NO_SHARD).add(5);
         crowdjoin_obs::counter("matcher.blocks.pos_on", NO_SHARD).add(2);
+        crowdjoin_obs::counter("matcher.probe.touched", NO_SHARD).add(90);
+        crowdjoin_obs::counter("matcher.probe.tail_walks", NO_SHARD).add(30);
+        crowdjoin_obs::counter("matcher.probe.merges", NO_SHARD).add(4);
         let t = MatcherTimings::from_metrics();
         assert_eq!(t.tokenize, Duration::from_micros(1_500));
         assert_eq!(t.index, Duration::from_micros(2_500));
@@ -503,6 +525,7 @@ mod tests {
         assert_eq!(t.candidates, Duration::from_micros(10_000));
         assert_eq!(t.join, Duration::from_micros(42));
         assert_eq!((t.blocks, t.blocks_len_on, t.blocks_pos_on), (7, 5, 2));
+        assert_eq!((t.probe_touched, t.probe_tail_walks, t.probe_merges), (90, 30, 4));
         crowdjoin_obs::reset_metrics();
     }
 

@@ -130,6 +130,7 @@ impl UnionFind {
     }
 
     /// Size of the component containing `x`.
+    #[cfg(test)]
     pub fn component_size(&mut self, x: u32) -> u32 {
         let r = self.find(x);
         self.size[r as usize]

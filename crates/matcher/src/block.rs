@@ -57,9 +57,10 @@
 //! block sizes.
 
 use crate::corpus::TokenizedCorpus;
+use crate::prefix::RecordHeader;
 
-/// Auto block size: scratch (stamp/acc/cnt/pos ≈ 20 B per slot) plus the
-/// block's verify metadata stay comfortably inside a typical L2.
+/// Auto block size: scratch (one 24 B slot per record) plus the block's
+/// 24 B verify headers stay comfortably inside a typical L2.
 pub(crate) const AUTO_BLOCK_RECORDS: usize = 8192;
 
 /// Auto mode keeps a single block (the exact unblocked kernel) below this
@@ -156,13 +157,13 @@ impl CascadePlan {
     /// Cost-model decisions for a filtered Jaccard join at the slacked
     /// length threshold `t_len`, from df/size statistics only (no probing):
     /// the probe-side set-size histogram and, per block, the posting-entry-
-    /// weighted set-size histogram of its indexed records (`jac_cut[b]`
-    /// gives each record's indexed-prefix size; `u32::MAX` marks un-indexed
-    /// records, which contribute no entries).
+    /// weighted set-size histogram of its indexed records (each header's
+    /// `set_len − jac_cut` is the record's indexed-prefix size; a cut of
+    /// `u32::MAX` marks un-indexed records, which contribute no entries).
     pub fn compute(
         blocks: &BlockMap,
         corpus: &TokenizedCorpus,
-        jac_cut: &[u32],
+        headers: &[RecordHeader],
         probe_count: usize,
         t_len: f64,
     ) -> Self {
@@ -191,13 +192,12 @@ impl CascadePlan {
             block_hist.fill(0);
             let mut entry_len_sum = 0u64;
             let mut entries = 0u64;
-            for b in lo..hi {
-                let cut = jac_cut[b as usize];
-                if cut == u32::MAX {
+            for h in &headers[lo as usize..hi as usize] {
+                if h.jac_cut == u32::MAX {
                     continue;
                 }
-                let lb = corpus.token_set(b as usize).len();
-                let prefix = (lb as u32 - cut) as u64;
+                let lb = h.set_len as usize;
+                let prefix = u64::from(h.set_len - h.jac_cut);
                 block_hist[bucket(lb)] += prefix;
                 entry_len_sum += lb as u64 * prefix;
                 entries += prefix;
@@ -288,6 +288,19 @@ mod tests {
         TokenizedCorpus::build(&ds)
     }
 
+    /// Headers with every token indexed (cut 0), which keeps the estimates
+    /// simple.
+    fn fully_indexed(corpus: &TokenizedCorpus) -> Vec<RecordHeader> {
+        (0..corpus.num_records())
+            .map(|b| RecordHeader {
+                tail_norm: 0.0,
+                tail_sig: 0,
+                set_len: corpus.token_set(b).len() as u32,
+                jac_cut: 0,
+            })
+            .collect()
+    }
+
     #[test]
     fn short_sets_disable_the_positional_filter() {
         // Mean merge length ~4 ≪ POS_MIN_MERGE_LEN: the merges the filter
@@ -296,9 +309,13 @@ mod tests {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let corpus = corpus_of(&refs);
         let blocks = BlockMap::new(0, corpus.num_records(), 0);
-        // Every token indexed (cut 0) keeps the estimate simple.
-        let jac_cut = vec![0u32; corpus.num_records()];
-        let plan = CascadePlan::compute(&blocks, &corpus, &jac_cut, corpus.num_records(), 0.4);
+        let plan = CascadePlan::compute(
+            &blocks,
+            &corpus,
+            &fully_indexed(&corpus),
+            corpus.num_records(),
+            0.4,
+        );
         assert!(!plan.any_pos);
         assert!(plan.pos_on.iter().all(|&p| !p));
     }
@@ -313,8 +330,13 @@ mod tests {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let corpus = corpus_of(&refs);
         let blocks = BlockMap::new(0, corpus.num_records(), 0);
-        let jac_cut = vec![0u32; corpus.num_records()];
-        let plan = CascadePlan::compute(&blocks, &corpus, &jac_cut, corpus.num_records(), 0.4);
+        let plan = CascadePlan::compute(
+            &blocks,
+            &corpus,
+            &fully_indexed(&corpus),
+            corpus.num_records(),
+            0.4,
+        );
         assert!(plan.any_pos);
     }
 
@@ -326,8 +348,13 @@ mod tests {
         let refs: Vec<&str> = uniform.iter().map(String::as_str).collect();
         let corpus = corpus_of(&refs);
         let blocks = BlockMap::new(0, corpus.num_records(), 0);
-        let jac_cut = vec![0u32; corpus.num_records()];
-        let plan = CascadePlan::compute(&blocks, &corpus, &jac_cut, corpus.num_records(), 0.5);
+        let plan = CascadePlan::compute(
+            &blocks,
+            &corpus,
+            &fully_indexed(&corpus),
+            corpus.num_records(),
+            0.5,
+        );
         assert!(plan.len_on.iter().all(|&l| !l), "uniform sizes: nothing to skip");
 
         // Wide size spread at a high threshold: most cross-size pairs fall
@@ -341,8 +368,13 @@ mod tests {
         let refs: Vec<&str> = skewed.iter().map(String::as_str).collect();
         let corpus = corpus_of(&refs);
         let blocks = BlockMap::new(0, corpus.num_records(), 0);
-        let jac_cut = vec![0u32; corpus.num_records()];
-        let plan = CascadePlan::compute(&blocks, &corpus, &jac_cut, corpus.num_records(), 0.5);
+        let plan = CascadePlan::compute(
+            &blocks,
+            &corpus,
+            &fully_indexed(&corpus),
+            corpus.num_records(),
+            0.5,
+        );
         assert!(plan.len_on.iter().any(|&l| l), "skewed sizes: window must skip");
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::corpus::TokenizedCorpus;
 use crate::fields::ExtraMeasure;
-use crate::prefix::{length_filtered, PrefixIndex, PrefixParams, BOUND_SLACK};
+use crate::prefix::{length_filtered, sig_bit, PrefixIndex, PrefixParams, BOUND_SLACK};
 use crate::similarity::jaccard;
 use crate::tfidf::TfIdfIndex;
 use crowdjoin_records::Dataset;
@@ -227,59 +227,121 @@ struct Generator<'a> {
     prefix: PrefixIndex,
 }
 
+/// One block-local scratch slot: `stamp == epoch` marks the record as
+/// touched by the current (probe, block) visit, `acc` accumulates its
+/// partial cosine, `cnt` its token-overlap count, and `pos` the number of
+/// probe tokens consumed through the last counted Jaccard match (the
+/// positional filter's cursor). Packed so a posting touch costs one cache
+/// line, not one per field.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    acc: f64,
+    stamp: u32,
+    cnt: u32,
+    pos: u32,
+}
+
+/// One dense probe-weight map entry: `w` is the probe's vector weight for
+/// the token when `stamp` equals the current probe stamp, stale otherwise.
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeWeight {
+    w: f32,
+    stamp: u32,
+}
+
+/// Per-worker verifier tallies, summed locally and published once per
+/// worker (see [`ProbeCounts::publish`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeCounts {
+    /// (probe, record) pairs touched by a posting scan.
+    touched: u64,
+    /// Touched pairs whose cosine tail was walked (signatures intersect).
+    tail_walks: u64,
+    /// Exact merge joins run (cosine or Jaccard).
+    merges: u64,
+}
+
+impl ProbeCounts {
+    /// Adds this worker's tallies to the `matcher.probe.*` counters.
+    fn publish(&self) {
+        let shard = crowdjoin_obs::NO_SHARD;
+        crowdjoin_obs::counter("matcher.probe.touched", shard).add(self.touched);
+        crowdjoin_obs::counter("matcher.probe.tail_walks", shard).add(self.tail_walks);
+        crowdjoin_obs::counter("matcher.probe.merges", shard).add(self.merges);
+    }
+}
+
 /// Dense per-worker scratch, sized to one index-side *block* (see
-/// `crate::block`): for a block-local slot `li = b − block_lo`,
-/// `stamp[li] == epoch` marks `b` as touched by the current (probe, block)
-/// visit, `acc[li]` accumulates its partial cosine, `cnt[li]` its
-/// token-overlap count, and `pos[li]` the number of probe tokens consumed
-/// through the last counted Jaccard match (the positional filter's
-/// cursor). Reset is O(1) per visit (bump the epoch); only touched entries
-/// are ever visited. Keeping the arrays block-sized — instead of
-/// index-side-sized — is the whole point of blocking: at 1M records the
-/// unblocked scratch alone is ~20 MB and every posting touch is a cache
-/// miss; a block's scratch lives in L2.
+/// `crate::block`): `slots[b − block_lo]` is record `b`'s [`Slot`]. Reset
+/// is O(1) per visit (bump the epoch); only touched entries are ever
+/// visited. Keeping the slots block-sized — instead of index-side-sized —
+/// is the whole point of blocking: at 1M records the unblocked scratch
+/// alone is ~24 MB and every posting touch is a cache miss; a block's
+/// scratch lives in L2.
 ///
 /// `cos_cur` / `jac_cur` are the probe's per-token-list cursors `(next,
 /// end)` into the posting arenas, aligned with the probe's vector/token
 /// list; each block visit consumes every list's entries belonging to that
 /// block, so a posting entry is scanned exactly once per probe, in the
 /// same per-pair order as an unblocked scan.
+///
+/// `probe_w` is the dense probe-weight map, one entry per vocabulary token
+/// (empty when the cosine join is inactive): each probe bumps `probe_stamp`
+/// and stamps its own vector's weights in, so a cosine-tail walk looks a
+/// tail token up with one load instead of a binary search over the probe's
+/// vector, and entries left by earlier probes read as absent.
 struct Scratch {
-    stamp: Vec<u32>,
-    acc: Vec<f64>,
-    cnt: Vec<u32>,
-    pos: Vec<u32>,
+    slots: Vec<Slot>,
     touched: Vec<u32>,
     epoch: u32,
     cos_cur: Vec<(u32, u32)>,
     jac_cur: Vec<(u32, u32)>,
+    probe_w: Vec<ProbeWeight>,
+    probe_stamp: u32,
+    counts: ProbeCounts,
 }
 
 impl Scratch {
-    fn new(block_len: usize) -> Self {
+    fn new(block_len: usize, vocab: usize) -> Self {
         Self {
-            stamp: vec![0; block_len],
-            acc: vec![0.0; block_len],
-            cnt: vec![0; block_len],
-            pos: vec![0; block_len],
+            slots: vec![Slot::default(); block_len],
             touched: Vec::new(),
             epoch: 0,
             cos_cur: Vec::new(),
             jac_cur: Vec::new(),
+            probe_w: vec![ProbeWeight::default(); vocab],
+            probe_stamp: 0,
+            counts: ProbeCounts::default(),
         }
     }
 
     /// First touch of record `b` (block-local slot `li`) in this visit's
     /// epoch: zero its accumulators and put it on the touched list.
     #[inline]
-    fn touch(&mut self, li: usize, b: u32, epoch: u32) {
-        if self.stamp[li] != epoch {
-            self.stamp[li] = epoch;
-            self.acc[li] = 0.0;
-            self.cnt[li] = 0;
-            self.pos[li] = 0;
+    fn touch(&mut self, li: usize, b: u32, epoch: u32) -> &mut Slot {
+        let slot = &mut self.slots[li];
+        if slot.stamp != epoch {
+            *slot = Slot { acc: 0.0, stamp: epoch, cnt: 0, pos: 0 };
             self.touched.push(b);
         }
+        slot
+    }
+
+    /// Stamps probe vector `vec_a` into the dense probe-weight map under a
+    /// fresh probe stamp and returns its tail signature (OR of
+    /// [`sig_bit`] over its tokens).
+    fn load_probe(&mut self, vec_a: &[(u32, f32)]) -> u64 {
+        if self.probe_stamp == u32::MAX {
+            self.probe_w.fill(ProbeWeight::default());
+            self.probe_stamp = 0;
+        }
+        self.probe_stamp += 1;
+        let mut sig = 0;
+        for &(token, w) in vec_a {
+            self.probe_w[token as usize] = ProbeWeight { w, stamp: self.probe_stamp };
+            sig |= sig_bit(token);
+        }
+        sig
     }
 }
 
@@ -292,17 +354,19 @@ impl Generator<'_> {
         // large enough that queue traffic stays negligible at 100k records.
         const CHUNK: usize = 512;
         let scratch_len = self.prefix.blocks.scratch_len();
+        let vocab = if self.prefix.cos_active { self.corpus.vocabulary_size() } else { 0 };
         let chunks = probe_count.div_ceil(CHUNK);
         let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let workers = (if threads == 0 { hw } else { threads }).min(chunks.max(1));
         if workers <= 1 {
             let mut span =
                 crowdjoin_obs::obs_span!("matcher", "matcher.probe", crowdjoin_obs::NO_SHARD);
-            let mut scratch = Scratch::new(scratch_len);
+            let mut scratch = Scratch::new(scratch_len, vocab);
             let mut out = Vec::new();
             for a in 0..probe_count as u32 {
                 self.probe(a, &mut scratch, &mut out);
             }
+            scratch.counts.publish();
             span.set_field("records", probe_count);
             span.set_field("candidates", out.len());
             return out;
@@ -326,10 +390,11 @@ impl Generator<'_> {
                     );
                     let mut claimed = 0usize;
                     let mut found = 0usize;
-                    let mut scratch = Scratch::new(scratch_len);
+                    let mut scratch = Scratch::new(scratch_len, vocab);
                     loop {
                         let chunk = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         if chunk >= chunks {
+                            scratch.counts.publish();
                             span.set_field("chunks", claimed);
                             span.set_field("candidates", found);
                             return;
@@ -420,6 +485,10 @@ impl Generator<'_> {
         let extras_sum: f64 = self.config.extra_measures.iter().map(|em| em.weight).sum();
         let numer_floor = min_l * self.config.total_weight() - BOUND_SLACK;
         let t_len = self.prefix.t_len;
+        let cos_active = self.prefix.cos_active;
+        let headers = &self.prefix.headers;
+        let probe_sig = if cos_active { s.load_probe(vec_a) } else { 0 };
+        let probe_stamp = s.probe_stamp;
 
         loop {
             // The next non-empty block: the one owning the smallest record
@@ -441,7 +510,7 @@ impl Generator<'_> {
             let k = self.prefix.blocks.block_of(next);
             let (blo, bhi) = self.prefix.blocks.range(k);
             if s.epoch == u32::MAX {
-                s.stamp.fill(0);
+                s.slots.fill(Slot::default());
                 s.epoch = 0;
             }
             s.epoch += 1;
@@ -460,9 +529,7 @@ impl Generator<'_> {
                         break;
                     }
                     cur += 1;
-                    let li = (b - blo) as usize;
-                    s.touch(li, b, epoch);
-                    s.acc[li] += wa as f64 * wb as f64;
+                    s.touch((b - blo) as usize, b, epoch).acc += wa as f64 * wb as f64;
                 }
                 s.cos_cur[i] = (cur, end);
             }
@@ -485,20 +552,21 @@ impl Generator<'_> {
                     if len_on && length_filtered(t_len, la, lb as usize) {
                         continue;
                     }
-                    let li = (b - blo) as usize;
-                    s.touch(li, b, epoch);
-                    s.cnt[li] += 1;
+                    let slot = s.touch((b - blo) as usize, b, epoch);
+                    slot.cnt += 1;
                     if pos_on {
-                        s.pos[li] = (i + 1) as u32;
+                        slot.pos = (i + 1) as u32;
                     }
                 }
                 s.jac_cur[i] = (cur, end);
             }
 
             let emit_start = out.len();
+            s.counts.touched += s.touched.len() as u64;
             for &b in &s.touched {
-                let li = (b - blo) as usize;
-                let set_b = self.corpus.token_set(b as usize);
+                let slot = s.slots[(b - blo) as usize];
+                let h = headers[b as usize];
+                let lb = h.set_len as usize;
                 // Size + overlap + positional filter: jac <= shared_ub /
                 // (|a|+|b|-shared_ub), where the true intersection is at
                 // most the counted overlap plus the *positionally possible*
@@ -511,67 +579,77 @@ impl Generator<'_> {
                 // cosine anyway. In a pos-off block `pos` stays 0 and the
                 // remainder degrades to `min(jac_cut, |a|)` — the plain
                 // prefix bound.
-                let min_len = la.min(set_b.len());
-                let jac_cut = self.prefix.jac_cut[b as usize];
-                let len_cut = len_on && length_filtered(t_len, la, set_b.len());
-                let shared_ub = if jac_cut == u32::MAX || len_cut {
+                let min_len = la.min(lb);
+                let len_cut = len_on && length_filtered(t_len, la, lb);
+                let shared_ub = if h.jac_cut == u32::MAX || len_cut {
                     min_len
                 } else {
-                    let remaining = jac_cut.min(la as u32 - s.pos[li]);
-                    ((s.cnt[li] + remaining) as usize).min(min_len)
+                    let remaining = h.jac_cut.min(la as u32 - slot.pos);
+                    ((slot.cnt + remaining) as usize).min(min_len)
                 };
-                let jac_ub = shared_ub as f64 / (la + set_b.len() - shared_ub) as f64;
-                let suffix = self.prefix.cos_suffix_bound[b as usize];
-                // Clamp below at 0: sublinear tf damping gives fractional
+                // The blend bound with `jac_ub = shared_ub / den` multiplied
+                // through by `den ≥ 1`, so no division per pair. The extra
+                // `1e-9·den` slack absorbs the multiplied form's rounding:
+                // the check may keep a pair the exact bound would prune,
+                // never prune one it would keep.
+                let den = (la + lb - shared_ub) as f64;
+                let jac_term = wj * shared_ub as f64;
+                let floor_den = (numer_floor - BOUND_SLACK) * den;
+                let pruned = |cos_ub: f64| (wc * cos_ub + extras_sum) * den + jac_term < floor_den;
+                // Exact cosine. The dense accumulator received exactly the
+                // shared *indexed*-token products in ascending token-id
+                // order — the same f64 operations as the merge in
+                // `TfIdfIndex::cosine` — so when no token of b's unindexed
+                // tail is shared with `a`, `acc` IS the merge cosine
+                // (adding an exact ±0.0 product never changes the sum's
+                // bits). Disjoint signatures prove that without reading the
+                // tail (a record without a tail has signature 0), and the
+                // pair goes straight to the exact blend bound below.
+                // Otherwise the tail adds at most its norm (Cauchy–Schwarz),
+                // which bounds first; survivors walk the tail against the
+                // dense probe-weight map: no shared entry means `acc` is
+                // again exact; shared entries make `acc + Σ shared-tail
+                // products` the true cosine to within summation-order
+                // rounding (≪ 1e-9), and the slacked bound prunes almost
+                // every pair the full merge would have rejected. Bounds
+                // clamp below at 0: sublinear tf damping gives fractional
                 // field weights *negative* vector components, so the
                 // accumulated dot product can be negative while the true
                 // cosine clamps to 0 — an unclamped bound would
                 // underestimate the blend numerator.
-                let cos_ub = if self.prefix.cos_active {
-                    (s.acc[li] + suffix + BOUND_SLACK).clamp(0.0, 1.0)
+                let cos = if !cos_active {
+                    if pruned(1.0) {
+                        continue;
+                    }
+                    s.counts.merges += 1;
+                    self.index.cosine(a, b)
+                } else if h.tail_sig & probe_sig == 0 {
+                    slot.acc.clamp(0.0, 1.0)
                 } else {
-                    1.0
-                };
-                if wc * cos_ub + wj * jac_ub + extras_sum < numer_floor {
-                    continue;
-                }
-                // Exact cosine. When b's vector is fully indexed, the dense
-                // accumulator received exactly the shared-token products in
-                // ascending token-id order — the same f64 operations as the
-                // merge in `TfIdfIndex::cosine` — so `acc` IS the merge
-                // cosine. When a tail remains, complete the dot product
-                // against b's few unindexed entries: if none is shared with
-                // `a`, the merge would add nothing (adding an exact ±0.0
-                // product never changes the sum's bits) and `acc` is again
-                // the merge cosine verbatim; otherwise `acc + Σ shared-tail
-                // products` nails the true cosine to within
-                // summation-order rounding (≪ 1e-9), and the slacked bound
-                // prunes almost every pair the full merge would have
-                // rejected.
-                let cos = if self.prefix.cos_active && suffix == 0.0 {
-                    s.acc[li].clamp(0.0, 1.0)
-                } else if self.prefix.cos_active {
+                    if pruned((slot.acc + h.tail_norm + BOUND_SLACK).clamp(0.0, 1.0)) {
+                        continue;
+                    }
+                    s.counts.tail_walks += 1;
                     let mut extra = 0.0f64;
                     let mut shared_tail = false;
                     for &(tok, wb) in self.prefix.cos_tail(b) {
-                        if let Ok(j) = vec_a.binary_search_by_key(&tok, |e| e.0) {
+                        let e = s.probe_w[tok as usize];
+                        if e.stamp == probe_stamp {
                             shared_tail = true;
-                            extra += vec_a[j].1 as f64 * wb as f64;
+                            extra += e.w as f64 * wb as f64;
                         }
                     }
                     if !shared_tail {
-                        s.acc[li].clamp(0.0, 1.0)
+                        slot.acc.clamp(0.0, 1.0)
                     } else {
-                        let refined = (s.acc[li] + extra + BOUND_SLACK).clamp(0.0, 1.0);
-                        if wc * refined + wj * jac_ub + extras_sum < numer_floor {
+                        if pruned((slot.acc + extra + BOUND_SLACK).clamp(0.0, 1.0)) {
                             continue;
                         }
+                        s.counts.merges += 1;
                         self.index.cosine(a, b)
                     }
-                } else {
-                    self.index.cosine(a, b)
                 };
-                if wc * cos + wj * jac_ub + extras_sum < numer_floor {
+                if pruned(cos) {
                     continue;
                 }
                 // Exact Jaccard. When b's whole token set is indexed, a's
@@ -579,12 +657,13 @@ impl Generator<'_> {
                 // skip this pair's postings, the overlap counter is the
                 // exact intersection size and the formula below is
                 // `similarity::jaccard` verbatim; otherwise fall back to
-                // the merge join.
-                let jac = if jac_cut == 0 && !len_cut {
-                    let shared = s.cnt[li] as usize;
-                    shared as f64 / (la + set_b.len() - shared) as f64
+                // the merge join — the only place b's token set is read.
+                let jac = if h.jac_cut == 0 && !len_cut {
+                    let shared = slot.cnt as usize;
+                    shared as f64 / (la + lb - shared) as f64
                 } else {
-                    jaccard(set_a, set_b)
+                    s.counts.merges += 1;
+                    jaccard(set_a, self.corpus.token_set(b as usize))
                 };
                 // With exact cosine and Jaccard in hand, this bound only
                 // prunes when extra measures exist (it skips their
@@ -969,6 +1048,77 @@ mod tests {
             block_records: 0,
         };
         let _ = generate_candidates(&ds, &cfg);
+    }
+
+    #[test]
+    fn tail_signature_branches_match_bruteforce() {
+        // 160 distinct tokens over 64 signature bits: many *different* tail
+        // tokens collide, so the verifier walks tails that share nothing
+        // with the probe (acc stays exact), next to pairs that truly share a
+        // tail token (refined bound, then the exact merge). Both branches
+        // must stay bit-identical to brute force.
+        // Families of four near-duplicates: a shared core plus a few
+        // record-specific tokens.
+        let names: Vec<String> = (0..120)
+            .map(|i| {
+                let core = (0..6).map(|j| (i / 4 * 11 + j) % 160);
+                let own = (0..i % 5).map(|k| (i * 37 + k * k * 13) % 160);
+                core.chain(own).map(|t| format!("w{t}")).collect::<Vec<_>>().join(" ")
+            })
+            .collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let ds = dataset(&refs, None);
+        let corpus = TokenizedCorpus::build(&ds);
+        let (mut collided, mut shared) = (false, false);
+        for floor in [0.3, 0.5, 0.7] {
+            let cfg = MatcherConfig { min_likelihood: floor, ..MatcherConfig::for_arity(1) };
+            let index = TfIdfIndex::from_corpus(&corpus, &cfg.field_weights);
+            let prefix = PrefixIndex::build(
+                &corpus,
+                &index,
+                PrefixParams {
+                    threshold: cfg.prefilter_threshold(),
+                    cos_weight_positive: true,
+                    jac_weight_positive: true,
+                    split: None,
+                    threads: 1,
+                    block_records: 0,
+                },
+            );
+            assert!(prefix.cos_active);
+            // Classify every pair the cosine join touches (it shares an
+            // indexed token) whose signatures intersect.
+            for a in 0..ds.len() as u32 {
+                let vec_a = index.vector(a);
+                let probe_sig = vec_a.iter().fold(0, |sig, e| sig | sig_bit(e.0));
+                for b in a + 1..ds.len() as u32 {
+                    let tail = prefix.cos_tail(b);
+                    let in_a = |tok: u32| vec_a.iter().any(|e| e.0 == tok);
+                    let touched = index
+                        .vector(b)
+                        .iter()
+                        .any(|e| in_a(e.0) && !tail.iter().any(|t| t.0 == e.0));
+                    if !touched || prefix.headers[b as usize].tail_sig & probe_sig == 0 {
+                        continue;
+                    }
+                    if tail.iter().any(|t| in_a(t.0)) {
+                        shared = true;
+                    } else {
+                        collided = true;
+                    }
+                }
+            }
+            let fast = generate_candidates(&ds, &cfg);
+            let slow = generate_candidates_bruteforce(&ds, &cfg);
+            assert!(!fast.is_empty(), "floor {floor}");
+            assert_eq!(fast.len(), slow.len(), "floor {floor}");
+            for (f, s) in fast.iter().zip(slow.iter()) {
+                assert_eq!((f.a, f.b), (s.a, s.b), "floor {floor}");
+                assert_eq!(f.likelihood.to_bits(), s.likelihood.to_bits(), "floor {floor}");
+            }
+        }
+        assert!(collided, "no touched pair walked a tail on a signature collision alone");
+        assert!(shared, "no touched pair truly shared a tail token");
     }
 
     #[test]

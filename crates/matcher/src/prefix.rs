@@ -36,8 +36,8 @@
 //!
 //! * **Cosine join.** Record `b` stores its unit tf-idf vector sorted by
 //!   descending weight and indexes the shortest prefix whose remaining tail
-//!   has L2 norm `‖tail(b)‖ < t` (the tail norm is kept as
-//!   `suffix_bound[b]`). For any probe `a` (also a unit vector),
+//!   has L2 norm `‖tail(b)‖ < t` (the tail norm is kept as `b`'s header
+//!   `tail_norm`). For any probe `a` (also a unit vector),
 //!   Cauchy–Schwarz bounds the tail's possible contribution:
 //!   `Σ_{shared ∩ tail(b)} a_i·b_i ≤ ‖tail(b)‖ < t`. Hence if
 //!   `cos(a, b) ≥ t`, the *indexed prefix* of `b` must contribute
@@ -76,16 +76,16 @@
 //! ascending, ties by token id): `b`'s indexed prefix is its lowest-rank
 //! tokens, and the probe walks its full token set in that rank order. A
 //! shared token is counted exactly when it is indexed, so every
-//! *uncounted* shared token lives in `b`'s suffix — at most `jac_cut[b]`
-//! of them. Their probe positions are also constrained: a token in `b`'s
-//! suffix outranks every indexed token of `b`, including the
+//! *uncounted* shared token lives in `b`'s suffix — at most `b`'s header
+//! `jac_cut` of them. Their probe positions are also constrained: a token
+//! in `b`'s suffix outranks every indexed token of `b`, including the
 //! highest-ranked counted match, so in the probe's rank order it can only
 //! appear *after* that match. With `pos` = number of probe tokens consumed
 //! up to and including the last counted match, the intersection is
 //! bounded by
 //!
 //! ```text
-//! |a ∩ b| ≤ cnt + min(jac_cut[b], |a| − pos)
+//! |a ∩ b| ≤ cnt + min(jac_cut(b), |a| − pos)
 //! ```
 //!
 //! which tightens the plain prefix bound exactly when the shared tokens
@@ -99,19 +99,35 @@
 //! vectors — and at scale almost every merge is wasted on pairs that then
 //! fail the blend floor. Instead the index keeps each record's **unindexed
 //! tail entries** `(token, weight)`, sorted by token id, in a second CSR
-//! arena. At verification time the few tail tokens of `b` are
-//! binary-searched in `a`'s id-sorted vector:
+//! arena, and summarises them in the record's packed `RecordHeader`: the
+//! tail's L2 norm (the Cauchy–Schwarz bound above) and a 64-bit **tail
+//! signature** with one hashed bit (`sig_bit`) per tail token. The probe
+//! builds the same signature over its own vector, so at verification time:
 //!
-//! * **No tail token shared** — the accumulator already received exactly
-//!   the shared-token products, in ascending token-id order: the same f64
-//!   additions, in the same order, as the merge join (the merge's unshared
-//!   tokens contribute exact `±0.0` products, which never change the sum's
-//!   bits). `acc` *is* the merge cosine, bit for bit.
-//! * **Tail tokens shared** — `acc + Σ shared-tail products` equals the
-//!   true cosine up to summation-order rounding (≪ the `1e-9` slack), so
+//! * **Signatures disjoint** — no tail token of `b` can be in `a` (a shared
+//!   token would set the same bit on both sides). The accumulator already
+//!   received exactly the shared-token products, in ascending token-id
+//!   order: the same f64 additions, in the same order, as the merge join
+//!   (the merge's unshared tokens contribute exact `±0.0` products, which
+//!   never change the sum's bits). `acc` *is* the merge cosine, bit for
+//!   bit, and the tail is never read. A record with no tail has signature
+//!   0, so this is also the fully-indexed case.
+//! * **Signatures intersect** — a bit collision or a truly shared token.
+//!   A pair that survives the Cauchy–Schwarz bound `acc + ‖tail(b)‖`
+//!   walks `b`'s few tail entries, looking each up in the worker's dense *probe-weight map* (one `(weight, stamp)` slot per
+//!   vocabulary token, stamped per probe, so it is reset in O(1) and a
+//!   lookup is one load — no binary search over the probe's vector). If no
+//!   tail token is shared, `acc` is again the merge cosine verbatim;
+//!   otherwise `acc + Σ shared-tail products` equals the true cosine up to
+//!   summation-order rounding (≪ the `1e-9` slack), so
 //!   `acc + Σ + 1e-9` is a sound refined upper bound that prunes nearly
 //!   every pair the full merge would reject; only survivors pay the exact
 //!   merge (which then yields the bit-identical value).
+//!
+//! The header also carries the record's token-set size and Jaccard cut, so
+//! the verifier's first bound reads one scratch slot and one header per
+//! touched pair; `b`'s token set is read only when an exact Jaccard merge
+//! runs.
 //!
 //! At 50k records / floor 0.3 this collapses exact cosine merges from
 //! ~25 M to ~80 k while keeping output bit-identical to brute force.
@@ -148,6 +164,36 @@ pub(crate) const FILTER_SLACK: f64 = 1e-7;
 
 /// Slack added to accumulator-derived cosine upper bounds.
 pub(crate) const BOUND_SLACK: f64 = 1e-9;
+
+/// The tail-signature bit of `token`: a Fibonacci hash of the id down to
+/// one of 64 bits. Two records whose signatures share no bit share no
+/// token; a shared bit may be a collision, so it only means "walk the
+/// tail".
+#[inline]
+pub(crate) fn sig_bit(token: u32) -> u64 {
+    1 << (u64::from(token).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// One record's verify-time metadata, packed so the verifier's first bound
+/// reads a single 24-byte header per touched pair (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordHeader {
+    /// L2 norm of the *unindexed* cosine tail: 0 when the whole vector is
+    /// indexed, in particular whenever the cosine join is inactive.
+    pub tail_norm: f64,
+    /// OR of [`sig_bit`] over the unindexed cosine tail's tokens (0 when
+    /// there is no tail).
+    pub tail_sig: u64,
+    /// Token-set size `|b|`.
+    pub set_len: u32,
+    /// How many of the record's tokens are *not* indexed in the Jaccard
+    /// postings. A probe's per-token overlap counter plus this cut is an
+    /// upper bound on the true intersection size; when the cut is 0 the
+    /// counter is exact and the verifier skips the merge join entirely.
+    /// `u32::MAX` marks un-indexed records (their counter never bounds
+    /// anything and never claims exactness).
+    pub jac_cut: u32,
+}
 
 /// Whether the Jaccard length (size) filter rejects a pair with token-set
 /// sizes `la`, `lb` at the slacked threshold `t_len = t − 1e-7`: `jac ≤
@@ -186,16 +232,9 @@ pub(crate) struct PrefixIndex {
     /// Per-block length/positional filter decisions (all off when
     /// `jac_filtered` is false).
     pub plan: CascadePlan,
-    /// Per record: L2 norm of its *unindexed* vector tail (0 when the whole
-    /// vector is indexed, in particular whenever the filter is inactive).
-    pub cos_suffix_bound: Vec<f64>,
-    /// Per record: how many of its tokens are *not* indexed in the Jaccard
-    /// postings. A probe's per-token overlap counter plus this cut is an
-    /// upper bound on the true intersection size; when the cut is 0 the
-    /// counter is exact and the verifier skips the merge join entirely.
-    /// `u32::MAX` marks un-indexed records (their counter never bounds
-    /// anything and never claims exactness).
-    pub jac_cut: Vec<u32>,
+    /// Per record: the packed verify-time header (tail norm, tail
+    /// signature, set size, Jaccard cut).
+    pub headers: Vec<RecordHeader>,
     /// Cosine prefix entries `(record, tf-idf weight)`, token-major,
     /// ascending by record id within a token.
     cos_entries: Vec<(u32, f32)>,
@@ -203,11 +242,11 @@ pub(crate) struct PrefixIndex {
     cos_bounds: Vec<u32>,
     /// Each indexed record's *unindexed* cosine tail — the `(token,
     /// weight)` vector entries behind the prefix cut, sorted by token id —
-    /// record-major. The verifier completes the partial dot product
-    /// against these few entries: if none is shared with the probe, the
-    /// accumulator already *is* the exact merge cosine, and otherwise
-    /// `acc + Σ shared-tail products` bounds it tightly enough to skip
-    /// almost every full merge join.
+    /// record-major. The verifier walks them only when the probe's
+    /// signature meets the record's `tail_sig`: if none is shared with the
+    /// probe, the accumulator already *is* the exact merge cosine, and
+    /// otherwise `acc + Σ shared-tail products` bounds it tightly enough to
+    /// skip almost every full merge join.
     cos_tail_entries: Vec<(u32, f32)>,
     /// `cos_tail_entries` offsets, `n + 1` long.
     cos_tail_bounds: Vec<u32>,
@@ -298,16 +337,25 @@ impl PrefixIndex {
         const CHUNK: usize = 1024;
         let index_len = n - index_start;
 
+        // Un-indexed records keep a Jaccard cut of u32::MAX: their overlap
+        // counter never bounds anything and never claims exactness.
+        let mut headers: Vec<RecordHeader> = (0..n)
+            .map(|b| RecordHeader {
+                tail_norm: 0.0,
+                tail_sig: 0,
+                set_len: u32::try_from(corpus.token_set(b).len()).expect("token set overflow"),
+                jac_cut: u32::MAX,
+            })
+            .collect();
         // Entries are staged record-major (the natural build order) and
         // counting-sorted into the token-major arena afterwards.
-        let mut cos_suffix_bound: Vec<f64> = vec![0.0; n];
         let mut cos_staged: Vec<(u32, (u32, f32))> = Vec::new();
         let mut cos_tail_entries: Vec<(u32, f32)> = Vec::new();
         let mut cos_tail_bounds: Vec<u32> = vec![0; n + 1];
         if cos_active {
             let t_eff = threshold - FILTER_SLACK;
             let chunks = crate::par::map_chunks(index_len, CHUNK, threads, |range| {
-                let mut suffix: Vec<f64> = Vec::with_capacity(range.len());
+                let mut suffix: Vec<(f64, u64)> = Vec::with_capacity(range.len());
                 let mut staged: Vec<(u32, (u32, f32))> = Vec::new();
                 let mut tails_flat: Vec<(u32, f32)> = Vec::new();
                 let mut tail_lens: Vec<u32> = Vec::with_capacity(range.len());
@@ -332,16 +380,16 @@ impl PrefixIndex {
                     }
                     let prefix =
                         (0..=order.len()).find(|&p| tails[p].sqrt() < t_eff).unwrap_or(order.len());
-                    suffix.push(tails[prefix].sqrt());
                     for &(token, w) in &order[..prefix] {
                         staged.push((token, (b as u32, w)));
                     }
-                    // Stash the unindexed tail sorted by token id
-                    // (probe-side lookups are binary searches over the
-                    // probe's id-sorted vector).
+                    // Stash the unindexed tail sorted by token id (the
+                    // verifier sums shared-tail products in that order).
                     let tail_start = tails_flat.len();
                     tails_flat.extend_from_slice(&order[prefix..]);
                     tails_flat[tail_start..].sort_unstable_by_key(|e| e.0);
+                    let sig = order[prefix..].iter().fold(0, |sig, e| sig | sig_bit(e.0));
+                    suffix.push((tails[prefix].sqrt(), sig));
                     tail_lens.push(
                         u32::try_from(tails_flat.len() - tail_start).expect("cos tail overflow"),
                     );
@@ -350,8 +398,9 @@ impl PrefixIndex {
             });
             let mut b = index_start;
             for (suffix, staged, tails_flat, tail_lens) in chunks {
-                for (s, len) in suffix.into_iter().zip(tail_lens) {
-                    cos_suffix_bound[b] = s;
+                for ((norm, sig), len) in suffix.into_iter().zip(tail_lens) {
+                    headers[b].tail_norm = norm;
+                    headers[b].tail_sig = sig;
                     cos_tail_bounds[b + 1] =
                         cos_tail_bounds[b].checked_add(len).expect("cos tail arena overflow");
                     b += 1;
@@ -365,9 +414,6 @@ impl PrefixIndex {
         let (cos_bounds, cos_entries) = csr_from_staged(vocab, &cos_staged);
         drop(cos_staged);
 
-        // Un-indexed records keep a cut of u32::MAX: their overlap counter
-        // never bounds anything and never claims exactness.
-        let mut jac_cut: Vec<u32> = vec![u32::MAX; n];
         let mut jac_staged: Vec<(u32, (u32, u32))> = Vec::new();
         let df = if jac_active { corpus.set_doc_freq() } else { Vec::new() };
         if jac_active {
@@ -411,7 +457,7 @@ impl PrefixIndex {
             let mut b = index_start;
             for (cuts, staged) in chunks {
                 for cut in cuts {
-                    jac_cut[b] = cut;
+                    headers[b].jac_cut = cut;
                     b += 1;
                 }
                 jac_staged.extend_from_slice(&staged);
@@ -425,7 +471,7 @@ impl PrefixIndex {
         // off in the t ≤ 0 fallback — its postings are unfiltered.
         let probe_count = params.split.unwrap_or(n);
         let plan = if jac_filtered {
-            CascadePlan::compute(&blocks, corpus, &jac_cut, probe_count, t_len)
+            CascadePlan::compute(&blocks, corpus, &headers, probe_count, t_len)
         } else {
             CascadePlan::all_off(blocks.num_blocks())
         };
@@ -478,8 +524,7 @@ impl PrefixIndex {
             t_len,
             blocks,
             plan,
-            cos_suffix_bound,
-            jac_cut,
+            headers,
             cos_entries,
             cos_bounds,
             cos_tail_entries,
@@ -627,7 +672,7 @@ mod tests {
         assert!(jac_total(&tight, vocab) < jac_total(&loose, vocab));
         assert!(cos_total(&tight, vocab) < cos_total(&loose, vocab));
         // The tight index leaves a positive tail bound on at least one record.
-        assert!(tight.cos_suffix_bound.iter().any(|&b| b > 0.0));
+        assert!(tight.headers.iter().any(|h| h.tail_norm > 0.0));
     }
 
     #[test]
@@ -647,6 +692,9 @@ mod tests {
             let tail = pf.cos_tail(b);
             any_tail |= !tail.is_empty();
             assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "tail sorted by id: {tail:?}");
+            let sig = tail.iter().fold(0, |sig, e| sig | sig_bit(e.0));
+            assert_eq!(pf.headers[b as usize].tail_sig, sig, "record {b}: one bit per tail token");
+            assert_eq!(pf.headers[b as usize].tail_norm == 0.0, tail.is_empty(), "record {b}");
             // Indexed prefix entries ∪ tail entries = the full vector.
             let mut rebuilt: Vec<(u32, f32)> = tail.to_vec();
             for t in 0..corpus.vocabulary_size() as u32 {
@@ -795,7 +843,13 @@ mod tests {
             assert_eq!(par.cos_bounds, serial.cos_bounds, "threads {threads}");
             assert_eq!(par.cos_tail_bounds, serial.cos_tail_bounds);
             assert_eq!(par.jac_bounds, serial.jac_bounds);
-            assert_eq!(par.jac_cut, serial.jac_cut);
+            assert_eq!(par.headers.len(), serial.headers.len());
+            for (p, s) in par.headers.iter().zip(serial.headers.iter()) {
+                assert_eq!(
+                    (p.tail_norm.to_bits(), p.tail_sig, p.set_len, p.jac_cut),
+                    (s.tail_norm.to_bits(), s.tail_sig, s.set_len, s.jac_cut)
+                );
+            }
             assert_eq!(par.probe_bounds, serial.probe_bounds);
             assert_eq!(par.probe_flat, serial.probe_flat);
             assert_eq!(par.plan.len_on, serial.plan.len_on);
@@ -808,9 +862,6 @@ mod tests {
                 assert_eq!((p.0, p.1.to_bits()), (s.0, s.1.to_bits()));
             }
             assert_eq!(par.jac_entries, serial.jac_entries);
-            for (p, s) in par.cos_suffix_bound.iter().zip(serial.cos_suffix_bound.iter()) {
-                assert_eq!(p.to_bits(), s.to_bits());
-            }
         }
     }
 

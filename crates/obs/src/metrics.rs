@@ -26,11 +26,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
@@ -46,11 +41,6 @@ impl Gauge {
     /// Sets the level.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the level by `delta`.
-    pub fn adjust(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -297,7 +287,7 @@ mod tests {
         let again = counter("z.pairs", 1);
         c1.add(5);
         again.add(2);
-        c0.inc();
+        c0.add(1);
         let snaps = snapshot_metrics();
         assert_eq!(snaps.len(), 2);
         // BTreeMap order: name first, then shard.
@@ -329,7 +319,8 @@ mod tests {
     fn gauge_levels() {
         let g = Gauge::default();
         g.set(10);
-        g.adjust(-3);
+        assert_eq!(g.get(), 10);
+        g.set(7);
         assert_eq!(g.get(), 7);
     }
 

@@ -72,6 +72,7 @@ impl Summary {
 
     /// Sample standard deviation (Bessel-corrected). `None` when fewer than
     /// two observations are available.
+    #[cfg(test)]
     #[must_use]
     pub fn std_dev(&self) -> Option<f64> {
         let n = self.values.len();
