@@ -163,11 +163,7 @@ const FLAGS: &[Flag] = &[
          batches) or a spool-style directory of *.jsonl\n\
          chunk files (processed in name order, one ingest\n\
          batch per file). The closed stream is bit-identical\n\
-         to a batch run over the same records.\n\
-         With --journal FILE each ingest is write-ahead\n\
-         logged to FILE.stream before it is applied, so a\n\
-         killed stream resumes with --resume FILE (re-pass\n\
-         the same input and flags)"),
+         to a batch run over the same records"),
     flag("stream-chunk N", Scope::Stream("--stream-chunk requires --stream"),
         |o, a| a.positive("record per batch").map(|n| o.stream_chunk = Some(n)),
         "records per ingest batch for a single-file --stream\n\
@@ -756,9 +752,8 @@ fn finish_join(
 /// * A file is one JSONL stream, split into `chunk`-record batches.
 /// * A directory is a spool: every `*.jsonl` file in it, in name order, is
 ///   one batch — the shape an external producer drops chunks in. A resumed
-///   run re-reads the same spool (the journal replay skips the prefix
-///   already ingested), so later-sorting files dropped after a kill are
-///   picked up.
+///   run re-reads the spool as it is then; a spool changed after the engine
+///   started changes the labeling order, which the answer journal refuses.
 fn load_stream_chunks(input: &str, chunk: usize) -> Result<(Schema, Vec<Vec<Record>>), String> {
     let path = std::path::Path::new(input);
     if path.is_dir() {
@@ -799,8 +794,7 @@ fn load_stream_chunks(input: &str, chunk: usize) -> Result<(Schema, Vec<Vec<Reco
 }
 
 /// `join --stream PATH`: the streaming self-join. Ingests arrivals into
-/// the record log (journaling each batch first when `--journal` is set),
-/// closes the stream into the canonical batch-identical
+/// the record log, closes the stream into the canonical batch-identical
 /// `(dataset, candidates)`, and hands off to the ordinary labeling tail.
 fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
     setup_observability(opts)?;
@@ -814,68 +808,25 @@ fn run_stream(input: &str, opts: &JoinOpts) -> Result<(), String> {
         ..MatcherConfig::for_arity(schema.arity())
     };
 
-    // The engine journal FILE gets a `FILE.stream` sibling for ingest
-    // frames (answers in one file, arrivals in the other, each
-    // byte-identical to what a pure batch/stream run would write).
-    // Resume may precede the engine run that creates the answer journal: a
-    // stream killed before close leaves only `FILE.stream` behind. The
-    // stream side still resumes; the engine side then *starts* a journal
-    // at FILE instead of resuming one.
-    let stream_journal = |path: &str| std::path::PathBuf::from(format!("{path}.stream"));
+    // The stream keeps no journal: a resume re-reads the input, and the
+    // answer journal's header refuses an input whose order changed. A
+    // stream killed before the engine started has paid for nothing and left
+    // no FILE, so `--resume FILE` then *starts* a journal at FILE.
     let mut opts = opts.clone();
-    let (mut job, replayed) = match (&opts.journal, &opts.resume) {
-        (Some(path), None) => {
-            let spath = stream_journal(path);
-            let job = crowdjoin::StreamJob::with_journal(schema, matcher_cfg, opts.seed, &spath)
-                .map_err(|e| format!("--journal {}: {e}", spath.display()))?;
-            (job, 0)
-        }
-        (None, Some(path)) => {
-            let spath = stream_journal(path);
-            let (job, replayed) =
-                crowdjoin::StreamJob::resume(schema, matcher_cfg, opts.seed, &spath)
-                    .map_err(|e| format!("--resume {}: {e}", spath.display()))?;
-            if !std::path::Path::new(path).exists() {
-                opts.journal = opts.resume.take();
-            }
-            (job, replayed)
-        }
-        _ => (crowdjoin::StreamJob::new(schema, matcher_cfg, opts.seed), 0),
-    };
-    if replayed > total {
-        return Err(format!(
-            "--resume: the stream journal holds {replayed} records but {input} supplies only \
-             {total}; pass the same input as the original run"
-        ));
+    if opts.resume.as_deref().is_some_and(|path| !std::path::Path::new(path).exists()) {
+        opts.journal = opts.resume.take();
     }
-    if job.is_sealed() && replayed < total {
-        return Err(format!(
-            "--resume: the stream journal is sealed after {replayed} records; it cannot ingest \
-             the {} further record(s) in {input}",
-            total - replayed
-        ));
-    }
-
-    let mut seen = 0usize;
+    let mut job = crowdjoin::StreamJob::new(schema, matcher_cfg, opts.seed);
+    let mut seen = 0u32;
     for chunk in &chunks {
-        let batch: Vec<(u32, Record)> = chunk
-            .iter()
-            .enumerate()
-            .map(|(i, record)| ((seen + i) as u32, record.clone()))
-            .filter(|(external, _)| (*external as usize) >= replayed)
-            .collect();
-        seen += chunk.len();
-        if batch.is_empty() {
-            continue;
-        }
-        job.ingest(&batch).map_err(|e| format!("--journal: {e}"))?;
+        let batch: Vec<(u32, Record)> =
+            chunk.iter().zip(seen..).map(|(record, external)| (external, record.clone())).collect();
+        seen += chunk.len() as u32;
+        let Ok(_) = job.ingest(&batch);
     }
-    reporter.note(&format!(
-        "stream: {total} record(s) in {} batch(es) ({replayed} replayed from the journal)",
-        chunks.len(),
-    ));
+    reporter.note(&format!("stream: {total} record(s) in {} batch(es)", chunks.len()));
 
-    let (dataset, candidates_raw) = job.close().map_err(|e| format!("--journal: {e}"))?;
+    let Ok((dataset, candidates_raw)) = job.close();
     finish_join(&dataset, &candidates_raw, &opts, reporter)
 }
 
@@ -1383,11 +1334,7 @@ options:
                         batches) or a spool-style directory of *.jsonl
                         chunk files (processed in name order, one ingest
                         batch per file). The closed stream is bit-identical
-                        to a batch run over the same records.
-                        With --journal FILE each ingest is write-ahead
-                        logged to FILE.stream before it is applied, so a
-                        killed stream resumes with --resume FILE (re-pass
-                        the same input and flags)
+                        to a batch run over the same records
   --stream-chunk N      records per ingest batch for a single-file --stream
                         input (default 512)
   --threshold T         machine-likelihood threshold for candidates (default 0.3)

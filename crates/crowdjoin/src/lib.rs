@@ -20,7 +20,7 @@
 //! | answer journal | [`wal`] | crash-safe write-ahead journal for resumable jobs |
 //! | execution engine | [`engine`] | component sharding, one event loop over simulated, external and oracle backends |
 //! | integration | [`pipeline`], [`runner`] | dataset→task glue, platform-driven runs |
-//! | streaming | [`stream`] | journaled record log; `close` is the batch join |
+//! | streaming | [`stream`] | record log; `close` is the batch join |
 //!
 //! ## End-to-end example
 //!
@@ -92,3 +92,10 @@ pub use crowdjoin_engine::{
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
 pub use runner::{publish_in_waves, run_parallel_on_platform};
 pub use stream::StreamJob;
+
+/// Guards the process-wide metrics registry in this crate's unit tests.
+/// The matcher always publishes its stage counters there, so a test that
+/// runs it takes this lock shared, and `report`'s read-back test, which
+/// asserts exact counter values, takes it exclusively.
+#[cfg(test)]
+pub(crate) static METRICS_TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());

@@ -62,6 +62,8 @@ mod tests {
 
     #[test]
     fn build_task_produces_labelable_candidates() {
+        let _registry =
+            crate::METRICS_TEST_LOCK.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         let ds = small_dataset();
         let (task, truth) = build_task(&ds, &MatcherConfig::for_arity(5), 0.3);
         assert!(!task.candidates().is_empty(), "threshold 0.3 should keep some pairs");
@@ -76,6 +78,8 @@ mod tests {
 
     #[test]
     fn higher_threshold_keeps_fewer_pairs() {
+        let _registry =
+            crate::METRICS_TEST_LOCK.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         let ds = small_dataset();
         let (low, _) = build_task(&ds, &MatcherConfig::for_arity(5), 0.1);
         let (high, _) = build_task(&ds, &MatcherConfig::for_arity(5), 0.5);

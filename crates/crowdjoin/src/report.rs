@@ -506,6 +506,8 @@ mod tests {
 
     #[test]
     fn timings_read_back_from_the_registry() {
+        let _registry =
+            crate::METRICS_TEST_LOCK.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         crowdjoin_obs::reset_metrics();
         crowdjoin_obs::counter("matcher.tokenize.us", NO_SHARD).add(1_500);
         crowdjoin_obs::counter("matcher.index.us", NO_SHARD).add(2_500);

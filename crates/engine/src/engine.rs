@@ -7,7 +7,7 @@ use crate::persist::{job_header, verify_header};
 use crate::report::EngineReport;
 use crowdjoin_core::{GroundTruth, ScoredPair};
 use crowdjoin_sim::{BackendFactory, PlatformConfig, SimFactory};
-use crowdjoin_wal::{open_resume, partition_replay, Journal, WalError};
+use crowdjoin_wal::{partition_replay, Journal, WalError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -226,7 +226,7 @@ impl<'a> Engine<'a> {
         path: &Path,
         factory: &F,
     ) -> Result<EngineReport, WalError> {
-        let (contents, sink) = open_resume(path)?;
+        let (contents, sink) = Journal::open_resume(path)?;
         let mut config = self.config.clone();
         if config.num_shards == 0 {
             config.num_shards = contents.header.num_shards as usize;

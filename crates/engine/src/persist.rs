@@ -107,12 +107,14 @@ pub(crate) fn job_header(
 }
 
 /// Checks field-by-field that the journal belongs to the job being
-/// resumed, reporting the first disagreeing field.
+/// resumed, reporting the first disagreeing field. The labeling order comes
+/// first: it decides which questions were paid for, and a changed input
+/// (records added to or edited in a stream's spool) shows there first.
 pub(crate) fn verify_header(journal: &JobHeader, job: &JobHeader) -> Result<(), WalError> {
     let fields: [(&'static str, u64, u64); 10] = [
-        ("num_objects", journal.num_objects, job.num_objects),
         ("order_len", journal.order_len, job.order_len),
         ("order_hash", journal.order_hash, job.order_hash),
+        ("num_objects", journal.num_objects, job.num_objects),
         ("truth_hash", journal.truth_hash, job.truth_hash),
         ("platform_hash (platform config/seed)", journal.platform_hash, job.platform_hash),
         ("engine_seed", journal.engine_seed, job.engine_seed),

@@ -1,30 +1,23 @@
 //! The framed log: the one implementation of the `[len][crc][payload]`
-//! discipline every journal in this crate is built on.
+//! discipline the answer journal is built on.
 //!
-//! A **record family** ([`RecordFamily`]) contributes only a vocabulary —
-//! a tag table, a payload codec, and which variant is the identity header.
-//! Everything about *bytes on disk* lives here, once:
+//! What a payload *means* — the tag table and field codec — is
+//! `crate::record`. Everything about *bytes on disk* lives here, once:
 //!
-//! * [`encode_frame`] — payload → frame, refusing a payload no reader
+//! * [`encode_frame`] — record → frame, refusing a payload no reader
 //!   would accept back ([`WalError::RecordTooLarge`]);
 //! * [`decode`] — the single decode loop: maximum-length check,
 //!   header-first rule, version check, second-header rejection, and the
 //!   torn-tail vs mid-file classification of the crate docs;
-//! * [`FrameLog`] — the single appender: create-under-lock, refuse a
-//!   non-empty file, [`append`](FrameLog::append) vs
-//!   [`append_durable`](FrameLog::append_durable), and the
+//! * [`Journal`] — the single appender: create-under-lock, refuse a
+//!   non-empty file, [`append`](Journal::append) vs
+//!   [`append_durable`](Journal::append_durable), and the
 //!   truncate-and-seek resume.
-//!
-//! [`Journal`](crate::Journal) is `FrameLog<Record>`;
-//! [`StreamJournal`](crate::StreamJournal) wraps
-//! `FrameLog<StreamRecord>`. The two families use disjoint tag ranges, so
-//! each reader rejects the other's files at the header-first rule.
 
+use crate::record::{JobHeader, Record, FORMAT_VERSION, MAX_RECORD_LEN};
 use crate::WalError;
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -44,35 +37,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// A record vocabulary that can live in a framed log: one enum whose
-/// payloads are a one-byte tag followed by little-endian fields, one
-/// variant of which is the identity header every file starts with.
-pub trait RecordFamily: Sized {
-    /// The identity header (always the first frame, never repeated).
-    type Header: Copy + fmt::Debug + PartialEq;
-    /// Format version this build writes and reads.
-    const VERSION: u32;
-    /// Largest payload one frame may carry; a longer `len` is corruption.
-    const MAX_PAYLOAD: u32;
-    /// What the header is called in error messages.
-    const HEADER_NAME: &'static str;
-
-    /// Wraps a header into its record variant.
-    fn from_header(header: Self::Header) -> Self;
-    /// The header, if this record is the header variant.
-    fn as_header(&self) -> Option<&Self::Header>;
-    /// The format version a header declares.
-    fn header_version(header: &Self::Header) -> u32;
-    /// Appends the payload (tag byte + fields) to `out`.
-    fn encode_payload(&self, out: &mut Vec<u8>);
-    /// Decodes one payload, consuming it exactly.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first field that failed to decode.
-    fn decode_payload(payload: &[u8]) -> Result<Self, String>;
 }
 
 /// Little-endian field writer over a payload buffer.
@@ -142,22 +106,17 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// [`WalError::RecordTooLarge`] if the payload exceeds the family's
-/// [`MAX_PAYLOAD`](RecordFamily::MAX_PAYLOAD) — the reader would drop such
-/// a frame as a torn tail, so writing it would lose the record silently.
-/// `out` is left as it was.
-pub fn encode_frame<R: RecordFamily>(record: &R, out: &mut Vec<u8>) -> Result<(), WalError> {
+/// [`WalError::RecordTooLarge`] if the payload exceeds [`MAX_RECORD_LEN`]
+/// — the reader would drop such a frame as a torn tail, so writing it would
+/// lose the record silently. `out` is left as it was.
+pub fn encode_frame(record: &Record, out: &mut Vec<u8>) -> Result<(), WalError> {
     let start = out.len();
     out.extend_from_slice(&[0; PRELUDE]);
     record.encode_payload(out);
     let len = out.len() - start - PRELUDE;
-    if len > R::MAX_PAYLOAD as usize {
+    if len > MAX_RECORD_LEN as usize {
         out.truncate(start);
-        return Err(WalError::RecordTooLarge {
-            external: None,
-            bytes: len as u64,
-            max: R::MAX_PAYLOAD,
-        });
+        return Err(WalError::RecordTooLarge { bytes: len as u64, max: MAX_RECORD_LEN });
     }
     let crc = crc32(&out[start + PRELUDE..]);
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -165,16 +124,16 @@ pub fn encode_frame<R: RecordFamily>(record: &R, out: &mut Vec<u8>) -> Result<()
     Ok(())
 }
 
-/// A decoded log: header, records (header frame excluded), and how the
+/// A decoded journal: header, records (header frame excluded), and how the
 /// byte stream ended.
 #[derive(Debug, Clone)]
-pub struct Contents<R: RecordFamily> {
-    /// The identity header.
-    pub header: R::Header,
+pub struct JournalContents {
+    /// The job's identity header.
+    pub header: JobHeader,
     /// Every valid record after the header, in append order.
-    pub records: Vec<R>,
+    pub records: Vec<Record>,
     /// Byte offset at which each record's frame starts (parallel to
-    /// `records`) — lets tooling and tests cut a log at exact record
+    /// `records`) — lets tooling and tests cut a journal at exact record
     /// boundaries, and lets replay errors name the offending frame.
     pub offsets: Vec<u64>,
     /// Byte length of the valid frame prefix.
@@ -183,27 +142,25 @@ pub struct Contents<R: RecordFamily> {
     pub torn_bytes: u64,
 }
 
-/// Decodes a log's byte image into its header and records, applying the
-/// crate-level truncation rule.
+/// Decodes a journal's byte image into its header and records, applying
+/// the crate-level truncation rule.
 ///
 /// # Errors
 ///
 /// [`WalError::NotAJournal`] if the bytes do not start with a valid header
-/// frame of family `R` (in particular for the *other* family's files — the
-/// tag ranges are disjoint), [`WalError::VersionMismatch`] for an unknown
-/// format version, and [`WalError::Corrupt`] for damage that is not a torn
-/// tail (see the crate docs for the exact classification).
-pub fn decode<R: RecordFamily>(bytes: &[u8]) -> Result<Contents<R>, WalError> {
-    let name = R::HEADER_NAME;
+/// frame, [`WalError::VersionMismatch`] for an unknown format version, and
+/// [`WalError::Corrupt`] for damage that is not a torn tail (see the crate
+/// docs for the exact classification).
+pub fn decode(bytes: &[u8]) -> Result<JournalContents, WalError> {
     let mut records = Vec::new();
     let mut offsets = Vec::new();
-    let mut header: Option<R::Header> = None;
+    let mut header: Option<JobHeader> = None;
     let mut pos: usize = 0;
     // Fewer than PRELUDE bytes left is either a clean end or a torn prelude.
     while bytes.len() - pos >= PRELUDE {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > R::MAX_PAYLOAD as usize {
+        if len == 0 || len > MAX_RECORD_LEN as usize {
             if header.is_none() {
                 return Err(WalError::NotAJournal(format!(
                     "first frame has implausible length {len}"
@@ -233,30 +190,30 @@ pub fn decode<R: RecordFamily>(bytes: &[u8]) -> Result<Contents<R>, WalError> {
                 reason: "frame payload fails its CRC".to_string(),
             });
         }
-        let record = match R::decode_payload(payload) {
+        let record = match Record::decode_payload(payload) {
             Ok(r) => r,
             Err(reason) if header.is_none() => {
                 return Err(WalError::NotAJournal(format!("header frame invalid: {reason}")));
             }
             Err(reason) => return Err(WalError::Corrupt { offset: pos as u64, reason }),
         };
-        match (header.is_some(), record.as_header()) {
-            (false, Some(h)) => {
-                if R::header_version(h) != R::VERSION {
-                    return Err(WalError::VersionMismatch { found: R::header_version(h) });
+        match (header.is_some(), record) {
+            (false, Record::Header(h)) => {
+                if h.version != FORMAT_VERSION {
+                    return Err(WalError::VersionMismatch { found: h.version });
                 }
-                header = Some(*h);
+                header = Some(h);
             }
-            (false, None) => {
-                return Err(WalError::NotAJournal(format!("first frame is not a {name}")));
+            (false, _) => {
+                return Err(WalError::NotAJournal("first frame is not a job header".to_string()));
             }
-            (true, Some(_)) => {
+            (true, Record::Header(_)) => {
                 return Err(WalError::Corrupt {
                     offset: pos as u64,
-                    reason: format!("second {name} frame"),
+                    reason: "second job header frame".to_string(),
                 });
             }
-            (true, None) => {
+            (true, _) => {
                 offsets.push(pos as u64);
                 records.push(record);
             }
@@ -264,26 +221,22 @@ pub fn decode<R: RecordFamily>(bytes: &[u8]) -> Result<Contents<R>, WalError> {
         pos = end;
     }
     let Some(header) = header else {
-        return Err(WalError::NotAJournal(format!("no complete {name} frame")));
+        return Err(WalError::NotAJournal("no complete job header frame".to_string()));
     };
     let valid_len = pos as u64;
-    Ok(Contents { header, records, offsets, valid_len, torn_bytes: bytes.len() as u64 - valid_len })
+    Ok(JournalContents {
+        header,
+        records,
+        offsets,
+        valid_len,
+        torn_bytes: bytes.len() as u64 - valid_len,
+    })
 }
 
-/// Reads a log without modifying it, recovering the valid prefix under the
-/// crate-level truncation rule.
-///
-/// # Errors
-///
-/// Everything [`decode`] raises, plus [`WalError::Io`].
-pub(crate) fn read<R: RecordFamily>(path: &Path) -> Result<Contents<R>, WalError> {
-    decode(&std::fs::read(path)?)
-}
-
-/// Takes the log's exclusive advisory lock, distinguishing "someone else
-/// holds it" from real I/O failure. Advisory locks are per open file
+/// Takes the journal's exclusive advisory lock, distinguishing "someone
+/// else holds it" from real I/O failure. Advisory locks are per open file
 /// description and released when the file closes, i.e. when the
-/// [`FrameLog`] drops.
+/// [`Journal`] drops.
 fn lock_exclusive(file: &File, path: &Path) -> Result<(), WalError> {
     match file.try_lock() {
         Ok(()) => Ok(()),
@@ -292,24 +245,24 @@ fn lock_exclusive(file: &File, path: &Path) -> Result<(), WalError> {
     }
 }
 
-/// A framed log of family `R` open for appending. Clone-free and
-/// thread-safe: the engine's event-loop workers share one handle behind an
-/// `Arc` and appends are serialized by an internal mutex (per-shard record
-/// order is preserved because a shard's records are only ever appended by
-/// the worker currently holding its task).
+/// An answer journal open for appending. Clone-free and thread-safe: the
+/// engine's event-loop workers share one handle behind an `Arc` and appends
+/// are serialized by an internal mutex (per-shard record order is preserved
+/// because a shard's records are only ever appended by the worker currently
+/// holding its task).
 #[derive(Debug)]
-pub struct FrameLog<R> {
+pub struct Journal {
     inner: Mutex<BufWriter<File>>,
-    family: PhantomData<fn(&R)>,
 }
 
-impl<R: RecordFamily> FrameLog<R> {
+impl Journal {
     fn over(file: File) -> Self {
-        Self { inner: Mutex::new(BufWriter::new(file)), family: PhantomData }
+        Self { inner: Mutex::new(BufWriter::new(file)) }
     }
 
-    /// Creates a fresh log at `path`, takes an exclusive advisory lock
-    /// (held for the log's lifetime), and writes its header frame durably.
+    /// Creates a fresh journal at `path`, takes an exclusive advisory lock
+    /// (held for the journal's lifetime), and writes its header frame
+    /// durably.
     ///
     /// # Errors
     ///
@@ -317,8 +270,8 @@ impl<R: RecordFamily> FrameLog<R> {
     /// existing journal may hold paid-for answers, so starting over
     /// requires an explicit resume or delete (checked under the lock, so
     /// two racing creates cannot both win). [`WalError::Locked`] if
-    /// another process holds the log. [`WalError::Io`] on I/O failure.
-    pub fn create(path: &Path, header: &R::Header) -> Result<Self, WalError> {
+    /// another process holds the journal. [`WalError::Io`] on I/O failure.
+    pub fn create(path: &Path, header: &JobHeader) -> Result<Self, WalError> {
         // Deliberately no truncation here: an existing file's contents are
         // inspected (and refused) under the lock below.
         let file = OpenOptions::new().create(true).write(true).truncate(false).open(path)?;
@@ -326,14 +279,14 @@ impl<R: RecordFamily> FrameLog<R> {
         if file.metadata()?.len() > 0 {
             return Err(WalError::AlreadyExists(path.to_path_buf()));
         }
-        let log = Self::over(file);
-        log.append_durable(&R::from_header(*header))?;
-        Ok(log)
+        let journal = Self::over(file);
+        journal.append_durable(&Record::Header(*header))?;
+        Ok(journal)
     }
 
-    /// Opens a log for resuming: takes its exclusive lock, reads and
+    /// Opens a journal for resuming: takes its exclusive lock, reads and
     /// validates it, truncates any torn tail **on disk**, and returns the
-    /// contents together with a log positioned to append immediately after
+    /// contents together with a journal positioned to append immediately after
     /// the last valid record. The whole read–repair–append sequence
     /// happens under the lock, so two racing resumes cannot interleave
     /// writes and corrupt the paid-for history — the loser fails with
@@ -342,8 +295,8 @@ impl<R: RecordFamily> FrameLog<R> {
     /// # Errors
     ///
     /// Everything [`decode`] raises, plus [`WalError::Locked`] if another
-    /// process holds the log and [`WalError::Io`] on the read/truncate/seek.
-    pub fn open_resume(path: &Path) -> Result<(Contents<R>, Self), WalError> {
+    /// process holds the journal and [`WalError::Io`] on the read/truncate/seek.
+    pub fn open_resume(path: &Path) -> Result<(JournalContents, Self), WalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         lock_exclusive(&file, path)?;
         let mut bytes = Vec::new();
@@ -355,7 +308,7 @@ impl<R: RecordFamily> FrameLog<R> {
         Ok((contents, Self::over(file)))
     }
 
-    fn append_inner(&self, record: &R, sync: bool) -> Result<(), WalError> {
+    fn append_inner(&self, record: &Record, sync: bool) -> Result<(), WalError> {
         let mut frame = Vec::with_capacity(128);
         encode_frame(record, &mut frame)?;
         let mut w = self.inner.lock().expect("journal mutex poisoned");
@@ -378,18 +331,17 @@ impl<R: RecordFamily> FrameLog<R> {
     /// fatal for the job (continuing without durability would betray a
     /// later resume). [`WalError::RecordTooLarge`] for a record no frame
     /// can carry; nothing is written.
-    pub fn append(&self, record: &R) -> Result<(), WalError> {
+    pub fn append(&self, record: &Record) -> Result<(), WalError> {
         self.append_inner(record, false)
     }
 
     /// Appends one record and `fsync`s it (survives a power failure). Used
-    /// for round barriers, generation barriers, completion markers, and
-    /// every stream-journal frame.
+    /// for the header, round barriers and completion markers.
     ///
     /// # Errors
     ///
     /// As [`append`](Self::append), plus [`WalError::Io`] on sync failure.
-    pub fn append_durable(&self, record: &R) -> Result<(), WalError> {
+    pub fn append_durable(&self, record: &Record) -> Result<(), WalError> {
         self.append_inner(record, true)
     }
 
@@ -409,18 +361,15 @@ impl<R: RecordFamily> FrameLog<R> {
 /// "Format unchanged", pinned: `header` + `records` must encode to exactly
 /// `frames_hex` (captured from the pre-`frame` encoders) and decode back.
 #[cfg(test)]
-pub(crate) fn assert_golden<R>(header: R::Header, records: &[R], frames_hex: &[&str])
-where
-    R: RecordFamily + PartialEq + fmt::Debug,
-{
+pub(crate) fn assert_golden(header: JobHeader, records: &[Record], frames_hex: &[&str]) {
     let mut bytes = Vec::new();
-    encode_frame(&R::from_header(header), &mut bytes).expect("header fits");
+    encode_frame(&Record::Header(header), &mut bytes).expect("header fits");
     for r in records {
         encode_frame(r, &mut bytes).expect("record fits");
     }
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, frames_hex.concat());
-    let contents = decode::<R>(&bytes).expect("golden bytes decode");
+    let contents = decode(&bytes).expect("golden bytes decode");
     assert_eq!(contents.header, header);
     assert_eq!(contents.records, records);
     assert_eq!((contents.valid_len, contents.torn_bytes), (bytes.len() as u64, 0));

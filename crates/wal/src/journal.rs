@@ -1,54 +1,29 @@
-//! The answer journal: the framed log instantiated for the answer record
-//! family, plus the split of its records into the engine's replay queues.
+//! Reading a journal back: the read-only entry point, plus the split of its
+//! records into the engine's replay queues. The resume entry point is
+//! [`Journal::open_resume`](crate::Journal::open_resume).
 
-use crate::frame::{self, Contents, FrameLog};
-use crate::record::{CompleteRecord, GenerationRecord, Record, ShardEvent};
+use crate::frame::{decode, JournalContents};
+use crate::record::{CompleteRecord, Record, ShardEvent};
 use crate::WalError;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-
-/// An answer journal open for appending — see [`FrameLog`] for the
-/// locking and durability contract ([`FrameLog::create`],
-/// [`FrameLog::append`], [`FrameLog::append_durable`]).
-pub type Journal = FrameLog<Record>;
-
-/// A decoded answer journal.
-pub type JournalContents = Contents<Record>;
 
 /// Reads a journal without modifying it, recovering the valid prefix under
 /// the crate-level truncation rule.
 ///
 /// # Errors
 ///
-/// Everything [`decode`](crate::decode) raises, plus [`WalError::Io`].
+/// Everything [`decode`] raises, plus [`WalError::Io`].
 pub fn read_journal(path: &Path) -> Result<JournalContents, WalError> {
-    frame::read(path)
-}
-
-/// Opens a journal for resuming — [`FrameLog::open_resume`] for the answer
-/// family: lock, read, truncate any torn tail on disk, and return the
-/// contents with a [`Journal`] positioned to append after the last valid
-/// record.
-///
-/// # Errors
-///
-/// Everything [`read_journal`] raises, plus [`WalError::Locked`] if
-/// another process holds the journal and [`WalError::Io`] on the
-/// truncate/seek.
-pub fn open_resume(path: &Path) -> Result<(JournalContents, Journal), WalError> {
-    Journal::open_resume(path)
+    decode(&std::fs::read(path)?)
 }
 
 /// A journal split into the queues the engine replays: per-shard event
-/// streams, the generation-barrier stream (written only by older builds
-/// with dynamic re-sharding, whose journals the engine refuses), and the
-/// completion marker if the job finished.
+/// streams and the completion marker if the job finished.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayPlan {
     /// Per shard index, its answers and round barriers in append order.
     pub shards: BTreeMap<u32, VecDeque<ShardEvent>>,
-    /// Re-sharding barriers in order.
-    pub generations: VecDeque<GenerationRecord>,
     /// Present iff the journal records a finished job.
     pub complete: Option<CompleteRecord>,
 }
@@ -78,7 +53,6 @@ pub fn partition_replay(records: &[Record]) -> ReplayPlan {
             Record::Barrier(b) => {
                 plan.shards.entry(b.shard).or_default().push_back(ShardEvent::Barrier(b));
             }
-            Record::Generation(g) => plan.generations.push_back(g),
             Record::Complete(c) => plan.complete = Some(c),
         }
     }
@@ -88,6 +62,7 @@ pub fn partition_replay(records: &[Record]) -> ReplayPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Journal;
     use crate::record::{AnswerRecord, BarrierRecord, JobHeader, StatsSnapshot, FORMAT_VERSION};
 
     fn header() -> JobHeader {
@@ -172,7 +147,7 @@ mod tests {
         let full = std::fs::read(&path).expect("read bytes");
         std::fs::write(&path, &full[..full.len() - 3]).expect("tear");
 
-        let (contents, journal) = open_resume(&path).expect("open_resume");
+        let (contents, journal) = Journal::open_resume(&path).expect("open_resume");
         assert_eq!(contents.records, vec![answer(0, 1, 2)]);
         assert!(contents.torn_bytes > 0);
         journal.append(&answer(1, 5, 6)).expect("append after resume");
@@ -190,12 +165,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create(&path, &header()).expect("create");
         // While a writer is alive, both re-creating and resuming refuse.
-        assert!(matches!(open_resume(&path), Err(WalError::Locked(_))));
+        assert!(matches!(Journal::open_resume(&path), Err(WalError::Locked(_))));
         assert!(matches!(Journal::create(&path, &header()), Err(WalError::Locked(_))));
         // Read-only inspection stays possible.
         assert!(read_journal(&path).is_ok());
         drop(journal);
-        let (_, resumed) = open_resume(&path).expect("lock released on drop");
+        let (_, resumed) = Journal::open_resume(&path).expect("lock released on drop");
         drop(resumed);
         std::fs::remove_file(&path).expect("cleanup");
     }
@@ -207,20 +182,12 @@ mod tests {
             answer(1, 3, 4),
             barrier(0),
             answer(0, 5, 6),
-            Record::Generation(GenerationRecord {
-                generation: 1,
-                shards: 1,
-                time: 9_000,
-                rounds: 1,
-                open_pairs: 3,
-            }),
             Record::Complete(CompleteRecord { answers: 3, cost_cents: 18, completion: 9_000 }),
         ];
         let plan = partition_replay(&records);
         assert_eq!(plan.num_answers(), 3);
         assert_eq!(plan.shards.len(), 2);
         assert_eq!(plan.shards[&0].len(), 3, "two answers and a barrier for shard 0");
-        assert_eq!(plan.generations.len(), 1);
         assert_eq!(plan.complete.expect("complete").answers, 3);
     }
 }

@@ -19,11 +19,8 @@
 //!
 //! The `frame` module is the only code that knows the byte discipline:
 //! one frame encoder ([`encode_frame`]), one decode loop ([`decode`]), one
-//! appender ([`FrameLog`]), each generic over a [`RecordFamily`]. A family
-//! is a vocabulary — tag table, payload codec, header variant — and there
-//! are two: [`Record`] (answers; [`Journal`] = `FrameLog<Record>`) and
-//! [`StreamRecord`] (arrivals; [`StreamJournal`] wraps
-//! `FrameLog<StreamRecord>` and syncs every frame). A new check or a fuzz
+//! appender ([`Journal`]). The `record` module is the vocabulary — the
+//! [`Record`] enum, its tag table and payload codec. A new check or a fuzz
 //! target is written once, in `frame`.
 //!
 //! ## On-disk format
@@ -72,8 +69,8 @@
 //!
 //! ## Durability levels
 //!
-//! [`FrameLog::append`] writes the frame and flushes it to the OS: the
-//! record survives a **process** crash. [`FrameLog::append_durable`]
+//! [`Journal::append`] writes the frame and flushes it to the OS: the
+//! record survives a **process** crash. [`Journal::append_durable`]
 //! additionally `fsync`s: the record survives a **power** failure. The
 //! engine appends answers with the former and round-barrier / completion
 //! records with the latter, so the expensive sync is paid once
@@ -83,20 +80,13 @@
 //!
 //! Per shard (keyed by the engine's shard index) the stream is strictly
 //! `Answer* Barrier Answer* Barrier …`, and a final [`CompleteRecord`]
-//! marks a finished job. [`GenerationRecord`]s marked the global barriers
-//! of dynamic re-sharding, which older builds wrote; the codec still reads
-//! them, and the engine refuses such journals by their header.
-//! [`partition_replay`] splits a decoded record list back into those
-//! per-shard queues for the engine's replay. See `docs/ARCHITECTURE.md` for the crash & resume walkthrough.
+//! marks a finished job. [`partition_replay`] splits a decoded record list
+//! back into those per-shard queues for the engine's replay. See
+//! `docs/ARCHITECTURE.md` for the crash & resume walkthrough.
 //!
-//! ## The stream journal
-//!
-//! Streaming jobs additionally journal record *arrivals* to a sibling
-//! `FILE.stream` file (see [`StreamJournal`]) — the same `frame` code
-//! over a second family with a disjoint tag range, so the two journal
-//! kinds reject each other loudly. The answer journal stays byte-identical
-//! to a batch run's; the stream journal is what lets a killed stream
-//! rebuild its corpus before `Engine::resume` replays the answers.
+//! A streaming job writes no journal of its own: its input is re-read on
+//! resume, and the header's `order_len` / `order_hash` refuse a resume
+//! whose input changed after the engine started.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,20 +94,12 @@
 mod frame;
 mod journal;
 mod record;
-mod stream;
 
-pub use frame::{crc32, decode, encode_frame, Contents, FrameLog, RecordFamily};
-pub use journal::{
-    open_resume, partition_replay, read_journal, Journal, JournalContents, ReplayPlan,
-};
+pub use frame::{crc32, decode, encode_frame, Journal, JournalContents};
+pub use journal::{partition_replay, read_journal, ReplayPlan};
 pub use record::{
-    fnv1a64, AnswerRecord, BarrierRecord, CompleteRecord, GenerationRecord, JobHeader, Record,
-    ShardEvent, StatsSnapshot, FORMAT_VERSION, MAX_RECORD_LEN,
-};
-pub use stream::{
-    open_resume_stream, read_stream_journal, IngestFrame, SealRecord, StreamContents, StreamEntry,
-    StreamHeader, StreamJournal, StreamRecord, INGEST_FRAME_RECORDS, MAX_STREAM_RECORD_LEN,
-    STREAM_FORMAT_VERSION,
+    fnv1a64, AnswerRecord, BarrierRecord, CompleteRecord, JobHeader, Record, ShardEvent,
+    StatsSnapshot, FORMAT_VERSION, MAX_RECORD_LEN,
 };
 
 use std::fmt;
@@ -162,12 +144,9 @@ pub enum WalError {
     Locked(PathBuf),
     /// A record's payload cannot fit one frame; nothing was written.
     RecordTooLarge {
-        /// External id of the offending streamed record, when the record
-        /// is one entry of an ingest batch.
-        external: Option<u32>,
-        /// Payload bytes the smallest frame carrying the record needs.
+        /// Payload bytes the record needs.
         bytes: u64,
-        /// The family's frame payload limit.
+        /// The frame payload limit ([`MAX_RECORD_LEN`]).
         max: u32,
     },
 }
@@ -200,13 +179,10 @@ impl fmt::Display for WalError {
                 "journal {} is locked by another process (a run is already journaling to it)",
                 path.display()
             ),
-            WalError::RecordTooLarge { external, bytes, max } => {
-                match external {
-                    Some(id) => write!(f, "streamed record with external id {id}")?,
-                    None => write!(f, "journal record")?,
-                }
-                write!(f, " needs a {bytes}-byte frame payload, over the {max}-byte limit")
-            }
+            WalError::RecordTooLarge { bytes, max } => write!(
+                f,
+                "journal record needs a {bytes}-byte frame payload, over the {max}-byte limit"
+            ),
         }
     }
 }

@@ -1,12 +1,12 @@
-//! The answer journal's record family: record types, tag table, and
-//! payload codec.
+//! The answer journal's records: record types, tag table, and payload
+//! codec.
 //!
 //! Payloads are a one-byte tag followed by fixed-width little-endian
 //! fields. Encoding and decoding are exact inverses, and decoding validates
 //! that the payload is consumed to the last byte. Framing, checksums and
 //! the decode loop live in `crate::frame`.
 
-use crate::frame::{Reader, RecordFamily, Writer};
+use crate::frame::{Reader, Writer};
 
 /// Journal format version this build writes and reads.
 ///
@@ -18,20 +18,21 @@ use crate::frame::{Reader, RecordFamily, Writer};
 /// since retired on measurement; the byte stays in the v2 layout as a
 /// reserved field (see [`JobHeader::ordering`]), so journal bytes did not
 /// change. Dynamic re-sharding was retired the same way: its header byte
-/// is reserved ([`JobHeader::reshard`]) and [`GenerationRecord`]s are no
-/// longer written.
+/// is reserved ([`JobHeader::reshard`]), and its generation-barrier record
+/// (tag 4) is no longer part of the format.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload; anything larger is corruption (real
 /// records are under 100 bytes).
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
 
-/// Frame tag values (payload byte 0).
+/// Frame tag values (payload byte 0). Tag 4 was the generation barrier of
+/// the retired dynamic re-sharding; it now decodes as an unknown tag, so a
+/// journal holding one is refused as corrupt at that frame.
 mod tag {
     pub const HEADER: u8 = 1;
     pub const ANSWER: u8 = 2;
     pub const BARRIER: u8 = 3;
-    pub const GENERATION: u8 = 4;
     pub const COMPLETE: u8 = 5;
 }
 
@@ -154,24 +155,6 @@ pub struct BarrierRecord {
     pub stats: StatsSnapshot,
 }
 
-/// A global re-sharding barrier: every shard of the generation parked, the
-/// survivors were merged, and the next generation's platforms start at the
-/// barrier time. Written only by older builds with dynamic re-sharding; the
-/// codec keeps it so their journals still decode (and are then refused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenerationRecord {
-    /// Re-sharding generation number (1 for the first barrier).
-    pub generation: u32,
-    /// Shards the merged generation runs on.
-    pub shards: u32,
-    /// Barrier virtual time (ms) — the maximum over parked platforms.
-    pub time: u64,
-    /// Critical-path publish rounds behind the barrier.
-    pub rounds: u32,
-    /// Candidate pairs still open across all parked shards.
-    pub open_pairs: u64,
-}
-
 /// The job finished; resuming a journal that ends with this record replays
 /// everything and asks nothing new.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,8 +176,6 @@ pub enum Record {
     Answer(AnswerRecord),
     /// A shard's round boundary.
     Barrier(BarrierRecord),
-    /// A global re-sharding barrier.
-    Generation(GenerationRecord),
     /// Job completion marker.
     Complete(CompleteRecord),
 }
@@ -214,28 +195,9 @@ pub enum ShardEvent {
 // Payload codec
 // ---------------------------------------------------------------------------
 
-impl RecordFamily for Record {
-    type Header = JobHeader;
-    const VERSION: u32 = FORMAT_VERSION;
-    const MAX_PAYLOAD: u32 = MAX_RECORD_LEN;
-    const HEADER_NAME: &'static str = "job header";
-
-    fn from_header(header: JobHeader) -> Self {
-        Record::Header(header)
-    }
-
-    fn as_header(&self) -> Option<&JobHeader> {
-        match self {
-            Record::Header(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    fn header_version(header: &JobHeader) -> u32 {
-        header.version
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
+impl Record {
+    /// Appends the payload (tag byte + fields) to `out`.
+    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
         let mut w = Writer(out);
         match self {
             Record::Header(h) => {
@@ -272,14 +234,6 @@ impl RecordFamily for Record {
                     w.u64(v);
                 }
             }
-            Record::Generation(g) => {
-                w.u8(tag::GENERATION);
-                w.u32(g.generation);
-                w.u32(g.shards);
-                w.u64(g.time);
-                w.u32(g.rounds);
-                w.u64(g.open_pairs);
-            }
             Record::Complete(c) => {
                 w.u8(tag::COMPLETE);
                 w.u64(c.answers);
@@ -289,7 +243,12 @@ impl RecordFamily for Record {
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, String> {
+    /// Decodes one payload, consuming it exactly.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first field that failed to decode.
+    pub(crate) fn decode_payload(payload: &[u8]) -> Result<Self, String> {
         let mut r = Reader { bytes: payload, pos: 0 };
         let record = match r.u8()? {
             tag::HEADER => Record::Header(JobHeader {
@@ -329,13 +288,6 @@ impl RecordFamily for Record {
                     qualified_workers: r.u64()?,
                     assignments_abandoned: r.u64()?,
                 },
-            }),
-            tag::GENERATION => Record::Generation(GenerationRecord {
-                generation: r.u32()?,
-                shards: r.u32()?,
-                time: r.u64()?,
-                rounds: r.u32()?,
-                open_pairs: r.u64()?,
             }),
             tag::COMPLETE => Record::Complete(CompleteRecord {
                 answers: r.u64()?,
@@ -397,13 +349,6 @@ mod tests {
                     assignments_abandoned: 1,
                 },
             }),
-            Record::Generation(GenerationRecord {
-                generation: 1,
-                shards: 2,
-                time: 222_222,
-                rounds: 1,
-                open_pairs: 17,
-            }),
             Record::Complete(CompleteRecord { answers: 21, cost_cents: 12, completion: 222_222 }),
         ]
     }
@@ -437,7 +382,7 @@ mod tests {
     #[test]
     fn roundtrip_every_record_type() {
         let bytes = encode_all(sample_header(), &sample_records());
-        let contents = decode::<Record>(&bytes).expect("valid stream");
+        let contents = decode(&bytes).expect("valid stream");
         assert_eq!(contents.header, sample_header());
         assert_eq!(contents.records, sample_records());
         assert_eq!((contents.valid_len, contents.torn_bytes), (bytes.len() as u64, 0));
@@ -463,7 +408,6 @@ mod tests {
                 "51000000365587370303000000010000000e640300000000000200000000000000\
                  1500000000000000280000000000000006000000000000000c000000000000000e640300\
                  0000000005000000000000000100000000000000",
-                "1d000000e4ea9ade0401000000020000000e64030000000000010000001100000000000000",
                 "190000009d8b746b0515000000000000000c000000000000000e64030000000000",
             ],
         );
@@ -473,8 +417,8 @@ mod tests {
     fn truncation_recovers_prefix() {
         let bytes = encode_all(sample_header(), &sample_records());
         // Dropping the last byte tears the final record.
-        let contents = decode::<Record>(&bytes[..bytes.len() - 1]).expect("torn tail ok");
-        assert_eq!(contents.records, sample_records()[..3]);
+        let contents = decode(&bytes[..bytes.len() - 1]).expect("torn tail ok");
+        assert_eq!(contents.records, sample_records()[..2]);
         assert!(contents.valid_len < bytes.len() as u64);
         assert_eq!(contents.valid_len + contents.torn_bytes, bytes.len() as u64 - 1);
     }
@@ -486,7 +430,7 @@ mod tests {
         // header frame, well before the final record).
         let header_len = frame_of(&Record::Header(sample_header())).len();
         bytes[header_len + 10] ^= 0x40;
-        match decode::<Record>(&bytes) {
+        match decode(&bytes) {
             Err(WalError::Corrupt { offset, .. }) => assert_eq!(offset, header_len as u64),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -494,19 +438,19 @@ mod tests {
 
     #[test]
     fn missing_or_damaged_header_rejected() {
-        assert!(matches!(decode::<Record>(&[]), Err(WalError::NotAJournal(_))));
+        assert!(matches!(decode(&[]), Err(WalError::NotAJournal(_))));
         let no_header = frame_of(&sample_records()[0]);
-        assert!(matches!(decode::<Record>(&no_header), Err(WalError::NotAJournal(_))));
+        assert!(matches!(decode(&no_header), Err(WalError::NotAJournal(_))));
 
         let mut bytes = encode_all(sample_header(), &[]);
         bytes[9] ^= 0xff; // damage the header payload
-        assert!(matches!(decode::<Record>(&bytes), Err(WalError::NotAJournal(_))));
+        assert!(matches!(decode(&bytes), Err(WalError::NotAJournal(_))));
     }
 
     #[test]
     fn second_header_and_implausible_lengths_are_classified() {
         let again = [Record::Header(sample_header())];
-        match decode::<Record>(&encode_all(sample_header(), &again)) {
+        match decode(&encode_all(sample_header(), &again)) {
             Err(WalError::Corrupt { reason, .. }) => assert!(reason.contains("second"), "{reason}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -515,11 +459,11 @@ mod tests {
         for len in [0, MAX_RECORD_LEN + 1] {
             let mut prelude = len.to_le_bytes().to_vec();
             prelude.extend_from_slice(&[0; 12]);
-            assert!(matches!(decode::<Record>(&prelude), Err(WalError::NotAJournal(_))));
+            assert!(matches!(decode(&prelude), Err(WalError::NotAJournal(_))));
             let mut bytes = encode_all(sample_header(), &sample_records()[..1]);
             let valid = bytes.len() as u64;
             bytes.extend_from_slice(&prelude);
-            let contents = decode::<Record>(&bytes).expect("implausible tail is torn");
+            let contents = decode(&bytes).expect("implausible tail is torn");
             assert_eq!(contents.records, sample_records()[..1]);
             assert_eq!((contents.valid_len, contents.torn_bytes), (valid, 16));
         }
@@ -531,7 +475,7 @@ mod tests {
         h.version = FORMAT_VERSION + 1;
         let bytes = encode_all(h, &[]);
         assert!(matches!(
-            decode::<Record>(&bytes),
+            decode(&bytes),
             Err(WalError::VersionMismatch { found }) if found == FORMAT_VERSION + 1
         ));
     }

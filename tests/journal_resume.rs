@@ -330,8 +330,49 @@ fn resume_refuses_a_re_sharded_journal() {
     std::fs::remove_file(&resharded).expect("cleanup");
 }
 
-// ===== Streaming: the two-file scheme (`FILE.stream` ingest frames + =====
-// ===== `FILE` answer records), killed at both phases.                =====
+/// A frame of the retired generation-barrier record (tag 4), as older
+/// builds with dynamic re-sharding wrote it: CRC-valid, so only its tag
+/// marks it.
+const TAG4_FRAME: &str =
+    "1d000000e4ea9ade0401000000020000000e64030000000000010000001100000000000000";
+
+/// Tag 4 is no longer part of the format: a journal holding one is refused
+/// as corrupt at that frame, by the reader and by resume alike, and the
+/// paid-for file is left as it was.
+#[test]
+fn retired_generation_frame_is_refused_as_corrupt() {
+    let (num_objects, order, truth) = workload();
+    let platform = platform_config();
+    let (_, _, path) = run_journaled("tag4.wal");
+    let mut bytes = std::fs::read(&path).expect("journal bytes");
+    let offset = bytes.len() as u64;
+    bytes.extend(
+        (0..TAG4_FRAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&TAG4_FRAME[i..i + 2], 16).expect("hex byte")),
+    );
+    std::fs::write(&path, &bytes).expect("append the tag-4 frame");
+
+    let is_corrupt_at_frame =
+        |r: &WalError| matches!(r, WalError::Corrupt { offset: o, .. } if *o == offset);
+    match wal::read_journal(&path) {
+        Err(e) => assert!(is_corrupt_at_frame(&e), "read_journal: wrong error {e}"),
+        Ok(_) => panic!("read_journal must refuse a tag-4 frame"),
+    }
+    match Engine::new(num_objects, &order, &truth, &platform, engine_config()).resume(&path) {
+        Err(e) => assert!(is_corrupt_at_frame(&e), "resume: wrong error {e}"),
+        Ok(_) => panic!("resume must refuse a tag-4 frame"),
+    }
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        bytes,
+        "a refused journal was changed"
+    );
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+// ===== Streaming: a stream's input is its journal. A resume re-reads the =====
+// ===== input; only the answers are journaled, as in a batch job.         =====
 
 use crowdjoin::matcher::{generate_candidates, MatcherConfig, ScoredCandidate};
 use crowdjoin::records::{generate_paper, ClusterSpec, Dataset, PaperGenConfig, PerturbConfig};
@@ -351,7 +392,7 @@ fn stream_matcher_config() -> MatcherConfig {
     MatcherConfig { min_likelihood: 0.2, ..MatcherConfig::for_arity(5) }
 }
 
-/// Ingest-batch size for the streaming tests: one journal frame per batch.
+/// Ingest-batch size for the streaming tests.
 const STREAM_BATCH: usize = 5;
 
 /// Ingests records `from..to` of `ds` (external id = record index) in
@@ -362,7 +403,7 @@ fn ingest_range(job: &mut StreamJob, ds: &Dataset, from: usize, to: usize) {
         let hi = (i + STREAM_BATCH).min(to);
         let batch: Vec<(u32, crowdjoin::records::Record)> =
             (i..hi).map(|r| (r as u32, ds.table.record(r).clone())).collect();
-        job.ingest(&batch).expect("journaled ingest");
+        job.ingest(&batch).expect("infallible");
         i = hi;
     }
 }
@@ -386,12 +427,13 @@ fn assert_candidates_identical(streamed: &[ScoredCandidate], batch: &[ScoredCand
     }
 }
 
-/// The streaming acceptance test: kill the job **twice** — first after N
-/// ingest frames (only `FILE.stream` exists), then after M crowd answers
-/// (cutting `FILE`) — and resume each time. The stream resume replays the
-/// Ingest frames and re-derives the identical candidate order; the engine
-/// resume replays the Answer records; the final report is bit-identical to
-/// an uninterrupted run and no journaled question is ever re-asked.
+/// The library-level acceptance test: kill the job **twice** — first
+/// mid-ingest (the record log is in memory only, so nothing survives), then
+/// after M crowd answers (cutting `FILE`) — and resume each time. The
+/// restarted stream re-ingests its whole input and closes to the batch
+/// candidates; the engine resume replays the Answer records; the final
+/// report is bit-identical to an uninterrupted run and no journaled
+/// question is ever re-asked.
 #[test]
 fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
     let ds = stream_dataset();
@@ -408,95 +450,231 @@ fn stream_killed_mid_ingest_and_mid_answers_resumes_bit_identically() {
     let full =
         Engine::new(ds.len(), &order, &truth, &platform, config).run().expect("reference run");
 
-    for kill_after in [1usize, 6, 11] {
-        let survived = (kill_after * STREAM_BATCH).min(ds.len());
+    // Kill N°1: mid-stream. The restart ingests the whole input again.
+    let schema = ds.table.schema().clone();
+    let mut job = StreamJob::new(schema.clone(), stream_matcher_config(), 11);
+    ingest_range(&mut job, &ds, 0, ds.len() / 2);
+    drop(job);
+    let mut job = StreamJob::new(schema, stream_matcher_config(), 11);
+    ingest_range(&mut job, &ds, 0, ds.len());
+    let (_, streamed) = job.close().expect("infallible");
+    assert_candidates_identical(&streamed, &batch, "restarted stream");
 
-        // Kill N°1: mid-stream, after `kill_after` durable ingest frames.
-        let spath = temp_path(&format!("stream-{kill_after}.wal.stream"));
-        let _ = std::fs::remove_file(&spath);
-        let schema = ds.table.schema().clone();
-        let mut job = StreamJob::with_journal(schema.clone(), stream_matcher_config(), 11, &spath)
-            .expect("stream journal");
-        ingest_range(&mut job, &ds, 0, survived);
-        drop(job);
+    // The engine phase over the streamed order, journaled.
+    let sorder = stream_order(&ds, &streamed);
+    let jpath = temp_path("stream.wal");
+    let _ = std::fs::remove_file(&jpath);
+    let config = EngineConfig { journal: Some(jpath.clone()), ..engine_config() };
+    let run = Engine::new(ds.len(), &sorder, &truth, &platform, config).run().expect("engine run");
+    assert_reports_identical(&full, &run, &order, "restarted stream");
 
-        // Resume the stream: Ingest frames replay, the rest re-ingests,
-        // and the close is bit-identical to batch candidates.
-        let (mut job, replayed) =
-            StreamJob::resume(schema, stream_matcher_config(), 11, &spath).expect("stream resume");
-        assert_eq!(replayed, survived, "every durable ingest frame must replay");
-        assert!(!job.is_sealed());
-        ingest_range(&mut job, &ds, replayed, ds.len());
-        let (_, streamed) = job.close().expect("close");
-        assert_candidates_identical(&streamed, &batch, &format!("stream kill {kill_after}"));
-
-        // The engine phase over the streamed order, journaled.
-        let sorder = stream_order(&ds, &streamed);
-        let jpath = temp_path(&format!("stream-{kill_after}.wal"));
-        let _ = std::fs::remove_file(&jpath);
-        let config = EngineConfig { journal: Some(jpath.clone()), ..engine_config() };
-        let run =
-            Engine::new(ds.len(), &sorder, &truth, &platform, config).run().expect("engine run");
-        assert_reports_identical(&full, &run, &order, &format!("stream kill {kill_after}"));
-
-        // Kill N°2: after M answers — cut the answer journal at record
-        // boundaries and resume; bit-identical, never re-asking.
-        let contents = wal::read_journal(&jpath).expect("answer journal");
-        let bytes = std::fs::read(&jpath).expect("journal bytes");
-        let cut_path = temp_path(&format!("stream-{kill_after}-cut.wal"));
-        for frac in [0.25, 0.6, 0.9] {
-            let idx = ((contents.offsets.len() - 1) as f64 * frac) as usize;
-            std::fs::write(&cut_path, &bytes[..contents.offsets[idx] as usize]).expect("cut");
-            let paid_before = wal::partition_replay(&contents.records[..idx]).num_answers();
-            let resumed = Engine::new(ds.len(), &sorder, &truth, &platform, engine_config())
-                .resume(&cut_path)
-                .unwrap_or_else(|e| panic!("resume after {paid_before} answers failed: {e}"));
-            let ctx = format!("stream kill {kill_after}, answer cut {idx}");
-            assert_reports_identical(&full, &resumed, &order, &ctx);
-            assert_eq!(resumed.num_replayed_answers(), paid_before, "{ctx}: replay count");
-            assert_eq!(
-                paid_before + resumed.num_new_answers(),
-                full.num_crowd_answers(),
-                "{ctx}: crashed + resumed answers must equal the uninterrupted run's"
-            );
-        }
-        std::fs::remove_file(&spath).expect("cleanup");
-        std::fs::remove_file(&jpath).expect("cleanup");
-        let _ = std::fs::remove_file(&cut_path);
+    // Kill N°2: after M answers — cut the answer journal at record
+    // boundaries and resume; bit-identical, never re-asking.
+    let cut_path = temp_path("stream-cut.wal");
+    for frac in [0.25, 0.6, 0.9] {
+        let paid_before = cut_journal(&jpath, &cut_path, frac) as usize;
+        let resumed = Engine::new(ds.len(), &sorder, &truth, &platform, engine_config())
+            .resume(&cut_path)
+            .unwrap_or_else(|e| panic!("resume after {paid_before} answers failed: {e}"));
+        let ctx = format!("answer cut at {frac}");
+        assert_reports_identical(&full, &resumed, &order, &ctx);
+        assert_eq!(resumed.num_replayed_answers(), paid_before, "{ctx}: replay count");
+        assert_eq!(
+            paid_before + resumed.num_new_answers(),
+            full.num_crowd_answers(),
+            "{ctx}: crashed + resumed answers must equal the uninterrupted run's"
+        );
     }
-    std::fs::remove_file(&full_path).expect("cleanup");
+    for path in [&full_path, &jpath, &cut_path] {
+        std::fs::remove_file(path).expect("cleanup");
+    }
 }
 
-/// Crashes do not respect ingest-frame boundaries either: a stream journal
-/// truncated at arbitrary byte offsets loses only the torn frame — the
-/// resume replays the durable prefix, the lost records re-ingest, and the
-/// close stays bit-identical to batch.
-#[test]
-fn torn_stream_tail_resumes_to_identical_close() {
-    let ds = stream_dataset();
-    let batch = generate_candidates(&ds, &stream_matcher_config());
-    let schema = ds.table.schema().clone();
-    let spath = temp_path("stream-torn.wal.stream");
-    let _ = std::fs::remove_file(&spath);
-    let mut job = StreamJob::with_journal(schema.clone(), stream_matcher_config(), 11, &spath)
-        .expect("stream journal");
-    ingest_range(&mut job, &ds, 0, ds.len());
-    drop(job);
-    let bytes = std::fs::read(&spath).expect("stream journal bytes");
+// ----- The same contract through the CLI: `join --stream DIR`. -----
 
-    for frac in [0.31, 0.55, 0.78, 0.97] {
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        std::fs::write(&spath, &bytes[..cut]).expect("write torn journal");
-        let (mut job, replayed) =
-            StreamJob::resume(schema.clone(), stream_matcher_config(), 11, &spath)
-                .unwrap_or_else(|e| panic!("torn resume at byte {cut} failed: {e}"));
-        assert!(replayed <= ds.len());
-        assert!(replayed.is_multiple_of(STREAM_BATCH), "only whole frames replay");
-        ingest_range(&mut job, &ds, replayed, ds.len());
-        let (_, streamed) = job.close().expect("close");
-        assert_candidates_identical(&streamed, &batch, &format!("torn byte cut {cut}"));
+/// A fresh directory for one CLI test.
+fn cli_dir(name: &str) -> PathBuf {
+    let dir = temp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("chunks")).expect("create spool");
+    dir
+}
+
+/// 250 Paper records: 200 for the four original chunks, 50 for the chunk
+/// that arrives late.
+fn cli_dataset() -> Dataset {
+    generate_paper(&PaperGenConfig {
+        num_records: 250,
+        clusters: ClusterSpec::Explicit(vec![(6, 10), (4, 15), (2, 30)]),
+        perturb: PerturbConfig::light(),
+        sibling_probability: 0.1,
+        seed: 43,
+    })
+}
+
+/// Writes records `range` of `ds` as the JSONL chunk `dir/chunks/name`.
+fn write_chunk(dir: &Path, name: &str, ds: &Dataset, range: std::ops::Range<usize>) {
+    let fields = ds.table.schema().fields();
+    let mut text = String::new();
+    for r in range {
+        let mut obj = crowdjoin::util::json::JsonObject::new();
+        for (field, value) in fields.iter().zip(ds.table.record(r).values()) {
+            obj.field(field, crowdjoin::util::json::js_str(value));
+        }
+        text.push_str(&obj.render());
+        text.push('\n');
     }
-    std::fs::remove_file(&spath).expect("cleanup");
+    std::fs::write(dir.join("chunks").join(name), text).expect("write chunk");
+}
+
+/// The original spool: records 0..200 in `chunk-1` … `chunk-4`.
+fn write_spool(dir: &Path, ds: &Dataset) {
+    for c in 0..4 {
+        write_chunk(dir, &format!("chunk-{}.jsonl", c + 1), ds, c * 50..(c + 1) * 50);
+    }
+}
+
+/// Runs `join --stream DIR/chunks --platform perfect --shards 1` plus
+/// `extra`, writing the labels to `DIR/csv`.
+fn run_stream_cli(dir: &Path, csv: &str, extra: &[&str]) -> std::process::Output {
+    let spool = dir.join("chunks");
+    let out = dir.join(csv);
+    let args = ["join", "--stream", spool.to_str().unwrap(), "--platform", "perfect"];
+    let tail = ["--shards", "1", "--report", "json", "--output", out.to_str().unwrap()];
+    std::process::Command::new(env!("CARGO_BIN_EXE_crowdjoin"))
+        .args(args)
+        .args(tail)
+        .args(extra)
+        .output()
+        .expect("spawn crowdjoin binary")
+}
+
+fn assert_success(output: &std::process::Output, ctx: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{ctx}: crowdjoin failed: {stderr}");
+}
+
+/// The `engine.replayed_answers` field of a `--report json` document.
+fn replayed_answers(output: &std::process::Output) -> u64 {
+    use crowdjoin::util::json::{parse, Value};
+    let doc = parse(&String::from_utf8_lossy(&output.stdout)).expect("report json");
+    doc.get("engine")
+        .and_then(|engine| engine.get("replayed_answers"))
+        .and_then(Value::as_u64)
+        .expect("engine.replayed_answers in the report")
+}
+
+/// Copies `full` to `cut` up to the start of the record at `frac` of its
+/// records (a kill at that record boundary) and returns the answers paid
+/// before the kill.
+fn cut_journal(full: &Path, cut: &Path, frac: f64) -> u64 {
+    let contents = wal::read_journal(full).expect("answer journal");
+    let bytes = std::fs::read(full).expect("journal bytes");
+    let idx = ((contents.offsets.len() - 1) as f64 * frac) as usize;
+    std::fs::write(cut, &bytes[..contents.offsets[idx] as usize]).expect("cut");
+    wal::partition_replay(&contents.records[..idx]).num_answers() as u64
+}
+
+/// (a) Killed after 25 / 60 / 90 % of its answer records, a stream resumes
+/// from its re-read input plus `--resume FILE`: the journaled answers are
+/// replayed, and the labels CSV and the journal end byte-identical to the
+/// uninterrupted run's — so no journaled answer was asked (and appended)
+/// again.
+#[test]
+fn cli_stream_resumes_from_its_input_bit_identically() {
+    let dir = cli_dir("cli-resume");
+    write_spool(&dir, &cli_dataset());
+    let full = dir.join("full.wal");
+    assert_success(
+        &run_stream_cli(&dir, "full.csv", &["--journal", full.to_str().unwrap()]),
+        "full",
+    );
+    let want_csv = std::fs::read(dir.join("full.csv")).expect("full csv");
+    let want_journal = std::fs::read(&full).expect("full journal");
+    let answers = wal::partition_replay(&wal::read_journal(&full).expect("journal").records);
+    assert!(answers.num_answers() >= 20, "workload must have enough answers to matter");
+
+    for frac in [0.25, 0.6, 0.9] {
+        let cut = dir.join("cut.wal");
+        let paid_before = cut_journal(&full, &cut, frac);
+        let output = run_stream_cli(&dir, "cut.csv", &["--resume", cut.to_str().unwrap()]);
+        let ctx = format!("cut at {frac}");
+        assert_success(&output, &ctx);
+        assert_eq!(std::fs::read(dir.join("cut.csv")).expect("csv"), want_csv, "{ctx}: labels");
+        assert_eq!(replayed_answers(&output), paid_before, "{ctx}: replayed answers");
+        assert!(std::fs::read(&cut).expect("journal") == want_journal, "{ctx}: journal bytes");
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "stream"))
+        .collect();
+    assert!(leftovers.is_empty(), "a stream run wrote {leftovers:?}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// (b) A chunk that sorts first, added to the spool after the engine
+/// started, changes the labeling order: `--resume` refuses the journal by
+/// its order fingerprint and leaves it as it was.
+#[test]
+fn cli_stream_resume_refuses_a_changed_input() {
+    let dir = cli_dir("cli-changed");
+    let ds = cli_dataset();
+    write_spool(&dir, &ds);
+    let full = dir.join("full.wal");
+    assert_success(
+        &run_stream_cli(&dir, "full.csv", &["--journal", full.to_str().unwrap()]),
+        "full",
+    );
+    let cut = dir.join("cut.wal");
+    cut_journal(&full, &cut, 0.6);
+    let before = std::fs::read(&cut).expect("journal bytes");
+
+    write_chunk(&dir, "chunk-0.jsonl", &ds, 200..250);
+    let output = run_stream_cli(&dir, "cut.csv", &["--resume", cut.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a resume over a changed input must fail");
+    assert!(
+        stderr.contains("order_len") || stderr.contains("order_hash"),
+        "the refusal must name the order fingerprint: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&cut).expect("journal bytes"),
+        before,
+        "a refused journal was changed"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// (c) Killed before the engine started, a stream has paid for nothing and
+/// left no `FILE`. A chunk added meanwhile is simply part of the input:
+/// `--resume FILE` starts the journal and equals a fresh run over the
+/// current spool, byte for byte.
+#[test]
+fn cli_stream_killed_before_the_engine_runs_the_current_input() {
+    let dir = cli_dir("cli-before-engine");
+    let ds = cli_dataset();
+    write_spool(&dir, &ds);
+    write_chunk(&dir, "chunk-0.jsonl", &ds, 200..250);
+
+    let fresh = dir.join("fresh.wal");
+    let output = run_stream_cli(&dir, "fresh.csv", &["--journal", fresh.to_str().unwrap()]);
+    assert_success(&output, "fresh");
+    let resumed = dir.join("job.wal");
+    let output = run_stream_cli(&dir, "resumed.csv", &["--resume", resumed.to_str().unwrap()]);
+    assert_success(&output, "resume without a journal");
+    assert_eq!(replayed_answers(&output), 0);
+    assert_eq!(
+        std::fs::read(dir.join("resumed.csv")).expect("csv"),
+        std::fs::read(dir.join("fresh.csv")).expect("csv"),
+        "labels"
+    );
+    assert_eq!(
+        std::fs::read(&resumed).expect("journal"),
+        std::fs::read(&fresh).expect("journal"),
+        "journal bytes"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Starting a *new* journal over an existing non-empty file is refused —
