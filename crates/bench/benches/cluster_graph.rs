@@ -1,12 +1,8 @@
 //! Microbenchmarks of the deduction substrate: incremental `ClusterGraph`
-//! insert/deduce versus the literal Lemma-1 `PathOracleGraph`.
-//!
-//! This is the ablation for the paper's Section 3.2 design choice — the
-//! graph-clustering structure exists precisely because path enumeration
-//! cannot keep up.
+//! insert/deduce at three sizes, and query throughput on a built graph.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowdjoin_graph::{ClusterGraph, EdgeLabel, PathOracleGraph};
+use crowdjoin_graph::{ClusterGraph, EdgeLabel};
 use crowdjoin_util::SplitMix64;
 use std::hint::black_box;
 
@@ -52,21 +48,6 @@ fn bench_insert_deduce(c: &mut Criterion) {
             });
         });
     }
-    // The oracle is O(V+E) per query; only feasible at the small size.
-    let seq = sequence(100, 42);
-    group.bench_with_input(BenchmarkId::new("path_oracle", 100u32), &seq, |b, seq| {
-        b.iter(|| {
-            let mut g = PathOracleGraph::new(100);
-            let mut deduced = 0u32;
-            for &(a, b_, label) in seq {
-                match g.deduce(a, b_) {
-                    Some(_) => deduced += 1,
-                    None => g.insert(a, b_, label),
-                }
-            }
-            black_box(deduced)
-        });
-    });
     group.finish();
 }
 
@@ -89,7 +70,7 @@ fn bench_deduce_only(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0u32;
             for &(x, y) in &queries {
-                if g.deduce_readonly(x, y).is_some() {
+                if g.deduce(x, y).is_some() {
                     hits += 1;
                 }
             }

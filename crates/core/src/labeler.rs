@@ -3,7 +3,9 @@
 //! answer. This is the one implementation behind every path — engine
 //! shards, the oracle and platform runners, and the paper-figure programs.
 //!
-//! Deduction is the [`IncrementalClosure`] delta: submitting an answer
+//! Deduction is the [`ClusterGraph::insert_deducing`] delta: the labeler
+//! tracks every position in one `ClusterGraph`, whose slot-pair table holds
+//! each pair of clusters' edge or pending positions, so submitting an answer
 //! costs O(affected pairs), not a sweep over every pending pair. Batch
 //! selection (Algorithm 3) is a scan because the *supposed-matching* graph
 //! must be rebuilt under each round's knowledge, but the labeler keeps one
@@ -85,10 +87,9 @@
 //! what a fed journal replay (rebuilding labeler state from `crowdjoin-wal`
 //! answer records for a backend that cannot re-execute) is built on.
 
-use crate::closure::IncrementalClosure;
 use crate::result::LabelingResult;
 use crate::types::{Label, Pair, Provenance, ScoredPair};
-use crowdjoin_graph::{ScanGraph, ScanStep};
+use crowdjoin_graph::{ClusterGraph, ScanGraph, ScanStep};
 use crowdjoin_util::FxHashMap;
 
 /// Per-pair lifecycle.
@@ -108,7 +109,8 @@ pub struct ParallelLabeler {
     order: Vec<ScoredPair>,
     index_of: FxHashMap<Pair, usize>,
     state: Vec<PairState>,
-    closure: IncrementalClosure,
+    /// The crowd labels so far, tracking every position not yet deduced.
+    closure: ClusterGraph,
     result: LabelingResult,
     outstanding: usize,
     /// The Algorithm-3 scan graph, reset and refilled by each scan.
@@ -149,11 +151,11 @@ impl ParallelLabeler {
             assert!(index_of.insert(sp.pair, i).is_none(), "duplicate pair {} in order", sp.pair);
         }
         let n = order.len();
-        let mut closure = IncrementalClosure::new(num_objects);
+        let mut closure = ClusterGraph::new(num_objects);
         for (i, sp) in order.iter().enumerate() {
             // The graph is empty at construction: nothing is deducible yet,
             // so every pair indexes as pending.
-            let already = closure.track(i, sp.pair);
+            let already = closure.track(i, sp.pair.a(), sp.pair.b());
             debug_assert!(already.is_none());
         }
         Self {
@@ -295,7 +297,7 @@ impl ParallelLabeler {
         self.outstanding -= 1;
 
         let mut delta = Vec::new();
-        let label = match self.closure.insert(pair, answer, &mut delta) {
+        let label = match self.closure.insert_deducing(pair.a(), pair.b(), answer, &mut delta) {
             Ok(_) => answer,
             Err(conflict) => {
                 self.result.record_conflict();
@@ -350,7 +352,7 @@ impl ParallelLabeler {
             PairState::Unlabeled => {}
         }
         let mut delta = Vec::new();
-        let label = match self.closure.insert(pair, answer, &mut delta) {
+        let label = match self.closure.insert_deducing(pair.a(), pair.b(), answer, &mut delta) {
             Ok(_) => answer,
             Err(conflict) => conflict.deduced,
         };
@@ -395,7 +397,6 @@ mod tests {
     use crate::parallel::run_parallel_rounds;
     use crate::sort::{sort_pairs, SortStrategy};
     use crate::types::LabeledPair;
-    use crowdjoin_graph::ClusterGraph;
 
     /// Algorithms 2 and 3 as written, sharing nothing with the labeler's
     /// reused scan graph, skip rule or closure: a fresh graph per scan with

@@ -19,8 +19,11 @@
 //!   [`ParallelLabeler`] is the one Algorithm-3 implementation: the
 //!   round-based driver, the platform runners and every engine shard run
 //!   it. It deduces through an incremental transitive closure (only what
-//!   the newest answer implies is derived) and skips Algorithm-3 scans
-//!   that cannot differ from the last one.
+//!   the newest answer implies is derived): its
+//!   `crowdjoin_graph::ClusterGraph` keeps one slot-pair table whose entry
+//!   for two clusters is their non-matching edge or the positions pending
+//!   between them. It skips Algorithm-3 scans that cannot differ from the
+//!   last one.
 //! * **Baseline** ([`baseline`]) — the non-transitive labeler prior systems
 //!   use (crowdsource everything).
 //! * **Analysis** ([`analysis`], [`expected`]) — closed-form optimal cost and
@@ -62,7 +65,6 @@
 
 pub mod analysis;
 pub mod baseline;
-mod closure;
 pub mod expected;
 pub mod framework;
 mod labeler;

@@ -11,7 +11,7 @@
 //!
 //! | layer | crate | contents |
 //! |-------|-------|----------|
-//! | deduction substrate | [`graph`] | union–find, ClusterGraph, path oracle |
+//! | deduction substrate | [`graph`] | union–find, ClusterGraph (deduction + incremental closure), scan graph |
 //! | datasets | [`records`] | Paper/Product generators (Cora / Abt-Buy stand-ins) |
 //! | machine matcher | [`matcher`] | tokenizers, similarity, tf-idf join |
 //! | labeling framework | [`core`] | orders, sequential/parallel labelers, expected cost |

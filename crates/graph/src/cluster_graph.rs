@@ -1,4 +1,5 @@
-//! The incremental **ClusterGraph** (Section 3.2 of the paper).
+//! The incremental **ClusterGraph** (Section 3.2 of the paper), which is
+//! also Algorithm 2's incremental transitive closure.
 //!
 //! Matching edges are contracted with union–find; non-matching edges are kept
 //! between the contracted clusters. Deduction then becomes:
@@ -8,44 +9,87 @@
 //!   *non-matching* (a path with exactly one non-matching edge exists);
 //! * otherwise → not deducible.
 //!
+//! A caller may also [`track`](ClusterGraph::track) pairs under ids of its
+//! own. [`ClusterGraph::insert_deducing`] then reports each tracked pair
+//! exactly once, from the insert that first makes it deducible: only what
+//! the newest label implies is derived, with no sweep over the undecided
+//! pairs (semi-naive evaluation).
+//!
 //! # Layout
 //!
 //! Clusters are named by stable *slot* ids through a root→slot indirection:
 //! a slot starts as its object's id and dies when a merge drops it; it is
-//! never reused. The cluster edges live in **one** flat, insert-only set of
-//! unordered `(slot, slot)` keys (`EdgeSet`), so `deduce` and
-//! `slots_adjacent` are two `find`s plus one probe into one table. (The
-//! labeler's Algorithm-3 scan, which rebuilds a graph per scan, uses
-//! [`crate::ScanGraph`] instead.)
+//! never reused. **One** open-addressing table keyed by unordered
+//! `(slot, slot)` pairs holds the one fact the deduction needs about two
+//! clusters: `EDGE` (a non-matching cluster edge between them) or a
+//! *pending list* (the tracked pairs between them, none deducible yet). A
+//! pending list is `head << 32 | tail` over one `next: Vec<u32>` indexed by
+//! tracked id, so two lists concatenate in O(1) and nothing allocates.
+//! `deduce` and `track` are two `find`s plus one probe.
 //!
-//! The set cannot enumerate a slot's edges, which a merge must, so every
-//! edge is also an entry in each endpoint's *neighbour list* (singly linked
+//! The table cannot enumerate a slot's keys, which a merge must, so every key
+//! is also an entry in each endpoint's *neighbour list* (singly linked
 //! through one shared arena, newest first), read only when that slot is
-//! dropped. A merge re-keys the dropped slot's edges under the kept slot
-//! and leaves the old keys and the neighbours' entries for the dropped slot
+//! dropped. A merge re-keys the dropped slot's keys under the kept slot and
+//! leaves the old keys and the neighbours' entries for the dropped slot
 //! where they are: a dead slot is never queried again, so its keys are
 //! unreachable, and a list entry naming a dead slot (marked in `degree`) is
-//! skipped when its list is finally walked. Hence a list holds every *live*
-//! neighbour exactly once — two live slots gain entries for each other only
-//! when their key enters the set — plus possibly neighbours that have died
-//! since. `degree` counts the live ones: the size the per-slot adjacency
-//! set would have.
+//! skipped when its list is finally walked. The table is insert-or-overwrite
+//! only; a live key goes from vacant to a pending list or `EDGE`, and from a
+//! pending list to `EDGE`, never back.
+//!
+//! # Merge
+//!
+//! A matching label merges two clusters; the side with fewer keyed
+//! neighbours is dropped. The key between the two merging slots can only
+//! hold a pending list (an edge would make the label a conflict): it drains
+//! as *matching*. Each other key `(dropped, t)` moves to `(kept, t)` and
+//! meets what is there:
+//!
+//! * nothing → the entry is re-keyed (`t` becomes a neighbour of the kept
+//!   slot);
+//! * edge and edge → they collapse into one edge;
+//! * edge and pending list (either way round) → the list drains as
+//!   *non-matching* and the key holds `EDGE`;
+//! * pending and pending → the two lists are concatenated.
+//!
+//! A non-matching label on a key holding a pending list drains it as
+//! *non-matching*.
+//!
+//! # Invariants
+//!
+//! * A live slot's list names every live slot it shares a key with exactly
+//!   once (two live slots gain entries for each other only when their key
+//!   is first written), plus possibly slots that have died since.
+//! * `degree` counts those live keyed neighbours, edges and pending lists
+//!   alike, or is `DEAD`.
+//! * Every tracked id not yet reported sits in exactly one pending list,
+//!   under the key of its endpoints' current slots.
+//!
+//! `tracked_delta_equals_oracle` (in the crate's path-oracle tests) pins
+//! the closure against the Lemma 1 path oracle fed only the accepted labels
+//! of a noisy crowd: after every insert the delta is exactly the tracked
+//! pairs that became deducible, a conflict changes nothing, and the
+//! invariants above hold, checked by brute force. Each of these planted
+//! mutations fails it at 1024 cases: dropping either edge-meets-pending
+//! drain of a merge, a concatenation that loses the moved list, and
+//! skipping `degree[t] -= 1` when two keys collapse.
 //!
 //! # Complexity
 //!
-//! `deduce` is O(α(n)) amortized. `insert` of a matching edge merges two
-//! clusters; the side with the smaller degree is migrated into the other
-//! (independently of which component wins the union-by-size), re-keying only
-//! the moved side's edges. Live entries move under that smaller-into-larger
-//! rule, O(E log E) over any insertion sequence; a list is walked once,
-//! when its slot is dropped, so a stale entry is skipped once, and there
-//! are at most as many of them as list pushes — two per inserted or
-//! migrated edge. The total stays O(E log E), and so does the memory: dead
-//! keys and entries are never reclaimed (one key and two entries per
-//! migrated edge; merges move the smaller side, so in the labelers' graphs
-//! this is a fraction of the live edges).
+//! `deduce` and `track` are O(α(n)) amortized. A non-matching insert is one
+//! probe plus the pairs it reports. A merge walks the dropped side's list,
+//! one `get` and one `entry` per live neighbour; live entries move under
+//! the smaller-into-larger rule, O(K log K) over any insertion sequence for
+//! K keys. A list is walked once, when its slot is dropped, so a stale entry
+//! is skipped once, and there are at most as many of them as list pushes —
+//! two per written or re-keyed key. Every tracked id is drained once. The
+//! memory is O(K log K) plus one `u32` per tracked id: dead keys and list
+//! entries are never reclaimed (one key and two entries per re-keyed entry;
+//! merges move the smaller side, so in the labelers' graphs this is a
+//! fraction of the live keys).
 
-use crate::edge_set::EdgeSet;
+use crate::edge_set::{SlotPairMap, VACANT};
 use crate::{EdgeLabel, UnionFind};
 
 /// Error returned by [`ClusterGraph::insert`] when the attempted label
@@ -87,55 +131,23 @@ pub enum InsertOutcome {
     Redundant,
 }
 
-/// Outcome of a successful [`ClusterGraph::insert_tracked`], describing the
-/// structural change in terms of adjacency *slots* so that layers indexing
-/// per-cluster state (e.g. the engine's incremental closure) can update
-/// themselves without rescans.
-///
-/// Slots are the stable cluster identifiers the cluster edges are keyed by;
-/// the slot of an object's current cluster is [`ClusterGraph::slot_of`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrackedInsert {
-    /// The pair was already deducible with the same label; nothing changed.
-    Redundant,
-    /// A non-matching cluster edge was added between two existing clusters.
-    NonMatchingEdge {
-        /// Slot of the first cluster.
-        slot_a: u32,
-        /// Slot of the second cluster.
-        slot_b: u32,
-    },
-    /// Two clusters merged (a matching label).
-    Merge {
-        /// Slot identifying the surviving cluster.
-        kept_slot: u32,
-        /// Slot of the absorbed cluster; no longer identifies any cluster
-        /// after this event.
-        dropped_slot: u32,
-        /// Slots that were adjacent to the dropped cluster but **not** to
-        /// the kept cluster before the merge — the cluster edges the merge
-        /// added to the kept cluster.
-        new_neighbors: Vec<u32>,
-    },
-}
-
 /// Incremental transitive-deduction structure over objects `0..n`.
 #[derive(Debug, Clone)]
 pub struct ClusterGraph {
     uf: UnionFind,
     /// Root object id → slot. Only meaningful for current roots.
-    slot_of_root: Vec<u32>,
-    /// Every cluster-level non-matching edge between live slots, keyed by
-    /// its two slots (plus unreachable keys of dead slots).
-    edges: EdgeSet,
+    root_slot: Vec<u32>,
+    /// Slot pair → `EDGE` or a pending list, for every pair of live slots
+    /// that has either (plus unreachable keys of dead slots).
+    pairs: SlotPairMap,
     /// Slot → its newest neighbour-list entry in `entries`, or `NONE`.
     head: Vec<u32>,
     /// Neighbour-list arena: `(neighbour slot, next entry or NONE)`.
     entries: Vec<(u32, u32)>,
-    /// Slot → number of live neighbours, or `DEAD` once the slot is dropped.
+    /// Slot → number of live keyed neighbours, or `DEAD` once dropped.
     degree: Vec<u32>,
-    /// Number of distinct cluster-level non-matching edges.
-    cluster_edges: usize,
+    /// Tracked id → the next id of its pending list (unread at the tail).
+    next: Vec<u32>,
 }
 
 /// End of a neighbour list.
@@ -143,12 +155,28 @@ const NONE: u32 = u32::MAX;
 /// `degree` of a dropped slot. No live slot gets there: a slot has fewer
 /// neighbours than there are slots.
 const DEAD: u32 = u32::MAX;
+/// The slot-pair value of a non-matching cluster edge. Never a pending list
+/// (whose head is a tracked id, below `NONE`) nor [`VACANT`].
+const EDGE: u64 = u64::MAX - 1;
 
-/// What one insert did to the graph, in slots.
-enum Change {
-    Redundant,
-    Edge { slot_a: u32, slot_b: u32 },
-    Merge { kept_slot: u32, dropped_slot: u32 },
+/// The pending list running from id `head` to id `tail`.
+fn list(head: u32, tail: u32) -> u64 {
+    (u64::from(head) << 32) | u64::from(tail)
+}
+
+/// The `(head, tail)` ids of a pending list.
+fn ends(list: u64) -> (u32, u32) {
+    ((list >> 32) as u32, list as u32)
+}
+
+/// Appends every id of the pending list `list` to `out`, head first.
+fn drain(next: &[u32], list: u64, label: EdgeLabel, out: &mut Vec<(usize, EdgeLabel)>) {
+    let (mut id, tail) = ends(list);
+    out.push((id as usize, label));
+    while id != tail {
+        id = next[id as usize];
+        out.push((id as usize, label));
+    }
 }
 
 impl ClusterGraph {
@@ -157,12 +185,12 @@ impl ClusterGraph {
     pub fn new(n: usize) -> Self {
         Self {
             uf: UnionFind::new(n),
-            slot_of_root: (0..n as u32).collect(),
-            edges: EdgeSet::default(),
+            root_slot: (0..n as u32).collect(),
+            pairs: SlotPairMap::default(),
             head: vec![NONE; n],
             entries: Vec::new(),
             degree: vec![0; n],
-            cluster_edges: 0,
+            next: Vec::new(),
         }
     }
 
@@ -170,18 +198,6 @@ impl ClusterGraph {
     #[must_use]
     pub fn num_objects(&self) -> usize {
         self.uf.len()
-    }
-
-    /// Number of clusters (union–find components), counting isolated objects.
-    #[must_use]
-    pub fn num_clusters(&self) -> usize {
-        self.uf.num_components()
-    }
-
-    /// Number of distinct cluster-level non-matching edges.
-    #[must_use]
-    pub fn num_cluster_edges(&self) -> usize {
-        self.cluster_edges
     }
 
     /// Attempts to deduce the label of `(a, b)` from the inserted edges.
@@ -193,25 +209,47 @@ impl ClusterGraph {
     ///
     /// Panics if `a` or `b` is out of range.
     pub fn deduce(&mut self, a: u32, b: u32) -> Option<EdgeLabel> {
-        let ra = self.uf.find(a);
-        let rb = self.uf.find(b);
-        self.deduce_roots(ra, rb)
-    }
-
-    /// Read-only deduction (no path compression). Prefer [`Self::deduce`] on
-    /// hot paths; this exists for callers holding only `&self`.
-    #[must_use]
-    pub fn deduce_readonly(&self, a: u32, b: u32) -> Option<EdgeLabel> {
-        self.deduce_roots(self.uf.find_immutable(a), self.uf.find_immutable(b))
-    }
-
-    fn deduce_roots(&self, ra: u32, rb: u32) -> Option<EdgeLabel> {
-        if ra == rb {
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        if sa == sb {
             return Some(EdgeLabel::Matching);
         }
-        let sa = self.slot_of_root[ra as usize];
-        let sb = self.slot_of_root[rb as usize];
-        self.edges.contains(sa, sb).then_some(EdgeLabel::NonMatching)
+        (self.pairs.get(sa, sb) == EDGE).then_some(EdgeLabel::NonMatching)
+    }
+
+    /// Tracks the pair `(a, b)` under the caller's `id`: returns its label
+    /// when it is deducible already (it is then not tracked), and otherwise
+    /// [`Self::insert_deducing`] reports it exactly once, when it first
+    /// becomes deducible. Track each id at most once; ids index a dense
+    /// array, so keep them small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b`, an object is out of range, or `id` does not fit
+    /// below `u32::MAX`.
+    pub fn track(&mut self, id: usize, a: u32, b: u32) -> Option<EdgeLabel> {
+        assert_ne!(a, b, "a pair must relate two distinct objects");
+        let id = u32::try_from(id).ok().filter(|&id| id != NONE).expect("tracked id exceeds u32");
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        if sa == sb {
+            return Some(EdgeLabel::Matching);
+        }
+        if self.next.len() <= id as usize {
+            self.next.resize(id as usize + 1, NONE);
+        }
+        let value = self.pairs.entry(sa, sb);
+        match *value {
+            EDGE => return Some(EdgeLabel::NonMatching),
+            VACANT => {
+                *value = list(id, id);
+                self.link(sa, sb);
+            }
+            pending => {
+                let (head, tail) = ends(pending);
+                self.next[tail as usize] = id;
+                *value = list(head, id);
+            }
+        }
+        None
     }
 
     /// Inserts the labeled pair `(a, b)`.
@@ -233,104 +271,66 @@ impl ClusterGraph {
         b: u32,
         label: EdgeLabel,
     ) -> Result<InsertOutcome, ConflictError> {
-        self.apply(a, b, label, |_| {}).map(|change| match change {
-            Change::Redundant => InsertOutcome::Redundant,
-            Change::Edge { .. } | Change::Merge { .. } => InsertOutcome::Inserted,
-        })
+        self.insert_deducing(a, b, label, &mut Vec::new())
     }
 
-    /// [`Self::insert`] with a structural change report — see
-    /// [`TrackedInsert`]. Same contract as `insert` otherwise.
+    /// [`Self::insert`] that also appends to `deduced` every tracked pair
+    /// the label made deducible, as `(id, label)` — the closure's delta. A
+    /// redundant or conflicting insert appends nothing.
     ///
     /// # Panics
     ///
     /// Panics if `a == b` or an id is out of range.
-    pub fn insert_tracked(
+    pub fn insert_deducing(
         &mut self,
         a: u32,
         b: u32,
         label: EdgeLabel,
-    ) -> Result<TrackedInsert, ConflictError> {
-        let mut new_neighbors = Vec::new();
-        self.apply(a, b, label, |t| new_neighbors.push(t)).map(|change| match change {
-            Change::Redundant => TrackedInsert::Redundant,
-            Change::Edge { slot_a, slot_b } => TrackedInsert::NonMatchingEdge { slot_a, slot_b },
-            Change::Merge { kept_slot, dropped_slot } => {
-                TrackedInsert::Merge { kept_slot, dropped_slot, new_neighbors }
-            }
-        })
-    }
-
-    /// The one insert path: resolves each endpoint's root once, then
-    /// deduces, and — when the pair is not deducible — records the label.
-    /// `new_neighbor` sees each slot a merge newly made adjacent to the kept
-    /// cluster ([`TrackedInsert::Merge::new_neighbors`]).
-    fn apply(
-        &mut self,
-        a: u32,
-        b: u32,
-        label: EdgeLabel,
-        new_neighbor: impl FnMut(u32),
-    ) -> Result<Change, ConflictError> {
+        deduced: &mut Vec<(usize, EdgeLabel)>,
+    ) -> Result<InsertOutcome, ConflictError> {
         assert_ne!(a, b, "a pair must relate two distinct objects");
         let ra = self.uf.find(a);
         let rb = self.uf.find(b);
-        let conflict = |deduced| Err(ConflictError { a, b, deduced, attempted: label });
+        let conflict = |known| Err(ConflictError { a, b, deduced: known, attempted: label });
         if ra == rb {
             return match label {
-                EdgeLabel::Matching => Ok(Change::Redundant),
+                EdgeLabel::Matching => Ok(InsertOutcome::Redundant),
                 EdgeLabel::NonMatching => conflict(EdgeLabel::Matching),
             };
         }
-        let sa = self.slot_of_root[ra as usize];
-        let sb = self.slot_of_root[rb as usize];
+        let sa = self.root_slot[ra as usize];
+        let sb = self.root_slot[rb as usize];
         match label {
-            EdgeLabel::NonMatching => {
-                if !self.edges.insert(sa, sb) {
-                    return Ok(Change::Redundant);
-                }
-                self.push_neighbor(sa, sb);
-                self.push_neighbor(sb, sa);
-                self.degree[sa as usize] += 1;
-                self.degree[sb as usize] += 1;
-                self.cluster_edges += 1;
-                Ok(Change::Edge { slot_a: sa, slot_b: sb })
-            }
+            EdgeLabel::NonMatching => match std::mem::replace(self.pairs.entry(sa, sb), EDGE) {
+                EDGE => return Ok(InsertOutcome::Redundant),
+                VACANT => self.link(sa, sb),
+                pending => drain(&self.next, pending, EdgeLabel::NonMatching, deduced),
+            },
             EdgeLabel::Matching => {
-                if self.edges.contains(sa, sb) {
+                if self.pairs.get(sa, sb) == EDGE {
                     return conflict(EdgeLabel::NonMatching);
                 }
-                Ok(self.merge(ra, rb, new_neighbor))
+                self.merge(ra, rb, deduced);
             }
         }
+        Ok(InsertOutcome::Inserted)
     }
 
-    /// The adjacency *slot* currently identifying the cluster of object `x`.
-    ///
-    /// Stable until a merge involving the cluster; merge events
-    /// ([`TrackedInsert::Merge`]) describe slot transitions.
-    pub fn slot_of(&mut self, x: u32) -> u32 {
+    /// The slot of `x`'s cluster.
+    fn slot(&mut self, x: u32) -> u32 {
         let r = self.uf.find(x);
-        self.slot_of_root[r as usize]
-    }
-
-    /// `true` when the clusters identified by `slot_a` and `slot_b` are
-    /// connected by a non-matching cluster edge.
-    #[must_use]
-    pub fn slots_adjacent(&self, slot_a: u32, slot_b: u32) -> bool {
-        let live = |slot: u32| self.degree[slot as usize] != DEAD;
-        slot_a != slot_b && live(slot_a) && live(slot_b) && self.edges.contains(slot_a, slot_b)
+        self.root_slot[r as usize]
     }
 
     /// Merges the clusters rooted at `ra` and `rb`. Caller guarantees the
     /// roots are distinct with no cluster edge between them.
-    fn merge(&mut self, ra: u32, rb: u32, mut new_neighbor: impl FnMut(u32)) -> Change {
+    fn merge(&mut self, ra: u32, rb: u32, deduced: &mut Vec<(usize, EdgeLabel)>) {
         let (winner, absorbed) = self.uf.union_roots(ra, rb);
-        let sw = self.slot_of_root[winner as usize];
-        let sa = self.slot_of_root[absorbed as usize];
+        let sw = self.root_slot[winner as usize];
+        let sa = self.root_slot[absorbed as usize];
         // Migrate the side with fewer live neighbours, independent of which
         // component won the union: slots are stable, so only the moved
-        // side's edges need re-keying.
+        // side's keys need re-keying.
         let (keep, drop) =
             if self.degree[sw as usize] >= self.degree[sa as usize] { (sw, sa) } else { (sa, sw) };
         let mut e = std::mem::replace(&mut self.head[drop as usize], NONE);
@@ -341,24 +341,51 @@ impl ClusterGraph {
                 // Stale: t was dropped after this entry was pushed.
                 continue;
             }
-            debug_assert_ne!(t, keep, "edge between merging clusters must have been a conflict");
-            if self.edges.insert(keep, t) {
-                // t trades its edge to `drop` for one to `keep`: its degree
-                // is unchanged.
-                self.push_neighbor(keep, t);
-                self.push_neighbor(t, keep);
-                self.degree[keep as usize] += 1;
-                new_neighbor(t);
-            } else {
-                // (keep, t) already existed: two parallel cluster edges
-                // collapse into one.
-                self.degree[t as usize] -= 1;
-                self.cluster_edges -= 1;
+            let moved = self.pairs.get(drop, t);
+            if t == keep {
+                // Pairs between the two merging clusters: now matching.
+                debug_assert_ne!(moved, EDGE, "an edge between merging clusters is a conflict");
+                drain(&self.next, moved, EdgeLabel::Matching, deduced);
+                self.degree[keep as usize] -= 1;
+                continue;
             }
+            let value = self.pairs.entry(keep, t);
+            match (*value, moved) {
+                (VACANT, _) => {
+                    // t trades its key with `drop` for one with `keep`: its
+                    // degree is unchanged.
+                    *value = moved;
+                    self.push_neighbor(keep, t);
+                    self.push_neighbor(t, keep);
+                    self.degree[keep as usize] += 1;
+                    continue;
+                }
+                (EDGE, EDGE) => {}
+                (EDGE, pending) => drain(&self.next, pending, EdgeLabel::NonMatching, deduced),
+                (pending, EDGE) => {
+                    *value = EDGE;
+                    drain(&self.next, pending, EdgeLabel::NonMatching, deduced);
+                }
+                (kept, moved) => {
+                    let ((kept_head, kept_tail), (moved_head, moved_tail)) =
+                        (ends(kept), ends(moved));
+                    self.next[kept_tail as usize] = moved_head;
+                    *value = list(kept_head, moved_tail);
+                }
+            }
+            // Two keys of t collapsed into one.
+            self.degree[t as usize] -= 1;
         }
         self.degree[drop as usize] = DEAD;
-        self.slot_of_root[winner as usize] = keep;
-        Change::Merge { kept_slot: keep, dropped_slot: drop }
+        self.root_slot[winner as usize] = keep;
+    }
+
+    /// Makes the live slots `s` and `t` neighbours (their key was vacant).
+    fn link(&mut self, s: u32, t: u32) {
+        self.push_neighbor(s, t);
+        self.push_neighbor(t, s);
+        self.degree[s as usize] += 1;
+        self.degree[t as usize] += 1;
     }
 
     /// Prepends `neighbor` to `slot`'s neighbour list.
@@ -369,23 +396,57 @@ impl ClusterGraph {
         self.head[slot as usize] = entry as u32;
     }
 
-    /// Checks the layout invariants of the module docs by brute force: a
-    /// live slot's list names each live neighbour exactly once, `degree`
-    /// counts them, and `cluster_edges` counts each edge once.
+    /// Canonical clustering of all objects (each group sorted; groups sorted
+    /// by first member).
+    pub fn clusters(&mut self) -> Vec<Vec<u32>> {
+        self.uf.clusters()
+    }
+
+    /// Number of clusters (union–find components), counting isolated objects.
     #[cfg(test)]
-    pub(crate) fn assert_layout_invariants(&mut self) {
-        let n = self.num_objects() as u32;
-        let live: Vec<u32> = {
-            let mut slots: Vec<u32> = (0..n).map(|x| self.slot_of(x)).collect();
-            slots.sort_unstable();
-            slots.dedup();
-            slots
+    pub(crate) fn num_clusters(&self) -> usize {
+        self.uf.num_components()
+    }
+
+    /// The cluster root of object `x` (stable only until the next matching
+    /// insert).
+    #[cfg(test)]
+    pub(crate) fn cluster_of(&mut self, x: u32) -> u32 {
+        self.uf.find(x)
+    }
+
+    /// The slots of the current clusters, ascending.
+    #[cfg(test)]
+    fn live_slots(&mut self) -> Vec<u32> {
+        let mut slots: Vec<u32> = (0..self.num_objects() as u32).map(|x| self.slot(x)).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Number of distinct cluster-level non-matching edges, by brute force.
+    #[cfg(test)]
+    pub(crate) fn num_cluster_edges(&mut self) -> usize {
+        let live = self.live_slots();
+        let adjacent = |(i, &s): (usize, &u32)| {
+            live[i + 1..].iter().filter(|&&t| self.pairs.get(s, t) == EDGE).count()
         };
+        live.iter().enumerate().map(adjacent).sum()
+    }
+
+    /// Checks the invariants of the module docs by brute force. `undecided`
+    /// lists every tracked pair not yet reported, as `(id, a, b)`.
+    #[cfg(test)]
+    pub(crate) fn assert_layout_invariants(&mut self, undecided: &[(usize, u32, u32)]) {
+        let live = self.live_slots();
         assert_eq!(live.len(), self.num_clusters());
-        let mut degree_sum = 0;
+        let mut pending = Vec::new();
         for &s in &live {
-            let expected: Vec<u32> =
-                live.iter().copied().filter(|&t| t != s && self.edges.contains(s, t)).collect();
+            let keyed: Vec<u32> = live
+                .iter()
+                .copied()
+                .filter(|&t| t != s && self.pairs.get(s, t) != VACANT)
+                .collect();
             let mut listed = Vec::new();
             let mut e = self.head[s as usize];
             while e != NONE {
@@ -396,26 +457,37 @@ impl ClusterGraph {
                 e = next;
             }
             listed.sort_unstable();
-            assert_eq!(listed, expected, "neighbour list of live slot {s}");
-            assert_eq!(self.degree[s as usize] as usize, expected.len(), "degree of slot {s}");
-            degree_sum += expected.len();
+            assert_eq!(listed, keyed, "neighbour list of live slot {s}");
+            assert_eq!(self.degree[s as usize] as usize, keyed.len(), "degree of slot {s}");
+            for &t in keyed.iter().filter(|&&t| t > s) {
+                let value = self.pairs.get(s, t);
+                if value == EDGE {
+                    continue;
+                }
+                let (mut id, tail) = ends(value);
+                loop {
+                    pending.push((id as usize, s, t));
+                    assert!(pending.len() <= self.next.len(), "pending list ({s}, {t}) loops");
+                    if id == tail {
+                        break;
+                    }
+                    id = self.next[id as usize];
+                }
+            }
         }
-        assert_eq!(degree_sum, 2 * self.cluster_edges);
-        for s in (0..n).filter(|s| !live.contains(s)) {
+        for s in (0..self.num_objects() as u32).filter(|s| !live.contains(s)) {
             assert_eq!(self.degree[s as usize], DEAD, "slot {s} names no cluster");
         }
-    }
-
-    /// Canonical clustering of all objects (each group sorted; groups sorted
-    /// by first member).
-    pub fn clusters(&mut self) -> Vec<Vec<u32>> {
-        self.uf.clusters()
-    }
-
-    /// The cluster root of object `x` (stable only until the next matching
-    /// insert).
-    pub fn cluster_of(&mut self, x: u32) -> u32 {
-        self.uf.find(x)
+        let mut expected: Vec<(usize, u32, u32)> = undecided
+            .iter()
+            .map(|&(id, a, b)| {
+                let (sa, sb) = (self.slot(a), self.slot(b));
+                (id, sa.min(sb), sa.max(sb))
+            })
+            .collect();
+        expected.sort_unstable();
+        pending.sort_unstable();
+        assert_eq!(pending, expected, "undecided tracked ids and pending lists");
     }
 }
 
@@ -530,102 +602,82 @@ mod tests {
     }
 
     #[test]
-    fn readonly_deduce_agrees() {
-        let mut g = ClusterGraph::new(5);
-        g.insert(0, 1, EdgeLabel::Matching).unwrap();
-        g.insert(2, 3, EdgeLabel::NonMatching).unwrap();
-        g.insert(1, 2, EdgeLabel::Matching).unwrap();
-        for a in 0..5 {
-            for b in (a + 1)..5 {
-                assert_eq!(g.deduce_readonly(a, b), g.clone().deduce(a, b), "({a},{b})");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "distinct objects")]
     fn self_pair_panics() {
         let mut g = ClusterGraph::new(2);
         let _ = g.insert(1, 1, EdgeLabel::Matching);
     }
 
-    #[test]
-    fn tracked_insert_reports_edges_and_merges() {
-        let mut g = ClusterGraph::new(4);
-        let s0 = g.slot_of(0);
-        let s1 = g.slot_of(1);
-        let s2 = g.slot_of(2);
-
-        // Non-matching edge between {1} and {2}.
-        let e = g.insert_tracked(1, 2, EdgeLabel::NonMatching).unwrap();
-        assert_eq!(e, TrackedInsert::NonMatchingEdge { slot_a: s1, slot_b: s2 });
-        assert!(g.slots_adjacent(s1, s2) && g.slots_adjacent(s2, s1));
-
-        // Merge {0} into {1}: {1} has the larger adjacency set, so its slot
-        // survives and {2} becomes newly adjacent to nothing (it already was
-        // adjacent to the kept side).
-        let m = g.insert_tracked(0, 1, EdgeLabel::Matching).unwrap();
-        assert_eq!(
-            m,
-            TrackedInsert::Merge { kept_slot: s1, dropped_slot: s0, new_neighbors: vec![] }
-        );
-        assert_eq!(g.slot_of(0), s1);
-
-        // Redundant insert reports Redundant.
-        assert_eq!(g.insert_tracked(0, 2, EdgeLabel::NonMatching), Ok(TrackedInsert::Redundant));
-    }
-
-    #[test]
-    fn tracked_merge_lists_new_neighbors() {
-        // {0}≠{2}; merging {0}={1} where {1} has no edges: kept slot is 0's
-        // (larger adjacency), no new neighbors. Then {3}≠{1} and merge
-        // {1}={2}: the union brings 3's cluster in as a new neighbor of the
-        // kept side.
-        let mut g = ClusterGraph::new(4);
-        g.insert(0, 2, EdgeLabel::NonMatching).unwrap();
-        let s0 = g.slot_of(0);
-        let s3 = g.slot_of(3);
-        let m = g.insert_tracked(0, 1, EdgeLabel::Matching).unwrap();
-        assert!(matches!(m, TrackedInsert::Merge { kept_slot, ref new_neighbors, .. }
-            if kept_slot == s0 && new_neighbors.is_empty()));
-
-        g.insert(1, 3, EdgeLabel::NonMatching).unwrap();
-        // Sanity: deduction sees 3 adjacent to the whole merged cluster.
-        assert_eq!(g.deduce(0, 3), Some(EdgeLabel::NonMatching));
-
-        // Merge the {0,1} cluster with {2}'s neighbor? {2} is adjacent, so
-        // merging 2 with 3 instead: cluster {3} (adjacent to {0,1}) absorbs
-        // {2}'s adjacency (also adjacent to {0,1}) — parallel edges collapse,
-        // no new neighbors.
-        let m = g.insert_tracked(2, 3, EdgeLabel::Matching);
-        // (2,3) is not deducible (both adjacent to {0,1} but not to each
-        // other), so this merge is legal.
-        let m = m.unwrap();
-        assert!(matches!(m, TrackedInsert::Merge { ref new_neighbors, .. }
-            if new_neighbors.is_empty()));
-        assert_eq!(g.num_cluster_edges(), 1);
-        let _ = s3;
-    }
-
-    #[test]
-    fn tracked_merge_new_neighbor_propagates() {
-        // {2}≠{1}; merge {0}={1}. Kept slot is 1's (larger adjacency); 0 has
-        // none. Now add {3}≠{0}... instead: set up so the *dropped* side owns
-        // an edge the kept side lacks.
-        let mut g = ClusterGraph::new(4);
-        g.insert(0, 2, EdgeLabel::NonMatching).unwrap(); // {0}–{2}
-        g.insert(1, 3, EdgeLabel::NonMatching).unwrap(); // {1}–{3}
-        let s2 = g.slot_of(2);
-        let s3 = g.slot_of(3);
-        let m = g.insert_tracked(0, 1, EdgeLabel::Matching).unwrap();
-        match m {
-            TrackedInsert::Merge { kept_slot, mut new_neighbors, .. } => {
-                // Exactly one side migrated; its single edge is new.
-                new_neighbors.sort_unstable();
-                assert!(new_neighbors == vec![s2] || new_neighbors == vec![s3]);
-                assert!(g.slots_adjacent(kept_slot, s2) && g.slots_adjacent(kept_slot, s3));
-            }
-            other => panic!("expected merge, got {other:?}"),
+    /// Tracks `pairs` as ids `0..` on a fresh graph over `n` objects;
+    /// none may be deducible yet.
+    fn tracking(n: usize, pairs: &[(u32, u32)]) -> ClusterGraph {
+        let mut g = ClusterGraph::new(n);
+        for (id, &(a, b)) in pairs.iter().enumerate() {
+            assert_eq!(g.track(id, a, b), None);
         }
+        g
+    }
+
+    #[test]
+    fn track_reports_already_deducible() {
+        let mut g = ClusterGraph::new(4);
+        g.insert(0, 1, EdgeLabel::Matching).unwrap();
+        g.insert(1, 3, EdgeLabel::NonMatching).unwrap();
+        assert_eq!(g.track(0, 0, 1), Some(EdgeLabel::Matching));
+        assert_eq!(g.track(1, 0, 3), Some(EdgeLabel::NonMatching));
+        assert_eq!(g.track(2, 0, 2), None);
+        g.assert_layout_invariants(&[(2, 0, 2)]);
+    }
+
+    #[test]
+    fn positive_chain_delta() {
+        // (0,2) follows 0=1, 1=2; (0,3) follows 2=3.
+        let mut g = tracking(4, &[(0, 2), (0, 3)]);
+        let mut delta = Vec::new();
+        g.insert_deducing(0, 1, EdgeLabel::Matching, &mut delta).unwrap();
+        assert!(delta.is_empty());
+        g.insert_deducing(1, 2, EdgeLabel::Matching, &mut delta).unwrap();
+        assert_eq!(delta, vec![(0, EdgeLabel::Matching)]);
+        delta.clear();
+        g.insert_deducing(2, 3, EdgeLabel::Matching, &mut delta).unwrap();
+        assert_eq!(delta, vec![(1, EdgeLabel::Matching)]);
+        g.assert_layout_invariants(&[]);
+    }
+
+    #[test]
+    fn negative_single_hop_delta() {
+        let mut g = ClusterGraph::new(3);
+        assert_eq!(g.track(7, 0, 2), None);
+        let mut delta = Vec::new();
+        g.insert_deducing(0, 1, EdgeLabel::Matching, &mut delta).unwrap();
+        g.insert_deducing(1, 2, EdgeLabel::NonMatching, &mut delta).unwrap();
+        assert_eq!(delta, vec![(7, EdgeLabel::NonMatching)]);
+    }
+
+    #[test]
+    fn merge_with_existing_edge_resolves_nonmatching() {
+        // Track (1,2); 0≠2; then 0=1 merges and the edge to {2} makes (1,2)
+        // non-matching.
+        let mut g = tracking(3, &[(1, 2)]);
+        let mut delta = Vec::new();
+        g.insert_deducing(0, 2, EdgeLabel::NonMatching, &mut delta).unwrap();
+        assert!(delta.is_empty());
+        g.insert_deducing(0, 1, EdgeLabel::Matching, &mut delta).unwrap();
+        assert_eq!(delta, vec![(0, EdgeLabel::NonMatching)]);
+        g.assert_layout_invariants(&[]);
+    }
+
+    #[test]
+    fn conflict_leaves_index_untouched() {
+        let mut g = tracking(4, &[(0, 2), (0, 3)]);
+        let mut delta = Vec::new();
+        g.insert_deducing(0, 1, EdgeLabel::Matching, &mut delta).unwrap();
+        g.insert_deducing(1, 2, EdgeLabel::Matching, &mut delta).unwrap();
+        assert_eq!(delta, vec![(0, EdgeLabel::Matching)]);
+        delta.clear();
+        let err = g.insert_deducing(0, 2, EdgeLabel::NonMatching, &mut delta).unwrap_err();
+        assert_eq!(err.deduced, EdgeLabel::Matching);
+        assert!(delta.is_empty());
+        g.assert_layout_invariants(&[(1, 0, 3)]);
     }
 }

@@ -17,11 +17,15 @@
 //!
 //! * [`UnionFind`] — Tarjan union–find with path halving and union by size;
 //! * [`ClusterGraph`] — the incremental deduction structure (the hot path of
-//!   every labeler in `crowdjoin-core`);
+//!   every labeler in `crowdjoin-core`) and Algorithm 2's incremental
+//!   closure: one slot-pair table holds, for each pair of clusters, either
+//!   their non-matching edge or the tracked pairs still pending between
+//!   them, so a merge migrates both facts in one pass (module docs);
 //! * [`ScanGraph`] — the same insert outcomes on a layout the labeler's
-//!   Algorithm-3 scan rebuilds per scan and replays recorded steps into;
-//! * [`PathOracleGraph`] — a deliberately simple reference implementation of
-//!   the Lemma 1 path semantics, used by tests to verify `ClusterGraph`.
+//!   Algorithm-3 scan rebuilds per scan and replays recorded steps into.
+//!
+//! The crate's tests check both against `PathOracleGraph`, a test-only
+//! implementation of the Lemma 1 path semantics as written.
 //!
 //! # Example
 //!
@@ -43,12 +47,12 @@
 
 mod cluster_graph;
 mod edge_set;
+#[cfg(test)]
 mod path_oracle;
 mod scan_graph;
 mod union_find;
 
-pub use cluster_graph::{ClusterGraph, ConflictError, InsertOutcome, TrackedInsert};
-pub use path_oracle::PathOracleGraph;
+pub use cluster_graph::{ClusterGraph, ConflictError, InsertOutcome};
 pub use scan_graph::{ScanGraph, ScanStep};
 pub use union_find::UnionFind;
 

@@ -1,5 +1,6 @@
 //! A deliberately simple reference implementation of the Lemma 1 path
-//! semantics, used to verify [`crate::ClusterGraph`].
+//! semantics, used by the tests to verify [`crate::ClusterGraph`] and
+//! [`crate::ScanGraph`].
 //!
 //! Deduction is answered straight from the definition: `(a, b)` is matching
 //! iff a matching-only path connects them; non-matching iff some path uses
@@ -12,7 +13,7 @@ use crate::EdgeLabel;
 
 /// Labeled-pair graph answering deduction queries by breadth-first search.
 #[derive(Debug, Clone)]
-pub struct PathOracleGraph {
+pub(crate) struct PathOracleGraph {
     n: usize,
     /// Matching adjacency lists.
     matching_adj: Vec<Vec<u32>>,
@@ -25,12 +26,6 @@ impl PathOracleGraph {
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self { n, matching_adj: vec![Vec::new(); n], nonmatching_edges: Vec::new() }
-    }
-
-    /// Number of objects.
-    #[must_use]
-    pub fn num_objects(&self) -> usize {
-        self.n
     }
 
     /// Records a labeled pair. No consistency checking: the oracle represents
@@ -177,6 +172,85 @@ mod tests {
             })
     }
 
+    /// Feeds `seq` to a `ClusterGraph` that tracks each `(a, b, when)` of
+    /// `tracked` under its index right before insert number `when` (after
+    /// the last insert when `when` is past the end), against the path oracle
+    /// fed only the accepted labels. `track` must return the oracle's label;
+    /// after every insert the delta must be exactly the tracked, undecided
+    /// pairs the oracle now deduces (so a redundant or conflicting insert
+    /// reports nothing), every pair must deduce as in the oracle, and every
+    /// undecided pair must sit in the pending list the layout invariants
+    /// name.
+    fn check_tracked_against_oracle(
+        n: usize,
+        tracked: &[(u32, u32, usize)],
+        seq: &[(u32, u32, EdgeLabel)],
+    ) -> Result<(), TestCaseError> {
+        let mut fast = ClusterGraph::new(n);
+        let mut slow = PathOracleGraph::new(n);
+        // Tracked and not yet reported: (id, a, b).
+        let mut undecided = Vec::new();
+        for step in 0..=seq.len() {
+            for (id, &(a, b, when)) in tracked.iter().enumerate() {
+                if when.min(seq.len()) == step {
+                    let known = fast.track(id, a, b);
+                    prop_assert_eq!(known, slow.deduce(a, b), "tracking ({}, {})", a, b);
+                    if known.is_none() {
+                        undecided.push((id, a, b));
+                    }
+                }
+            }
+            let Some(&(a, b, label)) = seq.get(step) else { break };
+            let mut delta = Vec::new();
+            match fast.insert_deducing(a, b, label, &mut delta) {
+                Ok(crate::InsertOutcome::Inserted) => slow.insert(a, b, label),
+                Ok(crate::InsertOutcome::Redundant) => {
+                    prop_assert_eq!(slow.deduce(a, b), Some(label));
+                }
+                Err(conflict) => {
+                    prop_assert_eq!(conflict.attempted, label);
+                    prop_assert_eq!(Some(conflict.deduced), slow.deduce(a, b));
+                    prop_assert!(conflict.deduced != label);
+                }
+            }
+            let mut expected = Vec::new();
+            undecided.retain(|&(id, a, b)| match slow.deduce(a, b) {
+                Some(known) => {
+                    expected.push((id, known));
+                    false
+                }
+                None => true,
+            });
+            expected.sort_unstable_by_key(|&(id, _)| id);
+            delta.sort_unstable_by_key(|&(id, _)| id);
+            prop_assert_eq!(&delta, &expected, "delta after inserting ({}, {}) {}", a, b, label);
+            for x in 0..n as u32 {
+                for y in (x + 1)..n as u32 {
+                    prop_assert_eq!(fast.deduce(x, y), slow.deduce(x, y), "({}, {})", x, y);
+                }
+            }
+            fast.assert_layout_invariants(&undecided);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn paper_running_example_against_reference() {
+        // Figure 3, 0-based: all 8 candidate pairs tracked, answers arriving
+        // in the expected-likelihood order.
+        let tracked = [(0, 1), (1, 2), (0, 5), (0, 2), (3, 4), (3, 5), (1, 3), (4, 5)];
+        let tracked: Vec<(u32, u32, usize)> = tracked.iter().map(|&(a, b)| (a, b, 0)).collect();
+        let seq = [
+            (0, 1, EdgeLabel::Matching),
+            (1, 2, EdgeLabel::Matching),
+            (0, 5, EdgeLabel::NonMatching),
+            (3, 4, EdgeLabel::Matching),
+            (3, 5, EdgeLabel::NonMatching),
+            (1, 3, EdgeLabel::NonMatching),
+        ];
+        check_tracked_against_oracle(6, &tracked, &seq).unwrap();
+    }
+
     proptest! {
         /// ClusterGraph must agree with the path-semantics oracle on every
         /// pair after every prefix of a consistent insertion sequence.
@@ -261,9 +335,9 @@ mod tests {
         /// Inconsistent label sequences (a noisy crowd): a rejected insert
         /// changes no deduction, and the graph keeps agreeing with the path
         /// oracle fed exactly the accepted labels. After every insert the
-        /// edge count equals a brute-force count of adjacent cluster pairs
-        /// and slot adjacency is symmetric, and the neighbour lists and
-        /// degrees (which pick the migrated side) match a brute-force count.
+        /// edge count equals a count of the cluster pairs deduced
+        /// non-matching, and the neighbour lists and degrees (which pick the
+        /// migrated side) match a brute-force count.
         #[test]
         fn conflicts_leave_the_graph_unchanged((n, seq) in noisy_sequence()) {
             let all_pairs = |g: &mut ClusterGraph| -> Vec<Option<EdgeLabel>> {
@@ -291,20 +365,32 @@ mod tests {
                 for x in 0..n as u32 {
                     for y in (x + 1)..n as u32 {
                         prop_assert_eq!(fast.deduce(x, y), slow.deduce(x, y), "({}, {})", x, y);
-                        let (sx, sy) = (fast.slot_of(x), fast.slot_of(y));
-                        prop_assert_eq!(fast.slots_adjacent(sx, sy), fast.slots_adjacent(sy, sx));
-                        prop_assert_eq!(
-                            fast.slots_adjacent(sx, sy),
-                            fast.deduce(x, y) == Some(EdgeLabel::NonMatching)
-                        );
-                        if fast.slots_adjacent(sx, sy) {
-                            adjacent.insert((sx.min(sy), sx.max(sy)));
+                        if fast.deduce(x, y) == Some(EdgeLabel::NonMatching) {
+                            let (rx, ry) = (fast.cluster_of(x), fast.cluster_of(y));
+                            adjacent.insert((rx.min(ry), rx.max(ry)));
                         }
                     }
                 }
                 prop_assert_eq!(fast.num_cluster_edges(), adjacent.len());
-                fast.assert_layout_invariants();
+                fast.assert_layout_invariants(&[]);
             }
+        }
+
+        /// The closure under a noisy crowd: the sequence's own pairs are
+        /// tracked up front (as the labeler tracks its order), and random
+        /// pairs between inserts (so `track` meets deducible pairs and
+        /// existing lists); see [`check_tracked_against_oracle`].
+        #[test]
+        fn tracked_delta_equals_oracle(
+            (n, seq) in noisy_sequence(),
+            extra in proptest::collection::vec((0u32..16, 0u32..16, 0usize..41), 0..20),
+        ) {
+            let mut tracked: Vec<(u32, u32, usize)> = seq.iter().map(|&(a, b, _)| (a, b, 0)).collect();
+            let n32 = n as u32;
+            tracked.extend(
+                extra.into_iter().map(|(a, b, when)| (a % n32, b % n32, when)).filter(|t| t.0 != t.1),
+            );
+            check_tracked_against_oracle(n, &tracked, &seq)?;
         }
 
         /// Deduction from the oracle is sound with respect to the generating

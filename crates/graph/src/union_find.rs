@@ -84,18 +84,6 @@ impl UnionFind {
         }
     }
 
-    /// Read-only root lookup without path compression (usable through `&self`;
-    /// slightly slower than [`UnionFind::find`], used where interior
-    /// mutability would be awkward).
-    #[must_use]
-    pub fn find_immutable(&self, x: u32) -> u32 {
-        let mut x = x;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
     /// `true` when `a` and `b` are in the same component.
     pub fn connected(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
@@ -251,17 +239,6 @@ mod tests {
         // First-occurrence numbering: 0→0, 1→1, 2→1, 3→2, 4→3, 5→2.
         assert_eq!(ids, vec![0, 1, 1, 2, 3, 2]);
         assert_eq!(ids.iter().copied().max().unwrap() as usize + 1, uf.num_components());
-    }
-
-    #[test]
-    fn find_immutable_agrees_with_find() {
-        let mut uf = UnionFind::new(10);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(3, 4);
-        for x in 0..10 {
-            assert_eq!(uf.find_immutable(x), uf.clone().find(x));
-        }
     }
 
     #[test]
